@@ -4,7 +4,7 @@ of linear characters, and the rank-2 composition calculus."""
 
 from .theory import (BaseElement, CharacterBasis, DualBasisUndefined,
                      IdentityClassInvalid, NonOrthogonalBasis,
-                     RegularCharacterNotInSpan, SingularSystem, TheoryError,
+                     RegularCharacterNotInSpan, TheoryError,
                      TrivialCharacterMissing, cyclic4, dual, dual_pair,
                      from_table, solve_linear_system, two_dim)
 from .elements import TensorElement, TensorSquare, basis_words, expand_letters
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseElement", "CharacterBasis", "DualBasisUndefined",
     "IdentityClassInvalid", "NonOrthogonalBasis",
-    "RegularCharacterNotInSpan", "SingularSystem", "TheoryError",
+    "RegularCharacterNotInSpan", "TheoryError",
     "TrivialCharacterMissing", "cyclic4", "dual", "dual_pair",
     "from_table", "solve_linear_system", "two_dim",
     "TensorElement", "TensorSquare", "basis_words", "expand_letters",

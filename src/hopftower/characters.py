@@ -15,7 +15,7 @@ from fractions import Fraction
 from .combinatorics import compositions, partial_sums
 from .elements import TensorElement, expand_letters
 from .functors import def_along, pointwise_twist
-from .theory import TheoryError, solve_linear_system
+from .theory import TheoryError
 
 
 class ContextMismatch(TheoryError):
@@ -141,7 +141,7 @@ def check_morphism(chi):
             rhs = TensorElement(n - 1)
             for lw, lc in rhs_l.terms.items():
                 for rw, rc in rhs_r.terms.items():
-                    rhs += TensorElement(n - 1, {lw + rw: lc * rc})
+                    rhs.add_term(lw + rw, lc * rc)
             if lhs != rhs:
                 return (n, j, dict(lhs.terms), dict(rhs.terms))
     return None
@@ -168,6 +168,19 @@ def _definitional_convolve(psi, gamma, x):
     return total
 
 
+def _check_definition(psi, gamma, want):
+    """Raise unless the definitional (psi * gamma)(x) equals want(x) on
+    every basis word x of positive degree up to want's max degree."""
+    for n in range(1, want.max_degree + 1):
+        for word in psi.ctx.basis_words(n):
+            x = TensorElement(n, {word: 1})
+            closed, defined = want(x), _definitional_convolve(psi, gamma, x)
+            if closed != defined:
+                raise TheoryError(
+                    "closed formula disagrees with the definition at "
+                    "degree %d word %r: %s != %s" % (n, word, closed, defined))
+
+
 def convolve(psi, gamma):
     """Convolution product of two characters, as a character of the
     same max degree (the smaller of the two).
@@ -184,41 +197,15 @@ def convolve(psi, gamma):
     for n in range(1, top + 1):
         comps.append(_convolve_component(psi, gamma, n))
     out = LinearCharacter(ctx, comps)
-    for n in range(1, top + 1):
-        for word in ctx.basis_words(n):
-            x = TensorElement(n, {word: 1})
-            got = out(x)
-            want = _definitional_convolve(psi, gamma, x)
-            if got != want:
-                raise TheoryError(
-                    "convolution formula disagrees with definition at "
-                    "degree %d word %r: %s != %s" % (n, word, got, want))
-    return out
-
-
-def _block_entries(chi, lo, hi):
-    """Letter templates for positions lo+1..hi-1 from chi's degree
-    hi-lo component, plus that component's scalar weight handling.
-
-    Returns a list of (entries, coeff) expansions, one per word of the
-    component, each scaled by the word coefficient."""
-    n = hi - lo
-    comp = chi.components[n]
-    out = []
-    basis_dim = len(chi.ctx.basis.labels)
-    for word, c in comp.terms.items():
-        entries = []
-        for letter in word:
-            entries.append(tuple(1 if i == letter else 0
-                                 for i in range(basis_dim)))
-        out.append((entries, c))
+    _check_definition(psi, gamma, out)
     return out
 
 
 def _interleave(chi_a, chi_b, mark_a, mark_b, mu, n):
     """Sum the word templates for one composition mu: blocks taken
     alternately chi_a, chi_b, chi_a, ..., with the finishing
-    character's marker inserted after every block except the last."""
+    character's marker inserted after every block except the last.
+    Returns the degree-n element they sum to."""
     bounds = (0,) + partial_sums(mu) + (n,)
     ell = len(mu)
     acc = [([], Fraction(1))]
@@ -226,27 +213,20 @@ def _interleave(chi_a, chi_b, mark_a, mark_b, mu, n):
         use_a = b % 2 == 1
         chi = chi_a if use_a else chi_b
         mark = mark_a if use_a else mark_b
-        lo, hi = bounds[b - 1], bounds[b]
-        expansions = _block_entries(chi, lo, hi)
+        block = chi.components[bounds[b] - bounds[b - 1]].terms
         nxt = []
         for prefix, scal in acc:
-            for entries, c in expansions:
-                row = prefix + entries
+            for word, c in block.items():
+                row = prefix + list(word)
                 if b != ell:
                     row = row + [mark]
                 nxt.append((row, scal * c))
         acc = nxt
-    total = {}
+    out = TensorElement(n)
     for entries, scal in acc:
-        if not scal:
-            continue
-        for word, c in expand_letters(entries, scal).items():
-            c0 = total.get(word, 0) + c
-            if c0:
-                total[word] = c0
-            else:
-                total.pop(word, None)
-    return total
+        if scal:
+            out.add_scaled(expand_letters(entries, scal))
+    return out
 
 
 def _convolve_component(psi, gamma, n):
@@ -255,10 +235,8 @@ def _convolve_component(psi, gamma, n):
     alpha = tuple(ctx.alpha.coords)
     beta = tuple(ctx.beta.coords)
     for mu in compositions(n):
-        out += TensorElement(
-            n, _interleave(psi, gamma, alpha, beta, mu, n))
-        out += TensorElement(
-            n, _interleave(gamma, psi, beta, alpha, mu, n))
+        out += _interleave(psi, gamma, alpha, beta, mu, n)
+        out += _interleave(gamma, psi, beta, alpha, mu, n)
     return out
 
 
@@ -271,49 +249,15 @@ def inverse(psi):
                  zip(ctx.alpha.coords, ctx.beta.coords))
     comps = [ctx.unit()]
     for n in range(1, psi.max_degree + 1):
-        total = {}
+        comp = TensorElement(n)
         for mu in compositions(n):
-            ell = len(mu)
-            sign = -1 if ell % 2 else 1
-            bounds = (0,) + partial_sums(mu) + (n,)
-            acc = [([], Fraction(sign))]
-            for b in range(1, ell + 1):
-                lo, hi = bounds[b - 1], bounds[b]
-                expansions = _block_entries(psi, lo, hi)
-                nxt = []
-                for prefix, scal in acc:
-                    for entries, c in expansions:
-                        row = prefix + entries
-                        if b != ell:
-                            row = row + [mark]
-                        nxt.append((row, scal * c))
-                acc = nxt
-            for entries, scal in acc:
-                if not scal:
-                    continue
-                for word, c in expand_letters(entries, scal).items():
-                    c0 = total.get(word, 0) + c
-                    if c0:
-                        total[word] = c0
-                    else:
-                        total.pop(word, None)
-        comps.append(TensorElement(n, total))
+            sign = -1 if len(mu) % 2 else 1
+            comp.add_scaled(_interleave(psi, psi, mark, mark, mu, n).terms,
+                            sign)
+        comps.append(comp)
     out = LinearCharacter(ctx, comps)
-    _check_inverse(psi, out)
+    _check_definition(psi, out, counit_character(ctx, psi.max_degree))
     return out
-
-
-def _check_inverse(psi, inv):
-    """Verify psi * inv = counit on every basis word (definitional)."""
-    ctx = psi.ctx
-    for n in range(1, inv.max_degree + 1):
-        for word in ctx.basis_words(n):
-            x = TensorElement(n, {word: 1})
-            got = _definitional_convolve(psi, inv, x)
-            if got != 0:
-                raise TheoryError(
-                    "inverse formula fails at degree %d word %r: %s"
-                    % (n, word, got))
 
 
 def is_odd(psi):

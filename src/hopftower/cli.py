@@ -14,17 +14,16 @@ import argparse
 import json
 import sys
 
-from .antipode import (antipode_all_setcomps, antipode_closed,
-                       antipode_oracle, antipode_toggle_free)
+from .antipode import ROUTES, antipode_closed
 from .characters import (NotAMorphism, check_morphism, constant_character,
                          convolve, inverse)
 from .combinatorics import compositions, toggle_free
 from .hopf import HopfContext, PairingNotOne
-from .nsym import InconsistentTag, descent_embedding, verify_nsym_rules
+from .nsym import descent_embedding, verify_nsym_rules
 from .serialize import (ParseError, character_to_dict, element_from_dict,
-                        element_to_dict, fraction_to_str, jsonable,
-                        parse_expression, square_to_dict, theory_from_dict)
-from .theory import TheoryError, cyclic4, two_dim
+                        element_to_dict, jsonable, parse_expression,
+                        square_to_dict, theory_from_dict)
+from .theory import cyclic4, two_dim
 from .verify import (verify_all, verify_antipode_equivalence, verify_axioms,
                      verify_characters)
 
@@ -103,6 +102,9 @@ def _build_basis(args):
 
 
 def _names(args, basis):
+    if "reg" in basis.labels:
+        raise ParseError(
+            "basis label 'reg' would shadow the regular-character alias")
     aliases = {"reg": basis.reg}
     if "one" not in basis.labels:
         aliases["one"] = basis.one
@@ -157,9 +159,7 @@ def _cmd_compute(args, basis, tag):
         return 0, square_to_dict(ctx.coproduct(x), basis, tag)
     result = antipode_closed(ctx, x)
     if args.cross_check:
-        for name, route in (("all_setcomps", antipode_all_setcomps),
-                            ("toggle_free", antipode_toggle_free),
-                            ("oracle", antipode_oracle)):
+        for name, route in ROUTES:
             other = route(ctx, x)
             if other != result:
                 return 1, {
@@ -294,6 +294,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_degree < 0:
+            raise ParseError("--max-degree must be nonnegative")
         if args.command == "enumerate":
             code, payload = _cmd_enumerate(args)
         else:
@@ -304,24 +306,11 @@ def main(argv=None):
                 code, payload = _cmd_verify(args, basis, tag)
             else:
                 code, payload = _cmd_characters(args, basis, tag)
-    except ParseError as exc:
-        _err(f"error: {exc}")
-        return 2
-    except PairingNotOne as exc:
-        _err(f"error: {exc}")
-        return 3
-    except NotAMorphism as exc:
-        _err(f"error: {exc}")
-        return 1
-    except InconsistentTag as exc:
-        _err(f"error: {exc}")
-        return 2
-    except TheoryError as exc:
-        _err(f"error: {exc}")
-        return 2
     except ValueError as exc:
         _err(f"error: {exc}")
-        return 2
+        if isinstance(exc, PairingNotOne):
+            return 3
+        return 1 if isinstance(exc, NotAMorphism) else 2
     _emit(payload, args)
     return code
 

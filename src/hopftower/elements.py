@@ -12,7 +12,62 @@ from fractions import Fraction
 from itertools import product as _cartesian
 
 
-class TensorElement:
+def _accumulate(terms, key, coeff):
+    """Add ``coeff`` to ``terms[key]``, dropping the key when it cancels."""
+    new = terms.get(key, 0) + coeff
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
+class _Sparse:
+    """In-place arithmetic shared by the two sparse types, whose ``terms``
+    map keys to nonzero rationals."""
+
+    __slots__ = ()
+
+    def add_scaled(self, terms, scalar=1):
+        """Add ``scalar`` times a key -> rational dict in place, taking keys
+        and coefficients as given; returns self."""
+        if scalar != 1:
+            terms = {key: c * scalar for key, c in terms.items()}
+        data = self.terms
+        for key, c in terms.items():
+            _accumulate(data, key, c)
+        return self
+
+    def __iadd__(self, other):
+        if not self._compatible(other):
+            return NotImplemented
+        return self.add_scaled(other.terms)
+
+    def __isub__(self, other):
+        if not self._compatible(other):
+            return NotImplemented
+        return self.add_scaled(other.terms, -1)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        out = self._empty()
+        if scalar:
+            out.terms = {k: c * scalar for k, c in self.terms.items()}
+        return out
+
+    __rmul__ = __mul__
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+class TensorElement(_Sparse):
     """A homogeneous element: dict from words to nonzero coefficients."""
 
     __slots__ = ("degree", "terms")
@@ -30,13 +85,7 @@ class TensorElement:
                 if len(word) != want:
                     raise ValueError(
                         f"degree-{degree} words have {want} letters, got {word!r}")
-                coeff = Fraction(coeff)
-                if coeff:
-                    new = data.get(word, 0) + coeff
-                    if new:
-                        data[word] = new
-                    else:
-                        data.pop(word, None)
+                _accumulate(data, word, Fraction(coeff))
         self.terms = data
 
     @classmethod
@@ -54,46 +103,31 @@ class TensorElement:
     def coefficient(self, word):
         return self.terms.get(tuple(word), Fraction(0))
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+    def add_term(self, word, coeff):
+        """Add ``coeff`` times one word, in place."""
+        _accumulate(self.terms, tuple(word), Fraction(coeff))
 
-    def __add__(self, other):
+    def _empty(self):
+        return TensorElement(self.degree)
+
+    def _compatible(self, other):
         if not isinstance(other, TensorElement):
-            return NotImplemented
+            return False
         if self.degree != other.degree:
             raise ValueError("cannot add elements of different degrees")
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            new = data.get(w, 0) + c
-            if new:
-                data[w] = new
-            else:
-                data.pop(w, None)
-        out = TensorElement(self.degree)
-        out.terms = data
-        return out
+        return True
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __add__(self, other):
+        if not self._compatible(other):
+            return NotImplemented
+        out = self._empty()
+        out.terms = dict(self.terms)
+        return out.add_scaled(other.terms)
 
     def __neg__(self):
-        out = TensorElement(self.degree)
+        out = self._empty()
         out.terms = {w: -c for w, c in self.terms.items()}
         return out
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if not scalar:
-            return TensorElement(self.degree)
-        out = TensorElement(self.degree)
-        out.terms = {w: c * scalar for w, c in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, TensorElement)
@@ -110,7 +144,7 @@ class TensorElement:
         return f"TensorElement({self.degree}, {{{body}}})"
 
 
-class TensorSquare:
+class TensorSquare(_Sparse):
     """An element of the tensor square, keyed by ((ldeg, lword), (rdeg, rword))."""
 
     __slots__ = ("terms",)
@@ -125,11 +159,7 @@ class TensorSquare:
     def add_term(self, key, coeff):
         (ld, lw), (rd, rw) = key
         key = ((ld, tuple(lw)), (rd, tuple(rw)))
-        new = self.terms.get(key, 0) + Fraction(coeff)
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
+        _accumulate(self.terms, key, Fraction(coeff))
 
     @classmethod
     def tensor(cls, left, right):
@@ -140,33 +170,18 @@ class TensorSquare:
                 out.add_term(((left.degree, lw), (right.degree, rw)), lc * rc)
         return out
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+    def _empty(self):
+        return TensorSquare()
+
+    def _compatible(self, other):
+        return isinstance(other, TensorSquare)
 
     def __add__(self, other):
-        if not isinstance(other, TensorSquare):
+        if not self._compatible(other):
             return NotImplemented
-        out = TensorSquare()
+        out = self._empty()
         out.terms = dict(self.terms)
-        for key, c in other.terms.items():
-            out.add_term(key, c)
-        return out
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        out = TensorSquare()
-        if scalar:
-            out.terms = {k: c * scalar for k, c in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.terms)
+        return out.add_scaled(other.terms)
 
     def __eq__(self, other):
         return isinstance(other, TensorSquare) and self.terms == other.terms
@@ -207,18 +222,10 @@ def expand_letters(entries, coeff=1):
         if isinstance(entry, int):
             partial = {w + (entry,): c for w, c in partial.items()}
             continue
-        nxt = {}
-        for i, ci in enumerate(entry):
-            if not ci:
-                continue
-            for w, c in partial.items():
-                key = w + (i,)
-                new = nxt.get(key, 0) + c * ci
-                if new:
-                    nxt[key] = new
-                else:
-                    nxt.pop(key, None)
-        partial = nxt
+        # the words of partial share one length, so each (i, w) gives its
+        # own key and nothing needs accumulating
+        partial = {w + (i,): c * ci for i, ci in enumerate(entry) if ci
+                   for w, c in partial.items() if c}
         if not partial:
             break
     return partial

@@ -19,74 +19,61 @@ def _popcount(bits):
     return sum(1 for b in bits if b)
 
 
-def inf_along(basis, bits, x):
-    """Extend a degree-(k+1) element (k = number of 1-bits) to degree
-    len(bits)+1 by writing the all-ones letter at each 0-bit."""
+def _extend(bits, x, letter):
+    """Write ``letter`` (a basis index or a coordinate tuple) at each
+    0-bit, keeping the letters of x at the 1-bits."""
     if x.degree != _popcount(bits) + 1:
         raise ValueError("degree must be one more than the number of 1-bits")
     out = TensorElement(len(bits) + 1)
-    one = basis.one_index
     for word, coeff in x.terms.items():
         it = iter(word)
-        big = tuple(next(it) if b else one for b in bits)
-        out += TensorElement(len(bits) + 1, {big: coeff})
+        entries = [next(it) if b else letter for b in bits]
+        out.add_scaled(expand_letters(entries, coeff))
     return out
+
+
+def _pair_away(bits, x, pairing):
+    """Drop the letters at 0-bits, multiplying by their entries in
+    ``pairing`` (one inner product per basis letter)."""
+    if x.degree != len(bits) + 1:
+        raise ValueError("degree must be len(bits)+1")
+    small = TensorElement(_popcount(bits) + 1)
+    for word, coeff in x.terms.items():
+        kept = []
+        for b, letter in zip(bits, word):
+            if b:
+                kept.append(letter)
+            else:
+                coeff = coeff * pairing[letter]
+                if not coeff:
+                    break
+        else:
+            small.add_term(kept, coeff)
+    return small
+
+
+def inf_along(basis, bits, x):
+    """Extend a degree-(k+1) element (k = number of 1-bits) to degree
+    len(bits)+1 by writing the all-ones letter at each 0-bit."""
+    return _extend(bits, x, basis.one_index)
 
 
 def def_along(basis, bits, x):
     """Drop the letters at 0-bits, pairing each against the all-ones
     character; inverse to :func:`inf_along` on its image."""
-    if x.degree != len(bits) + 1:
-        raise ValueError("degree must be len(bits)+1")
-    pair_one = basis.pairings(basis.one)
-    small = TensorElement(_popcount(bits) + 1)
-    for word, coeff in x.terms.items():
-        kept = []
-        for b, letter in zip(bits, word):
-            if b:
-                kept.append(letter)
-            else:
-                coeff = coeff * pair_one[letter]
-                if not coeff:
-                    break
-        else:
-            small += TensorElement(small.degree, {tuple(kept): coeff})
-    return small
+    return _pair_away(bits, x, basis.pairings(basis.one))
 
 
 def ind_along(basis, bits, x):
     """Extend by writing the regular character (expanded in the basis) at
     each 0-bit."""
-    if x.degree != _popcount(bits) + 1:
-        raise ValueError("degree must be one more than the number of 1-bits")
-    reg = basis.reg.coords
-    out = TensorElement(len(bits) + 1)
-    for word, coeff in x.terms.items():
-        it = iter(word)
-        entries = [next(it) if b else reg for b in bits]
-        out += TensorElement(out.degree, expand_letters(entries, coeff))
-    return out
+    return _extend(bits, x, basis.reg.coords)
 
 
 def res_along(basis, bits, x):
     """Drop the letters at 0-bits, pairing each against the regular
     character."""
-    if x.degree != len(bits) + 1:
-        raise ValueError("degree must be len(bits)+1")
-    pair_reg = basis.pairings(basis.reg)
-    small = TensorElement(_popcount(bits) + 1)
-    for word, coeff in x.terms.items():
-        kept = []
-        for b, letter in zip(bits, word):
-            if b:
-                kept.append(letter)
-            else:
-                coeff = coeff * pair_reg[letter]
-                if not coeff:
-                    break
-        else:
-            small += TensorElement(small.degree, {tuple(kept): coeff})
-    return small
+    return _pair_away(bits, x, basis.pairings(basis.reg))
 
 
 def pointwise_twist(basis, x, j, f):
@@ -103,7 +90,7 @@ def pointwise_twist(basis, x, j, f):
             for m, cm in enumerate(basis.pointwise_coords(letter, k)):
                 if cm:
                     nw = word[:j - 1] + (m,) + word[j:]
-                    out += TensorElement(x.degree, {nw: coeff * ck * cm})
+                    out.add_term(nw, coeff * ck * cm)
     return out
 
 
@@ -129,7 +116,7 @@ def inf_bracket(basis, A, B, iota, x):
                 entries.append(next(it))
             elif b_bit:
                 entries.append(iota.coords)
-        out += TensorElement(out.degree, expand_letters(entries, coeff))
+        out.add_scaled(expand_letters(entries, coeff))
     return out
 
 
@@ -166,5 +153,5 @@ def dn_bracket(basis, A, B, tau, alpha, beta, x):
             if lca[j]:
                 entries.append(tau.coords)
         if not dead:
-            out += TensorElement(out.degree, expand_letters(entries, coeff))
+            out.add_scaled(expand_letters(entries, coeff))
     return out

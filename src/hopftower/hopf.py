@@ -44,12 +44,10 @@ class HopfContext:
         self.pair_alpha = basis.pairings(alpha)
         self.pair_beta = basis.pairings(beta)
         if check:
-            a = iota.inner(alpha)
-            if a != 1:
-                raise PairingNotOne("alpha", a)
-            b = iota.inner(beta)
-            if b != 1:
-                raise PairingNotOne("beta", b)
+            for which, e in (("alpha", alpha), ("beta", beta)):
+                value = iota.inner(e)
+                if value != 1:
+                    raise PairingNotOne(which, value)
         self._antipode_cache = {}
 
     @classmethod
@@ -89,18 +87,15 @@ class HopfContext:
             return x.coefficient(()) * y
         if y.degree == 0:
             return y.coefficient(()) * x
+        # every word of x (of y) has the same length, so each (u, i, v)
+        # splices to its own word and nothing needs accumulating
         out = {}
         for u, cu in x.terms.items():
             for v, cv in y.terms.items():
                 c = cu * cv
                 for i, ci in enumerate(self.iota_coords):
                     if ci:
-                        w = u + (i,) + v
-                        new = out.get(w, 0) + c * ci
-                        if new:
-                            out[w] = new
-                        else:
-                            out.pop(w, None)
+                        out[u + (i,) + v] = c * ci
         result = TensorElement(x.degree + y.degree)
         result.terms = out
         return result

@@ -14,8 +14,6 @@ constants can be compared across different theories.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .combinatorics import (boundary_bits, coarsenings, compositions, concat,
                             descents, interior_bits, inverse, partial_sums,
                             permutations, refinements, smash)
@@ -24,6 +22,7 @@ from .functors import ind_along
 from .theory import (DualBasisUndefined, TheoryError, dual_pair,
                      solve_linear_system)
 from .antipode import antipode_closed
+from .verify import _report, _run
 
 KINDS = ("h_basis", "ribbon", "shuffle_dual_primitive")
 
@@ -113,37 +112,17 @@ def nsym_element(ctx, kind, mu):
 _INV_CACHE = {}
 
 
-def _family(ctx, kind, n):
-    comps = tuple(compositions(n))
-    return comps, [nsym_element(ctx, kind, mu) for mu in comps]
-
-
-def _inverse_matrix(rows):
-    n = len(rows)
-    aug = [[Fraction(v) for v in row]
-           + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise DualBasisUndefined("family is not a basis in this degree")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _expansion_data(ctx, kind, n):
     key = (ctx, kind, n)
     if key not in _INV_CACHE:
-        comps, fam = _family(ctx, kind, n)
+        comps = tuple(compositions(n))
+        fam = [nsym_element(ctx, kind, mu) for mu in comps]
         words = list(basis_words(ctx.basis.dim, n))
         rows = [[f.coefficient(w) for f in fam] for w in words]
-        _INV_CACHE[key] = (comps, words, _inverse_matrix(rows))
+        identity = [[int(i == j) for j in range(len(rows))]
+                    for i in range(len(rows))]
+        _INV_CACHE[key] = (comps, words,
+                           solve_linear_system(rows, identity))
     return _INV_CACHE[key]
 
 
@@ -168,15 +147,14 @@ def expand_square_in_kind(ctx, kind, sq):
     """Coefficients of a tensor-square element in family ⊗ family."""
     grouped = {}
     for ((ld, lw), (rd, rw)), c in sq.terms.items():
-        grouped.setdefault((ld, rd), {}).setdefault(rw, TensorElement(ld))
-        grouped[(ld, rd)][rw] += TensorElement(ld, {lw: c})
+        grouped.setdefault((ld, rd), {}).setdefault(
+            rw, TensorElement(ld)).add_term(lw, c)
     out = {}
     for (ld, rd), by_right in grouped.items():
         partial = {}
         for rw, left_elem in by_right.items():
             for mu, c in expand_in_kind(ctx, kind, left_elem).items():
-                partial.setdefault(mu, TensorElement(rd))
-                partial[mu] += TensorElement(rd, {rw: c})
+                partial.setdefault(mu, TensorElement(rd)).add_term(rw, c)
         for mu, right_elem in partial.items():
             for nu, c in expand_in_kind(ctx, kind, right_elem).items():
                 out[(mu, nu)] = out.get((mu, nu), 0) + c
@@ -220,14 +198,7 @@ def verify_nsym_rules(ctx, max_degree):
 
     Returns {"checked", "passed", "first_failure"}.
     """
-    report = {"checked": 0, "passed": 0, "first_failure": None}
-
-    def run(name, lhs, rhs):
-        report["checked"] += 1
-        if lhs == rhs:
-            report["passed"] += 1
-        elif report["first_failure"] is None:
-            report["first_failure"] = {"inputs": name, "lhs": lhs, "rhs": rhs}
+    report = _report()
 
     h = {}
     r = {}
@@ -242,11 +213,11 @@ def verify_nsym_rules(ctx, max_degree):
         for a in range(1, total):
             for mu in compositions(a):
                 for nu in compositions(total - a):
-                    run(("h_concat", mu, nu),
-                        ctx.product(h[mu], h[nu]), h[concat(mu, nu)])
-                    run(("ribbon_product", mu, nu),
-                        ctx.product(r[mu], r[nu]),
-                        r[concat(mu, nu)] + r[smash(mu, nu)])
+                    _run(report, ("h_concat", mu, nu),
+                         ctx.product(h[mu], h[nu]), h[concat(mu, nu)])
+                    _run(report, ("ribbon_product", mu, nu),
+                         ctx.product(r[mu], r[nu]),
+                         r[concat(mu, nu)] + r[smash(mu, nu)])
 
     # coproduct of a single block deconcatenates
     for n in range(1, max_degree + 1):
@@ -254,7 +225,7 @@ def verify_nsym_rules(ctx, max_degree):
         for j in range(n + 1):
             want += TensorSquare.tensor(h[(j,) if j else ()],
                                         h[(n - j,) if n - j else ()])
-        run(("h_deconcat", n), ctx.coproduct(h[(n,)]), want)
+        _run(report, ("h_deconcat", n), ctx.coproduct(h[(n,)]), want)
 
     # h is the coarsening sum of ribbons
     for n in range(1, max_degree + 1):
@@ -262,7 +233,7 @@ def verify_nsym_rules(ctx, max_degree):
             want = TensorElement(n)
             for nu in coarsenings(mu):
                 want += r[nu]
-            run(("h_coarsening", mu), h[mu], want)
+            _run(report, ("h_coarsening", mu), h[mu], want)
 
     # compatibility of the coproduct with h products (bounded)
     for total in range(2, min(max_degree, 4) + 1):
@@ -270,9 +241,9 @@ def verify_nsym_rules(ctx, max_degree):
             for mu in compositions(a):
                 ca = ctx.coproduct(h[mu])
                 for nu in compositions(total - a):
-                    run(("h_compat", mu, nu),
-                        ctx.coproduct(ctx.product(h[mu], h[nu])),
-                        ctx.square_product(ca, ctx.coproduct(h[nu])))
+                    _run(report, ("h_compat", mu, nu),
+                         ctx.coproduct(ctx.product(h[mu], h[nu])),
+                         ctx.square_product(ca, ctx.coproduct(h[nu])))
 
     # independent route to h when iota is the regular character and the
     # dual of alpha is the all-ones character
@@ -284,8 +255,8 @@ def verify_nsym_rules(ctx, max_degree):
                 ones = TensorElement(
                     sum(bits) + 1,
                     {(ctx.basis.one_index,) * sum(bits): 1})
-                run(("h_induced", mu),
-                    h[mu], ind_along(ctx.basis, bits, ones))
+                _run(report, ("h_induced", mu),
+                     h[mu], ind_along(ctx.basis, bits, ones))
     return report
 
 
@@ -298,14 +269,7 @@ def antipode_corollaries(ctx, max_n):
     basis = ctx.basis
     if basis.dim != 2:
         raise InconsistentTag("corollaries are stated over rank-2 bases")
-    report = {"checked": 0, "passed": 0, "first_failure": None, "cases": []}
-
-    def run(name, lhs, rhs):
-        report["checked"] += 1
-        if lhs == rhs:
-            report["passed"] += 1
-        elif report["first_failure"] is None:
-            report["first_failure"] = {"inputs": name, "lhs": lhs, "rhs": rhs}
+    report = _report(cases=[])
 
     if ctx.alpha == ctx.beta:
         tau = shuffle_dual_complement(ctx)
@@ -315,7 +279,8 @@ def antipode_corollaries(ctx, max_n):
             report["cases"].append("primitive_negation")
             for n in range(1, max_n + 1):
                 x = tau_iota_element(basis, tau, ctx.iota, (n,))
-                run(("primitive_negation", n), antipode_closed(ctx, x), -x)
+                _run(report, ("primitive_negation", n),
+                     antipode_closed(ctx, x), -x)
         if ctx.iota == basis.one and ctx.alpha == basis.one:
             report["cases"].append("block_reversal")
             for n in range(1, max_n + 1):
@@ -324,8 +289,8 @@ def antipode_corollaries(ctx, max_n):
                     sign = -1 if len(mu) % 2 else 1
                     y = tau_iota_element(basis, tau, ctx.iota,
                                          tuple(reversed(mu)))
-                    run(("block_reversal", mu),
-                        antipode_closed(ctx, x), sign * y)
+                    _run(report, ("block_reversal", mu),
+                         antipode_closed(ctx, x), sign * y)
     else:
         try:
             astar, _ = dual_pair(ctx.alpha, ctx.beta)
@@ -336,7 +301,8 @@ def antipode_corollaries(ctx, max_n):
         for n in range(1, max_n + 1):
             x = tau_iota_element(basis, astar, ctx.iota, (n,))
             y = tau_iota_element(basis, shifted, ctx.iota, (n,))
-            run(("generator_shift", n), antipode_closed(ctx, x), -y)
+            _run(report, ("generator_shift", n),
+                 antipode_closed(ctx, x), -y)
         if ctx.iota == basis.reg and astar == basis.one:
             report["cases"].append("h_alternating_sum")
             for n in range(1, max_n + 1):
@@ -345,9 +311,10 @@ def antipode_corollaries(ctx, max_n):
                     want = TensorElement(n)
                     for nu in refinements(tuple(reversed(mu))):
                         sign = -1 if len(nu) % 2 else 1
-                        want += sign * nsym_element(ctx, "h_basis", nu)
-                    run(("h_alternating_sum", mu),
-                        antipode_closed(ctx, x), want)
+                        want.add_scaled(
+                            nsym_element(ctx, "h_basis", nu).terms, sign)
+                    _run(report, ("h_alternating_sum", mu),
+                         antipode_closed(ctx, x), want)
     return report
 
 

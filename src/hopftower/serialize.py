@@ -76,30 +76,37 @@ def element_to_dict(x, basis, base=None):
     return out
 
 
+def _degree(value):
+    # type(...) is int: JSON true is a bool, which is an int
+    if type(value) is not int or value < 0:
+        raise ParseError(f"bad degree {value!r}")
+    return value
+
+
+def _word(labels, index, degree):
+    """Basis indices of a JSON list of labels, checked against the degree."""
+    try:
+        word = tuple(index[lab] for lab in labels)
+    except KeyError as exc:
+        raise ParseError(f"unknown basis label {exc.args[0]!r}") from exc
+    if len(word) != max(degree - 1, 0):
+        raise ParseError(
+            f"word length {len(word)} does not match degree {degree}")
+    return word
+
+
 def element_from_dict(data, basis):
     if not isinstance(data, dict) or "degree" not in data:
         raise ParseError("element must be a JSON object with a degree")
-    degree = data["degree"]
-    if not isinstance(degree, int) or degree < 0:
-        raise ParseError(f"bad degree {degree!r}")
+    degree = _degree(data["degree"])
     index = _label_indices(basis)
     out = TensorElement(degree)
-    for term in data.get("terms", ()):
-        try:
-            labels = term["word"]
-            coeff = fraction_from_str(term["coeff"])
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad term {term!r}") from exc
-        word = []
-        for lab in labels:
-            if lab not in index:
-                raise ParseError(f"unknown basis label {lab!r}")
-            word.append(index[lab])
-        expected = max(degree - 1, 0)
-        if len(word) != expected:
-            raise ParseError(
-                f"word length {len(word)} does not match degree {degree}")
-        out += TensorElement(degree, {tuple(word): coeff})
+    try:
+        for term in data.get("terms", ()):
+            out.add_term(_word(term["word"], index, degree),
+                         fraction_from_str(term["coeff"]))
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad terms: {exc!r}") from exc
     return out
 
 
@@ -123,20 +130,15 @@ def square_from_dict(data, basis):
     out = TensorSquare()
 
     def side(obj):
-        degree = obj["degree"]
-        word = tuple(index[lab] for lab in obj["word"])
-        if len(word) != max(degree - 1, 0):
-            raise ParseError(f"word length does not match degree {degree}")
-        return degree, word
+        degree = _degree(obj["degree"])
+        return degree, _word(obj["word"], index, degree)
 
-    for term in data.get("terms", ()):
-        try:
-            left = side(term["left"])
-            right = side(term["right"])
-            coeff = fraction_from_str(term["coeff"])
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad term {term!r}") from exc
-        out.add_term((left, right), coeff)
+    try:
+        for term in data.get("terms", ()):
+            out.add_term((side(term["left"]), side(term["right"])),
+                         fraction_from_str(term["coeff"]))
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad terms: {exc!r}") from exc
     return out
 
 

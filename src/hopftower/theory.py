@@ -37,9 +37,6 @@ class DualBasisUndefined(TheoryError):
     pass
 
 
-SingularSystem = DualBasisUndefined
-
-
 def _exact(value):
     if isinstance(value, Fraction):
         return value
@@ -55,10 +52,18 @@ def _exact(value):
 def solve_linear_system(rows, rhs):
     """Solve the square system rows @ x = rhs exactly over the rationals.
 
-    Raises :class:`DualBasisUndefined` when the matrix is singular.
+    ``rhs`` is a vector, giving x as a tuple, or a matrix with one row
+    per equation, giving x as a tuple of rows; the identity matrix gives
+    the inverse.  Raises :class:`DualBasisUndefined` when the matrix is
+    singular.
+
+    >>> solve_linear_system(((2, 0), (0, 4)), ((1, 0), (0, 1)))
+    ((Fraction(1, 2), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 4)))
     """
     n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])]
+    several = n > 0 and isinstance(rhs[0], (list, tuple))
+    aug = [[Fraction(v) for v in row]
+           + [Fraction(v) for v in (rhs[i] if several else (rhs[i],))]
            for i, row in enumerate(rows)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
@@ -71,7 +76,9 @@ def solve_linear_system(rows, rhs):
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
+    if several:
+        return tuple(tuple(row[n:]) for row in aug)
+    return tuple(row[n] for row in aug)
 
 
 class CharacterBasis:
@@ -86,6 +93,8 @@ class CharacterBasis:
 
     def __init__(self, labels, table, sizes, identity_class):
         labels = tuple(str(x) for x in labels)
+        if len(set(labels)) != len(labels):
+            raise TheoryError(f"labels must be unique, got {labels!r}")
         table = tuple(tuple(_exact(v) for v in row) for row in table)
         d = len(labels)
         if len(table) != d or any(len(row) != len(table[0]) for row in table):
@@ -95,9 +104,10 @@ class CharacterBasis:
             raise NonOrthogonalBasis(
                 f"{d} characters on {k} classes: not a basis")
         sizes = tuple(sizes)
-        if len(sizes) != k or any(not isinstance(s, int) or s <= 0 for s in sizes):
+        # type(...) is int: a bool is an int, but never a size or an index
+        if len(sizes) != k or any(type(s) is not int or s <= 0 for s in sizes):
             raise TheoryError("sizes must be positive integers, one per class")
-        if not isinstance(identity_class, int) or not 0 <= identity_class < k:
+        if type(identity_class) is not int or not 0 <= identity_class < k:
             raise IdentityClassInvalid(
                 f"identity_class {identity_class!r} out of range")
         if sizes[identity_class] != 1:
@@ -110,16 +120,12 @@ class CharacterBasis:
         self.dim = d
         self.order = sum(sizes)
 
-        def pair(u, v):
-            return Fraction(
-                sum(s * a * b for s, a, b in zip(sizes, u, v)), self.order)
-
         for i in range(d):
             for j in range(i):
-                if pair(table[i], table[j]) != 0:
+                if self._pair(table[i], table[j]) != 0:
                     raise NonOrthogonalBasis(
                         f"rows {labels[i]!r} and {labels[j]!r} are not orthogonal")
-        self.gram = tuple(pair(row, row) for row in table)
+        self.gram = tuple(self._pair(row, row) for row in table)
         if any(g <= 0 for g in self.gram):
             raise NonOrthogonalBasis("every row must have positive norm")
 
@@ -143,6 +149,16 @@ class CharacterBasis:
                     "the regular character is not reproduced by the rows")
 
         self._pointwise = {}
+
+    def _pair(self, u, v):
+        """Class-size-weighted inner product of two value vectors."""
+        return Fraction(
+            sum(s * a * b for s, a, b in zip(self.sizes, u, v)), self.order)
+
+    def _coords(self, values):
+        """Coordinates in the basis of a value vector in its span."""
+        return [self._pair(row, values) / g
+                for row, g in zip(self.table, self.gram)]
 
     # -- elements ----------------------------------------------------------
 
@@ -168,12 +184,7 @@ class CharacterBasis:
         values = tuple(_exact(v) for v in values)
         if len(values) != self.dim:
             raise TheoryError("one value per class required")
-        coords = []
-        for i in range(self.dim):
-            num = sum(s * a * b for s, a, b in
-                      zip(self.sizes, self.table[i], values))
-            coords.append(Fraction(num, self.order) / self.gram[i])
-        elem = BaseElement(self, coords)
+        elem = BaseElement(self, self._coords(values))
         if elem.values() != values:
             raise TheoryError("values do not lie in the span of the rows")
         return elem
@@ -190,12 +201,7 @@ class CharacterBasis:
         if key not in self._pointwise:
             prod = tuple(a * b for a, b in
                          zip(self.table[key[0]], self.table[key[1]]))
-            coords = []
-            for k in range(self.dim):
-                num = sum(s * a * b for s, a, b in
-                          zip(self.sizes, prod, self.table[k]))
-                coords.append(Fraction(num, self.order) / self.gram[k])
-            self._pointwise[key] = tuple(coords)
+            self._pointwise[key] = tuple(self._coords(prod))
         return self._pointwise[key]
 
     # -- comparisons ---------------------------------------------------------
@@ -355,8 +361,7 @@ def dual(x, against):
     """The element y with <y, a> = 1 for a = x and <y, a> = 0 for every
     other member a of ``against``, which must be a basis.
 
-    Raises :class:`DualBasisUndefined` (alias ``SingularSystem``) when
-    ``against`` is not a basis.
+    Raises :class:`DualBasisUndefined` when ``against`` is not a basis.
 
     >>> t = two_dim(3)
     >>> dual(t.one, (t.one, (t.reg - t.one) / 2)).coords

@@ -87,3 +87,15 @@ def test_involution_when_coproduct_symmetric():
         for w in ctx.basis_words(n):
             x = word(n, w)
             assert antipode_closed(ctx, antipode_closed(ctx, x)) == x
+
+
+def test_oracle_results_are_not_shared():
+    """The oracle memoizes per word; what it returns is the caller's to
+    mutate, and a later call is unaffected."""
+    for ctx in contexts():
+        for x in (word(3, [0, 1]), ctx.unit(2), word(2, [1], 3)):
+            want = antipode_closed(ctx, x)
+            first = antipode_oracle(ctx, x)
+            first += first
+            first.add_term(next(iter(ctx.basis_words(x.degree))), 7)
+            assert antipode_oracle(ctx, x) == want

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from hopftower.cli import main
 from hopftower.serialize import theory_to_dict
 from hopftower.theory import two_dim
@@ -233,3 +231,40 @@ def test_cyclic4_base(capsys):
         "--max-degree", "3"])
     assert code == 0
     assert json.loads(out)["first_failure"] is None
+
+
+def test_verify_below_degree_two_is_green(capsys):
+    for argv in (["--suite", "characters", "--max-degree", "0"],
+                 ["--suite", "characters", "--max-degree", "1"],
+                 ["--suite", "all", "--max-degree", "1"]):
+        code, out, _ = run(capsys, ["verify", *argv])
+        assert code == 0, argv
+
+
+def test_negative_max_degree_exits_2(capsys):
+    code, out, err = run(capsys, [
+        "verify", "--suite", "axioms", "--max-degree", "-3"])
+    assert code == 2 and out == ""
+    assert "--max-degree" in err
+
+
+def test_malformed_element_exits_2(capsys):
+    for x in ('{"degree": true, "terms": []}',
+              '{"degree": 2, "terms": 5}',
+              '{"degree": 2, "terms": [{"word": [["one"]], "coeff": "1"}]}'):
+        code, out, err = run(capsys, ["compute", "antipode", "--x", x])
+        assert code == 2 and out == "", x
+        assert err.startswith("error:")
+
+
+def test_ambiguous_theory_labels_exit_2(tmp_path, capsys):
+    path = tmp_path / "theory.json"
+    for labels in (["one", "one"], ["one", "reg"]):
+        data = theory_to_dict(two_dim(3))
+        data["labels"] = labels
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, [
+            "verify", "--suite", "axioms", "--max-degree", "2",
+            "--theory-file", str(path)])
+        assert code == 2 and out == "", labels
+        assert "error:" in err

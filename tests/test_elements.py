@@ -97,3 +97,36 @@ def test_tensor_square_arithmetic():
     assert (2 * b).terms[((0, ()), (2, (1,)))] == 2
     assert sorted(k for k, _ in b.sorted_terms())[0][0] == (0, ())
     assert "TensorSquare" in repr(b)
+
+
+def test_inplace_adds_leave_right_operand():
+    x = TensorElement(2, {(0,): 1, (1,): 2})
+    y = TensorElement(2, {(1,): -2, (0,): Fraction(1, 2)})
+    before = dict(y.terms)
+    acc = x
+    acc += y
+    assert acc is x and x.terms == {(0,): Fraction(3, 2)}
+    acc -= y
+    assert acc.terms == {(0,): 1, (1,): 2}
+    assert y.terms == before
+    acc += acc
+    assert acc.terms == {(0,): 2, (1,): 4}
+    acc -= acc
+    assert not acc
+    with pytest.raises(ValueError):
+        acc += TensorElement(3)
+    a = TensorSquare({((1, ()), (1, ())): 1})
+    b = TensorSquare({((1, ()), (1, ())): -1, ((0, ()), (2, (1,))): 3})
+    kept = dict(b.terms)
+    a += b
+    assert a.terms == {((0, ()), (2, (1,))): 3} and b.terms == kept
+    a -= b
+    assert a.terms == {((1, ()), (1, ())): 1} and b.terms == kept
+
+
+def test_add_term_and_add_scaled():
+    x = TensorElement(3)
+    x.add_term([0, 1], 2)
+    assert isinstance(x.coefficient((0, 1)), Fraction)
+    x.add_scaled({(0, 1): Fraction(1, 2), (1, 1): Fraction(1)}, -4)
+    assert x.terms == {(1, 1): -4}

@@ -10,12 +10,12 @@ from hopftower.combinatorics import (boundary_bits, coarsenings, compositions,
 from hopftower.elements import TensorElement
 from hopftower.functors import ind_along
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
-from hopftower.nsym import (FundamentalImage, InconsistentTag,
-                            antipode_corollaries, coproduct_constants,
-                            descent_embedding, expand_in_kind,
-                            expand_square_in_kind, nsym_element,
-                            product_constants, shuffle_dual_complement,
-                            tau_iota_element, verify_nsym_rules)
+from hopftower.nsym import (InconsistentTag, antipode_corollaries,
+                            coproduct_constants, descent_embedding,
+                            expand_in_kind, expand_square_in_kind,
+                            nsym_element, product_constants,
+                            shuffle_dual_complement, tau_iota_element,
+                            verify_nsym_rules)
 from hopftower.theory import TheoryError, cyclic4, two_dim
 
 

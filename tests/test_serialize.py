@@ -150,3 +150,16 @@ def test_parse_expression_rejections():
                  "one ^ 2"):         # stray character
         with pytest.raises(ParseError):
             parse_expression(text, basis)
+
+
+def test_degrees_must_be_true_integers():
+    basis = two_dim(3)
+    with pytest.raises(ParseError):
+        element_from_dict({"degree": True, "terms": []}, basis)
+    with pytest.raises(ParseError):
+        square_from_dict({"terms": [{"left": {"degree": True, "word": []},
+                                     "right": {"degree": 0, "word": []},
+                                     "coeff": "1"}]}, basis)
+    with pytest.raises(ParseError):
+        element_from_dict({"degree": 2, "terms": [{"word": 5,
+                                                   "coeff": "1"}]}, basis)

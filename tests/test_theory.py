@@ -7,7 +7,7 @@ import pytest
 
 from hopftower.theory import (CharacterBasis, DualBasisUndefined,
                               IdentityClassInvalid, NonOrthogonalBasis,
-                              SingularSystem, TheoryError,
+                              TheoryError,
                               TrivialCharacterMissing, cyclic4, dual,
                               dual_pair, from_table, solve_linear_system,
                               two_dim)
@@ -165,8 +165,7 @@ def test_dual_examples():
 
 def test_dual_singular():
     t = two_dim(3)
-    assert SingularSystem is DualBasisUndefined
-    with pytest.raises(SingularSystem):
+    with pytest.raises(DualBasisUndefined):
         dual(t.one, (t.one, t.one))
     with pytest.raises(DualBasisUndefined):
         dual_pair(t.one, 2 * t.one)
@@ -191,3 +190,22 @@ def test_basis_equality_and_pairings():
     assert t.pairings(t.one) == (1, 0)
     with pytest.raises(TheoryError):
         t.pairings(two_dim(5).one)
+
+
+def test_solve_linear_system_inverse():
+    rows = ((1, 2), (3, 4))
+    inv = solve_linear_system(rows, ((1, 0), (0, 1)))
+    assert inv == ((-2, 1), (Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(DualBasisUndefined):
+        solve_linear_system(((1, 2), (2, 4)), ((1, 0), (0, 1)))
+
+
+def test_basis_rejects_bools_and_duplicate_labels():
+    table = ((1, 1), (2, -1))
+    CharacterBasis(("one", "x"), table, (1, 2), 0)
+    with pytest.raises(TheoryError):
+        CharacterBasis(("one", "x"), ((1, 1), (1, -1)), (True, 1), 0)
+    with pytest.raises(TheoryError):
+        CharacterBasis(("one", "x"), table, (1, 2), False)
+    with pytest.raises(TheoryError):
+        CharacterBasis(("one", "one"), table, (1, 2), 0)

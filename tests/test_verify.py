@@ -79,3 +79,12 @@ def test_verify_all_key_sets():
     assert set(rep) == {"axioms", "antipode", "characters"}
     for sub in rep.values():
         assert sub["first_failure"] is None
+
+
+def test_characters_report_below_degree_two():
+    """The negative control still has a split to fail at degree 0 and 1."""
+    for ctx in contexts():
+        for n in (0, 1):
+            rep = verify_characters(ctx, n)
+            assert rep["first_failure"] is None
+            assert rep["checked"] == rep["passed"] == 17
