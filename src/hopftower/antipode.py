@@ -17,47 +17,60 @@ equation m(S ⊗ id)Δ = unit∘counit degree by degree.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .combinatorics import (bc_bits, compositions, lc_bits, llc_bits,
                             partial_sums, set_compositions, straighten,
                             toggle_free)
 from .elements import TensorElement, expand_letters
-
-
-def _diff_coords(ctx, letter):
-    # letter minus <letter, alpha> * iota, as coordinates
-    pa = ctx.pair_alpha[letter]
-    return tuple((1 if i == letter else 0) - pa * ci
-                 for i, ci in enumerate(ctx.iota_coords))
+from .hopf import _expand_int
 
 
 def antipode_closed(ctx, x):
     """Closed-form antipode, linear in x."""
     # degree 0 needs no case of its own: the empty composition gives
     # S(unit) = unit
-    out = TensorElement(x.degree)
     n = x.degree
+    out = TensorElement(n)
+    if not x.terms:
+        return out
+    iota, beta, diff = ctx._iota_num, ctx._beta_num, ctx._diff_num
+    # over the context's denominator D each summand carries D^2(n-1):
+    # D per beta pairing and per iota separator (one each per cut), D^2
+    # per difference letter
+    plans = []
+    for mu in compositions(n):
+        cuts = partial_sums(mu)
+        bounds = (0,) + cuts + (n,)
+        template = []
+        for b in range(len(mu), 0, -1):  # reversed block order
+            template.extend(range(bounds[b - 1], bounds[b] - 1))
+            if b != 1:
+                template.append(None)
+        plans.append((-1 if len(mu) % 2 else 1,
+                      tuple(cut - 1 for cut in cuts), template))
+    common = lcm(*(c.denominator for c in x.terms.values()))
+    acc = {}
     for word, coeff in x.terms.items():
-        for mu in compositions(n):
-            ell = len(mu)
-            sign = -1 if ell % 2 else 1
-            scalar = Fraction(coeff)
-            cuts = partial_sums(mu)
-            for cut in cuts:
-                scalar *= ctx.pair_beta[word[cut - 1]]
+        num = coeff.numerator * (common // coeff.denominator)
+        for sign, cuts, template in plans:
+            scalar = sign * num
+            for j in cuts:
+                scalar *= beta[word[j]]
                 if not scalar:
                     break
             if not scalar:
                 continue
-            bounds = (0,) + cuts + (n,)
-            entries = []
-            for b in range(ell, 0, -1):  # reversed block order
-                lo, hi = bounds[b - 1], bounds[b]
-                for i in range(lo + 1, hi):
-                    entries.append(_diff_coords(ctx, word[i - 1]))
-                if b != 1:
-                    entries.append(ctx.iota_coords)
-            out.add_scaled(expand_letters(entries, sign * scalar))
+            for w, c in _expand_int(
+                    [iota if j is None else diff[word[j]] for j in template],
+                    scalar).items():
+                v = acc.get(w, 0) + c
+                if v:
+                    acc[w] = v
+                else:
+                    del acc[w]
+    den = common * ctx._den ** (2 * max(n - 1, 0))
+    out.terms = {w: Fraction(v, den) for w, v in acc.items()}
     return out
 
 

@@ -27,7 +27,11 @@ from .theory import cyclic4, two_dim
 from .verify import (verify_all, verify_antipode_equivalence, verify_axioms,
                      verify_characters)
 
-_BOUNDS = {"compositions": 16, "toggle_free": 8, "descent_class": 7}
+# enumerate: the largest --n (sum(mu) for descent_class); verify and
+# compute: the most work one request may ask for, in the units of
+# _check_work
+_BOUNDS = {"compositions": 16, "toggle_free": 8, "descent_class": 7,
+           "verify": 2 ** 12, "compute": 2 ** 22}
 
 
 def build_parser():
@@ -147,13 +151,38 @@ def _load_element(arg, basis, tag):
     return element_from_dict(data, basis)
 
 
+def _check_work(what, count, degree, formula):
+    """Refuse (exit 2) a request whose work ``count * 2^degree`` exceeds
+    ``_BOUNDS[what]``."""
+    bound = _BOUNDS[what]
+    if count << degree > bound:
+        raise ParseError(f"{formula} exceeds the {what} work bound {bound} "
+                         f"(2^{bound.bit_length() - 1})")
+
+
+def _check_verify_work(dim, degree, formula):
+    # dim^(degree-1) basis words, each splitting 2^degree ways; the degree
+    # is capped where 2^degree alone passes the bound, so a huge
+    # --max-degree is refused without forming dim^degree
+    degree = min(degree, _BOUNDS["verify"].bit_length())
+    _check_work("verify", dim ** max(degree - 1, 0), degree, formula)
+
+
 def _cmd_compute(args, basis, tag):
     ctx = _build_context(args, basis)
     x = _load_element(args.x, basis, tag)
+    _check_work("compute", len(x.terms), x.degree,
+                "len(terms) * 2^degree of --x")
+    if args.cross_check:
+        # the set-composition routes cost what verify does at this degree
+        _check_verify_work(basis.dim, x.degree,
+                           "--cross-check: dim^(degree-1) * 2^degree")
     if args.action == "multiply":
         if args.y is None:
             raise ParseError("multiply needs --y")
         y = _load_element(args.y, basis, tag)
+        _check_work("compute", len(y.terms), y.degree,
+                    "len(terms) * 2^degree of --y")
         return 0, element_to_dict(ctx.product(x, y), basis, tag)
     if args.action == "coproduct":
         return 0, square_to_dict(ctx.coproduct(x), basis, tag)
@@ -184,8 +213,10 @@ def _has_failure(report):
 
 
 def _cmd_verify(args, basis, tag):
-    ctx = _build_context(args, basis)
     n = args.max_degree
+    _check_verify_work(basis.dim, n,
+                       "dim^(max_degree-1) * 2^max_degree")
+    ctx = _build_context(args, basis)
     spots = 8 if args.seed is not None else 0
     if args.suite == "axioms":
         report = verify_axioms(ctx, n, seed=args.seed, spot_checks=spots)

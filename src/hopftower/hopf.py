@@ -11,6 +11,7 @@ by an iota marker, according to where the neighbouring positions land.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .elements import TensorElement, TensorSquare, basis_words, expand_letters
 
@@ -48,7 +49,24 @@ class HopfContext:
                 value = iota.inner(e)
                 if value != 1:
                     raise PairingNotOne(which, value)
+        # The coproduct and closed-antipode kernels work on numerators over
+        # D, the common denominator of the pairing and iota tables: the
+        # pairings times D, iota times D as its nonzero (letter, int)
+        # pairs, and each difference letter D*letter - <letter,alpha>*D*iota
+        # as (letter, int) pairs over D^2.
+        den = lcm(*(c.denominator for c in
+                    self.pair_alpha + self.pair_beta + self.iota_coords))
+        self._den = den
+        self._alpha_num = _numerators(self.pair_alpha, den)
+        self._beta_num = _numerators(self.pair_beta, den)
+        iota_num = _numerators(self.iota_coords, den)
+        self._iota_num = tuple((i, c) for i, c in enumerate(iota_num) if c)
+        self._diff_num = tuple(
+            tuple((i, v) for i, c in enumerate(iota_num)
+                  if (v := (den * den if i == letter else 0) - pa * c))
+            for letter, pa in enumerate(self._alpha_num))
         self._antipode_cache = {}
+        self._expansion_cache = {}
 
     @classmethod
     def unchecked(cls, basis, iota, alpha, beta):
@@ -126,35 +144,60 @@ class HopfContext:
             for w, c in x.terms.items():
                 out.add_term(((0, ()), (0, ())), c)
             return out
-        full = (1 << n) - 1
+        if not x.terms:
+            return out
+        iota = self._iota_num
+        # a surviving letter carries D^0, a crossing letter D^1 for its
+        # pairing and D^1 more for an iota marker; every term is padded to
+        # the common denominator D^top
+        top = 2 * (n - 1)
+        plans = []
+        for mask in range(1 << n):
+            side = [(mask >> j) & 1 for j in range(n)]  # 1: position j+1 left
+            last = {s: j for j, s in enumerate(side)}
+            crossings, left, right = [], [], []
+            power = top
+            for j in range(n - 1):  # letter j sits between positions j+1, j+2
+                here = side[j]
+                entries = left if here else right
+                if here == side[j + 1]:
+                    entries.append(j)
+                    continue
+                crossings.append(
+                    (j, self._alpha_num if here else self._beta_num))
+                power -= 1
+                if j != last[here]:
+                    entries.append(None)
+                    power -= 1
+            left_n = sum(side)
+            plans.append((left_n, n - left_n, crossings, self._den ** power,
+                          left, right))
+        common = lcm(*(c.denominator for c in x.terms.values()))
+        acc = {}
         for word, coeff in x.terms.items():
-            for mask in range(full + 1):
-                in_left = [(mask >> j) & 1 for j in range(n)]  # position j+1
-                left_n = sum(in_left)
-                right_n = n - left_n
-                max_left = max((j + 1 for j in range(n) if in_left[j]), default=0)
-                max_right = max((j + 1 for j in range(n) if not in_left[j]), default=0)
-                left_entries, right_entries = [], []
-                scalar = coeff
-                for j in range(1, n):
-                    here, nxt = in_left[j - 1], in_left[j]
-                    letter = word[j - 1]
-                    if here == nxt:
-                        (left_entries if here else right_entries).append(letter)
-                        continue
-                    scalar = scalar * (self.pair_alpha[letter] if here
-                                       else self.pair_beta[letter])
+            num = coeff.numerator * (common // coeff.denominator)
+            for left_n, right_n, crossings, scale, left, right in plans:
+                scalar = num * scale
+                for j, table in crossings:
+                    scalar *= table[word[j]]
                     if not scalar:
                         break
-                    side_max = max_left if here else max_right
-                    if j != side_max:
-                        (left_entries if here else right_entries).append(
-                            self.iota_coords)
                 if not scalar:
                     continue
-                for lw, lc in expand_letters(left_entries, scalar).items():
-                    for rw, rc in expand_letters(right_entries, 1).items():
-                        out.add_term(((left_n, lw), (right_n, rw)), lc * rc)
+                rights = _expand_int(
+                    [iota if j is None else word[j] for j in right], 1).items()
+                for lw, lc in _expand_int(
+                        [iota if j is None else word[j] for j in left],
+                        scalar).items():
+                    for rw, rc in rights:
+                        key = ((left_n, lw), (right_n, rw))
+                        v = acc.get(key, 0) + lc * rc
+                        if v:
+                            acc[key] = v
+                        else:
+                            del acc[key]
+        den = common * self._den ** top
+        out.terms = {key: Fraction(v, den) for key, v in acc.items()}
         return out
 
     def square_product(self, s, t):
@@ -231,6 +274,28 @@ class HopfContext:
         """Product of iota-free generator words (empty word = degree 1)."""
         return self.product_many(
             TensorElement(len(seg) + 1, {tuple(seg): 1}) for seg in segments)
+
+
+def _numerators(values, den):
+    """The ints ``values * den``, for a common denominator ``den``."""
+    return tuple(c.numerator * (den // c.denominator) for c in values)
+
+
+def _expand_int(entries, scalar):
+    """:func:`expand_letters` over ints: each entry is an int (a fixed
+    letter) or a tuple of (letter, nonzero int) pairs; ``scalar`` is a
+    nonzero int.  Returns word -> int, in the key order of
+    ``expand_letters``."""
+    partial = {(): scalar}
+    for entry in entries:
+        if entry.__class__ is int:
+            partial = {w + (entry,): c for w, c in partial.items()}
+        else:
+            partial = {w + (i,): c * ci for i, ci in entry
+                       for w, c in partial.items()}
+            if not partial:
+                break
+    return partial
 
 
 def all_ones_context(basis):

@@ -109,21 +109,19 @@ def nsym_element(ctx, kind, mu):
 
 # -- expansion in a family ---------------------------------------------------
 
-_INV_CACHE = {}
-
-
 def _expansion_data(ctx, kind, n):
-    key = (ctx, kind, n)
-    if key not in _INV_CACHE:
+    # cached on the context, so it goes when the context does
+    cache = ctx._expansion_cache
+    key = (kind, n)
+    if key not in cache:
         comps = tuple(compositions(n))
         fam = [nsym_element(ctx, kind, mu) for mu in comps]
         words = list(basis_words(ctx.basis.dim, n))
         rows = [[f.coefficient(w) for f in fam] for w in words]
         identity = [[int(i == j) for j in range(len(rows))]
                     for i in range(len(rows))]
-        _INV_CACHE[key] = (comps, words,
-                           solve_linear_system(rows, identity))
-    return _INV_CACHE[key]
+        cache[key] = (comps, words, solve_linear_system(rows, identity))
+    return cache[key]
 
 
 def expand_in_kind(ctx, kind, x):

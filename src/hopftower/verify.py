@@ -38,17 +38,34 @@ def _word_elements(ctx, degree):
         yield w, TensorElement(degree, {w: 1})
 
 
-def _compat_pairs(ctx, max_degree):
+def _word_coproducts(ctx):
+    """Coproduct of a basis word, given as (degree, word), computed once
+    per returned function."""
+    memo = {}
+
+    def delta(degree, word):
+        key = (degree, word)
+        if key not in memo:
+            memo[key] = ctx.coproduct(TensorElement(degree, {word: 1}))
+        return memo[key]
+    return delta
+
+
+def _compat_pairs(ctx, max_degree, delta=None):
     """Both sides of product/coproduct compatibility on every pair of
-    basis words, by total degree: yields ((a, wx), (b, wy), lhs, rhs)."""
+    basis words, by total degree: yields ((a, wx), (b, wy), lhs, rhs).
+    The right-hand side takes the coproducts of the words from
+    ``delta``; the left-hand side computes Δ(x·y) afresh."""
+    if delta is None:
+        delta = _word_coproducts(ctx)
     for total in range(2, max_degree + 1):
         for a in range(1, total):
             for wx, x in _word_elements(ctx, a):
-                cx = ctx.coproduct(x)
+                cx = delta(a, wx)
                 for wy, y in _word_elements(ctx, total - a):
                     yield ((a, wx), (total - a, wy),
                            ctx.coproduct(ctx.product(x, y)),
-                           ctx.square_product(cx, ctx.coproduct(y)))
+                           ctx.square_product(cx, delta(total - a, wy)))
 
 
 def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
@@ -57,13 +74,14 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
     on basis words up to total degree max_degree."""
     rep = _report()
     unit = ctx.unit()
+    delta = _word_coproducts(ctx)
 
     for n in range(max_degree + 1):
         for w, x in _word_elements(ctx, n):
             _run(rep, ("left_unit", n, w), ctx.product(unit, x), x)
             _run(rep, ("right_unit", n, w), ctx.product(x, unit), x)
 
-            cop = ctx.coproduct(x)
+            cop = delta(n, w)
             left_strip = TensorElement(n)
             right_strip = TensorElement(n)
             for ((ld, lw), (rd, rw)), c in cop.terms.items():
@@ -77,12 +95,10 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
             triple_a = {}
             triple_b = {}
             for ((ld, lw), (rd, rw)), c in cop.terms.items():
-                for ((l2, w2), (r2, w3)), c2 in ctx.coproduct(
-                        TensorElement(ld, {lw: 1})).terms.items():
+                for ((l2, w2), (r2, w3)), c2 in delta(ld, lw).terms.items():
                     key = ((l2, w2), (r2, w3), (rd, rw))
                     triple_a[key] = triple_a.get(key, 0) + c * c2
-                for ((l2, w2), (r2, w3)), c2 in ctx.coproduct(
-                        TensorElement(rd, {rw: 1})).terms.items():
+                for ((l2, w2), (r2, w3)), c2 in delta(rd, rw).terms.items():
                     key = ((ld, lw), (l2, w2), (r2, w3))
                     triple_b[key] = triple_b.get(key, 0) + c * c2
             _run(rep, ("coassociativity", n, w),
@@ -104,7 +120,7 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
                 _run(rep, ("antipode_left", n, w), left_conv, zero)
                 _run(rep, ("antipode_right", n, w), right_conv, zero)
 
-    for x, y, lhs, rhs in _compat_pairs(ctx, max_degree):
+    for x, y, lhs, rhs in _compat_pairs(ctx, max_degree, delta):
         _run(rep, ("compatibility", x, y), lhs, rhs)
 
     for total in range(3, max_degree + 1):

@@ -268,3 +268,49 @@ def test_ambiguous_theory_labels_exit_2(tmp_path, capsys):
             "--theory-file", str(path)])
         assert code == 2 and out == "", labels
         assert "error:" in err
+
+
+def test_verify_work_bound_exits_2(capsys):
+    for argv in (["--max-degree", "12"],
+                 ["--max-degree", "7"],
+                 ["--base", "cyclic4", "--max-degree", "6"],
+                 ["--max-degree", str(10 ** 12)]):
+        code, out, err = run(capsys, ["verify", "--suite", "all", *argv])
+        assert code == 2 and out == "", argv
+        assert "verify work bound 4096" in err
+
+
+def test_largest_admitted_verify(capsys):
+    # dim^(n-1) * 2^n: 2^5 * 2^6 = 2048 for two_dim, 3^4 * 2^5 = 2592 for
+    # cyclic4; one degree more is refused above
+    for argv in (["--max-degree", "6"],
+                 ["--base", "cyclic4", "--max-degree", "5"]):
+        code, out, err = run(capsys, ["verify", "--suite", "axioms", *argv])
+        assert code == 0 and err == "", argv
+        assert json.loads(out)["first_failure"] is None
+
+
+def test_compute_work_bound_exits_2(capsys):
+    # one term of degree 23 is 2^23 > 2^22
+    long_word = word_json(23, ["one"] * 22)
+    for argv in (["coproduct", "--x", long_word],
+                 ["multiply", "--x", word_json(2, ["one"]),
+                  "--y", long_word]):
+        code, out, err = run(capsys, ["compute", *argv])
+        assert code == 2 and out == "", argv
+        assert "compute work bound 4194304" in err
+    # --cross-check runs the set-composition sums: 2^6 * 2^7 > 2^12
+    code, out, err = run(capsys, [
+        "compute", "antipode", "--cross-check",
+        "--x", word_json(7, ["one"] * 6)])
+    assert code == 2 and out == ""
+    assert "verify work bound 4096" in err
+    code, out, _ = run(capsys, [
+        "compute", "antipode", "--cross-check",
+        "--x", word_json(6, ["one"] * 5)])
+    assert code == 0 and json.loads(out)["cross_checked"] is True
+    # the zero element is no work at any degree
+    for action in ("coproduct", "antipode"):
+        code, out, _ = run(capsys, [
+            "compute", action, "--x", '{"degree": 60, "terms": []}'])
+        assert code == 0 and json.loads(out)["terms"] == []

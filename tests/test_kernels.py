@@ -1,0 +1,175 @@
+"""The integer-numerator kernels of ``HopfContext.coproduct`` and
+``antipode_closed`` against the plain ``Fraction`` loops they replaced.
+
+The reference functions below multiply ``Fraction`` factors one at a time
+and expand through the public ``expand_letters``; the kernels must give
+the same term dicts, in the same key order, with every coefficient a
+``Fraction``.
+"""
+
+import random
+from fractions import Fraction
+
+from hopftower.antipode import antipode_closed
+from hopftower.combinatorics import compositions, partial_sums
+from hopftower.elements import TensorElement, TensorSquare, expand_letters
+from hopftower.hopf import HopfContext, all_ones_context, induction_context
+from hopftower.theory import cyclic4, from_table, two_dim
+
+
+def reference_coproduct(ctx, x):
+    n = x.degree
+    out = TensorSquare()
+    if n == 0:
+        for w, c in x.terms.items():
+            out.add_term(((0, ()), (0, ())), c)
+        return out
+    full = (1 << n) - 1
+    for word, coeff in x.terms.items():
+        for mask in range(full + 1):
+            in_left = [(mask >> j) & 1 for j in range(n)]  # position j+1
+            left_n = sum(in_left)
+            right_n = n - left_n
+            max_left = max((j + 1 for j in range(n) if in_left[j]), default=0)
+            max_right = max((j + 1 for j in range(n) if not in_left[j]),
+                            default=0)
+            left_entries, right_entries = [], []
+            scalar = coeff
+            for j in range(1, n):
+                here, nxt = in_left[j - 1], in_left[j]
+                letter = word[j - 1]
+                if here == nxt:
+                    (left_entries if here else right_entries).append(letter)
+                    continue
+                scalar = scalar * (ctx.pair_alpha[letter] if here
+                                   else ctx.pair_beta[letter])
+                if not scalar:
+                    break
+                side_max = max_left if here else max_right
+                if j != side_max:
+                    (left_entries if here else right_entries).append(
+                        ctx.iota_coords)
+            if not scalar:
+                continue
+            for lw, lc in expand_letters(left_entries, scalar).items():
+                for rw, rc in expand_letters(right_entries, 1).items():
+                    out.add_term(((left_n, lw), (right_n, rw)), lc * rc)
+    return out
+
+
+def _diff_coords(ctx, letter):
+    # letter minus <letter, alpha> * iota, as coordinates
+    pa = ctx.pair_alpha[letter]
+    return tuple((1 if i == letter else 0) - pa * ci
+                 for i, ci in enumerate(ctx.iota_coords))
+
+
+def reference_antipode_closed(ctx, x):
+    out = TensorElement(x.degree)
+    n = x.degree
+    for word, coeff in x.terms.items():
+        for mu in compositions(n):
+            ell = len(mu)
+            sign = -1 if ell % 2 else 1
+            scalar = Fraction(coeff)
+            cuts = partial_sums(mu)
+            for cut in cuts:
+                scalar *= ctx.pair_beta[word[cut - 1]]
+                if not scalar:
+                    break
+            if not scalar:
+                continue
+            bounds = (0,) + cuts + (n,)
+            entries = []
+            for b in range(ell, 0, -1):  # reversed block order
+                lo, hi = bounds[b - 1], bounds[b]
+                for i in range(lo + 1, hi):
+                    entries.append(_diff_coords(ctx, word[i - 1]))
+                if b != 1:
+                    entries.append(ctx.iota_coords)
+            out.add_scaled(expand_letters(entries, sign * scalar))
+    return out
+
+
+def assert_same(got, want):
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def assert_kernels_match(ctx, x):
+    assert_same(ctx.coproduct(x), reference_coproduct(ctx, x))
+    assert_same(antipode_closed(ctx, x), reference_antipode_closed(ctx, x))
+
+
+def assert_basis_words_match(ctx, max_degree):
+    for n in range(max_degree + 1):
+        for w in ctx.basis_words(n):
+            assert_kernels_match(ctx, TensorElement(n, {w: 1}))
+
+
+def test_two_dim_basis_words_through_degree_7():
+    for q in (2, 3, 5):
+        basis = two_dim(q)
+        for ctx in (all_ones_context(basis), induction_context(basis)):
+            assert_basis_words_match(ctx, 7)
+
+
+def test_cyclic4_basis_words_through_degree_5():
+    basis = cyclic4()
+    ind = induction_context(basis)
+    assert ind._den == 3
+    for ctx in (all_ones_context(basis), ind):
+        assert_basis_words_match(ctx, 5)
+
+
+def test_fractional_iota_coordinates():
+    # unchecked triples and a table built from raw values: iota's
+    # coordinates are not integers, so D comes from iota as well
+    basis = two_dim(3)
+    one, reg = basis.one, basis.reg
+    iota = Fraction(1, 2) * one + Fraction(1, 3) * (reg - one)
+    contexts = [
+        HopfContext.unchecked(basis, iota, one, (reg - one) / 5),
+        HopfContext.unchecked(basis, iota, Fraction(2, 7) * reg, one),
+    ]
+    table = from_table(((1, 1, 1), (1, 1, -1), (2, -2, 0)), (1, 1, 2), 0)
+    contexts.append(HopfContext.unchecked(
+        table, table.reg / 4, table.one, table.one + table.reg / 6))
+    for ctx in contexts:
+        assert any(c.denominator > 1 for c in ctx.iota_coords)
+        assert_basis_words_match(ctx, 4)
+
+
+def _dense(rng, ctx, degree):
+    return TensorElement(degree, {
+        w: Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 4, 5, 7)))
+        for w in ctx.basis_words(degree)})
+
+
+def test_dense_mixed_denominators():
+    rng = random.Random(7)
+    contexts = [induction_context(two_dim(3)), all_ones_context(two_dim(5)),
+                induction_context(cyclic4())]
+    for ctx in contexts:
+        for degree in range(6):
+            assert_kernels_match(ctx, _dense(rng, ctx, degree))
+
+
+def test_cancellation_and_low_degrees():
+    for ctx in (all_ones_context(two_dim(2)), induction_context(cyclic4())):
+        for degree in range(5):
+            # the zero element, and x - x
+            assert_kernels_match(ctx, TensorElement(degree))
+            x = TensorElement(degree, {w: 1 for w in ctx.basis_words(degree)})
+            assert_kernels_match(ctx, x - x)
+        assert_kernels_match(ctx, ctx.unit(Fraction(-5, 3)))
+        assert_kernels_match(ctx, TensorElement(1, {(): Fraction(2, 9)}))
+    # output terms that cancel between the words of one input
+    ctx = all_ones_context(two_dim(2))
+    x = TensorElement(3, {(0, 1): 1, (1, 0): -1, (1, 1): Fraction(1, 2)})
+    assert_kernels_match(ctx, x)
+    keys = set()
+    for w, c in x.terms.items():
+        keys.update(reference_coproduct(ctx, TensorElement(3, {w: c})).terms)
+    assert len(ctx.coproduct(x).terms) < len(keys)

@@ -2,6 +2,9 @@
 elements, their rewriting rules, antipode corollaries, and descent
 classes."""
 
+import gc
+import weakref
+
 import pytest
 
 from hopftower.antipode import antipode_closed
@@ -133,6 +136,18 @@ def test_expansion_is_linear():
     assert expand_in_kind(ctx, "ribbon", x) == {(2, 1): 2, (1, 1, 1): -5}
     assert expand_in_kind(ctx, "ribbon", TensorElement(0, {(): 3})) == {(): 3}
     assert expand_in_kind(ctx, "ribbon", TensorElement(3)) == {}
+
+
+def test_expansion_cache_goes_with_its_context():
+    ctx = ind_ctx()
+    x = nsym_element(ctx, "ribbon", (2, 1))
+    assert expand_in_kind(ctx, "ribbon", x) == {(2, 1): 1}
+    assert ("ribbon", 3) in ctx._expansion_cache
+    assert expand_in_kind(ind_ctx(), "ribbon", x) == {(2, 1): 1}
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None
 
 
 def test_square_expansion_deconcatenates_h():
