@@ -11,13 +11,18 @@ set partition of the tensor positions, straightening each one;
 compositions, which survive the sign-reversing cancellation.
 
 ``antipode_oracle`` uses none of the formulas: it solves the convolution
-equation m(S ⊗ id)Δ = unit∘counit degree by degree.
+equation m(S ⊗ id)Δ = unit∘counit degree by degree, from the public
+coproduct and the iota splice of the product.
+
+``antipode_closed`` and ``antipode_oracle`` compute with int numerators
+over powers of the context's denominator D and build one ``Fraction`` per
+output term; the set-composition routes multiply ``Fraction`` factors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .combinatorics import (bc_bits, compositions, lc_bits, llc_bits,
                             partial_sums, set_compositions, straighten,
@@ -125,30 +130,79 @@ def antipode_oracle(ctx, x):
     """Antipode from the convolution equation: on a degree-n word,
     S(x) = -x - sum of S(left)·right over the strictly intermediate
     coproduct terms.  Memoized per context and basis word."""
-    out = TensorElement(x.degree)
-    if x.degree == 0:
+    n = x.degree
+    out = TensorElement(n)
+    if n == 0:
         out += x
         return out
-    for word, coeff in x.terms.items():
-        out.add_scaled(_oracle_word(ctx, x.degree, word).terms, coeff)
+    if not x.terms:
+        return out
+    common = lcm(*(c.denominator for c in x.terms.values()))
+    parts = [(coeff.numerator * (common // coeff.denominator),
+              *_oracle_word(ctx, n, word)) for word, coeff in x.terms.items()]
+    den = ctx._den
+    top = max(e for _, e, _ in parts)
+    acc = {}
+    for num, e, s in parts:
+        scalar = num * den ** (top - e)
+        for w, v in s.items():
+            v = acc.get(w, 0) + scalar * v
+            if v:
+                acc[w] = v
+            else:
+                del acc[w]
+    den = common * den ** top
+    out.terms = {w: Fraction(v, den) for w, v in acc.items()}
     return out
 
 
 def _oracle_word(ctx, degree, word):
+    """S of one basis word of positive degree as ``(e, numerators)``: the
+    coefficient of each word is its int numerator over D^e, D the
+    context's denominator ``ctx._den``.  Built from ``ctx.coproduct`` and
+    the iota splice alone, and cached in ``ctx._antipode_cache``."""
     cache = ctx._antipode_cache
     key = (degree, word)
     if key in cache:
         return cache[key]
-    base = TensorElement(degree, {word: 1})
-    acc = -base
-    for ((ld, lw), (rd, rw)), c in ctx.coproduct(base).terms.items():
+    den = ctx._den
+    top = 2 * (degree - 1)
+    scale = den ** top  # Δ of a basis word is over D^top
+    steps = []
+    for ((ld, lw), (rd, rw)), c in ctx.coproduct(
+            TensorElement(degree, {word: 1})).terms.items():
         if ld == 0 or ld == degree:
             continue
-        s_left = _oracle_word(ctx, ld, lw)
-        acc.add_scaled(ctx.product(s_left, TensorElement(rd, {rw: 1})).terms,
-                       -c)
-    cache[key] = acc
-    return acc
+        q, r = divmod(scale, c.denominator)
+        if r:
+            raise ArithmeticError(f"coproduct coefficient {c} of {word} "
+                                  f"is not over D^{top}")
+        steps.append((c.numerator * q, rw, *_oracle_word(ctx, ld, lw)))
+    # c·S(left)·right is over D^(top + e + 1): Δ, S(left) and one iota
+    exp = max((top + 1 + e for _, _, e, _ in steps), default=0)
+    acc = {word: -den ** exp}
+    iota = ctx._iota_num
+    for c, rw, e, s_left in steps:
+        scalar = -c * den ** (exp - top - 1 - e)
+        for u, s in s_left.items():
+            s *= scalar
+            for i, ci in iota:
+                k = u + (i,) + rw
+                v = acc.get(k, 0) + s * ci
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+    # lower the exponent only as far as every numerator divides
+    g, e = gcd(*acc.values()), exp
+    while e and not g % den:
+        g //= den
+        e -= 1
+    if e < exp:
+        f = den ** (exp - e)
+        acc = {w: v // f for w, v in acc.items()}
+    cache[key] = e, acc
+    return cache[key]
 
 
 # The routes checked against antipode_closed.  Each looks its function up

@@ -11,6 +11,7 @@ by an iota marker, according to where the neighbouring positions land.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .elements import TensorElement, TensorSquare, basis_words, expand_letters
@@ -49,24 +50,41 @@ class HopfContext:
                 value = iota.inner(e)
                 if value != 1:
                     raise PairingNotOne(which, value)
-        # The coproduct and closed-antipode kernels work on numerators over
-        # D, the common denominator of the pairing and iota tables: the
-        # pairings times D, iota times D as its nonzero (letter, int)
-        # pairs, and each difference letter D*letter - <letter,alpha>*D*iota
-        # as (letter, int) pairs over D^2.
-        den = lcm(*(c.denominator for c in
-                    self.pair_alpha + self.pair_beta + self.iota_coords))
-        self._den = den
-        self._alpha_num = _numerators(self.pair_alpha, den)
-        self._beta_num = _numerators(self.pair_beta, den)
-        iota_num = _numerators(self.iota_coords, den)
-        self._iota_num = tuple((i, c) for i, c in enumerate(iota_num) if c)
-        self._diff_num = tuple(
-            tuple((i, v) for i, c in enumerate(iota_num)
-                  if (v := (den * den if i == letter else 0) - pa * c))
-            for letter, pa in enumerate(self._alpha_num))
         self._antipode_cache = {}
         self._expansion_cache = {}
+
+    # The integer kernels work on numerators over D, the common denominator
+    # of the pairing and iota tables: the pairings times D, iota times D as
+    # its nonzero (letter, int) pairs, and each difference letter
+    # D*letter - <letter,alpha>*D*iota as (letter, int) pairs over D^2.
+    # Each table is built on first use.
+
+    @cached_property
+    def _den(self):
+        return lcm(*(c.denominator for c in
+                     self.pair_alpha + self.pair_beta + self.iota_coords))
+
+    @cached_property
+    def _alpha_num(self):
+        return _numerators(self.pair_alpha, self._den)
+
+    @cached_property
+    def _beta_num(self):
+        return _numerators(self.pair_beta, self._den)
+
+    @cached_property
+    def _iota_num(self):
+        return tuple((i, c) for i, c in
+                     enumerate(_numerators(self.iota_coords, self._den)) if c)
+
+    @cached_property
+    def _diff_num(self):
+        den2 = self._den ** 2
+        iota = _numerators(self.iota_coords, self._den)
+        return tuple(
+            tuple((i, v) for i, c in enumerate(iota)
+                  if (v := (den2 if i == letter else 0) - pa * c))
+            for letter, pa in enumerate(self._alpha_num))
 
     @classmethod
     def unchecked(cls, basis, iota, alpha, beta):

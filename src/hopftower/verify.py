@@ -38,17 +38,17 @@ def _word_elements(ctx, degree):
         yield w, TensorElement(degree, {w: 1})
 
 
-def _word_coproducts(ctx):
-    """Coproduct of a basis word, given as (degree, word), computed once
-    per returned function."""
+def _word_memo(f):
+    """``f`` of a basis word, given as (degree, word), computed once per
+    returned function."""
     memo = {}
 
-    def delta(degree, word):
+    def on_word(degree, word):
         key = (degree, word)
         if key not in memo:
-            memo[key] = ctx.coproduct(TensorElement(degree, {word: 1}))
+            memo[key] = f(TensorElement(degree, {word: 1}))
         return memo[key]
-    return delta
+    return on_word
 
 
 def _compat_pairs(ctx, max_degree, delta=None):
@@ -57,7 +57,7 @@ def _compat_pairs(ctx, max_degree, delta=None):
     The right-hand side takes the coproducts of the words from
     ``delta``; the left-hand side computes Δ(x·y) afresh."""
     if delta is None:
-        delta = _word_coproducts(ctx)
+        delta = _word_memo(ctx.coproduct)
     for total in range(2, max_degree + 1):
         for a in range(1, total):
             for wx, x in _word_elements(ctx, a):
@@ -74,7 +74,8 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
     on basis words up to total degree max_degree."""
     rep = _report()
     unit = ctx.unit()
-    delta = _word_coproducts(ctx)
+    delta = _word_memo(ctx.coproduct)
+    antipode = _word_memo(lambda x: antipode_closed(ctx, x))
 
     for n in range(max_degree + 1):
         for w, x in _word_elements(ctx, n):
@@ -106,16 +107,13 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
                  {k: v for k, v in triple_b.items() if v})
 
             if n >= 1:
-                s = antipode_closed(ctx, x)
                 left_conv = TensorElement(n)
                 right_conv = TensorElement(n)
                 for ((ld, lw), (rd, rw)), c in cop.terms.items():
-                    l_el = TensorElement(ld, {lw: 1})
-                    r_el = TensorElement(rd, {rw: 1})
                     left_conv.add_scaled(ctx.product(
-                        antipode_closed(ctx, l_el), r_el).terms, c)
+                        antipode(ld, lw), TensorElement(rd, {rw: 1})).terms, c)
                     right_conv.add_scaled(ctx.product(
-                        l_el, antipode_closed(ctx, r_el)).terms, c)
+                        TensorElement(ld, {lw: 1}), antipode(rd, rw)).terms, c)
                 zero = TensorElement(n)
                 _run(rep, ("antipode_left", n, w), left_conv, zero)
                 _run(rep, ("antipode_right", n, w), right_conv, zero)

@@ -1,5 +1,6 @@
-"""The integer-numerator kernels of ``HopfContext.coproduct`` and
-``antipode_closed`` against the plain ``Fraction`` loops they replaced.
+"""The integer-numerator kernels of ``HopfContext.coproduct``,
+``antipode_closed`` and ``antipode_oracle`` against the plain ``Fraction``
+loops they replaced.
 
 The reference functions below multiply ``Fraction`` factors one at a time
 and expand through the public ``expand_letters``; the kernels must give
@@ -10,7 +11,7 @@ the same term dicts, in the same key order, with every coefficient a
 import random
 from fractions import Fraction
 
-from hopftower.antipode import antipode_closed
+from hopftower.antipode import antipode_closed, antipode_oracle
 from hopftower.combinatorics import compositions, partial_sums
 from hopftower.elements import TensorElement, TensorSquare, expand_letters
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
@@ -91,21 +92,55 @@ def reference_antipode_closed(ctx, x):
     return out
 
 
+def reference_antipode_oracle(ctx, x, memo=None):
+    """The convolution solver on ``Fraction`` elements; ``memo`` maps
+    (degree, word) to S of that basis word."""
+    if memo is None:
+        memo = {}
+    out = TensorElement(x.degree)
+    if x.degree == 0:
+        out += x
+        return out
+    for word, coeff in x.terms.items():
+        out.add_scaled(_reference_oracle_word(ctx, memo, x.degree, word).terms,
+                       coeff)
+    return out
+
+
+def _reference_oracle_word(ctx, memo, degree, word):
+    key = (degree, word)
+    if key in memo:
+        return memo[key]
+    base = TensorElement(degree, {word: 1})
+    acc = -base
+    for ((ld, lw), (rd, rw)), c in ctx.coproduct(base).terms.items():
+        if ld == 0 or ld == degree:
+            continue
+        s_left = _reference_oracle_word(ctx, memo, ld, lw)
+        acc.add_scaled(ctx.product(s_left, TensorElement(rd, {rw: 1})).terms,
+                       -c)
+    memo[key] = acc
+    return acc
+
+
 def assert_same(got, want):
     assert got == want
     assert list(got.terms) == list(want.terms)
     assert all(type(c) is Fraction for c in got.terms.values())
 
 
-def assert_kernels_match(ctx, x):
+def assert_kernels_match(ctx, x, memo=None):
     assert_same(ctx.coproduct(x), reference_coproduct(ctx, x))
     assert_same(antipode_closed(ctx, x), reference_antipode_closed(ctx, x))
+    assert_same(antipode_oracle(ctx, x),
+                reference_antipode_oracle(ctx, x, memo))
 
 
 def assert_basis_words_match(ctx, max_degree):
+    memo = {}
     for n in range(max_degree + 1):
         for w in ctx.basis_words(n):
-            assert_kernels_match(ctx, TensorElement(n, {w: 1}))
+            assert_kernels_match(ctx, TensorElement(n, {w: 1}), memo)
 
 
 def test_two_dim_basis_words_through_degree_7():
@@ -132,6 +167,7 @@ def test_fractional_iota_coordinates():
     contexts = [
         HopfContext.unchecked(basis, iota, one, (reg - one) / 5),
         HopfContext.unchecked(basis, iota, Fraction(2, 7) * reg, one),
+        HopfContext.unchecked(basis, reg / 3, one, Fraction(2, 7) * reg),
     ]
     table = from_table(((1, 1, 1), (1, 1, -1), (2, -2, 0)), (1, 1, 2), 0)
     contexts.append(HopfContext.unchecked(
@@ -139,6 +175,36 @@ def test_fractional_iota_coordinates():
     for ctx in contexts:
         assert any(c.denominator > 1 for c in ctx.iota_coords)
         assert_basis_words_match(ctx, 4)
+
+
+def test_oracle_memo_keeps_its_exponent():
+    """Each memoized S(word) is its reference value as ints over D^e, with
+    e lowered only while every numerator divides by D."""
+    basis = two_dim(3)
+    contexts = [induction_context(cyclic4()), all_ones_context(two_dim(5)),
+                HopfContext.unchecked(basis, basis.reg / 3, basis.one,
+                                      Fraction(2, 7) * basis.reg)]
+    for ctx in contexts:
+        memo = {}
+        antipode_oracle(ctx, TensorElement(5, {
+            w: 1 for w in ctx.basis_words(5)}))
+        assert len(ctx._antipode_cache) == sum(
+            ctx.basis.dim ** (n - 1) for n in range(1, 6))
+        for (n, w), (e, nums) in ctx._antipode_cache.items():
+            want = _reference_oracle_word(ctx, memo, n, w).terms
+            assert {u: Fraction(v, ctx._den ** e)
+                    for u, v in nums.items()} == want
+            assert e == 0 or any(v % ctx._den for v in nums.values())
+
+
+def test_integer_tables_are_built_on_first_use():
+    ctx = induction_context(cyclic4())
+    tables = ("_den", "_alpha_num", "_beta_num", "_iota_num", "_diff_num")
+    assert not set(tables) & set(vars(ctx))
+    antipode_oracle(ctx, TensorElement(3, {(0, 1): 1}))
+    assert "_diff_num" not in vars(ctx)
+    antipode_closed(ctx, TensorElement(3, {(0, 1): 1}))
+    assert set(tables) <= set(vars(ctx))
 
 
 def _dense(rng, ctx, degree):

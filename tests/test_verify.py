@@ -88,3 +88,19 @@ def test_characters_report_below_degree_two():
             rep = verify_characters(ctx, n)
             assert rep["first_failure"] is None
             assert rep["checked"] == rep["passed"] == 17
+
+
+def test_axioms_compute_each_antipode_once(monkeypatch):
+    """verify_axioms takes S of each basis word once, however many
+    convolution identities use it."""
+    import hopftower.verify as verify
+    seen = []
+    real = verify.antipode_closed
+
+    def counted(ctx, x):
+        seen.append((x.degree, tuple(x.terms.items())))
+        return real(ctx, x)
+    monkeypatch.setattr(verify, "antipode_closed", counted)
+    rep = verify_axioms(induction_context(two_dim(3)), 4)
+    assert rep["first_failure"] is None
+    assert seen and len(seen) == len(set(seen))
