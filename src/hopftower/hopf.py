@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .elements import TensorElement, TensorSquare, basis_words, expand_letters
+from .elements import (TensorElement, TensorSquare, _accumulate, basis_words,
+                       expand_letters)
 
 
 class PairingNotOne(ValueError):
@@ -51,7 +52,6 @@ class HopfContext:
                 if value != 1:
                     raise PairingNotOne(which, value)
         self._antipode_cache = {}
-        self._expansion_cache = {}
 
     # The integer kernels work on numerators over D, the common denominator
     # of the pairing and iota tables: the pairings times D, iota times D as
@@ -117,22 +117,27 @@ class HopfContext:
 
     # -- product -------------------------------------------------------------
 
+    def _splice(self, du, u, dv, v):
+        """Basis words u, v of degrees du, dv multiplied, as (word, coeff)
+        pairs: iota spliced in between, or one alone if the other is 1."""
+        if not du:
+            return ((v, 1),)
+        if not dv:
+            return ((u, 1),)
+        return [(u + (i,) + v, c) for i, c in enumerate(self.iota_coords) if c]
+
     def product(self, x, y):
         """Insert iota between the words of x and y, bilinearly."""
-        if x.degree == 0:
-            return x.coefficient(()) * y
-        if y.degree == 0:
-            return y.coefficient(()) * x
-        # every word of x (of y) has the same length, so each (u, i, v)
-        # splices to its own word and nothing needs accumulating
+        dx, dy = x.degree, y.degree
+        # every word of x (of y) has the same length, so each splice gives
+        # its own word and nothing needs accumulating
         out = {}
         for u, cu in x.terms.items():
             for v, cv in y.terms.items():
                 c = cu * cv
-                for i, ci in enumerate(self.iota_coords):
-                    if ci:
-                        out[u + (i,) + v] = c * ci
-        result = TensorElement(x.degree + y.degree)
+                for w, cw in self._splice(dx, u, dy, v):
+                    out[w] = c * cw
+        result = TensorElement(dx + dy)
         result.terms = out
         return result
 
@@ -222,16 +227,13 @@ class HopfContext:
         """Componentwise product of two tensor-square elements."""
         out = TensorSquare()
         for ((lda, lwa), (rda, rwa)), ca in s.terms.items():
-            la = TensorElement(lda, {lwa: 1})
-            ra = TensorElement(rda, {rwa: 1})
             for ((ldb, lwb), (rdb, rwb)), cb in t.terms.items():
-                left = self.product(la, TensorElement(ldb, {lwb: 1}))
-                right = self.product(ra, TensorElement(rdb, {rwb: 1}))
                 c = ca * cb
-                for lw, lc in left.terms.items():
-                    for rw, rc in right.terms.items():
-                        out.add_term(((left.degree, lw), (right.degree, rw)),
-                                     c * lc * rc)
+                rights = self._splice(rda, rwa, rdb, rwb)
+                for lw, lc in self._splice(lda, lwa, ldb, lwb):
+                    for rw, rc in rights:
+                        _accumulate(out.terms, ((lda + ldb, lw),
+                                                (rda + rdb, rw)), c * lc * rc)
         return out
 
     def is_primitive(self, x):

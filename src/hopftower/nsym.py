@@ -10,17 +10,21 @@ composition.  ``verify_nsym_rules`` checks all of those identities by
 direct expansion; ``product_constants`` / ``coproduct_constants``
 re-expand products and coproducts in a chosen family so structure
 constants can be compared across different theories.
+
+A family puts one letter inside the blocks and one at the boundaries,
+so its degree-n members are the (n-1)-th tensor power of one 2x2 change
+of basis, and ``expand_in_kind`` inverts it letter by letter.
 """
 
 from __future__ import annotations
 
-from .combinatorics import (boundary_bits, coarsenings, compositions, concat,
-                            descents, interior_bits, inverse, partial_sums,
-                            permutations, refinements, smash)
-from .elements import TensorElement, TensorSquare, basis_words, expand_letters
+from .combinatorics import (boundary_bits, coarsenings,
+                            composition_from_boundary_bits, compositions,
+                            concat, descents, interior_bits, inverse,
+                            partial_sums, permutations, refinements, smash)
+from .elements import TensorElement, TensorSquare, _accumulate, expand_letters
 from .functors import ind_along
-from .theory import (DualBasisUndefined, TheoryError, dual_pair,
-                     solve_linear_system)
+from .theory import DualBasisUndefined, TheoryError, dual_pair
 from .antipode import antipode_closed
 from .verify import _report, _run
 
@@ -70,19 +74,9 @@ def shuffle_dual_complement(ctx):
     return basis.element(tuple(c / lead for c in coords))
 
 
-def nsym_element(ctx, kind, mu):
-    """One member of a distinguished family over a rank-2 context.
-
-    ``h_basis``    — dual of alpha inside blocks, iota at boundaries;
-                     multiplies by concatenation.
-    ``ribbon``     — dual of alpha inside blocks, dual of beta at
-                     boundaries; multiplies by concatenation + smash.
-    ``shuffle_dual_primitive`` — requires alpha == beta; the complement
-                     of beta inside blocks, iota at boundaries; a single
-                     block gives a primitive element.
-    """
-    basis = ctx.basis
-    if basis.dim != 2:
+def _letters(ctx, kind):
+    """The family's (inside, boundary) letters, after its gates."""
+    if ctx.basis.dim != 2:
         raise InconsistentTag("families are defined over rank-2 bases only")
     if kind in ("h_basis", "ribbon"):
         try:
@@ -90,8 +84,7 @@ def nsym_element(ctx, kind, mu):
         except DualBasisUndefined as exc:
             raise InconsistentTag(
                 f"{kind} needs alpha, beta independent: {exc}") from exc
-        boundary = ctx.iota if kind == "h_basis" else bstar
-        return tau_iota_element(basis, astar, boundary, mu)
+        return astar, (ctx.iota if kind == "h_basis" else bstar)
     if kind == "shuffle_dual_primitive":
         if ctx.alpha != ctx.beta:
             raise InconsistentTag(
@@ -103,60 +96,70 @@ def nsym_element(ctx, kind, mu):
                - tau.coords[1] * ctx.iota_coords[0])
         if det == 0:
             raise InconsistentTag("complement letter and iota must span")
-        return tau_iota_element(basis, tau, ctx.iota, mu)
+        return tau, ctx.iota
     raise TheoryError(f"unknown family {kind!r}; choose one of {KINDS}")
+
+
+def nsym_element(ctx, kind, mu):
+    """One member of a distinguished family over a rank-2 context.
+
+    ``h_basis``    — dual of alpha inside blocks, iota at boundaries;
+                     multiplies by concatenation.
+    ``ribbon``     — dual of alpha inside blocks, dual of beta at
+                     boundaries; multiplies by concatenation + smash.
+    ``shuffle_dual_primitive`` — requires alpha == beta; the complement
+                     of beta inside blocks, iota at boundaries; a single
+                     block gives a primitive element.
+    """
+    return tau_iota_element(ctx.basis, *_letters(ctx, kind), mu)
 
 
 # -- expansion in a family ---------------------------------------------------
 
-def _expansion_data(ctx, kind, n):
-    # cached on the context, so it goes when the context does
-    cache = ctx._expansion_cache
-    key = (kind, n)
-    if key not in cache:
-        comps = tuple(compositions(n))
-        fam = [nsym_element(ctx, kind, mu) for mu in comps]
-        words = list(basis_words(ctx.basis.dim, n))
-        rows = [[f.coefficient(w) for f in fam] for w in words]
-        identity = [[int(i == j) for j in range(len(rows))]
-                    for i in range(len(rows))]
-        cache[key] = (comps, words, solve_linear_system(rows, identity))
-    return cache[key]
+def _coordinates(ctx, kind, degree):
+    """Each basis letter's (inside, boundary) coordinates, its pairings
+    with the dual pair of the family's letters.  Degree 0 needs no family,
+    and degree-1 words have no letters, so they need only the gates."""
+    if degree == 0:
+        return ()
+    inside, boundary = _letters(ctx, kind)
+    if degree == 1:
+        return ()
+    duals = dual_pair(inside, boundary)
+    return tuple(zip(*(ctx.basis.pairings(d) for d in duals)))
+
+
+def _in_kind(coords, degree, terms):
+    """Expand a degree's word -> rational dict letter by letter; the sorted
+    boundary-bit words it gives are the compositions in their order."""
+    if degree == 0:
+        c = terms.get((), 0)
+        return {(): c} if c else {}
+    acc = {}
+    for word, c in terms.items():
+        for bits, v in expand_letters([coords[i] for i in word], c).items():
+            _accumulate(acc, bits, v)
+    return {composition_from_boundary_bits(bits): acc[bits]
+            for bits in sorted(acc)}
 
 
 def expand_in_kind(ctx, kind, x):
     """Coefficients of x in the degree-matching family, as a dict from
     compositions to nonzero rationals."""
-    n = x.degree
-    if n == 0:
-        c = x.coefficient(())
-        return {(): c} if c else {}
-    comps, words, inv = _expansion_data(ctx, kind, n)
-    rhs = [x.coefficient(w) for w in words]
-    out = {}
-    for i, mu in enumerate(comps):
-        c = sum(a * b for a, b in zip(inv[i], rhs) if b)
-        if c:
-            out[mu] = c
-    return out
+    return _in_kind(_coordinates(ctx, kind, x.degree), x.degree, x.terms)
 
 
 def expand_square_in_kind(ctx, kind, sq):
     """Coefficients of a tensor-square element in family ⊗ family."""
-    grouped = {}
-    for ((ld, lw), (rd, rw)), c in sq.terms.items():
-        grouped.setdefault((ld, rd), {}).setdefault(
-            rw, TensorElement(ld)).add_term(lw, c)
+    top = max((max(ld, rd) for (ld, _), (rd, _) in sq.terms), default=0)
+    coords = _coordinates(ctx, kind, top)
     out = {}
-    for (ld, rd), by_right in grouped.items():
-        partial = {}
-        for rw, left_elem in by_right.items():
-            for mu, c in expand_in_kind(ctx, kind, left_elem).items():
-                partial.setdefault(mu, TensorElement(rd)).add_term(rw, c)
-        for mu, right_elem in partial.items():
-            for nu, c in expand_in_kind(ctx, kind, right_elem).items():
-                out[(mu, nu)] = out.get((mu, nu), 0) + c
-    return {k: v for k, v in out.items() if v}
+    for ((ld, lw), (rd, rw)), c in sq.terms.items():
+        rights = _in_kind(coords, rd, {rw: 1}).items()
+        for mu, lc in _in_kind(coords, ld, {lw: c}).items():
+            for nu, rc in rights:
+                _accumulate(out, (mu, nu), lc * rc)
+    return out
 
 
 def product_constants(ctx, kind, max_degree):

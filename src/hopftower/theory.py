@@ -52,18 +52,13 @@ def _exact(value):
 def solve_linear_system(rows, rhs):
     """Solve the square system rows @ x = rhs exactly over the rationals.
 
-    ``rhs`` is a vector, giving x as a tuple, or a matrix with one row
-    per equation, giving x as a tuple of rows; the identity matrix gives
-    the inverse.  Raises :class:`DualBasisUndefined` when the matrix is
-    singular.
+    Raises :class:`DualBasisUndefined` when the matrix is singular.
 
-    >>> solve_linear_system(((2, 0), (0, 4)), ((1, 0), (0, 1)))
-    ((Fraction(1, 2), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 4)))
+    >>> solve_linear_system(((2, 0), (0, 4)), (1, 1))
+    (Fraction(1, 2), Fraction(1, 4))
     """
     n = len(rows)
-    several = n > 0 and isinstance(rhs[0], (list, tuple))
-    aug = [[Fraction(v) for v in row]
-           + [Fraction(v) for v in (rhs[i] if several else (rhs[i],))]
+    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])]
            for i, row in enumerate(rows)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
@@ -76,8 +71,6 @@ def solve_linear_system(rows, rhs):
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    if several:
-        return tuple(tuple(row[n:]) for row in aug)
     return tuple(row[n] for row in aug)
 
 

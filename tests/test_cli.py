@@ -1,12 +1,16 @@
 """End-to-end command-line tests driven through main()."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 from hopftower.cli import main
 from hopftower.serialize import theory_to_dict
 from hopftower.theory import two_dim
 
 IND = ["--q", "3", "--iota", "reg", "--alpha", "one", "--beta", "beta_star"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, argv):
@@ -67,6 +71,27 @@ def test_compute_antipode_cross_checked(capsys):
     data = json.loads(out)
     assert data["cross_checked"] is True
     assert data["terms"] == [{"word": ["regm1"], "coeff": "1"}]
+
+
+def readme_examples():
+    """(argv, output) for each README ``sh`` block directly followed by the
+    ``json`` block it prints."""
+    blocks = re.findall(r"```(\w+)\n(.*?)```", README.read_text("utf-8"), re.S)
+    for (lang, body), (next_lang, shown) in zip(blocks, blocks[1:]):
+        if lang == "sh" and next_lang == "json":
+            lines = body.replace("\\\n", " ").splitlines()
+            command = " ".join(ln for ln in lines if not ln.startswith("#"))
+            yield shlex.split(command)[1:], json.loads(shown)
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    seen = []
+    for argv, shown in readme_examples():
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == shown
+        seen.append(argv[:2])
+    assert seen == [["compute", "antipode"], ["verify", "--suite"]]
 
 
 def test_compute_multiply_needs_y(capsys):

@@ -3,23 +3,26 @@ elements, their rewriting rules, antipode corollaries, and descent
 classes."""
 
 import gc
+import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
 from hopftower.antipode import antipode_closed
 from hopftower.combinatorics import (boundary_bits, coarsenings, compositions,
                                      conjugate, interior_bits)
-from hopftower.elements import TensorElement
+from hopftower.elements import TensorElement, TensorSquare, basis_words
 from hopftower.functors import ind_along
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
-from hopftower.nsym import (InconsistentTag, antipode_corollaries,
+from hopftower.nsym import (KINDS, InconsistentTag, antipode_corollaries,
                             coproduct_constants, descent_embedding,
                             expand_in_kind, expand_square_in_kind,
                             nsym_element, product_constants,
                             shuffle_dual_complement, tau_iota_element,
                             verify_nsym_rules)
-from hopftower.theory import TheoryError, cyclic4, two_dim
+from hopftower.theory import (DualBasisUndefined, TheoryError, cyclic4,
+                              dual_pair, solve_linear_system, two_dim)
 
 
 def ones_ctx(q=3):
@@ -142,7 +145,6 @@ def test_expansion_cache_goes_with_its_context():
     ctx = ind_ctx()
     x = nsym_element(ctx, "ribbon", (2, 1))
     assert expand_in_kind(ctx, "ribbon", x) == {(2, 1): 1}
-    assert ("ribbon", 3) in ctx._expansion_cache
     assert expand_in_kind(ind_ctx(), "ribbon", x) == {(2, 1): 1}
     ref = weakref.ref(ctx)
     del ctx
@@ -155,6 +157,124 @@ def test_square_expansion_deconcatenates_h():
     sq = ctx.coproduct(nsym_element(ctx, "h_basis", (3,)))
     assert expand_square_in_kind(ctx, "h_basis", sq) == {
         ((), (3,)): 1, ((1,), (2,)): 1, ((2,), (1,)): 1, ((3,), ()): 1}
+
+
+# The dense route the letter-wise expansion replaced: solve the square
+# system whose columns are the 2^(n-1) family elements, and expand a tensor
+# square by grouping its terms on the right word.
+
+def reference_expand_in_kind(ctx, kind, x):
+    n = x.degree
+    if n == 0:
+        c = x.coefficient(())
+        return {(): c} if c else {}
+    comps = tuple(compositions(n))
+    fam = [nsym_element(ctx, kind, mu) for mu in comps]
+    words = list(basis_words(ctx.basis.dim, n))
+    rows = [[f.coefficient(w) for f in fam] for w in words]
+    coeffs = solve_linear_system(rows, [x.coefficient(w) for w in words])
+    return {mu: c for mu, c in zip(comps, coeffs) if c}
+
+
+def reference_expand_square_in_kind(ctx, kind, sq):
+    grouped = {}
+    for ((ld, lw), (rd, rw)), c in sq.terms.items():
+        grouped.setdefault((ld, rd), {}).setdefault(
+            rw, TensorElement(ld)).add_term(lw, c)
+    out = {}
+    for (ld, rd), by_right in grouped.items():
+        partial = {}
+        for rw, left_elem in by_right.items():
+            for mu, c in reference_expand_in_kind(ctx, kind, left_elem).items():
+                partial.setdefault(mu, TensorElement(rd)).add_term(rw, c)
+        for mu, right_elem in partial.items():
+            for nu, c in reference_expand_in_kind(ctx, kind, right_elem).items():
+                out[(mu, nu)] = out.get((mu, nu), 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+def expansion_contexts():
+    for q in (2, 3, 5):
+        yield ind_ctx(q)
+        yield ones_ctx(q)
+    t = two_dim(3)
+    # alpha != beta, and alpha is not the all-ones character
+    yield HopfContext(t, t.reg, t.element((Fraction(1, 3), Fraction(1, 3))),
+                      t.element((2, Fraction(-1, 2))))
+    # alpha == beta, and iota is not the all-ones character
+    ab = t.element((Fraction(1, 2), Fraction(1, 4)))
+    yield HopfContext(t, t.reg, ab, ab)
+
+
+def dense(rng, ctx, degree):
+    return TensorElement(degree, {
+        w: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        for w in basis_words(ctx.basis.dim, degree)})
+
+
+def outcome(fn, *args):
+    """fn's result as an item list, or the class and message it raised."""
+    try:
+        return list(fn(*args).items())
+    except TheoryError as exc:
+        return type(exc), str(exc)
+
+
+def test_expansion_matches_the_dense_solve():
+    rng = random.Random(5)
+    expanded = 0
+    for ctx in expansion_contexts():
+        for kind in KINDS:
+            for n in range(8):
+                x = dense(rng, ctx, n)
+                got = outcome(expand_in_kind, ctx, kind, x)
+                assert got == outcome(reference_expand_in_kind, ctx, kind, x)
+                expanded += isinstance(got, list) and n == 7
+    assert expanded == 12   # the (context, kind) pairs whose family exists
+
+
+def test_square_expansion_matches_the_grouped_route():
+    rng = random.Random(6)
+    expanded = 0
+    for ctx in expansion_contexts():
+        for kind in KINDS:
+            for n in range(6):
+                sq = ctx.coproduct(dense(rng, ctx, n))
+                try:
+                    got = expand_square_in_kind(ctx, kind, sq)
+                except InconsistentTag:
+                    with pytest.raises(InconsistentTag):
+                        reference_expand_square_in_kind(ctx, kind, sq)
+                    continue
+                assert got == reference_expand_square_in_kind(ctx, kind, sq)
+                expanded += n == 5
+    assert expanded == 12
+
+
+def test_expansion_edge_cases():
+    c = Fraction(5, 7)
+    unit_square = TensorSquare({((0, ()), (0, ())): c})
+    # degree 0 never consults the family
+    for ctx, kind in ((all_ones_context(cyclic4()), "h_basis"),
+                      (ind_ctx(), "power_sum")):
+        assert expand_in_kind(ctx, kind, TensorElement(0, {(): c})) == {(): c}
+        assert expand_in_kind(ctx, kind, TensorElement(0)) == {}
+        assert expand_square_in_kind(ctx, kind, unit_square) == {((), ()): c}
+        with pytest.raises(TheoryError):
+            expand_in_kind(ctx, kind, TensorElement(1, {(): c}))
+    # the inside letter alpha* and the boundary letter iota = 3 alpha* are
+    # parallel: degree 1 has no letters to expand, degree 2 on is singular
+    t = two_dim(3)
+    alpha, beta = t.one, t.element((0, 1))
+    astar, _ = dual_pair(alpha, beta)
+    ctx = HopfContext.unchecked(t, 3 * astar, alpha, beta)
+    x = TensorElement(1, {(): c})
+    assert expand_in_kind(ctx, "h_basis", x) == {(1,): c}
+    assert expand_square_in_kind(ctx, "h_basis", ctx.coproduct(x)) == {
+        ((), (1,)): c, ((1,), ()): c}
+    for n in (2, 3):
+        with pytest.raises(DualBasisUndefined, match="singular linear system"):
+            expand_in_kind(ctx, "h_basis", TensorElement(n, {(0,) * (n - 1): c}))
 
 
 def test_structure_constants_do_not_depend_on_q():

@@ -192,14 +192,6 @@ def test_basis_equality_and_pairings():
         t.pairings(two_dim(5).one)
 
 
-def test_solve_linear_system_inverse():
-    rows = ((1, 2), (3, 4))
-    inv = solve_linear_system(rows, ((1, 0), (0, 1)))
-    assert inv == ((-2, 1), (Fraction(3, 2), Fraction(-1, 2)))
-    with pytest.raises(DualBasisUndefined):
-        solve_linear_system(((1, 2), (2, 4)), ((1, 0), (0, 1)))
-
-
 def test_basis_rejects_bools_and_duplicate_labels():
     table = ((1, 1), (2, -1))
     CharacterBasis(("one", "x"), table, (1, 2), 0)
