@@ -6,9 +6,10 @@ alpha-pairing times iota) joined by iota separators, weighted by beta
 pairings of the boundary letters and signed by block count.
 
 ``antipode_all_setcomps`` evaluates the defining sum over every ordered
-set partition of the tensor positions, straightening each one;
-``antipode_toggle_free`` restricts that sum to the 3^(n-1) toggle-free set
-compositions, which survive the sign-reversing cancellation.
+set partition of the tensor positions through its per-degree table: set
+compositions that do the same to the positions are grouped and their
+signs added, and the net signs left are those of the 3^(n-1) toggle-free
+set compositions, the sum ``antipode_toggle_free`` evaluates.
 
 ``antipode_oracle`` uses none of the formulas: it solves the convolution
 equation m(S ⊗ id)Δ = unit∘counit degree by degree, from the public
@@ -17,17 +18,18 @@ coproduct and the iota splice of the product.
 ``antipode_closed`` and ``antipode_oracle`` compute with int numerators
 over powers of the context's denominator D and build one ``Fraction`` per
 output term; the set-composition routes multiply ``Fraction`` factors.
+Every per-degree plan is context-free and kept in a bounded cache.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
-from .combinatorics import (bc_bits, compositions, lc_bits, llc_bits,
-                            partial_sums, set_compositions, straighten,
-                            toggle_free)
-from .elements import TensorElement, expand_letters
+from .combinatorics import (bc_bits, compositions, llc_bits, partial_sums,
+                            set_compositions, straighten, toggle_free)
+from .elements import TensorElement, _accumulate, expand_letters
 from .hopf import _expand_int
 
 
@@ -40,25 +42,11 @@ def antipode_closed(ctx, x):
     if not x.terms:
         return out
     iota, beta, diff = ctx._iota_num, ctx._beta_num, ctx._diff_num
-    # over the context's denominator D each summand carries D^2(n-1):
-    # D per beta pairing and per iota separator (one each per cut), D^2
-    # per difference letter
-    plans = []
-    for mu in compositions(n):
-        cuts = partial_sums(mu)
-        bounds = (0,) + cuts + (n,)
-        template = []
-        for b in range(len(mu), 0, -1):  # reversed block order
-            template.extend(range(bounds[b - 1], bounds[b] - 1))
-            if b != 1:
-                template.append(None)
-        plans.append((-1 if len(mu) % 2 else 1,
-                      tuple(cut - 1 for cut in cuts), template))
     common = lcm(*(c.denominator for c in x.terms.values()))
     acc = {}
     for word, coeff in x.terms.items():
         num = coeff.numerator * (common // coeff.denominator)
-        for sign, cuts, template in plans:
+        for sign, cuts, template in _closed_plans(n):
             scalar = sign * num
             for j in cuts:
                 scalar *= beta[word[j]]
@@ -69,37 +57,52 @@ def antipode_closed(ctx, x):
             for w, c in _expand_int(
                     [iota if j is None else diff[word[j]] for j in template],
                     scalar).items():
-                v = acc.get(w, 0) + c
-                if v:
-                    acc[w] = v
-                else:
-                    del acc[w]
+                _accumulate(acc, w, c)
+    # over the context's denominator D each summand carries D^2(n-1):
+    # D per beta pairing and per iota separator (one each per cut), D^2
+    # per difference letter
     den = common * ctx._den ** (2 * max(n - 1, 0))
     out.terms = {w: Fraction(v, den) for w, v in acc.items()}
     return out
 
 
-def _setcomp_term(ctx, word, coeff, A):
-    """One summand of the set-composition antipode formula."""
-    n = len(word) + 1
-    w = straighten(A)
-    sign = -1 if len(A) % 2 else 1
-    lc, llc, bc = lc_bits(A), llc_bits(A), bc_bits(A)
-    slots = [None] * (n - 1)
-    scalar = Fraction(coeff)
-    for j in range(1, n + 1):
-        if j < n:
-            letter = word[j - 1]
-            if bc[j - 1]:
-                slots[w[j - 1] - 1] = letter
-                continue
-            scalar *= (ctx.pair_alpha[letter] if llc[j - 1]
-                       else ctx.pair_beta[letter])
-            if not scalar:
-                return None
-        if w[j - 1] != n:
-            slots[w[j - 1] - 1] = ctx.iota_coords
-    return expand_letters(slots, sign * scalar)
+@lru_cache(maxsize=16)
+def _closed_plans(n):
+    """Per composition of n: (sign, the boundary letter after each block
+    but the last, the blocks' letters in reversed block order with None
+    for an iota separator)."""
+    plans = []
+    for mu in compositions(n):
+        cuts = partial_sums(mu)
+        bounds = (0,) + cuts + (n,)
+        template = []
+        for b in range(len(mu), 0, -1):  # reversed block order
+            template.extend(range(bounds[b - 1], bounds[b] - 1))
+            if b != 1:
+                template.append(None)
+        plans.append((-1 if len(mu) % 2 else 1,
+                      tuple(cut - 1 for cut in cuts), tuple(template)))
+    return tuple(plans)
+
+
+@lru_cache(maxsize=16)
+def _setcomp_table(comps_of, n):
+    """The sum over comps_of(n) as ((pairs, slots), net sign) items: under
+    A, letter j (between positions j+1, j+2) fills its slot of
+    straighten(A) if both share a block, else pairs as (j, 1 for alpha or
+    0 for beta); empty slots hold iota.  Equal keys add their signs."""
+    table = {}
+    for A in comps_of(n):
+        w, llc, bc = straighten(A), llc_bits(A), bc_bits(A)
+        pairs, slots = [], [None] * (n - 1)
+        for j in range(n - 1):
+            if bc[j]:
+                slots[w[j] - 1] = j
+            else:
+                pairs.append((j, llc[j]))
+        _accumulate(table, (tuple(pairs), tuple(slots)),
+                    -1 if len(A) % 2 else 1)
+    return tuple(table.items())
 
 
 def _setcomp_sum(ctx, x, comps_of):
@@ -107,11 +110,18 @@ def _setcomp_sum(ctx, x, comps_of):
     if x.degree == 0:
         out += x
         return out
+    table = _setcomp_table(comps_of, x.degree)
+    pairing, iota = (ctx.pair_beta, ctx.pair_alpha), ctx.iota_coords
     for word, coeff in x.terms.items():
-        for A in comps_of(x.degree):
-            term = _setcomp_term(ctx, word, coeff, A)
-            if term:
-                out.add_scaled(term)
+        for (pairs, slots), sign in table:
+            scalar = sign * coeff
+            for j, flag in pairs:
+                scalar *= pairing[flag][word[j]]
+                if not scalar:
+                    break
+            if scalar:
+                out.add_scaled(expand_letters(
+                    [iota if j is None else word[j] for j in slots], scalar))
     return out
 
 
@@ -146,11 +156,7 @@ def antipode_oracle(ctx, x):
     for num, e, s in parts:
         scalar = num * den ** (top - e)
         for w, v in s.items():
-            v = acc.get(w, 0) + scalar * v
-            if v:
-                acc[w] = v
-            else:
-                del acc[w]
+            _accumulate(acc, w, scalar * v)
     den = common * den ** top
     out.terms = {w: Fraction(v, den) for w, v in acc.items()}
     return out
@@ -187,12 +193,7 @@ def _oracle_word(ctx, degree, word):
         for u, s in s_left.items():
             s *= scalar
             for i, ci in iota:
-                k = u + (i,) + rw
-                v = acc.get(k, 0) + s * ci
-                if v:
-                    acc[k] = v
-                else:
-                    del acc[k]
+                _accumulate(acc, u + (i,) + rw, s * ci)
     # lower the exponent only as far as every numerator divides
     g, e = gcd(*acc.values()), exp
     while e and not g % den:

@@ -11,7 +11,7 @@ by an iota marker, according to where the neighbouring positions land.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .elements import (TensorElement, TensorSquare, _accumulate, basis_words,
@@ -43,7 +43,6 @@ class HopfContext:
         self.alpha = alpha
         self.beta = beta
         self.iota_coords = iota.coords
-        self.pair_iota = basis.pairings(iota)
         self.pair_alpha = basis.pairings(alpha)
         self.pair_beta = basis.pairings(beta)
         if check:
@@ -169,40 +168,17 @@ class HopfContext:
             return out
         if not x.terms:
             return out
-        iota = self._iota_num
-        # a surviving letter carries D^0, a crossing letter D^1 for its
-        # pairing and D^1 more for an iota marker; every term is padded to
-        # the common denominator D^top
-        top = 2 * (n - 1)
-        plans = []
-        for mask in range(1 << n):
-            side = [(mask >> j) & 1 for j in range(n)]  # 1: position j+1 left
-            last = {s: j for j, s in enumerate(side)}
-            crossings, left, right = [], [], []
-            power = top
-            for j in range(n - 1):  # letter j sits between positions j+1, j+2
-                here = side[j]
-                entries = left if here else right
-                if here == side[j + 1]:
-                    entries.append(j)
-                    continue
-                crossings.append(
-                    (j, self._alpha_num if here else self._beta_num))
-                power -= 1
-                if j != last[here]:
-                    entries.append(None)
-                    power -= 1
-            left_n = sum(side)
-            plans.append((left_n, n - left_n, crossings, self._den ** power,
-                          left, right))
+        iota, den, plans = self._iota_num, self._den, _split_plans(n)
+        tables = (self._beta_num, self._alpha_num)
+        scales = [den ** k for k in range(2 * n - 1)]
         common = lcm(*(c.denominator for c in x.terms.values()))
         acc = {}
         for word, coeff in x.terms.items():
             num = coeff.numerator * (common // coeff.denominator)
-            for left_n, right_n, crossings, scale, left, right in plans:
-                scalar = num * scale
-                for j, table in crossings:
-                    scalar *= table[word[j]]
+            for left_n, right_n, crossings, power, left, right in plans:
+                scalar = num * scales[power]
+                for j, flag in crossings:
+                    scalar *= tables[flag][word[j]]
                     if not scalar:
                         break
                 if not scalar:
@@ -213,13 +189,9 @@ class HopfContext:
                         [iota if j is None else word[j] for j in left],
                         scalar).items():
                     for rw, rc in rights:
-                        key = ((left_n, lw), (right_n, rw))
-                        v = acc.get(key, 0) + lc * rc
-                        if v:
-                            acc[key] = v
-                        else:
-                            del acc[key]
-        den = common * self._den ** top
+                        _accumulate(acc, ((left_n, lw), (right_n, rw)),
+                                    lc * rc)
+        den = common * den ** (2 * (n - 1))
         out.terms = {key: Fraction(v, den) for key, v in acc.items()}
         return out
 
@@ -294,6 +266,34 @@ class HopfContext:
         """Product of iota-free generator words (empty word = degree 1)."""
         return self.product_many(
             TensorElement(len(seg) + 1, {tuple(seg): 1}) for seg in segments)
+
+
+@lru_cache(maxsize=16)
+def _split_plans(n):
+    """Per split: (left degree, right degree, crossings as (letter, 1 for
+    alpha or 0 for beta), the power of D padding the term to D^(2(n-1)),
+    left and right templates of letters, None for an iota marker)."""
+    plans = []
+    for mask in range(1 << n):
+        side = [(mask >> j) & 1 for j in range(n)]  # 1: position j+1 left
+        last = {s: j for j, s in enumerate(side)}
+        crossings, left, right = [], [], []
+        power = 2 * (n - 1)
+        for j in range(n - 1):  # letter j sits between positions j+1, j+2
+            here = side[j]
+            entries = left if here else right
+            if here == side[j + 1]:
+                entries.append(j)
+                continue
+            crossings.append((j, here))
+            power -= 1  # one D for the pairing, one more for a marker
+            if j != last[here]:
+                entries.append(None)
+                power -= 1
+        left_n = sum(side)
+        plans.append((left_n, n - left_n, tuple(crossings), power,
+                      tuple(left), tuple(right)))
+    return tuple(plans)
 
 
 def _numerators(values, den):

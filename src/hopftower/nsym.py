@@ -74,6 +74,12 @@ def shuffle_dual_complement(ctx):
     return basis.element(tuple(c / lead for c in coords))
 
 
+def _spans(tau, ctx):
+    """True when tau and iota span the rank-2 space (nonzero determinant)."""
+    (t0, t1), (i0, i1) = tau.coords, ctx.iota_coords
+    return t0 * i1 - t1 * i0 != 0
+
+
 def _letters(ctx, kind):
     """The family's (inside, boundary) letters, after its gates."""
     if ctx.basis.dim != 2:
@@ -90,11 +96,7 @@ def _letters(ctx, kind):
             raise InconsistentTag(
                 "shuffle_dual_primitive needs alpha == beta")
         tau = shuffle_dual_complement(ctx)
-        if tau.inner(ctx.beta) != 0:
-            raise InconsistentTag("complement letter not orthogonal to beta")
-        det = (tau.coords[0] * ctx.iota_coords[1]
-               - tau.coords[1] * ctx.iota_coords[0])
-        if det == 0:
+        if not _spans(tau, ctx):
             raise InconsistentTag("complement letter and iota must span")
         return tau, ctx.iota
     raise TheoryError(f"unknown family {kind!r}; choose one of {KINDS}")
@@ -274,9 +276,7 @@ def antipode_corollaries(ctx, max_n):
 
     if ctx.alpha == ctx.beta:
         tau = shuffle_dual_complement(ctx)
-        det = (tau.coords[0] * ctx.iota_coords[1]
-               - tau.coords[1] * ctx.iota_coords[0])
-        if det:
+        if _spans(tau, ctx):
             report["cases"].append("primitive_negation")
             for n in range(1, max_n + 1):
                 x = tau_iota_element(basis, tau, ctx.iota, (n,))

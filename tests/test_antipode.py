@@ -1,11 +1,18 @@
 """The four antipode routes: closed form, full set-composition sum,
 toggle-free sum, and the convolution-equation solver."""
 
-from hopftower.antipode import (antipode_all_setcomps, antipode_closed,
+from fractions import Fraction
+
+from hopftower.antipode import (_closed_plans, _setcomp_table,
+                                antipode_all_setcomps, antipode_closed,
                                 antipode_oracle, antipode_toggle_free)
+from hopftower.combinatorics import set_compositions, toggle_free
 from hopftower.elements import TensorElement
-from hopftower.hopf import all_ones_context, induction_context
+from hopftower.hopf import (HopfContext, _split_plans, all_ones_context,
+                            induction_context)
 from hopftower.theory import two_dim
+from test_kernels import (assert_same, reference_antipode_closed,
+                          reference_coproduct)
 
 ROUTES = (antipode_closed, antipode_all_setcomps, antipode_toggle_free,
           antipode_oracle)
@@ -99,3 +106,39 @@ def test_oracle_results_are_not_shared():
             first += first
             first.add_term(next(iter(ctx.basis_words(x.degree))), 7)
             assert antipode_oracle(ctx, x) == want
+
+
+def test_full_sum_cancels_to_the_toggle_free_table():
+    """Grouped by what they do to the positions, the signs of all set
+    compositions cancel down to the toggle-free ones (Benedetti-Sagan):
+    3^(n-1) entries, each of sign +1 or -1."""
+    for n in range(1, 8):
+        full = dict(_setcomp_table(set_compositions, n))
+        assert full == dict(_setcomp_table(toggle_free, n))
+        assert len(full) == 3 ** (n - 1)
+        assert set(full.values()) <= {1, -1}
+
+
+def test_plans_are_shared_across_contexts():
+    """The per-degree plans hold nothing of a context: calls alternating
+    between two contexts with different denominators D, at each degree,
+    all match the Fraction references."""
+    caches = (_split_plans, _closed_plans, _setcomp_table)
+    for cache in caches:
+        assert cache.cache_info().maxsize is not None
+        cache.cache_clear()
+    basis = two_dim(3)
+    contexts = (induction_context(basis),
+                HopfContext.unchecked(basis, basis.reg / 3, basis.one,
+                                      Fraction(2, 7) * basis.reg))
+    assert (contexts[0]._den, contexts[1]._den) == (1, 21)
+    for n in range(6):
+        for w in contexts[0].basis_words(n):
+            for ctx in contexts:
+                x = word(n, w, Fraction(-3, 5))
+                assert_same(ctx.coproduct(x), reference_coproduct(ctx, x))
+                want = reference_antipode_closed(ctx, x)
+                assert_same(antipode_closed(ctx, x), want)
+                assert antipode_all_setcomps(ctx, x) == want
+    for cache in caches:
+        assert cache.cache_info().hits > 0
