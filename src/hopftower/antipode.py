@@ -106,10 +106,8 @@ def _setcomp_table(comps_of, n):
 
 
 def _setcomp_sum(ctx, x, comps_of):
+    # degree 0 needs no case of its own: the table is the identity
     out = TensorElement(x.degree)
-    if x.degree == 0:
-        out += x
-        return out
     table = _setcomp_table(comps_of, x.degree)
     pairing, iota = (ctx.pair_beta, ctx.pair_alpha), ctx.iota_coords
     for word, coeff in x.terms.items():

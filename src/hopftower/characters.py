@@ -70,8 +70,6 @@ class LinearCharacter:
             raise TheoryError("character only defined up to degree %d"
                               % self.max_degree)
         comp = self.components[n]
-        if n == 0:
-            return (x.coefficient(()) * comp.coefficient(()))
         gram = self.ctx.basis.gram
         total = Fraction(0)
         for word, c in x.terms.items():

@@ -97,7 +97,7 @@ def _build_basis(args):
         try:
             with open(args.theory_file, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"cannot read theory file: {exc}") from exc
         return theory_from_dict(data), {"base": "custom"}
     if args.base == "cyclic4":
@@ -138,7 +138,7 @@ def _load_element(arg, basis, tag):
         text = arg
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad element JSON: {exc}") from exc
     if isinstance(data, dict):
         if "base" in data and data["base"] != tag["base"]:
@@ -160,7 +160,8 @@ def _check_work(what, count, degree, formula):
                          f"(2^{bound.bit_length() - 1})")
 
 
-def _check_verify_work(dim, degree, formula):
+def _check_verify_work(dim, degree,
+                       formula="dim^(max_degree-1) * 2^max_degree"):
     # dim^(degree-1) basis words, each splitting 2^degree ways; the degree
     # is capped where 2^degree alone passes the bound, so a huge
     # --max-degree is refused without forming dim^degree
@@ -214,8 +215,7 @@ def _has_failure(report):
 
 def _cmd_verify(args, basis, tag):
     n = args.max_degree
-    _check_verify_work(basis.dim, n,
-                       "dim^(max_degree-1) * 2^max_degree")
+    _check_verify_work(basis.dim, n)
     ctx = _build_context(args, basis)
     spots = 8 if args.seed is not None else 0
     if args.suite == "axioms":
@@ -263,9 +263,11 @@ def _cmd_enumerate(args):
 
 
 def _cmd_characters(args, basis, tag):
+    n = args.max_degree
+    # convolution and inversion cost what verify does at this degree
+    _check_verify_work(basis.dim, n)
     ctx = _build_context(args, basis)
     scalars, aliases = _names(args, basis)
-    n = args.max_degree
     psi = constant_character(
         ctx, parse_expression(args.psi, basis, scalars, aliases), n)
     if args.action == "check":

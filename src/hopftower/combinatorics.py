@@ -10,7 +10,7 @@ whose union is {1, ..., n}; the order of the blocks matters.
 
 from __future__ import annotations
 
-from itertools import permutations as _lex_permutations
+from itertools import permutations as _lex_permutations, product as _cartesian
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +328,10 @@ def is_toggle_free(A):
 def toggle_free(n):
     """Yield the toggle-free set compositions of {1, ..., n}.
 
-    Built by inserting 1, ..., n in turn: each new element joins the block
-    of its predecessor, opens a new block right after that block, or opens
-    a new first block — 3^(n-1) outcomes in all.
+    Starting from the block (1,), each of 2, ..., n in turn joins the
+    block of its predecessor (move 0), opens a new block right after that
+    block (move 1), or opens a new first block (move 2).  The 3^(n-1)
+    move words are listed in lexicographic order.
 
     >>> sorted(toggle_free(2)) == sorted(set_compositions(2))
     True
@@ -342,23 +343,15 @@ def toggle_free(n):
     if n == 0:
         yield ()
         return
-
-    def rec(j, blocks, kj):
-        if j == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        nxt = j + 1
-        blocks[kj].append(nxt)
-        yield from rec(nxt, blocks, kj)
-        blocks[kj].pop()
-        blocks.insert(kj + 1, [nxt])
-        yield from rec(nxt, blocks, kj + 1)
-        del blocks[kj + 1]
-        blocks.insert(0, [nxt])
-        yield from rec(nxt, blocks, 0)
-        del blocks[0]
-
-    yield from rec(1, [[1]], 0)
+    for moves in _cartesian(range(3), repeat=n - 1):
+        blocks, k = [[1]], 0
+        for nxt, move in enumerate(moves, start=2):
+            if move == 0:
+                blocks[k].append(nxt)
+            else:
+                k = k + 1 if move == 1 else 0
+                blocks.insert(k, [nxt])
+        yield tuple(map(tuple, blocks))
 
 
 def straighten(A):

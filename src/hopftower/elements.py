@@ -198,10 +198,7 @@ def basis_words(dim, degree):
     >>> list(basis_words(3, 1))
     [()]
     """
-    if degree == 0:
-        yield ()
-        return
-    yield from _cartesian(range(dim), repeat=degree - 1)
+    return _cartesian(range(dim), repeat=max(degree - 1, 0))
 
 
 def expand_letters(entries, coeff=1):

@@ -4,9 +4,10 @@ The bit-mask operations move elements between a full word and the subword
 selected by the 1-bits: inflation fills the gaps with the all-ones letter,
 deflation pairs dropped letters against it, induction fills gaps with the
 regular character, restriction pairs dropped letters against it.  The
-set-composition brackets are the refinement versions used by the coproduct
-and antipode: statistics of the finer set composition decide which letters
-survive, which are paired away, and where marker letters are inserted.
+set-composition brackets are the same mask functors along a refinement
+A ≤ B: on the positions B keeps, the statistics of the finer A are the
+masks that decide which letters survive, which are paired away, and where
+marker letters are inserted.
 """
 
 from __future__ import annotations
@@ -32,15 +33,15 @@ def _extend(bits, x, letter):
     return out
 
 
-def _pair_away(bits, x, pairing):
-    """Drop the letters at 0-bits, multiplying by their entries in
-    ``pairing`` (one inner product per basis letter)."""
+def _pair_away(bits, x, pairings):
+    """Drop the letters at 0-bits, multiplying by their entries in that
+    position's table of ``pairings`` (one inner product per basis letter)."""
     if x.degree != len(bits) + 1:
         raise ValueError("degree must be len(bits)+1")
     small = TensorElement(_popcount(bits) + 1)
     for word, coeff in x.terms.items():
         kept = []
-        for b, letter in zip(bits, word):
+        for b, pairing, letter in zip(bits, pairings, word):
             if b:
                 kept.append(letter)
             else:
@@ -61,7 +62,7 @@ def inf_along(basis, bits, x):
 def def_along(basis, bits, x):
     """Drop the letters at 0-bits, pairing each against the all-ones
     character; inverse to :func:`inf_along` on its image."""
-    return _pair_away(bits, x, basis.pairings(basis.one))
+    return _pair_away(bits, x, [basis.pairings(basis.one)] * len(bits))
 
 
 def ind_along(basis, bits, x):
@@ -73,7 +74,7 @@ def ind_along(basis, bits, x):
 def res_along(basis, bits, x):
     """Drop the letters at 0-bits, pairing each against the regular
     character."""
-    return _pair_away(bits, x, basis.pairings(basis.reg))
+    return _pair_away(bits, x, [basis.pairings(basis.reg)] * len(bits))
 
 
 def pointwise_twist(basis, x, j, f):
@@ -95,63 +96,34 @@ def pointwise_twist(basis, x, j, f):
 
 
 def inf_bracket(basis, A, B, iota, x):
-    """Refinement inflation: letters of x sit at the positions where the
-    finer set composition A keeps them; positions freed when passing to the
-    coarser B receive the letter iota.
+    """Refinement inflation: inflation by the letter iota along the
+    positions B keeps (its lc_bits), with the lc_bits of the finer A there
+    as the mask.  A keeps a subset of B's positions, since each block of
+    A lies inside a block of B.
 
     x has degree sum(lc_bits(A)) + 1; the result has degree
     sum(lc_bits(B)) + 1.
     """
     if not setcomp_refines(A, B):
         raise ValueError("A must refine B")
-    lca, lcb = lc_bits(A), lc_bits(B)
-    if x.degree != _popcount(lca) + 1:
-        raise ValueError("element degree does not match A")
-    out = TensorElement(_popcount(lcb) + 1)
-    for word, coeff in x.terms.items():
-        it = iter(word)
-        entries = []
-        for a_bit, b_bit in zip(lca, lcb):
-            if a_bit:
-                entries.append(next(it))
-            elif b_bit:
-                entries.append(iota.coords)
-        out.add_scaled(expand_letters(entries, coeff))
-    return out
+    bits = [a for a, b in zip(lc_bits(A), lc_bits(B)) if b]
+    return _extend(bits, x, iota.coords)
 
 
 def dn_bracket(basis, A, B, tau, alpha, beta, x):
-    """Refinement descent: letters of a degree-(sum(lc_bits(B))+1) element
-    either survive (when A keeps j and j+1 together), or are paired away
-    against alpha/beta (by the weak statistic of A) with a tau marker
-    emitted when A still needs a letter at that slot.
+    """Refinement descent: along the positions B keeps, deflation to the
+    letters A keeps together (its bc_bits), pairing each other letter
+    against alpha where A's llc_bits is set and against beta elsewhere;
+    then inflation by tau wherever A still keeps a slot (its lc_bits).
+
+    x has degree sum(lc_bits(B)) + 1; the result has degree
+    sum(lc_bits(A)) + 1.
     """
     if not setcomp_refines(A, B):
         raise ValueError("A must refine B")
     lca, llca, bca = lc_bits(A), llc_bits(A), bc_bits(A)
-    lcb = lc_bits(B)
-    if x.degree != _popcount(lcb) + 1:
-        raise ValueError("element degree does not match B")
-    pair_a = basis.pairings(alpha)
-    pair_b = basis.pairings(beta)
-    out = TensorElement(_popcount(lca) + 1)
-    for word, coeff in x.terms.items():
-        it = iter(word)
-        entries = []
-        dead = False
-        for j in range(len(lca)):
-            if not lcb[j]:
-                continue
-            letter = next(it)
-            if bca[j]:
-                entries.append(letter)
-                continue
-            coeff = coeff * (pair_a[letter] if llca[j] else pair_b[letter])
-            if not coeff:
-                dead = True
-                break
-            if lca[j]:
-                entries.append(tau.coords)
-        if not dead:
-            out.add_scaled(expand_letters(entries, coeff))
-    return out
+    kept = [j for j, b in enumerate(lc_bits(B)) if b]
+    pair_a, pair_b = basis.pairings(alpha), basis.pairings(beta)
+    small = _pair_away([bca[j] for j in kept], x,
+                       [pair_a if llca[j] else pair_b for j in kept])
+    return _extend([c for a, c in zip(lca, bca) if a], small, tau.coords)

@@ -51,12 +51,8 @@ def tau_iota_element(basis, tau, iota, mu):
     tau_iota_element(b, t, i, mu) == tau_iota_element(b, i, t, conjugate(mu)).
     """
     mu = _check_composition(mu)
-    n = sum(mu)
-    if n == 0:
-        return TensorElement(0, {(): 1})
-    bits = boundary_bits(mu)
-    entries = [iota.coords if b else tau.coords for b in bits]
-    return TensorElement(n, expand_letters(entries, 1))
+    entries = [iota.coords if b else tau.coords for b in boundary_bits(mu)]
+    return TensorElement(sum(mu), expand_letters(entries, 1))
 
 
 def shuffle_dual_complement(ctx):
@@ -118,13 +114,14 @@ def nsym_element(ctx, kind, mu):
 
 # -- expansion in a family ---------------------------------------------------
 
-def _coordinates(ctx, kind, degree):
+def _coordinates(ctx, kind, degree, letters=None):
     """Each basis letter's (inside, boundary) coordinates, its pairings
-    with the dual pair of the family's letters.  Degree 0 needs no family,
-    and degree-1 words have no letters, so they need only the gates."""
+    with the dual pair of the family's letters (derived here unless
+    given).  Degree 0 needs no family, and degree-1 words have no letters,
+    so they need only the gates."""
     if degree == 0:
         return ()
-    inside, boundary = _letters(ctx, kind)
+    inside, boundary = letters or _letters(ctx, kind)
     if degree == 1:
         return ()
     duals = dual_pair(inside, boundary)
@@ -154,7 +151,10 @@ def expand_in_kind(ctx, kind, x):
 def expand_square_in_kind(ctx, kind, sq):
     """Coefficients of a tensor-square element in family ⊗ family."""
     top = max((max(ld, rd) for (ld, _), (rd, _) in sq.terms), default=0)
-    coords = _coordinates(ctx, kind, top)
+    return _square_in_kind(_coordinates(ctx, kind, top), sq)
+
+
+def _square_in_kind(coords, sq):
     out = {}
     for ((ld, lw), (rd, rw)), c in sq.terms.items():
         rights = _in_kind(coords, rd, {rw: 1}).items()
@@ -169,14 +169,19 @@ def product_constants(ctx, kind, max_degree):
     keyed by the pair of compositions, each value a sorted tuple of
     (composition, coefficient)."""
     out = {}
+    if max_degree < 2:
+        return out
+    letters = _letters(ctx, kind)
+    coords = _coordinates(ctx, kind, 2, letters)
     for total in range(2, max_degree + 1):
         for a in range(1, total):
             for mu in compositions(a):
-                xa = nsym_element(ctx, kind, mu)
+                xa = tau_iota_element(ctx.basis, *letters, mu)
                 for nu in compositions(total - a):
-                    prod = ctx.product(xa, nsym_element(ctx, kind, nu))
+                    prod = ctx.product(
+                        xa, tau_iota_element(ctx.basis, *letters, nu))
                     out[(mu, nu)] = tuple(
-                        sorted(expand_in_kind(ctx, kind, prod).items()))
+                        sorted(_in_kind(coords, total, prod.terms).items()))
     return out
 
 
@@ -185,11 +190,14 @@ def coproduct_constants(ctx, kind, max_degree):
     keyed by composition, each value a sorted tuple of
     ((composition, composition), coefficient)."""
     out = {}
+    if max_degree < 1:
+        return out
+    letters = _letters(ctx, kind)
+    coords = _coordinates(ctx, kind, min(max_degree, 2), letters)
     for n in range(1, max_degree + 1):
         for mu in compositions(n):
-            sq = ctx.coproduct(nsym_element(ctx, kind, mu))
-            out[mu] = tuple(
-                sorted(expand_square_in_kind(ctx, kind, sq).items()))
+            sq = ctx.coproduct(tau_iota_element(ctx.basis, *letters, mu))
+            out[mu] = tuple(sorted(_square_in_kind(coords, sq).items()))
     return out
 
 
@@ -202,14 +210,12 @@ def verify_nsym_rules(ctx, max_degree):
     Returns {"checked", "passed", "first_failure"}.
     """
     report = _report()
-
-    h = {}
-    r = {}
-    for n in range(1, max_degree + 1):
+    h_letters, r_letters = _letters(ctx, "h_basis"), _letters(ctx, "ribbon")
+    h, r = {}, {}
+    for n in range(max_degree + 1):
         for mu in compositions(n):
-            h[mu] = nsym_element(ctx, "h_basis", mu)
-            r[mu] = nsym_element(ctx, "ribbon", mu)
-    h[()] = TensorElement(0, {(): 1})
+            h[mu] = tau_iota_element(ctx.basis, *h_letters, mu)
+            r[mu] = tau_iota_element(ctx.basis, *r_letters, mu)
 
     # products: concatenation for h, concatenation + smash for ribbons
     for total in range(2, max_degree + 1):
@@ -250,8 +256,7 @@ def verify_nsym_rules(ctx, max_degree):
 
     # independent route to h when iota is the regular character and the
     # dual of alpha is the all-ones character
-    astar, _ = dual_pair(ctx.alpha, ctx.beta)
-    if ctx.iota == ctx.basis.reg and astar == ctx.basis.one:
+    if ctx.iota == ctx.basis.reg and h_letters[0] == ctx.basis.one:
         for n in range(1, max_degree + 1):
             for mu in compositions(n):
                 bits = interior_bits(mu)
@@ -293,10 +298,7 @@ def antipode_corollaries(ctx, max_n):
                     _run(report, ("block_reversal", mu),
                          antipode_closed(ctx, x), sign * y)
     else:
-        try:
-            astar, _ = dual_pair(ctx.alpha, ctx.beta)
-        except DualBasisUndefined as exc:
-            raise InconsistentTag(str(exc)) from exc
+        astar, _ = _letters(ctx, "h_basis")
         report["cases"].append("generator_shift")
         shifted = astar - ctx.iota
         for n in range(1, max_n + 1):
@@ -308,12 +310,12 @@ def antipode_corollaries(ctx, max_n):
             report["cases"].append("h_alternating_sum")
             for n in range(1, max_n + 1):
                 for mu in compositions(n):
-                    x = nsym_element(ctx, "h_basis", mu)
+                    x = tau_iota_element(basis, astar, ctx.iota, mu)
                     want = TensorElement(n)
                     for nu in refinements(tuple(reversed(mu))):
                         sign = -1 if len(nu) % 2 else 1
-                        want.add_scaled(
-                            nsym_element(ctx, "h_basis", nu).terms, sign)
+                        want.add_scaled(tau_iota_element(
+                            basis, astar, ctx.iota, nu).terms, sign)
                     _run(report, ("h_alternating_sum", mu),
                          antipode_closed(ctx, x), want)
     return report

@@ -28,10 +28,20 @@ def fraction_to_str(value):
 
 
 def fraction_from_str(text):
+    if isinstance(text, float):
+        raise ParseError(f"bad rational {text!r}: floats are refused")
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
+
+
+def _array(value, what):
+    """``value`` itself when it is a JSON array: a string would split
+    into its characters."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON array, got {value!r:.40}")
+    return value
 
 
 # -- theory files ---------------------------------------------------------------
@@ -51,9 +61,11 @@ def theory_from_dict(data):
     missing = {"labels", "values", "sizes", "identity_class"} - set(data)
     if missing:
         raise ParseError(f"theory is missing keys: {sorted(missing)}")
-    values = [[fraction_from_str(v) for v in row] for row in data["values"]]
+    values = [[fraction_from_str(v) for v in _array(row, "a values row")]
+              for row in _array(data["values"], "values")]
     try:
-        return CharacterBasis(data["labels"], values, tuple(data["sizes"]),
+        return CharacterBasis(_array(data["labels"], "labels"), values,
+                              tuple(data["sizes"]),
                               data["identity_class"])
     except (TheoryError, TypeError) as exc:
         raise ParseError(f"invalid theory: {exc}") from exc
@@ -86,7 +98,7 @@ def _degree(value):
 def _word(labels, index, degree):
     """Basis indices of a JSON list of labels, checked against the degree."""
     try:
-        word = tuple(index[lab] for lab in labels)
+        word = tuple(index[lab] for lab in _array(labels, "a word"))
     except KeyError as exc:
         raise ParseError(f"unknown basis label {exc.args[0]!r}") from exc
     if len(word) != max(degree - 1, 0):
@@ -155,7 +167,8 @@ def character_to_dict(chi, basis, base=None):
 def character_from_dict(data, ctx):
     if not isinstance(data, dict) or "components" not in data:
         raise ParseError("character must be a JSON object with components")
-    comps = [element_from_dict(c, ctx.basis) for c in data["components"]]
+    comps = [element_from_dict(c, ctx.basis)
+             for c in _array(data["components"], "components")]
     try:
         return LinearCharacter(ctx, comps)
     except TheoryError as exc:
@@ -319,7 +332,10 @@ def parse_expression(text, basis, scalars=None, aliases=None):
         names[k] = v
     for i, lab in enumerate(basis.labels):
         names[lab] = basis.basis_element(i)
-    value = _Parser(_tokenize(text), basis, names).parse()
+    try:
+        value = _Parser(_tokenize(text), basis, names).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if isinstance(value, Fraction):
         raise ParseError(
             f"expression {text!r} is a bare scalar, not a class function")

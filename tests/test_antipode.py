@@ -6,10 +6,12 @@ from fractions import Fraction
 from hopftower.antipode import (_closed_plans, _setcomp_table,
                                 antipode_all_setcomps, antipode_closed,
                                 antipode_oracle, antipode_toggle_free)
+from hopftower.characters import constant_character
 from hopftower.combinatorics import set_compositions, toggle_free
-from hopftower.elements import TensorElement
+from hopftower.elements import TensorElement, basis_words
 from hopftower.hopf import (HopfContext, _split_plans, all_ones_context,
                             induction_context)
+from hopftower.nsym import tau_iota_element
 from hopftower.theory import two_dim
 from test_kernels import (assert_same, reference_antipode_closed,
                           reference_coproduct)
@@ -31,6 +33,24 @@ def test_degree_zero_fixed():
         u = ctx.unit(5)
         for route in ROUTES:
             assert route(ctx, u) == u
+
+
+def test_degree_zero_needs_no_case_of_its_own():
+    """The general paths give the degree-0 results the deleted branches
+    gave: the set-composition sums fix x, a character is its coefficient
+    times x's, the empty composition is the unit, and the only word is
+    the empty one."""
+    for ctx in contexts():
+        x = TensorElement(0, {(): Fraction(-3, 4)})
+        for route in (antipode_all_setcomps, antipode_toggle_free):
+            assert_same(route(ctx, x), x)
+            assert route(ctx, TensorElement(0)) == TensorElement(0)
+        chi = constant_character(ctx, ctx.alpha, 2)
+        assert chi(x) == Fraction(-3, 4) and type(chi(x)) is Fraction
+        assert chi(TensorElement(0)) == 0
+        unit = tau_iota_element(ctx.basis, ctx.alpha, ctx.iota, ())
+        assert_same(unit, ctx.unit())
+        assert list(basis_words(ctx.basis.dim, 0)) == [()]
 
 
 def test_degree_one_negates():

@@ -339,3 +339,68 @@ def test_compute_work_bound_exits_2(capsys):
         code, out, _ = run(capsys, [
             "compute", action, "--x", '{"degree": 60, "terms": []}'])
         assert code == 0 and json.loads(out)["terms"] == []
+
+
+def test_characters_work_bound_exits_2(capsys):
+    # convolution and inversion are bounded as verify is: dim^(n-1) * 2^n
+    for argv in (["--max-degree", "7"],
+                 ["--base", "cyclic4", "--max-degree", "6"],
+                 ["--max-degree", str(10 ** 12)]):
+        code, out, err = run(capsys, [
+            "characters", "invert", "--psi", "one", *argv])
+        assert code == 2 and out == "", argv
+        assert "verify work bound 4096" in err
+
+
+def test_largest_admitted_characters(capsys):
+    for argv, top in ((["invert", *IND, "--psi", "(one+regm1)/3",
+                        "--max-degree", "6"], 6),
+                      (["convolve", "--base", "cyclic4", "--iota", "reg",
+                        "--psi", "(one+sgn+s)/4", "--gamma", "one",
+                        "--max-degree", "5"], 5)):
+        code, out, err = run(capsys, ["characters", *argv])
+        assert code == 0 and err == "", argv
+        assert json.loads(out)["max_degree"] == top
+
+
+def assert_refused(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "", argv
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_deeply_nested_expression_exits_2(capsys):
+    nested = "(" * 400 + "reg" + ")" * 400
+    assert_refused(capsys, ["compute", "antipode", "--iota", nested,
+                            "--x", word_json(1, [])])
+
+
+def test_deeply_nested_element_exits_2(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text("[" * 100000)
+    assert_refused(capsys, ["compute", "antipode", "--x", f"@{path}"])
+
+
+def test_deeply_nested_theory_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "theory.json"
+    path.write_text("[" * 100000)
+    assert_refused(capsys, ["verify", "--suite", "axioms",
+                            "--theory-file", str(path)])
+
+
+def test_json_of_the_wrong_shape_exits_2(tmp_path, capsys):
+    path = tmp_path / "theory.json"
+    for key, value in (("values", 5), ("values", [["1", "1"], 7]),
+                       ("labels", "ab"), ("values", [["1", "1"], "11"]),
+                       ("values", [["1", "1"], [2.0, "-1"]])):
+        data = theory_to_dict(two_dim(3))
+        data[key] = value
+        path.write_text(json.dumps(data))
+        assert_refused(capsys, ["compute", "antipode", "--theory-file",
+                                str(path), "--x", word_json(1, [])])
+    # cyclic4 has a label "s": the string "ss" is not the word [s, s]
+    for term in ({"word": "ss", "coeff": "1"},
+                 {"word": ["s", "s"], "coeff": 1.5}):
+        x = json.dumps({"degree": 3, "terms": [term]})
+        assert_refused(capsys, ["compute", "antipode", "--base", "cyclic4",
+                                "--x", x])

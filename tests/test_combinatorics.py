@@ -187,6 +187,37 @@ def test_toggle_free_matches_definition():
         assert len(listed) == len(set(listed))
 
 
+def reference_toggle_free(n):
+    """The recursive insert-and-undo builder ``toggle_free`` replaced."""
+    if n == 0:
+        yield ()
+        return
+
+    def rec(j, blocks, kj):
+        if j == n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        nxt = j + 1
+        blocks[kj].append(nxt)
+        yield from rec(nxt, blocks, kj)
+        blocks[kj].pop()
+        blocks.insert(kj + 1, [nxt])
+        yield from rec(nxt, blocks, kj + 1)
+        del blocks[kj + 1]
+        blocks.insert(0, [nxt])
+        yield from rec(nxt, blocks, 0)
+        del blocks[0]
+
+    yield from rec(1, [[1]], 0)
+
+
+def test_toggle_free_keeps_the_recursive_order():
+    for n in range(9):
+        assert list(toggle_free(n)) == list(reference_toggle_free(n))
+    with pytest.raises(ValueError):
+        list(toggle_free(-1))
+
+
 def test_toggle_free_counts():
     assert [sum(1 for _ in toggle_free(n)) for n in range(1, 7)] == [
         1, 3, 9, 27, 81, 243]

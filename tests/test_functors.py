@@ -1,17 +1,22 @@
 """Bit-mask inflation/deflation/induction/restriction and the
 set-composition refinement brackets."""
 
+import random
+from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
 
-from hopftower.combinatorics import (block_index, lc_bits,
-                                     set_compositions, setcomp_refines)
-from hopftower.elements import TensorElement, TensorSquare, basis_words
+from hopftower.combinatorics import (bc_bits, block_index, lc_bits, llc_bits,
+                                     set_compositions, setcomp_refinements,
+                                     setcomp_refines)
+from hopftower.elements import (TensorElement, TensorSquare, basis_words,
+                                expand_letters)
 from hopftower.functors import (def_along, dn_bracket, ind_along, inf_along,
                                 inf_bracket, pointwise_twist, res_along)
 from hopftower.hopf import all_ones_context, induction_context
 from hopftower.theory import cyclic4, two_dim
+from test_kernels import assert_same
 
 
 def all_bit_masks(n):
@@ -188,3 +193,80 @@ def test_brackets_compose_along_refinement_chains():
                 two_step = inf_bracket(t, B, C, t.one,
                                        inf_bracket(t, A, B, t.one, x))
                 assert two_step == inf_bracket(t, A, C, t.one, x)
+
+
+# -- the bracket walks the mask functors replaced ---------------------------------
+
+
+def reference_inf_bracket(basis, A, B, iota, x):
+    """The position walk ``inf_bracket`` was before it became an
+    inflation along B's kept positions."""
+    lca, lcb = lc_bits(A), lc_bits(B)
+    out = TensorElement(sum(lcb) + 1)
+    for word, coeff in x.terms.items():
+        it = iter(word)
+        entries = []
+        for a_bit, b_bit in zip(lca, lcb):
+            if a_bit:
+                entries.append(next(it))
+            elif b_bit:
+                entries.append(iota.coords)
+        out.add_scaled(expand_letters(entries, coeff))
+    return out
+
+
+def reference_dn_bracket(basis, A, B, tau, alpha, beta, x):
+    """The position walk ``dn_bracket`` was before it became a deflation
+    followed by an inflation."""
+    lca, llca, bca = lc_bits(A), llc_bits(A), bc_bits(A)
+    lcb = lc_bits(B)
+    pair_a = basis.pairings(alpha)
+    pair_b = basis.pairings(beta)
+    out = TensorElement(sum(lca) + 1)
+    for word, coeff in x.terms.items():
+        it = iter(word)
+        entries = []
+        dead = False
+        for j in range(len(lca)):
+            if not lcb[j]:
+                continue
+            letter = next(it)
+            if bca[j]:
+                entries.append(letter)
+                continue
+            coeff = coeff * (pair_a[letter] if llca[j] else pair_b[letter])
+            if not coeff:
+                dead = True
+                break
+            if lca[j]:
+                entries.append(tau.coords)
+        if not dead:
+            out.add_scaled(expand_letters(entries, coeff))
+    return out
+
+
+def test_brackets_match_the_position_walks():
+    """On every refinement pair A <= B through degree 4, both brackets
+    give the walks' term dicts in the same key order, on dense elements
+    whose coefficients cancel in part."""
+    rng = random.Random(7)
+
+    def dense(dim, degree):
+        return TensorElement(degree, {
+            w: Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 4))
+            for w in basis_words(dim, degree)})
+
+    for ctx in (induction_context(two_dim(3)), induction_context(cyclic4())):
+        t = ctx.basis
+        for n in range(5):
+            for B in set_compositions(n):
+                for A in setcomp_refinements(B):
+                    x = dense(t.dim, sum(lc_bits(A)) + 1)
+                    assert_same(inf_bracket(t, A, B, ctx.iota, x),
+                                reference_inf_bracket(t, A, B, ctx.iota, x))
+                    x = dense(t.dim, sum(lc_bits(B)) + 1)
+                    for tau, alpha, beta in ((ctx.iota, ctx.alpha, ctx.beta),
+                                             (t.one, ctx.beta, ctx.alpha)):
+                        assert_same(
+                            dn_bracket(t, A, B, tau, alpha, beta, x),
+                            reference_dn_bracket(t, A, B, tau, alpha, beta, x))

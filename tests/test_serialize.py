@@ -163,3 +163,42 @@ def test_degrees_must_be_true_integers():
     with pytest.raises(ParseError):
         element_from_dict({"degree": 2, "terms": [{"word": 5,
                                                    "coeff": "1"}]}, basis)
+
+
+def test_json_arrays_are_required():
+    """A string is never split into its characters, and a number where an
+    array belongs is a ParseError, not a TypeError."""
+    basis = cyclic4()  # has the label "s"
+    for key, value in (("labels", "ab"), ("values", 5),
+                       ("values", [["1", "1"], 7]),
+                       ("values", [["1", "1"], "11"])):
+        data = theory_to_dict(two_dim(3))
+        data[key] = value
+        with pytest.raises(ParseError, match="JSON array"):
+            theory_from_dict(data)
+    with pytest.raises(ParseError, match="JSON array"):
+        element_from_dict({"degree": 3, "terms": [{"word": "ss",
+                                                   "coeff": "1"}]}, basis)
+    side = {"degree": 3, "word": "ss"}
+    with pytest.raises(ParseError, match="JSON array"):
+        square_from_dict({"terms": [{"left": side, "right": side,
+                                     "coeff": "1"}]}, basis)
+    ctx = all_ones_context(two_dim(3))
+    for components in (5, "x", {"0": {"degree": 0}}):
+        with pytest.raises(ParseError, match="JSON array"):
+            character_from_dict({"components": components}, ctx)
+
+
+def test_floats_are_refused():
+    with pytest.raises(ParseError, match="float"):
+        fraction_from_str(1.5)
+    with pytest.raises(ParseError, match="float"):
+        element_from_dict({"degree": 2, "terms": [{"word": ["one"],
+                                                   "coeff": 1.0}]},
+                          two_dim(3))
+    data = theory_to_dict(two_dim(3))
+    data["values"][1] = [2.0, "-1"]
+    with pytest.raises(ParseError, match="float"):
+        theory_from_dict(data)
+    # JSON integers are exact and stay accepted
+    assert fraction_from_str(3) == 3
