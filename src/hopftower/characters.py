@@ -10,9 +10,10 @@ against each other on every call.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .combinatorics import compositions, partial_sums
+from .combinatorics import compositions
 from .elements import TensorElement, expand_letters
 from .functors import def_along, pointwise_twist
 from .theory import TheoryError
@@ -62,24 +63,23 @@ class LinearCharacter:
     def max_degree(self):
         return len(self.components) - 1
 
+    def _at(self, degree, word):
+        """The value on one basis word: the component's coefficient times
+        the Gram factors of the word's letters, 0 when the word is absent."""
+        c = self.components[degree].terms.get(word)
+        if not c:
+            return 0
+        gram = self.ctx.basis.gram
+        return c * math.prod(gram[letter] for letter in word)
+
     def __call__(self, x):
-        """Evaluate on an element: sum over words of coefficient
-        products weighted by the Gram factors of the letters."""
+        """Evaluate on an element, word by word."""
         n = x.degree
         if n > self.max_degree:
             raise TheoryError("character only defined up to degree %d"
                               % self.max_degree)
-        comp = self.components[n]
-        gram = self.ctx.basis.gram
-        total = Fraction(0)
-        for word, c in x.terms.items():
-            cc = comp.coefficient(word)
-            if cc:
-                weight = Fraction(1)
-                for letter in word:
-                    weight *= gram[letter]
-                total += c * cc * weight
-        return total
+        return sum((c * self._at(n, word) for word, c in x.terms.items()),
+                   Fraction(0))
 
     def __eq__(self, other):
         return (isinstance(other, LinearCharacter)
@@ -156,23 +156,18 @@ def _require_morphisms(*chis):
                 "not multiplicative at degree %d, split %d" % bad[:2])
 
 
-def _definitional_convolve(psi, gamma, x):
-    """(psi * gamma)(x) via the coproduct — the defining composite."""
-    ctx = psi.ctx
-    total = Fraction(0)
-    for ((ld, lw), (rd, rw)), c in ctx.coproduct(x).terms.items():
-        total += (c * psi(TensorElement(ld, {lw: 1}))
-                  * gamma(TensorElement(rd, {rw: 1})))
-    return total
-
-
 def _check_definition(psi, gamma, want):
-    """Raise unless the definitional (psi * gamma)(x) equals want(x) on
-    every basis word x of positive degree up to want's max degree."""
+    """Raise unless the definitional composite (psi * gamma)(x), summed
+    over the coproduct of x, equals want(x) on every basis word x of
+    positive degree up to want's max degree."""
+    ctx = psi.ctx
     for n in range(1, want.max_degree + 1):
-        for word in psi.ctx.basis_words(n):
-            x = TensorElement(n, {word: 1})
-            closed, defined = want(x), _definitional_convolve(psi, gamma, x)
+        for word in ctx.basis_words(n):
+            closed = want._at(n, word)
+            defined = sum(
+                c * psi._at(ld, lw) * gamma._at(rd, rw)
+                for ((ld, lw), (rd, rw)), c
+                in ctx.coproduct(TensorElement(n, {word: 1})).terms.items())
             if closed != defined:
                 raise TheoryError(
                     "closed formula disagrees with the definition at "
@@ -199,32 +194,25 @@ def convolve(psi, gamma):
     return out
 
 
-def _interleave(chi_a, chi_b, mark_a, mark_b, mu, n):
-    """Sum the word templates for one composition mu: blocks taken
-    alternately chi_a, chi_b, chi_a, ..., with the finishing
-    character's marker inserted after every block except the last.
-    Returns the degree-n element they sum to."""
-    bounds = (0,) + partial_sums(mu) + (n,)
-    ell = len(mu)
-    acc = [([], Fraction(1))]
-    for b in range(1, ell + 1):
-        use_a = b % 2 == 1
-        chi = chi_a if use_a else chi_b
-        mark = mark_a if use_a else mark_b
-        block = chi.components[bounds[b] - bounds[b - 1]].terms
-        nxt = []
-        for prefix, scal in acc:
-            for word, c in block.items():
-                row = prefix + list(word)
-                if b != ell:
-                    row = row + [mark]
-                nxt.append((row, scal * c))
-        acc = nxt
-    out = TensorElement(n)
-    for entries, scal in acc:
-        if scal:
-            out.add_scaled(expand_letters(entries, scal))
-    return out
+def _interleave(chi_a, chi_b, mark_a, mark_b, mu):
+    """The words of one composition mu, as a word -> coefficient dict.
+
+    Blocks are taken alternately from chi_a, chi_b, chi_a, ...; before
+    each block after the first, the previous block's marker is spliced
+    in, one branch per nonzero coordinate.  All words of the fold share
+    one length, so no two branches meet and nothing needs accumulating.
+    """
+    acc = {(): Fraction(1)}
+    mark = None
+    for b, part in enumerate(mu):
+        if mark is not None:
+            acc = {w + (i,): c * ci for w, c in acc.items()
+                   for i, ci in enumerate(mark) if ci}
+        chi, mark = (chi_a, mark_a) if b % 2 == 0 else (chi_b, mark_b)
+        block = chi.components[part].terms
+        acc = {w + bw: c * bc for w, c in acc.items()
+               for bw, bc in block.items()}
+    return acc
 
 
 def _convolve_component(psi, gamma, n):
@@ -233,8 +221,8 @@ def _convolve_component(psi, gamma, n):
     alpha = tuple(ctx.alpha.coords)
     beta = tuple(ctx.beta.coords)
     for mu in compositions(n):
-        out += _interleave(psi, gamma, alpha, beta, mu, n)
-        out += _interleave(gamma, psi, beta, alpha, mu, n)
+        out.add_scaled(_interleave(psi, gamma, alpha, beta, mu))
+        out.add_scaled(_interleave(gamma, psi, beta, alpha, mu))
     return out
 
 
@@ -249,9 +237,8 @@ def inverse(psi):
     for n in range(1, psi.max_degree + 1):
         comp = TensorElement(n)
         for mu in compositions(n):
-            sign = -1 if len(mu) % 2 else 1
-            comp.add_scaled(_interleave(psi, psi, mark, mark, mu, n).terms,
-                            sign)
+            comp.add_scaled(_interleave(psi, psi, mark, mark, mu),
+                            -1 if len(mu) % 2 else 1)
         comps.append(comp)
     out = LinearCharacter(ctx, comps)
     _check_definition(psi, out, counit_character(ctx, psi.max_degree))
@@ -274,12 +261,6 @@ def looks_module_supported(chi):
     """Heuristic nonnegativity screen: every word coefficient times the
     Gram weights of its letters is a nonnegative integer.  Necessary
     (not sufficient) for the functional to count module dimensions."""
-    gram = chi.ctx.basis.gram
-    for comp in chi.components:
-        for word, c in comp.terms.items():
-            weight = c
-            for letter in word:
-                weight *= gram[letter]
-            if weight < 0 or Fraction(weight).denominator != 1:
-                return False
-    return True
+    return all(v >= 0 and Fraction(v).denominator == 1
+               for n, comp in enumerate(chi.components)
+               for v in (chi._at(n, word) for word in comp.terms))

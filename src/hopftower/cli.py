@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .antipode import ROUTES, antipode_closed
@@ -320,7 +321,13 @@ def _emit(payload, args):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (say, `| head`); point stdout at
+            # devnull so that the interpreter's final flush is silent too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv=None):

@@ -63,9 +63,12 @@ def theory_from_dict(data):
         raise ParseError(f"theory is missing keys: {sorted(missing)}")
     values = [[fraction_from_str(v) for v in _array(row, "a values row")]
               for row in _array(data["values"], "values")]
+    labels = _array(data["labels"], "labels")
+    for lab in labels:
+        if not isinstance(lab, str):
+            raise ParseError(f"labels must be JSON strings, got {lab!r:.40}")
     try:
-        return CharacterBasis(_array(data["labels"], "labels"), values,
-                              tuple(data["sizes"]),
+        return CharacterBasis(labels, values, tuple(data["sizes"]),
                               data["identity_class"])
     except (TheoryError, TypeError) as exc:
         raise ParseError(f"invalid theory: {exc}") from exc
@@ -114,7 +117,7 @@ def element_from_dict(data, basis):
     index = _label_indices(basis)
     out = TensorElement(degree)
     try:
-        for term in data.get("terms", ()):
+        for term in _array(data.get("terms", []), "terms"):
             out.add_term(_word(term["word"], index, degree),
                          fraction_from_str(term["coeff"]))
     except (KeyError, TypeError) as exc:
@@ -146,7 +149,7 @@ def square_from_dict(data, basis):
         return degree, _word(obj["word"], index, degree)
 
     try:
-        for term in data.get("terms", ()):
+        for term in _array(data.get("terms", []), "terms"):
             out.add_term((side(term["left"]), side(term["right"])),
                          fraction_from_str(term["coeff"]))
     except (KeyError, TypeError) as exc:

@@ -188,7 +188,7 @@ def verify_antipode_equivalence(ctx, max_degree):
     return rep
 
 
-def verify_characters(ctx, max_degree, odd_degree=None):
+def verify_characters(ctx, max_degree):
     """Group laws for linear characters built from the context's own
     pairing elements: multiplicativity, convolution identity and
     associativity, two-sided inverses, and a non-multiplicative negative

@@ -1,18 +1,24 @@
 """Linear characters: morphism checking, convolution group law, inverses,
-oddness, and the nonnegativity screen."""
+oddness, and the nonnegativity screen.
+
+``reference_interleave`` and ``reference_evaluate`` are the template-list
+block builder and the Gram-weight loop that the word fold and the one-word
+lookup replaced; the tests at the end hold the new code to them.
+"""
 
 from fractions import Fraction
 
 import pytest
 
 from hopftower.characters import (ContextMismatch, LinearCharacter,
-                                  NotAMorphism, check_morphism,
+                                  NotAMorphism, _interleave, check_morphism,
                                   constant_character, convolve,
                                   counit_character, inverse, is_odd,
                                   looks_module_supported)
-from hopftower.elements import TensorElement
+from hopftower.combinatorics import compositions, partial_sums
+from hopftower.elements import TensorElement, expand_letters
 from hopftower.hopf import all_ones_context, induction_context
-from hopftower.theory import TheoryError, two_dim
+from hopftower.theory import TheoryError, cyclic4, two_dim
 
 
 def ones_ctx(q=3):
@@ -140,3 +146,81 @@ def test_character_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != counit_character(ones_ctx(), 3)
+
+
+def reference_interleave(chi_a, chi_b, mark_a, mark_b, mu, n):
+    """Rows of block words, each block but the last followed by its own
+    character's marker template, expanded by ``expand_letters``."""
+    bounds = (0,) + partial_sums(mu) + (n,)
+    ell = len(mu)
+    acc = [([], Fraction(1))]
+    for b in range(1, ell + 1):
+        use_a = b % 2 == 1
+        chi = chi_a if use_a else chi_b
+        mark = mark_a if use_a else mark_b
+        block = chi.components[bounds[b] - bounds[b - 1]].terms
+        nxt = []
+        for prefix, scal in acc:
+            for word, c in block.items():
+                row = prefix + list(word)
+                if b != ell:
+                    row = row + [mark]
+                nxt.append((row, scal * c))
+        acc = nxt
+    out = TensorElement(n)
+    for entries, scal in acc:
+        if scal:
+            out.add_scaled(expand_letters(entries, scal))
+    return out.terms
+
+
+def reference_evaluate(chi, x):
+    comp = chi.components[x.degree]
+    gram = chi.ctx.basis.gram
+    total = Fraction(0)
+    for word, c in x.terms.items():
+        cc = comp.coefficient(word)
+        if cc:
+            weight = Fraction(1)
+            for letter in word:
+                weight *= gram[letter]
+            total += c * cc * weight
+    return total
+
+
+def non_constant_characters(ctx, top):
+    a = constant_character(ctx, ctx.alpha, top)
+    b = constant_character(ctx, ctx.beta, top)
+    half = constant_character(ctx, (ctx.alpha + ctx.beta) / 2, top)
+    return convolve(a, b), inverse(half)
+
+
+def test_interleave_matches_the_template_lists():
+    """Compared as raw dicts: swapping which marker follows which block
+    leaves convolve and inverse unchanged on multiplicative characters,
+    so only _interleave itself shows it."""
+    for ctx in (ind_ctx(), induction_context(cyclic4())):
+        alpha, beta = tuple(ctx.alpha.coords), tuple(ctx.beta.coords)
+        assert alpha != beta
+        p, g = non_constant_characters(ctx, 4)
+        for n in range(1, 5):
+            for mu in compositions(n):
+                for chi_a, chi_b in ((p, g), (g, p), (p, p)):
+                    for mark_a, mark_b in ((alpha, beta), (beta, alpha)):
+                        got = _interleave(chi_a, chi_b, mark_a, mark_b, mu)
+                        assert got == reference_interleave(
+                            chi_a, chi_b, mark_a, mark_b, mu, n), mu
+
+
+def test_evaluation_matches_the_gram_loop():
+    for ctx in (ones_ctx(), ind_ctx(), induction_context(cyclic4())):
+        chars = (constant_character(ctx, ctx.basis.reg, 4),
+                 *non_constant_characters(ctx, 4))
+        for chi in chars:
+            for n in range(5):
+                words = list(ctx.basis_words(n))
+                for w in words:
+                    x = TensorElement(n, {w: 1})
+                    assert chi(x) == reference_evaluate(chi, x)
+                mixed = TensorElement(n, {w: i - 2 for i, w in enumerate(words)})
+                assert chi(mixed) == reference_evaluate(chi, mixed)

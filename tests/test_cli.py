@@ -1,8 +1,11 @@
 """End-to-end command-line tests driven through main()."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from hopftower.cli import main
@@ -10,7 +13,8 @@ from hopftower.serialize import theory_to_dict
 from hopftower.theory import two_dim
 
 IND = ["--q", "3", "--iota", "reg", "--alpha", "one", "--beta", "beta_star"]
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run(capsys, argv):
@@ -276,6 +280,8 @@ def test_negative_max_degree_exits_2(capsys):
 def test_malformed_element_exits_2(capsys):
     for x in ('{"degree": true, "terms": []}',
               '{"degree": 2, "terms": 5}',
+              '{"degree": 2, "terms": {}}',
+              '{"degree": 2, "terms": ""}',
               '{"degree": 2, "terms": [{"word": [["one"]], "coeff": "1"}]}'):
         code, out, err = run(capsys, ["compute", "antipode", "--x", x])
         assert code == 2 and out == "", x
@@ -284,7 +290,7 @@ def test_malformed_element_exits_2(capsys):
 
 def test_ambiguous_theory_labels_exit_2(tmp_path, capsys):
     path = tmp_path / "theory.json"
-    for labels in (["one", "one"], ["one", "reg"]):
+    for labels in (["one", "one"], ["one", "reg"], [1, "regm1"]):
         data = theory_to_dict(two_dim(3))
         data["labels"] = labels
         path.write_text(json.dumps(data))
@@ -404,3 +410,18 @@ def test_json_of_the_wrong_shape_exits_2(tmp_path, capsys):
         x = json.dumps({"degree": 3, "terms": [term]})
         assert_refused(capsys, ["compute", "antipode", "--base", "cyclic4",
                                 "--x", x])
+
+
+def test_reader_closing_early_is_not_an_error():
+    """``hopftower enumerate compositions --n 16 | head -1``: the request
+    writes about 2.2 MB, far more than a pipe holds, and its reader stops
+    after the first line."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hopftower.cli", "enumerate", "compositions",
+         "--n", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")

@@ -14,7 +14,7 @@ from hopftower.elements import (TensorElement, TensorSquare, basis_words,
                                 expand_letters)
 from hopftower.functors import (def_along, dn_bracket, ind_along, inf_along,
                                 inf_bracket, pointwise_twist, res_along)
-from hopftower.hopf import all_ones_context, induction_context
+from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.theory import cyclic4, two_dim
 from test_kernels import assert_same
 
@@ -146,11 +146,19 @@ def test_inf_bracket_identity_refinement():
 
 def test_dn_bracket_two_blocks_matches_coproduct():
     """Splitting the full block in two reproduces the coproduct term of
-    the corresponding subset, after unshuffling sides."""
-    for ctx in (all_ones_context(two_dim(3)), induction_context(two_dim(3))):
+    the corresponding subset, after unshuffling sides.
+
+    Over two_dim(3) the degree-3 coproduct is the same with alpha and beta
+    swapped, so only cyclic4 (6 of its 9 words change) pins which of the
+    two pairs away at each slot."""
+    for ctx, swap_changes in ((all_ones_context(two_dim(3)), 0),
+                              (induction_context(two_dim(3)), 0),
+                              (induction_context(cyclic4()), 6)):
         t = ctx.basis
         n = 3
         B = (tuple(range(1, n + 1)),)
+        swapped = HopfContext(t, ctx.iota, ctx.beta, ctx.alpha)
+        changed = 0
         for w in basis_words(t.dim, n):
             x = TensorElement(n, {w: 1})
             expected = TensorSquare.tensor(x, ctx.unit()) + TensorSquare.tensor(
@@ -169,6 +177,8 @@ def test_dn_bracket_two_blocks_matches_coproduct():
                     expected.add_term(
                         ((len(left), lw), (len(right), rw)), coeff)
             assert expected == ctx.coproduct(x)
+            changed += swapped.coproduct(x) != expected
+        assert changed == swap_changes
 
 
 def test_dn_bracket_validates():

@@ -202,3 +202,24 @@ def test_floats_are_refused():
         theory_from_dict(data)
     # JSON integers are exact and stay accepted
     assert fraction_from_str(3) == 3
+
+
+def test_labels_must_be_strings():
+    data = theory_to_dict(two_dim(3))
+    data["labels"] = [1, "regm1"]
+    with pytest.raises(ParseError, match="JSON strings"):
+        theory_from_dict(data)
+
+
+def test_terms_must_be_an_array():
+    """An object or a string where the term list belongs is refused, not
+    read as the zero element; a missing term list is still zero."""
+    basis = two_dim(3)
+    for terms in ({}, "", 5, None):
+        with pytest.raises(ParseError, match="JSON array"):
+            element_from_dict({"degree": 2, "terms": terms}, basis)
+        with pytest.raises(ParseError, match="JSON array"):
+            square_from_dict({"terms": terms}, basis)
+    assert element_from_dict({"degree": 2}, basis) == TensorElement(2)
+    assert square_from_dict({}, basis) == square_from_dict({"terms": []},
+                                                           basis)
