@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .combinatorics import (bc_bits, compositions, llc_bits, partial_sums,
                             set_compositions, straighten, toggle_free)
-from .elements import TensorElement, _accumulate, expand_letters
+from .elements import TensorElement, _accumulate, _over_lcm, expand_letters
 from .hopf import _expand_int
 
 
@@ -42,10 +42,9 @@ def antipode_closed(ctx, x):
     if not x.terms:
         return out
     iota, beta, diff = ctx._iota_num, ctx._beta_num, ctx._diff_num
-    common = lcm(*(c.denominator for c in x.terms.values()))
+    common, nums = _over_lcm(x.terms)
     acc = {}
-    for word, coeff in x.terms.items():
-        num = coeff.numerator * (common // coeff.denominator)
+    for word, num in nums.items():
         for sign, cuts, template in _closed_plans(n):
             scalar = sign * num
             for j in cuts:
@@ -145,9 +144,8 @@ def antipode_oracle(ctx, x):
         return out
     if not x.terms:
         return out
-    common = lcm(*(c.denominator for c in x.terms.values()))
-    parts = [(coeff.numerator * (common // coeff.denominator),
-              *_oracle_word(ctx, n, word)) for word, coeff in x.terms.items()]
+    common, nums = _over_lcm(x.terms)
+    parts = [(num, *_oracle_word(ctx, n, word)) for word, num in nums.items()]
     den = ctx._den
     top = max(e for _, e, _ in parts)
     acc = {}

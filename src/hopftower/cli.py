@@ -52,7 +52,8 @@ def build_parser():
     common.add_argument("--max-degree", type=int, default=4)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--seed", type=int,
-                        help="enable randomized spot checks with this seed")
+                        help="verify --suite axioms or all: add seeded "
+                             "spot checks")
     common.add_argument("--out", help="write output to this file")
 
     parser = argparse.ArgumentParser(
@@ -216,6 +217,8 @@ def _has_failure(report):
 
 def _cmd_verify(args, basis, tag):
     n = args.max_degree
+    if args.seed is not None and args.suite not in ("axioms", "all"):
+        raise ParseError(f"--seed: suite {args.suite!r} samples nothing")
     _check_verify_work(basis.dim, n)
     ctx = _build_context(args, basis)
     spots = 8 if args.seed is not None else 0
@@ -228,7 +231,7 @@ def _cmd_verify(args, basis, tag):
     elif args.suite == "characters":
         report = verify_characters(ctx, n)
     else:
-        report = verify_all(ctx, n)
+        report = verify_all(ctx, n, seed=args.seed, spot_checks=spots)
     return (1 if _has_failure(report) else 0), report
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _cartesian
+from math import lcm
 
 
 def _accumulate(terms, key, coeff):
@@ -19,6 +20,14 @@ def _accumulate(terms, key, coeff):
         terms[key] = new
     else:
         terms.pop(key, None)
+
+
+def _over_lcm(terms):
+    """``terms`` (key -> rational) over one denominator: (L, key -> int
+    numerator), L the lcm of the coefficients' denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator)
+                 for k, c in terms.items()}
 
 
 class _Sparse:

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .elements import (TensorElement, TensorSquare, _accumulate, basis_words,
-                       expand_letters)
+from .elements import (TensorElement, TensorSquare, _accumulate, _over_lcm,
+                       basis_words, expand_letters)
 
 
 class PairingNotOne(ValueError):
@@ -116,25 +116,17 @@ class HopfContext:
 
     # -- product -------------------------------------------------------------
 
-    def _splice(self, du, u, dv, v):
-        """Basis words u, v of degrees du, dv multiplied, as (word, coeff)
-        pairs: iota spliced in between, or one alone if the other is 1."""
-        if not du:
-            return ((v, 1),)
-        if not dv:
-            return ((u, 1),)
-        return [(u + (i,) + v, c) for i, c in enumerate(self.iota_coords) if c]
-
     def product(self, x, y):
         """Insert iota between the words of x and y, bilinearly."""
         dx, dy = x.degree, y.degree
+        iota = [(i, c) for i, c in enumerate(self.iota_coords) if c]
         # every word of x (of y) has the same length, so each splice gives
         # its own word and nothing needs accumulating
         out = {}
         for u, cu in x.terms.items():
             for v, cv in y.terms.items():
                 c = cu * cv
-                for w, cw in self._splice(dx, u, dy, v):
+                for w, cw in _splice(dx, u, dy, v, iota, 1):
                     out[w] = c * cw
         result = TensorElement(dx + dy)
         result.terms = out
@@ -171,10 +163,9 @@ class HopfContext:
         iota, den, plans = self._iota_num, self._den, _split_plans(n)
         tables = (self._beta_num, self._alpha_num)
         scales = [den ** k for k in range(2 * n - 1)]
-        common = lcm(*(c.denominator for c in x.terms.values()))
+        common, nums = _over_lcm(x.terms)
         acc = {}
-        for word, coeff in x.terms.items():
-            num = coeff.numerator * (common // coeff.denominator)
+        for word, num in nums.items():
             for left_n, right_n, crossings, power, left, right in plans:
                 scalar = num * scales[power]
                 for j, flag in crossings:
@@ -197,15 +188,23 @@ class HopfContext:
 
     def square_product(self, s, t):
         """Componentwise product of two tensor-square elements."""
-        out = TensorSquare()
-        for ((lda, lwa), (rda, rwa)), ca in s.terms.items():
-            for ((ldb, lwb), (rdb, rwb)), cb in t.terms.items():
+        # s and t each over their own lcm, a splice over D (a unit factor
+        # padded by D): every term is over ds * dt * D^2
+        ds, s = _over_lcm(s.terms)
+        dt, t = _over_lcm(t.terms)
+        iota, den = self._iota_num, self._den
+        acc = {}
+        for ((lda, lwa), (rda, rwa)), ca in s.items():
+            for ((ldb, lwb), (rdb, rwb)), cb in t.items():
                 c = ca * cb
-                rights = self._splice(rda, rwa, rdb, rwb)
-                for lw, lc in self._splice(lda, lwa, ldb, lwb):
+                rights = _splice(rda, rwa, rdb, rwb, iota, den)
+                for lw, lc in _splice(lda, lwa, ldb, lwb, iota, den):
                     for rw, rc in rights:
-                        _accumulate(out.terms, ((lda + ldb, lw),
-                                                (rda + rdb, rw)), c * lc * rc)
+                        _accumulate(acc, ((lda + ldb, lw), (rda + rdb, rw)),
+                                    c * lc * rc)
+        out = TensorSquare()
+        den = ds * dt * den ** 2
+        out.terms = {key: Fraction(v, den) for key, v in acc.items()}
         return out
 
     def is_primitive(self, x):
@@ -294,6 +293,17 @@ def _split_plans(n):
         plans.append((left_n, n - left_n, tuple(crossings), power,
                       tuple(left), tuple(right)))
     return tuple(plans)
+
+
+def _splice(du, u, dv, v, iota, one):
+    """Basis words u, v of degrees du, dv multiplied, as (word, coeff)
+    pairs: each (letter, coeff) of ``iota`` spliced in between, or one
+    word alone with coeff ``one`` if the other is the unit."""
+    if not du:
+        return ((v, one),)
+    if not dv:
+        return ((u, one),)
+    return [(u + (i,) + v, c) for i, c in iota]
 
 
 def _numerators(values, den):

@@ -5,19 +5,27 @@ bound, compares two independently computed sides of an identity, and
 returns a report dict with the number of comparisons made, the number
 that agreed, and a description of the first failure (or None).  Nothing
 is sampled unless a seed is passed explicitly; the default runs are
-exhaustive and deterministic.
+exhaustive and deterministic, and spot checks without a seed are refused.
+
+``verify_axioms`` sums coassociativity and both antipode convolutions on
+int numerators over one denominator per word, from Δ and S of each basis
+word computed once by the public ``coproduct`` and ``antipode_closed``;
+a failure is reported with ``Fraction`` values as before.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 from .antipode import ROUTES, antipode_closed
 from .characters import (check_morphism, constant_character,
                          convolve, counit_character, inverse)
 from .combinatorics import toggle_free
-from .elements import TensorElement
+from .elements import TensorElement, _accumulate, _over_lcm
+from .hopf import _splice
 
 
 def _report(**extra):
@@ -25,11 +33,15 @@ def _report(**extra):
     return {"checked": 0, "passed": 0, "first_failure": None, **extra}
 
 
-def _run(report, name, lhs, rhs):
+def _run(report, name, lhs, rhs, shown=None):
+    """One comparison; on the first failure ``shown``, if given, turns
+    each side into the value the report holds."""
     report["checked"] += 1
     if lhs == rhs:
         report["passed"] += 1
     elif report["first_failure"] is None:
+        if shown:
+            lhs, rhs = shown(lhs), shown(rhs)
         report["first_failure"] = {"inputs": name, "lhs": lhs, "rhs": rhs}
 
 
@@ -39,16 +51,9 @@ def _word_elements(ctx, degree):
 
 
 def _word_memo(f):
-    """``f`` of a basis word, given as (degree, word), computed once per
+    """``f`` of the basis word given as (degree, word), computed once per
     returned function."""
-    memo = {}
-
-    def on_word(degree, word):
-        key = (degree, word)
-        if key not in memo:
-            memo[key] = f(TensorElement(degree, {word: 1}))
-        return memo[key]
-    return on_word
+    return cache(lambda degree, word: f(TensorElement(degree, {word: 1})))
 
 
 def _compat_pairs(ctx, max_degree, delta=None):
@@ -72,10 +77,16 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
     """Unit, counit, associativity, coassociativity, product/coproduct
     compatibility, and both antipode convolution identities, exhaustively
     on basis words up to total degree max_degree."""
+    if spot_checks and seed is None:
+        raise ValueError("spot checks sample: pass a seed")
     rep = _report()
     unit = ctx.unit()
+    iota, iota_den = ctx._iota_num, ctx._den
+    # the memos of Δ and S also as (L, key -> int numerator over L)
     delta = _word_memo(ctx.coproduct)
-    antipode = _word_memo(lambda x: antipode_closed(ctx, x))
+    delta_num = cache(lambda d, w: _over_lcm(delta(d, w).terms))
+    antipode_num = _word_memo(
+        lambda x: _over_lcm(antipode_closed(ctx, x).terms))
 
     for n in range(max_degree + 1):
         for w, x in _word_elements(ctx, n):
@@ -93,30 +104,53 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
             _run(rep, ("left_counit", n, w), left_strip, x)
             _run(rep, ("right_counit", n, w), right_strip, x)
 
+            # c·c2 on each side, over the lcm of Δ(w) times one pad for
+            # the word (the lcm of the lcms of the factors' Δ)
+            cop_den, cop_num = delta_num(n, w)
+            pad = lcm(*(delta_num(*side)[0]
+                        for key in cop_num for side in key))
             triple_a = {}
             triple_b = {}
-            for ((ld, lw), (rd, rw)), c in cop.terms.items():
-                for ((l2, w2), (r2, w3)), c2 in delta(ld, lw).terms.items():
-                    key = ((l2, w2), (r2, w3), (rd, rw))
-                    triple_a[key] = triple_a.get(key, 0) + c * c2
-                for ((l2, w2), (r2, w3)), c2 in delta(rd, rw).terms.items():
-                    key = ((ld, lw), (l2, w2), (r2, w3))
-                    triple_b[key] = triple_b.get(key, 0) + c * c2
+            for (left, right), c in cop_num.items():
+                sub_den, sub = delta_num(*left)
+                c_pad = c * (pad // sub_den)
+                for (l2, r2), c2 in sub.items():
+                    key = (l2, r2, right)
+                    triple_a[key] = triple_a.get(key, 0) + c_pad * c2
+                sub_den, sub = delta_num(*right)
+                c_pad = c * (pad // sub_den)
+                for (l2, r2), c2 in sub.items():
+                    key = (left, l2, r2)
+                    triple_b[key] = triple_b.get(key, 0) + c_pad * c2
+            den = cop_den * pad
             _run(rep, ("coassociativity", n, w),
                  {k: v for k, v in triple_a.items() if v},
-                 {k: v for k, v in triple_b.items() if v})
+                 {k: v for k, v in triple_b.items() if v},
+                 lambda t: {k: Fraction(v, den) for k, v in t.items()})
 
             if n >= 1:
-                left_conv = TensorElement(n)
-                right_conv = TensorElement(n)
-                for ((ld, lw), (rd, rw)), c in cop.terms.items():
-                    left_conv.add_scaled(ctx.product(
-                        antipode(ld, lw), TensorElement(rd, {rw: 1})).terms, c)
-                    right_conv.add_scaled(ctx.product(
-                        TensorElement(ld, {lw: 1}), antipode(rd, rw)).terms, c)
-                zero = TensorElement(n)
-                _run(rep, ("antipode_left", n, w), left_conv, zero)
-                _run(rep, ("antipode_right", n, w), right_conv, zero)
+                # c·S(left)·right and c·left·S(right), over the lcm of
+                # Δ(w), one pad for the word and the splice's D
+                pad = lcm(*(antipode_num(*side)[0]
+                            for key in cop_num for side in key))
+                left_conv = {}
+                right_conv = {}
+                for ((ld, lw), (rd, rw)), c in cop_num.items():
+                    s_den, s = antipode_num(ld, lw)
+                    c_pad = c * (pad // s_den)
+                    for u, v in s.items():
+                        for word, cw in _splice(ld, u, rd, rw, iota, iota_den):
+                            _accumulate(left_conv, word, c_pad * v * cw)
+                    s_den, s = antipode_num(rd, rw)
+                    c_pad = c * (pad // s_den)
+                    for u, v in s.items():
+                        for word, cw in _splice(ld, lw, rd, u, iota, iota_den):
+                            _accumulate(right_conv, word, c_pad * v * cw)
+                den = cop_den * pad * iota_den
+                shown = lambda t: TensorElement(
+                    n, {u: Fraction(v, den) for u, v in t.items()})
+                _run(rep, ("antipode_left", n, w), left_conv, {}, shown)
+                _run(rep, ("antipode_right", n, w), right_conv, {}, shown)
 
     for x, y, lhs, rhs in _compat_pairs(ctx, max_degree, delta):
         _run(rep, ("compatibility", x, y), lhs, rhs)
@@ -220,10 +254,11 @@ def verify_characters(ctx, max_degree):
     return rep
 
 
-def verify_all(ctx, max_degree):
-    """Run every suite that applies to the context."""
+def verify_all(ctx, max_degree, seed=None, spot_checks=0):
+    """Run every suite that applies to the context; ``seed`` and
+    ``spot_checks`` go to :func:`verify_axioms`."""
     out = {
-        "axioms": verify_axioms(ctx, max_degree),
+        "axioms": verify_axioms(ctx, max_degree, seed, spot_checks),
         "antipode": verify_antipode_equivalence(ctx, max_degree),
         "characters": verify_characters(ctx, min(max_degree, 4)),
     }

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hopftower.cli import main
 from hopftower.serialize import theory_to_dict
 from hopftower.theory import two_dim
@@ -136,6 +138,30 @@ def test_verify_all_suite(capsys):
     assert code == 0
     report = json.loads(out)
     assert {"axioms", "antipode", "characters", "nsym"} <= set(report)
+
+
+def test_verify_all_takes_the_seed(capsys):
+    argv = ["verify", "--suite", "all", *IND, "--max-degree", "3"]
+    plain = json.loads(run(capsys, argv)[1])
+    code, out, _ = run(capsys, [*argv, "--seed", "5"])
+    assert code == 0
+    seeded = json.loads(out)
+    axioms = json.loads(run(capsys, [
+        "verify", "--suite", "axioms", *IND, "--max-degree", "3",
+        "--seed", "5"])[1])
+    assert seeded["axioms"] == axioms
+    assert axioms["checked"] == plain["axioms"]["checked"] + 16
+    del seeded["axioms"], plain["axioms"]
+    assert seeded == plain
+
+
+@pytest.mark.parametrize("suite", ["antipode_equiv", "nsym", "characters"])
+def test_verify_seed_refused_where_nothing_is_sampled(capsys, suite):
+    code, out, err = run(capsys, ["verify", "--suite", suite, *IND,
+                                  "--max-degree", "3", "--seed", "5"])
+    assert code == 2
+    assert out == ""
+    assert f"--seed: suite '{suite}' samples nothing" in err
 
 
 def test_verify_rejects_bad_triple(capsys):

@@ -1,6 +1,6 @@
 """The integer-numerator kernels of ``HopfContext.coproduct``,
-``antipode_closed`` and ``antipode_oracle`` against the plain ``Fraction``
-loops they replaced.
+``HopfContext.square_product``, ``antipode_closed`` and
+``antipode_oracle`` against the plain ``Fraction`` loops they replaced.
 
 The reference functions below multiply ``Fraction`` factors one at a time
 and expand through the public ``expand_letters``; the kernels must give
@@ -55,6 +55,27 @@ def reference_coproduct(ctx, x):
             for lw, lc in expand_letters(left_entries, scalar).items():
                 for rw, rc in expand_letters(right_entries, 1).items():
                     out.add_term(((left_n, lw), (right_n, rw)), lc * rc)
+    return out
+
+
+def _reference_splice(ctx, du, u, dv, v):
+    if not du:
+        return ((v, 1),)
+    if not dv:
+        return ((u, 1),)
+    return [(u + (i,) + v, c) for i, c in enumerate(ctx.iota_coords) if c]
+
+
+def reference_square_product(ctx, s, t):
+    out = TensorSquare()
+    for ((lda, lwa), (rda, rwa)), ca in s.terms.items():
+        for ((ldb, lwb), (rdb, rwb)), cb in t.terms.items():
+            c = ca * cb
+            rights = _reference_splice(ctx, rda, rwa, rdb, rwb)
+            for lw, lc in _reference_splice(ctx, lda, lwa, ldb, lwb):
+                for rw, rc in rights:
+                    out.add_term(((lda + ldb, lw), (rda + rdb, rw)),
+                                 c * lc * rc)
     return out
 
 
@@ -239,3 +260,69 @@ def test_cancellation_and_low_degrees():
     for w, c in x.terms.items():
         keys.update(reference_coproduct(ctx, TensorElement(3, {w: c})).terms)
     assert len(ctx.coproduct(x).terms) < len(keys)
+
+
+def unchecked_d21():
+    """Triples over two_dim(3) whose denominator D is 21 and whose axioms
+    fail."""
+    basis = two_dim(3)
+    one, reg = basis.one, basis.reg
+    return [HopfContext.unchecked(basis, reg / 3, one, Fraction(2, 7) * reg),
+            HopfContext.unchecked(basis, reg / 3, Fraction(2, 7) * reg, one),
+            HopfContext.unchecked(basis, Fraction(1, 7) * reg + one / 3,
+                                  one, reg)]
+
+
+def assert_square_products_match(ctx, lefts, rights):
+    for s in lefts:
+        for t in rights:
+            assert_same(ctx.square_product(s, t),
+                        reference_square_product(ctx, s, t))
+
+
+def word_coproducts(ctx, degrees):
+    return [ctx.coproduct(TensorElement(n, {w: 1}))
+            for n in degrees for w in ctx.basis_words(n)]
+
+
+def test_square_product_on_basis_word_coproducts():
+    for q in (2, 3, 5):
+        for ctx in (all_ones_context(two_dim(q)),
+                    induction_context(two_dim(q))):
+            squares = word_coproducts(ctx, range(5))
+            assert_square_products_match(ctx, squares, squares)
+    # cyclic4 (D = 3): the pairs whose degrees add up to at most 5, as
+    # the compatibility check to degree 5 meets them
+    ctx = induction_context(cyclic4())
+    assert ctx._den == 3
+    for m in range(5):
+        assert_square_products_match(ctx, word_coproducts(ctx, (m,)),
+                                     word_coproducts(ctx, range(6 - m)))
+
+
+def _dense_square(rng, ctx, max_degree):
+    """Random terms over every pair of degrees up to max_degree, the
+    degree-0 components included, with mixed denominators."""
+    out = TensorSquare()
+    for ld in range(max_degree + 1):
+        for rd in range(max_degree + 1 - ld):
+            for lw in ctx.basis_words(ld):
+                for rw in ctx.basis_words(rd):
+                    if rng.random() < 0.6:
+                        out.add_term(((ld, lw), (rd, rw)), Fraction(
+                            rng.randint(-9, 9),
+                            rng.choice((1, 2, 3, 4, 5, 7, 9))))
+    return out
+
+
+def test_square_product_dense_degree_zero_and_zero_squares():
+    rng = random.Random(11)
+    contexts = [induction_context(two_dim(3)), all_ones_context(two_dim(5)),
+                induction_context(cyclic4()), *unchecked_d21()]
+    assert {ctx._den for ctx in contexts[3:]} == {21}
+    for ctx in contexts:
+        unit = TensorSquare.tensor(ctx.unit(), ctx.unit())
+        squares = [TensorSquare(), unit, Fraction(-2, 3) * unit,
+                   *(_dense_square(rng, ctx, 3) for _ in range(3)),
+                   *word_coproducts(ctx, range(4))]
+        assert_square_products_match(ctx, squares, squares)

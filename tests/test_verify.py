@@ -1,11 +1,19 @@
 """The verification suites themselves: green on valid contexts, and
 honest reporting on broken ones."""
 
+import random
+
+import pytest
+
+import hopftower.verify as verify
+from hopftower.antipode import antipode_closed
+from hopftower.elements import TensorElement
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.theory import cyclic4, two_dim
 from hopftower.verify import (find_compat_counterexample,
                               verify_all, verify_antipode_equivalence,
                               verify_axioms, verify_characters)
+from test_kernels import reference_square_product, unchecked_d21
 
 
 def contexts(q=3):
@@ -104,3 +112,193 @@ def test_axioms_compute_each_antipode_once(monkeypatch):
     rep = verify_axioms(induction_context(two_dim(3)), 4)
     assert rep["first_failure"] is None
     assert seen and len(seen) == len(set(seen))
+
+
+def reference_verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
+    """``verify_axioms`` on ``Fraction`` sums: Δ and S of each basis word
+    memoized as elements, both convolutions built with ``product``, and
+    the compatibility right-hand side from ``reference_square_product``.
+    Each check goes through ``verify._run`` as looked up at the call."""
+    run = verify._run
+    rep = verify._report()
+    unit = ctx.unit()
+    memo = {}
+
+    def delta(degree, word):
+        if ("delta", degree, word) not in memo:
+            memo["delta", degree, word] = ctx.coproduct(
+                TensorElement(degree, {word: 1}))
+        return memo["delta", degree, word]
+
+    def antipode(degree, word):
+        if ("S", degree, word) not in memo:
+            memo["S", degree, word] = antipode_closed(
+                ctx, TensorElement(degree, {word: 1}))
+        return memo["S", degree, word]
+
+    for n in range(max_degree + 1):
+        for w, x in verify._word_elements(ctx, n):
+            run(rep, ("left_unit", n, w), ctx.product(unit, x), x)
+            run(rep, ("right_unit", n, w), ctx.product(x, unit), x)
+
+            cop = delta(n, w)
+            left_strip = TensorElement(n)
+            right_strip = TensorElement(n)
+            for ((ld, lw), (rd, rw)), c in cop.terms.items():
+                if ld == 0:
+                    left_strip.add_term(rw, c)
+                if rd == 0:
+                    right_strip.add_term(lw, c)
+            run(rep, ("left_counit", n, w), left_strip, x)
+            run(rep, ("right_counit", n, w), right_strip, x)
+
+            triple_a = {}
+            triple_b = {}
+            for ((ld, lw), (rd, rw)), c in cop.terms.items():
+                for ((l2, w2), (r2, w3)), c2 in delta(ld, lw).terms.items():
+                    key = ((l2, w2), (r2, w3), (rd, rw))
+                    triple_a[key] = triple_a.get(key, 0) + c * c2
+                for ((l2, w2), (r2, w3)), c2 in delta(rd, rw).terms.items():
+                    key = ((ld, lw), (l2, w2), (r2, w3))
+                    triple_b[key] = triple_b.get(key, 0) + c * c2
+            run(rep, ("coassociativity", n, w),
+                {k: v for k, v in triple_a.items() if v},
+                {k: v for k, v in triple_b.items() if v})
+
+            if n >= 1:
+                left_conv = TensorElement(n)
+                right_conv = TensorElement(n)
+                for ((ld, lw), (rd, rw)), c in cop.terms.items():
+                    left_conv.add_scaled(ctx.product(
+                        antipode(ld, lw), TensorElement(rd, {rw: 1})).terms, c)
+                    right_conv.add_scaled(ctx.product(
+                        TensorElement(ld, {lw: 1}), antipode(rd, rw)).terms, c)
+                zero = TensorElement(n)
+                run(rep, ("antipode_left", n, w), left_conv, zero)
+                run(rep, ("antipode_right", n, w), right_conv, zero)
+
+    for total in range(2, max_degree + 1):
+        for a in range(1, total):
+            for wx, x in verify._word_elements(ctx, a):
+                for wy, y in verify._word_elements(ctx, total - a):
+                    run(rep, ("compatibility", (a, wx), (total - a, wy)),
+                        ctx.coproduct(ctx.product(x, y)),
+                        reference_square_product(ctx, delta(a, wx),
+                                                 delta(total - a, wy)))
+
+    for total in range(3, max_degree + 1):
+        for a in range(1, total - 1):
+            for b in range(1, total - a):
+                c = total - a - b
+                for wx, x in verify._word_elements(ctx, a):
+                    for wy, y in verify._word_elements(ctx, b):
+                        xy = ctx.product(x, y)
+                        for wz, z in verify._word_elements(ctx, c):
+                            run(rep, ("associativity",
+                                      (a, wx), (b, wy), (c, wz)),
+                                ctx.product(xy, z),
+                                ctx.product(x, ctx.product(y, z)))
+
+    if spot_checks:
+        rng = random.Random(seed)
+        for k in range(spot_checks):
+            a = rng.randint(1, max(1, max_degree - 1))
+            b = rng.randint(1, max(1, max_degree - a))
+            x1 = verify._random_element(rng, ctx, a)
+            x2 = verify._random_element(rng, ctx, a)
+            y = verify._random_element(rng, ctx, b)
+            run(rep, ("bilinearity_left", k),
+                ctx.product(x1 + x2, y),
+                ctx.product(x1, y) + ctx.product(x2, y))
+            run(rep, ("bilinearity_right", k),
+                ctx.product(y, x1 + x2),
+                ctx.product(y, x1) + ctx.product(y, x2))
+    return rep
+
+
+def assert_same_value(got, want):
+    """Equal, of one type, and for sparse values or dicts the same key
+    order and coefficient types."""
+    assert got == want
+    assert type(got) is type(want)
+    got, want = getattr(got, "terms", got), getattr(want, "terms", want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        assert [type(c) for c in got.values()] == [
+            type(c) for c in want.values()]
+
+
+def failures_and_report(monkeypatch, suite, ctx, max_degree, **kwargs):
+    """``suite``'s report, and every failing check as the report would
+    hold it had that check failed first."""
+    real = verify._run
+    failures = []
+
+    def recording(report, name, lhs, rhs, shown=None):
+        alone = verify._report()
+        real(alone, name, lhs, rhs, shown)
+        if alone["first_failure"]:
+            failures.append(alone["first_failure"])
+        real(report, name, lhs, rhs, shown)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_run", recording)
+        report = suite(ctx, max_degree, **kwargs)
+    return failures, report
+
+
+def assert_axioms_match_reference(monkeypatch, ctx, max_degree, **kwargs):
+    got = failures_and_report(monkeypatch, verify_axioms, ctx, max_degree,
+                              **kwargs)
+    want = failures_and_report(monkeypatch, reference_verify_axioms, ctx,
+                               max_degree, **kwargs)
+    assert got[1] == want[1]
+    assert len(got[0]) == len(want[0])
+    for failure, expected in zip(got[0] + [got[1]["first_failure"]],
+                                 want[0] + [want[1]["first_failure"]]):
+        assert (failure is None) == (expected is None)
+        if expected is not None:
+            assert failure["inputs"] == expected["inputs"]
+            assert_same_value(failure["lhs"], expected["lhs"])
+            assert_same_value(failure["rhs"], expected["rhs"])
+    return got[1]
+
+
+def test_axioms_match_fraction_reference(monkeypatch):
+    for q in (2, 3, 5):
+        for ctx in contexts(q):
+            rep = assert_axioms_match_reference(monkeypatch, ctx, 4)
+            assert rep["first_failure"] is None
+    for ctx in (all_ones_context(cyclic4()), induction_context(cyclic4())):
+        assert_axioms_match_reference(monkeypatch, ctx, 3, seed=3,
+                                      spot_checks=2)
+
+
+def test_axioms_failures_match_fraction_reference(monkeypatch):
+    """On unchecked triples every failing check, coassociativity and both
+    convolutions included, reports what the Fraction sums report."""
+    t = two_dim(3)
+    for ctx in (*unchecked_d21(),
+                HopfContext.unchecked(t, t.reg, t.reg, t.one)):
+        failures, rep = failures_and_report(monkeypatch, verify_axioms, ctx, 4)
+        kinds = {failure["inputs"][0] for failure in failures}
+        assert {"coassociativity", "antipode_left",
+                "antipode_right"} <= kinds
+        assert rep == assert_axioms_match_reference(monkeypatch, ctx, 4)
+
+
+def test_axioms_spot_checks_need_a_seed():
+    ctx = all_ones_context(two_dim(2))
+    with pytest.raises(ValueError, match="seed"):
+        verify_axioms(ctx, 3, spot_checks=1)
+    assert verify_axioms(ctx, 3, seed=None, spot_checks=0) == verify_axioms(
+        ctx, 3)
+
+
+def test_verify_all_passes_spot_checks_to_axioms():
+    ctx = all_ones_context(two_dim(2))
+    seeded = verify_all(ctx, 3, seed=11, spot_checks=4)
+    assert seeded["axioms"] == verify_axioms(ctx, 3, seed=11, spot_checks=4)
+    plain = verify_all(ctx, 3)
+    assert plain["axioms"]["checked"] + 8 == seeded["axioms"]["checked"]
+    assert {k: v for k, v in plain.items() if k != "axioms"} == {
+        k: v for k, v in seeded.items() if k != "axioms"}
