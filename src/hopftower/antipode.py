@@ -18,6 +18,8 @@ coproduct and the iota splice of the product.
 ``antipode_closed`` and ``antipode_oracle`` compute with int numerators
 over powers of the context's denominator D and build one ``Fraction`` per
 output term; the set-composition routes multiply ``Fraction`` factors.
+``antipode_closed`` sums onto unexpanded words and then expands the
+difference letters and iota separators once, position by position.
 Every per-degree plan is context-free and kept in a bounded cache.
 """
 
@@ -30,46 +32,45 @@ from math import gcd
 from .combinatorics import (bc_bits, compositions, llc_bits, partial_sums,
                             set_compositions, straighten, toggle_free)
 from .elements import TensorElement, _accumulate, _over_lcm, expand_letters
-from .hopf import _expand_int
+from .hopf import _MARKER, _expand_positions, _getter
 
 
 def antipode_closed(ctx, x):
-    """Closed-form antipode, linear in x."""
+    """Closed-form antipode, linear in x; terms in sorted key order."""
     # degree 0 needs no case of its own: the empty composition gives
     # S(unit) = unit
     n = x.degree
     out = TensorElement(n)
-    if not x.terms:
+    if not x.terms:  # at once: the 2^(n-1) plans of a zero are not built
         return out
-    iota, beta, diff = ctx._iota_num, ctx._beta_num, ctx._diff_num
+    beta, plans = ctx._beta_num, _closed_plans(n)
     common, nums = _over_lcm(x.terms)
     acc = {}
     for word, num in nums.items():
-        for sign, cuts, template in _closed_plans(n):
+        marked = word + (_MARKER,)
+        for sign, cuts, get in plans:
             scalar = sign * num
             for j in cuts:
                 scalar *= beta[word[j]]
                 if not scalar:
                     break
-            if not scalar:
-                continue
-            for w, c in _expand_int(
-                    [iota if j is None else diff[word[j]] for j in template],
-                    scalar).items():
-                _accumulate(acc, w, c)
+            if scalar:
+                acc[key] = acc.get(key := get(marked), 0) + scalar
+    subs = {**dict(enumerate(ctx._diff_num)), _MARKER: ctx._iota_num}
     # over the context's denominator D each summand carries D^2(n-1):
     # D per beta pairing and per iota separator (one each per cut), D^2
     # per difference letter
     den = common * ctx._den ** (2 * max(n - 1, 0))
-    out.terms = {w: Fraction(v, den) for w, v in acc.items()}
+    out.terms = {w: Fraction(v, den) for w, v in
+                 sorted(_expand_positions(acc, subs, range(n - 1)).items())}
     return out
 
 
 @lru_cache(maxsize=16)
 def _closed_plans(n):
     """Per composition of n: (sign, the boundary letter after each block
-    but the last, the blocks' letters in reversed block order with None
-    for an iota separator)."""
+    but the last, a getter of the blocks' letters in reversed block order,
+    an iota marker between blocks, from ``word + (_MARKER,)``)."""
     plans = []
     for mu in compositions(n):
         cuts = partial_sums(mu)
@@ -78,9 +79,9 @@ def _closed_plans(n):
         for b in range(len(mu), 0, -1):  # reversed block order
             template.extend(range(bounds[b - 1], bounds[b] - 1))
             if b != 1:
-                template.append(None)
+                template.append(-1)  # the marker ending word + (_MARKER,)
         plans.append((-1 if len(mu) % 2 else 1,
-                      tuple(cut - 1 for cut in cuts), tuple(template)))
+                      tuple(cut - 1 for cut in cuts), _getter(template)))
     return tuple(plans)
 
 

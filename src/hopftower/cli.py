@@ -52,8 +52,8 @@ def build_parser():
     common.add_argument("--max-degree", type=int, default=4)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--seed", type=int,
-                        help="verify --suite axioms or all: add seeded "
-                             "spot checks")
+                        help="verify only, --suite axioms or all: add "
+                             "seeded spot checks")
     common.add_argument("--out", help="write output to this file")
 
     parser = argparse.ArgumentParser(
@@ -339,6 +339,8 @@ def main(argv=None):
     try:
         if args.max_degree < 0:
             raise ParseError("--max-degree must be nonnegative")
+        if args.seed is not None and args.command != "verify":
+            raise ParseError(f"--seed: {args.command} samples nothing")
         if args.command == "enumerate":
             code, payload = _cmd_enumerate(args)
         else:

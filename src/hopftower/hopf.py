@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import itemgetter
 
 from .elements import (TensorElement, TensorSquare, _accumulate, _over_lcm,
                        basis_words, expand_letters)
@@ -150,7 +151,8 @@ class HopfContext:
         on that side; between sides it is paired away (against alpha when
         the left position comes first, beta otherwise) and replaced by an
         iota marker on its own side unless its position is the last one
-        there.
+        there.  Scalars are summed on unexpanded words, then markers are
+        expanded position by position; terms come in sorted key order.
         """
         n = x.degree
         out = TensorSquare()
@@ -158,32 +160,30 @@ class HopfContext:
             for w, c in x.terms.items():
                 out.add_term(((0, ()), (0, ())), c)
             return out
-        if not x.terms:
+        if not x.terms:  # at once: the 2^n plans of a zero are not built
             return out
-        iota, den, plans = self._iota_num, self._den, _split_plans(n)
+        iota, den = {_MARKER: self._iota_num}, self._den
         tables = (self._beta_num, self._alpha_num)
         scales = [den ** k for k in range(2 * n - 1)]
         common, nums = _over_lcm(x.terms)
-        acc = {}
-        for word, num in nums.items():
-            for left_n, right_n, crossings, power, left, right in plans:
-                scalar = num * scales[power]
-                for j, flag in crossings:
-                    scalar *= tables[flag][word[j]]
-                    if not scalar:
-                        break
-                if not scalar:
-                    continue
-                rights = _expand_int(
-                    [iota if j is None else word[j] for j in right], 1).items()
-                for lw, lc in _expand_int(
-                        [iota if j is None else word[j] for j in left],
-                        scalar).items():
-                    for rw, rc in rights:
-                        _accumulate(acc, ((left_n, lw), (right_n, rw)),
-                                    lc * rc)
         den = common * den ** (2 * (n - 1))
-        out.terms = {key: Fraction(v, den) for key, v in acc.items()}
+        # one (left degree, right degree) at a time: one dict alive
+        for (left_n, right_n), (marks, plans) in _split_plans(n):
+            acc = {}
+            for word, num in nums.items():
+                marked = word + (_MARKER,)
+                for crossings, power, get in plans:
+                    scalar = num * scales[power]
+                    for j, flag in crossings:
+                        scalar *= tables[flag][word[j]]
+                        if not scalar:
+                            break
+                    if scalar:
+                        acc[key] = acc.get(key := get(marked), 0) + scalar
+            cut = max(left_n - 1, 0)
+            for w, v in sorted(_expand_positions(acc, iota, marks).items()):
+                out.terms[((left_n, w[:cut]), (right_n, w[cut:]))] = (
+                    Fraction(v, den))
         return out
 
     def square_product(self, s, t):
@@ -269,10 +269,10 @@ class HopfContext:
 
 @lru_cache(maxsize=16)
 def _split_plans(n):
-    """Per split: (left degree, right degree, crossings as (letter, 1 for
-    alpha or 0 for beta), the power of D padding the term to D^(2(n-1)),
-    left and right templates of letters, None for an iota marker)."""
-    plans = []
+    """Per (left degree, right degree): its splits' marker positions, and
+    per split the crossings (letter, 1 for alpha, 0 for beta), the power of
+    D padding it to D^(2(n-1)) and a getter of left + right on word+marker."""
+    groups = {}
     for mask in range(1 << n):
         side = [(mask >> j) & 1 for j in range(n)]  # 1: position j+1 left
         last = {s: j for j, s in enumerate(side)}
@@ -287,12 +287,13 @@ def _split_plans(n):
             crossings.append((j, here))
             power -= 1  # one D for the pairing, one more for a marker
             if j != last[here]:
-                entries.append(None)
+                entries.append(-1)  # the marker ending word + (_MARKER,)
                 power -= 1
         left_n = sum(side)
-        plans.append((left_n, n - left_n, tuple(crossings), power,
-                      tuple(left), tuple(right)))
-    return tuple(plans)
+        marks, plans = groups.setdefault((left_n, n - left_n), (set(), []))
+        marks.update(p for p, j in enumerate(left + right) if j == -1)
+        plans.append((tuple(crossings), power, _getter(left + right)))
+    return tuple(sorted(groups.items()))
 
 
 def _splice(du, u, dv, v, iota, one):
@@ -311,21 +312,32 @@ def _numerators(values, den):
     return tuple(c.numerator * (den // c.denominator) for c in values)
 
 
-def _expand_int(entries, scalar):
-    """:func:`expand_letters` over ints: each entry is an int (a fixed
-    letter) or a tuple of (letter, nonzero int) pairs; ``scalar`` is a
-    nonzero int.  Returns word -> int, in the key order of
-    ``expand_letters``."""
-    partial = {(): scalar}
-    for entry in entries:
-        if entry.__class__ is int:
-            partial = {w + (entry,): c for w, c in partial.items()}
-        else:
-            partial = {w + (i,): c * ci for i, ci in entry
-                       for w, c in partial.items()}
-            if not partial:
-                break
-    return partial
+_MARKER = -1  # an iota marker in an unexpanded word; letters are >= 0
+
+
+def _getter(indices):
+    """The function picking the entries at ``indices`` out of a tuple."""
+    return (itemgetter(*indices) if len(indices) > 1
+            else lambda w: tuple(w[j] for j in indices))
+
+
+def _expand_positions(terms, subs, positions):
+    """Expand words (word -> int) at each of ``positions`` in turn: an entry
+    in ``subs`` becomes its (letter, int) pairs, others stay, equal words
+    merge and zeros drop."""
+    for p in positions:
+        out = {}
+        for w, c in terms.items():
+            pairs = subs.get(w[p])
+            if pairs is None:
+                out[w] = out.get(w, 0) + c
+            elif c:
+                head, tail = w[:p], w[p + 1:]
+                for i, ci in pairs:
+                    key = head + (i,) + tail
+                    out[key] = out.get(key, 0) + c * ci
+        terms = out
+    return {w: c for w, c in terms.items() if c}
 
 
 def all_ones_context(basis):

@@ -164,6 +164,25 @@ def test_verify_seed_refused_where_nothing_is_sampled(capsys, suite):
     assert f"--seed: suite '{suite}' samples nothing" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "antipode", *IND, "--x", word_json(2, ["one"])],
+    ["characters", "check", "--psi", "one", "--max-degree", "3"],
+    ["enumerate", "compositions", "--n", "3"],
+])
+def test_seed_refused_outside_verify(capsys, argv):
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, [*argv, "--seed", "5"])
+    assert code == 2
+    assert out == ""
+    assert f"--seed: {argv[0]} samples nothing" in err
+
+
+def test_seed_help_says_verify_only(capsys):
+    with pytest.raises(SystemExit):
+        main(["compute", "--help"])
+    assert "verify only" in " ".join(capsys.readouterr().out.split())
+
+
 def test_verify_rejects_bad_triple(capsys):
     code, _, err = run(capsys, [
         "verify", "--suite", "axioms", "--q", "3",

@@ -4,8 +4,9 @@
 
 The reference functions below multiply ``Fraction`` factors one at a time
 and expand through the public ``expand_letters``; the kernels must give
-the same term dicts, in the same key order, with every coefficient a
-``Fraction``.
+the same term dicts with every coefficient a ``Fraction``.  The coproduct
+and the closed antipode emit their terms in sorted key order, the oracle
+and ``square_product`` in the reference loops' order.
 """
 
 import random
@@ -14,7 +15,8 @@ from fractions import Fraction
 from hopftower.antipode import antipode_closed, antipode_oracle
 from hopftower.combinatorics import compositions, partial_sums
 from hopftower.elements import TensorElement, TensorSquare, expand_letters
-from hopftower.hopf import HopfContext, all_ones_context, induction_context
+from hopftower.hopf import (_MARKER, HopfContext, _expand_positions,
+                            all_ones_context, induction_context)
 from hopftower.theory import cyclic4, from_table, two_dim
 
 
@@ -144,15 +146,20 @@ def _reference_oracle_word(ctx, memo, degree, word):
     return acc
 
 
-def assert_same(got, want):
+def assert_same(got, want, sorted_keys=False):
+    """Equal, with ``Fraction`` coefficients, and keys in ``want``'s order
+    or, with ``sorted_keys``, in sorted order."""
     assert got == want
-    assert list(got.terms) == list(want.terms)
+    keys = list(got.terms)
+    assert keys == (sorted(keys) if sorted_keys else list(want.terms))
     assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def assert_kernels_match(ctx, x, memo=None):
-    assert_same(ctx.coproduct(x), reference_coproduct(ctx, x))
-    assert_same(antipode_closed(ctx, x), reference_antipode_closed(ctx, x))
+    assert_same(ctx.coproduct(x), reference_coproduct(ctx, x),
+                sorted_keys=True)
+    assert_same(antipode_closed(ctx, x), reference_antipode_closed(ctx, x),
+                sorted_keys=True)
     assert_same(antipode_oracle(ctx, x),
                 reference_antipode_oracle(ctx, x, memo))
 
@@ -241,6 +248,13 @@ def test_dense_mixed_denominators():
     for ctx in contexts:
         for degree in range(6):
             assert_kernels_match(ctx, _dense(rng, ctx, degree))
+    # larger degrees, where many unexpanded words merge before expansion
+    for ctx, degree in ((contexts[2], 6), (contexts[0], 8)):
+        x = _dense(rng, ctx, degree)
+        assert_same(ctx.coproduct(x), reference_coproduct(ctx, x),
+                    sorted_keys=True)
+        assert_same(antipode_closed(ctx, x),
+                    reference_antipode_closed(ctx, x), sorted_keys=True)
 
 
 def test_cancellation_and_low_degrees():
@@ -326,3 +340,49 @@ def test_square_product_dense_degree_zero_and_zero_squares():
                    *(_dense_square(rng, ctx, 3) for _ in range(3)),
                    *word_coproducts(ctx, range(4))]
         assert_square_products_match(ctx, squares, squares)
+
+
+def reference_expand_positions(terms, subs, positions, dim):
+    """Each unexpanded word through the public ``expand_letters``: an
+    entry at one of ``positions`` that is in ``subs`` as its coordinate
+    tuple, any other as a letter."""
+    out = {}
+    for w, c in terms.items():
+        entries = [tuple(dict(subs[e]).get(i, 0) for i in range(dim))
+                   if p in positions and e in subs else e
+                   for p, e in enumerate(w)]
+        for u, v in expand_letters(entries, c).items():
+            out[u] = out.get(u, 0) + v
+    return {u: v for u, v in out.items() if v}
+
+
+def test_expand_positions_matches_expand_letters():
+    rng = random.Random(3)
+    ctx = induction_context(cyclic4())
+    dim = ctx.basis.dim
+    marker_only = {_MARKER: ctx._iota_num}
+    every_entry = {**dict(enumerate(ctx._diff_num)), _MARKER: ctx._iota_num}
+    # the marker and letter 0 both give the words 0 and 1, cancelling
+    cancelling = {_MARKER: ((0, 1), (1, -1)), 0: ((0, 2), (1, -2))}
+    # empty words, words with no markers, unexpanded words whose
+    # expansions cancel to zero, and positions left out
+    assert _expand_positions({(): 5}, marker_only, ()) == {(): 5}
+    assert _expand_positions({(): 0}, every_entry, ()) == {}
+    assert _expand_positions({(0, 2): 3, (2, 0): 0}, marker_only,
+                             range(2)) == {(0, 2): 3}
+    assert _expand_positions({(_MARKER,): 2, (0,): -1}, cancelling,
+                             range(1)) == {}
+    assert _expand_positions({(2, _MARKER): 2, (2, 0): -1}, cancelling,
+                             range(2)) == {}
+    assert _expand_positions({(0, _MARKER): 1}, cancelling, (1,)) == {
+        (0, 0): 1, (0, 1): -1}
+    for subs in (marker_only, every_entry, cancelling):
+        for length in range(6):
+            for _ in range(20):
+                terms = {tuple(rng.randrange(-1, dim) for _ in range(length)):
+                         rng.randint(-3, 3) for _ in range(rng.randint(0, 12))}
+                positions = [p for p in range(length) if rng.random() < 0.8]
+                got = _expand_positions(terms, subs, positions)
+                assert got == reference_expand_positions(terms, subs,
+                                                         positions, dim)
+                assert all(type(c) is int and c for c in got.values())
