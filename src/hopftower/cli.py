@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands: ``compute`` (multiply / coproduct / antipode on JSON
-elements), ``verify`` (the exhaustive suites), ``enumerate``
-(compositions, toggle-free set compositions, descent classes), and
-``characters`` (check / convolve / invert constant characters given as
-expressions).  Exit codes: 0 success, 1 verification or morphism
-failure, 2 usage or parse error, 3 invalid insertion/pairing triple.
+Leaf commands: ``compute multiply|coproduct|antipode``, ``verify``,
+``enumerate compositions|toggle_free|descent_class`` and
+``characters check|convolve|invert``.  Each accepts exactly the flags its
+handler reads: its own, plus those of the shared groups it needs (output:
+``--format``, ``--out``; context: the character table and the (iota,
+alpha, beta) triple; degree: ``--max-degree``).  Exit codes: 0 success,
+1 verification or morphism failure, 2 usage or parse error, 3 invalid
+insertion/pairing triple; 2 and 3 write one ``error:`` line to stderr
+and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -30,63 +33,99 @@ from .verify import (verify_all, verify_antipode_equivalence, verify_axioms,
 
 # enumerate: the largest --n (sum(mu) for descent_class); verify and
 # compute: the most work one request may ask for, in the units of
-# _check_work
+# _check_work; multiply: the most terms len(x)*len(y)*nnz(iota) a product
+# may have
 _BOUNDS = {"compositions": 16, "toggle_free": 8, "descent_class": 7,
-           "verify": 2 ** 12, "compute": 2 ** 22}
+           "verify": 2 ** 12, "compute": 2 ** 22, "multiply": 2 ** 13}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ParseError, so that main() reports it as
+    it does every other exit-2 error."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _nonnegative(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--base", choices=("twodim", "cyclic4"),
-                        default="twodim", help="built-in character table")
-    common.add_argument("--q", type=int, default=2,
-                        help="group order for --base twodim")
-    common.add_argument("--theory-file",
-                        help="JSON character table (overrides --base)")
-    common.add_argument("--iota", default="one",
-                        help="insertion element expression")
-    common.add_argument("--alpha", default="one",
-                        help="left pairing element expression")
-    common.add_argument("--beta", default="one",
-                        help="right pairing element expression")
-    common.add_argument("--max-degree", type=int, default=4)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--seed", type=int,
-                        help="verify only, --suite axioms or all: add "
-                             "seeded spot checks")
-    common.add_argument("--out", help="write output to this file")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "text"), default="json")
+    output.add_argument("--out", help="write output to this file")
 
-    parser = argparse.ArgumentParser(
+    context = argparse.ArgumentParser(add_help=False)
+    table = context.add_mutually_exclusive_group()
+    table.add_argument("--base", choices=("twodim", "cyclic4"),
+                       default="twodim", help="built-in character table")
+    table.add_argument("--theory-file", help="JSON character table")
+    context.add_argument("--q", type=int,
+                         help="group order for --base twodim (default 2)")
+    context.add_argument("--iota", default="one",
+                         help="insertion element expression")
+    context.add_argument("--alpha", default="one",
+                         help="left pairing element expression")
+    context.add_argument("--beta", default="one",
+                         help="right pairing element expression")
+
+    degree = argparse.ArgumentParser(add_help=False)
+    degree.add_argument("--max-degree", type=_nonnegative, default=4)
+
+    parser = _Parser(
         prog="hopftower",
         description="Exact graded Hopf structures on words over a "
                     "character basis.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", parents=[common])
-    p.add_argument("action", choices=("multiply", "coproduct", "antipode"))
-    p.add_argument("--x", required=True,
-                   help="element JSON (inline, or @path)")
-    p.add_argument("--y", help="second element for multiply")
-    p.add_argument("--cross-check", action="store_true",
-                   help="antipode only: recompute via all four routes")
+    def leaves(command, dest, names, parents):
+        group = commands.add_parser(command).add_subparsers(
+            dest=dest, required=True)
+        return {name: group.add_parser(name, parents=parents)
+                for name in names}
 
-    p = sub.add_parser("verify", parents=[common])
+    compute = leaves("compute", "action",
+                     ("multiply", "coproduct", "antipode"), [output, context])
+    for p in compute.values():
+        p.add_argument("--x", required=True,
+                       help="element JSON (inline, or @path)")
+    compute["multiply"].add_argument(
+        "--y", required=True, help="second factor JSON (inline, or @path)")
+    compute["antipode"].add_argument(
+        "--cross-check", action="store_true",
+        help="recompute via all four routes")
+
+    p = commands.add_parser("verify", parents=[output, context, degree])
     p.add_argument("--suite", required=True,
                    choices=("axioms", "antipode_equiv", "nsym",
                             "characters", "all"))
+    p.add_argument("--seed", type=int,
+                   help="--suite axioms or all: add seeded spot checks")
 
-    p = sub.add_parser("enumerate", parents=[common])
-    p.add_argument("what",
-                   choices=("compositions", "toggle_free", "descent_class"))
-    p.add_argument("--n", type=int, help="degree to enumerate")
-    p.add_argument("--mu", help="comma-separated composition parts")
+    enum = leaves("enumerate", "what",
+                  ("compositions", "toggle_free", "descent_class"), [output])
+    for what in ("compositions", "toggle_free"):
+        enum[what].add_argument("--n", type=int, required=True,
+                                help="degree to enumerate")
+    enum["descent_class"].add_argument(
+        "--mu", required=True, help="comma-separated composition parts")
 
-    p = sub.add_parser("characters", parents=[common])
-    p.add_argument("action", choices=("check", "convolve", "invert"))
-    p.add_argument("--psi", required=True,
-                   help="expression for the first constant character")
-    p.add_argument("--gamma",
-                   help="expression for the second constant character")
+    chars = leaves("characters", "action", ("check", "convolve", "invert"),
+                   [output, context, degree])
+    for p in chars.values():
+        p.add_argument("--psi", required=True,
+                       help="expression for the first constant character")
+    chars["convolve"].add_argument(
+        "--gamma", required=True,
+        help="expression for the second constant character")
     return parser
 
 
@@ -95,6 +134,8 @@ def _err(message):
 
 
 def _build_basis(args):
+    if args.q is not None and (args.theory_file or args.base != "twodim"):
+        raise ParseError("--q applies to --base twodim only")
     if args.theory_file:
         try:
             with open(args.theory_file, encoding="utf-8") as fh:
@@ -104,7 +145,8 @@ def _build_basis(args):
         return theory_from_dict(data), {"base": "custom"}
     if args.base == "cyclic4":
         return cyclic4(), {"base": "cyclic4"}
-    return two_dim(args.q), {"base": "twodim", "q": args.q}
+    q = 2 if args.q is None else args.q
+    return two_dim(q), {"base": "twodim", "q": q}
 
 
 def _names(args, basis):
@@ -116,8 +158,9 @@ def _names(args, basis):
         aliases["one"] = basis.one
     scalars = {}
     if not args.theory_file and args.base == "twodim":
-        scalars["q"] = args.q
-        aliases["beta_star"] = (basis.reg - basis.one) / (args.q - 1)
+        # two_dim(q) is the table of a group of order q
+        q = scalars["q"] = basis.order
+        aliases["beta_star"] = (basis.reg - basis.one) / (q - 1)
     return scalars, aliases
 
 
@@ -171,38 +214,44 @@ def _check_verify_work(dim, degree,
     _check_work("verify", dim ** max(degree - 1, 0), degree, formula)
 
 
+def _check_product_size(x, y, ctx):
+    """Refuse (exit 2) a product with more than ``_BOUNDS["multiply"]``
+    terms, before any of them is built."""
+    bound = _BOUNDS["multiply"]
+    size = len(x.terms) * len(y.terms) * sum(1 for c in ctx.iota_coords if c)
+    if size > bound:
+        raise ParseError(
+            f"len(terms of --x) * len(terms of --y) * nnz(iota) = {size} "
+            f"exceeds the multiply size bound {bound}")
+
+
 def _cmd_compute(args, basis, tag):
     ctx = _build_context(args, basis)
     x = _load_element(args.x, basis, tag)
     _check_work("compute", len(x.terms), x.degree,
                 "len(terms) * 2^degree of --x")
+    if args.action == "multiply":
+        y = _load_element(args.y, basis, tag)
+        _check_work("compute", len(y.terms), y.degree,
+                    "len(terms) * 2^degree of --y")
+        _check_product_size(x, y, ctx)
+        return 0, element_to_dict(ctx.product(x, y), basis, tag)
+    if args.action == "coproduct":
+        return 0, square_to_dict(ctx.coproduct(x), basis, tag)
     if args.cross_check:
         # the set-composition routes cost what verify does at this degree
         _check_verify_work(basis.dim, x.degree,
                            "--cross-check: dim^(degree-1) * 2^degree")
-    if args.action == "multiply":
-        if args.y is None:
-            raise ParseError("multiply needs --y")
-        y = _load_element(args.y, basis, tag)
-        _check_work("compute", len(y.terms), y.degree,
-                    "len(terms) * 2^degree of --y")
-        return 0, element_to_dict(ctx.product(x, y), basis, tag)
-    if args.action == "coproduct":
-        return 0, square_to_dict(ctx.coproduct(x), basis, tag)
     result = antipode_closed(ctx, x)
-    if args.cross_check:
-        for name, route in ROUTES:
-            other = route(ctx, x)
-            if other != result:
-                return 1, {
-                    "agreed": False,
-                    "variant": name,
-                    "closed": element_to_dict(result, basis, tag),
-                    "other": element_to_dict(other, basis, tag),
-                }
     payload = element_to_dict(result, basis, tag)
-    if args.cross_check:
-        payload["cross_checked"] = True
+    if not args.cross_check:
+        return 0, payload
+    for name, route in ROUTES:
+        other = route(ctx, x)
+        if other != result:
+            return 1, {"agreed": False, "variant": name, "closed": payload,
+                       "other": element_to_dict(other, basis, tag)}
+    payload["cross_checked"] = True
     return 0, payload
 
 
@@ -232,17 +281,15 @@ def _cmd_verify(args, basis, tag):
         report = verify_characters(ctx, n)
     else:
         report = verify_all(ctx, n, seed=args.seed, spot_checks=spots)
-    return (1 if _has_failure(report) else 0), report
+    return (1 if _has_failure(report) else 0), jsonable(report)
 
 
 def _parse_mu(text):
-    if not text:
-        raise ParseError("descent_class needs --mu, e.g. --mu 2,1")
     try:
         mu = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad composition {text!r}") from exc
-    if not mu or any(p < 1 for p in mu):
+    if any(p < 1 for p in mu):
         raise ParseError(f"bad composition {text!r}")
     return mu
 
@@ -257,8 +304,6 @@ def _cmd_enumerate(args):
                 f"sum(mu) = {sum(mu)} exceeds the bound {bound}")
         image = descent_embedding(mu, bound=bound)
         return 0, [{"perm": list(w), "coeff": "1"} for w in image]
-    if args.n is None:
-        raise ParseError(f"{what} needs --n")
     if not 1 <= args.n <= bound:
         raise ParseError(f"--n must be between 1 and {bound}")
     if what == "compositions":
@@ -278,12 +323,10 @@ def _cmd_characters(args, basis, tag):
         bad = check_morphism(psi)
         if bad is None:
             return 0, {"multiplicative": True}
-        return 1, {"multiplicative": False,
-                   "degree": bad[0], "split": bad[1],
-                   "lhs": bad[2], "rhs": bad[3]}
+        return 1, jsonable({"multiplicative": False,
+                            "degree": bad[0], "split": bad[1],
+                            "lhs": bad[2], "rhs": bad[3]})
     if args.action == "convolve":
-        if args.gamma is None:
-            raise ParseError("convolve needs --gamma")
         gamma = constant_character(
             ctx, parse_expression(args.gamma, basis, scalars, aliases), n)
         return 0, character_to_dict(convolve(psi, gamma), basis, tag)
@@ -315,11 +358,12 @@ def _render_text(data, indent=0):
 
 
 def _emit(payload, args):
-    data = jsonable(payload)
+    """Write a JSON-ready payload: the handlers turn fractions, tuples and
+    the like into JSON values themselves, where their payload has any."""
     if args.format == "json":
-        text = json.dumps(data, indent=2, sort_keys=True)
+        text = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        text = _render_text(data)
+        text = _render_text(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -334,13 +378,8 @@ def _emit(payload, args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.max_degree < 0:
-            raise ParseError("--max-degree must be nonnegative")
-        if args.seed is not None and args.command != "verify":
-            raise ParseError(f"--seed: {args.command} samples nothing")
+        args = build_parser().parse_args(argv)
         if args.command == "enumerate":
             code, payload = _cmd_enumerate(args)
         else:

@@ -12,11 +12,11 @@ and ``square_product`` in the reference loops' order.
 import random
 from fractions import Fraction
 
-from hopftower.antipode import antipode_closed, antipode_oracle
+from hopftower.antipode import _closed_plans, antipode_closed, antipode_oracle
 from hopftower.combinatorics import compositions, partial_sums
 from hopftower.elements import TensorElement, TensorSquare, expand_letters
 from hopftower.hopf import (_MARKER, HopfContext, _expand_positions,
-                            all_ones_context, induction_context)
+                            _split_plans, all_ones_context, induction_context)
 from hopftower.theory import cyclic4, from_table, two_dim
 
 
@@ -274,6 +274,16 @@ def test_cancellation_and_low_degrees():
     for w, c in x.terms.items():
         keys.update(reference_coproduct(ctx, TensorElement(3, {w: c})).terms)
     assert len(ctx.coproduct(x).terms) < len(keys)
+
+
+def test_zero_element_builds_no_plans():
+    # the plans of a degree-n zero would be 2^n (2^(n-1)) entries; without
+    # the early return they are built, and the caches change
+    ctx = induction_context(two_dim(3))
+    before = _split_plans.cache_info(), _closed_plans.cache_info()
+    assert ctx.coproduct(TensorElement(12)).terms == {}
+    assert antipode_closed(ctx, TensorElement(12)).terms == {}
+    assert (_split_plans.cache_info(), _closed_plans.cache_info()) == before
 
 
 def unchecked_d21():
