@@ -137,7 +137,9 @@ def antipode_toggle_free(ctx, x):
 def antipode_oracle(ctx, x):
     """Antipode from the convolution equation: on a degree-n word,
     S(x) = -x - sum of S(left)·right over the strictly intermediate
-    coproduct terms.  Memoized per context and basis word."""
+    coproduct terms.  Memoized per context and basis word in
+    ``ctx._antipode_cache``, which only the context's lifetime and the
+    degrees asked for bound (see ``HopfContext``)."""
     n = x.degree
     out = TensorElement(n)
     if n == 0:

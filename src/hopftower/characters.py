@@ -5,13 +5,16 @@ degree, each given by an element of that degree (evaluation is the
 graded inner product).  ``check_morphism`` tests multiplicativity
 against the coproduct; the group law is convolution, computed two ways
 (closed block formula and the definitional composite) which are checked
-against each other on every call.
+against each other on every call.  The group operations run
+``check_morphism`` once per character, and the definitional side reads
+Δ of each basis word from a bounded cache.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinatorics import compositions
 from .elements import TensorElement, expand_letters
@@ -42,9 +45,12 @@ class LinearCharacter:
     >>> eps = counit_character(all_ones_context(two_dim(3)), 2)
     >>> eps(TensorElement(2, {(0,): 1}))
     Fraction(0, 1)
+
+    A character is immutable by contract: it is hashed by its components,
+    and it keeps its ``check_morphism`` result and its value tables.
     """
 
-    __slots__ = ("ctx", "components")
+    __slots__ = ("ctx", "components", "_failure", "_values")
 
     def __init__(self, ctx, components):
         components = tuple(components)
@@ -58,19 +64,24 @@ class LinearCharacter:
             raise TheoryError("degree-0 component must be the unit")
         self.ctx = ctx
         self.components = components
+        self._failure = _UNCHECKED
+        self._values = None
 
     @property
     def max_degree(self):
         return len(self.components) - 1
 
-    def _at(self, degree, word):
-        """The value on one basis word: the component's coefficient times
-        the Gram factors of the word's letters, 0 when the word is absent."""
-        c = self.components[degree].terms.get(word)
-        if not c:
-            return 0
-        gram = self.ctx.basis.gram
-        return c * math.prod(gram[letter] for letter in word)
+    def _value_tables(self):
+        """Per degree, the values on the basis words as a word -> value
+        dict: the component's coefficient times the Gram factors of the
+        word's letters; absent words are 0.  Built on first use."""
+        if self._values is None:
+            gram = self.ctx.basis.gram
+            self._values = tuple(
+                {word: c * math.prod(gram[letter] for letter in word)
+                 for word, c in comp.terms.items()}
+                for comp in self.components)
+        return self._values
 
     def __call__(self, x):
         """Evaluate on an element, word by word."""
@@ -78,7 +89,8 @@ class LinearCharacter:
         if n > self.max_degree:
             raise TheoryError("character only defined up to degree %d"
                               % self.max_degree)
-        return sum((c * self._at(n, word) for word, c in x.terms.items()),
+        values = self._value_tables()[n]
+        return sum((c * values.get(word, 0) for word, c in x.terms.items()),
                    Fraction(0))
 
     def __eq__(self, other):
@@ -91,6 +103,9 @@ class LinearCharacter:
 
     def __repr__(self):
         return "LinearCharacter(max_degree=%d)" % self.max_degree
+
+
+_UNCHECKED = object()  # a character's check_morphism result, not yet known
 
 
 def counit_character(ctx, max_degree):
@@ -145,29 +160,48 @@ def check_morphism(chi):
     return None
 
 
+def _morphism_failure(chi):
+    """``check_morphism(chi)``, run on the first call only and kept on the
+    character."""
+    if chi._failure is _UNCHECKED:
+        chi._failure = check_morphism(chi)
+    return chi._failure
+
+
 def _require_morphisms(*chis):
     ctx = chis[0].ctx
     for chi in chis:
         if chi.ctx != ctx:
             raise ContextMismatch("characters over different contexts")
-        bad = check_morphism(chi)
+        bad = _morphism_failure(chi)
         if bad is not None:
             raise NotAMorphism(
                 "not multiplicative at degree %d, split %d" % bad[:2])
+
+
+@lru_cache(maxsize=16)
+def _coproducts(ctx, n):
+    """Per basis word of degree n: its coproduct's terms as (left degree,
+    left word, right degree, right word, coefficient), from the public
+    ``ctx.coproduct``."""
+    return tuple(
+        (word, tuple((ld, lw, rd, rw, c) for ((ld, lw), (rd, rw)), c
+                     in ctx.coproduct(TensorElement(n, {word: 1})).terms.items()))
+        for word in ctx.basis_words(n))
 
 
 def _check_definition(psi, gamma, want):
     """Raise unless the definitional composite (psi * gamma)(x), summed
     over the coproduct of x, equals want(x) on every basis word x of
     positive degree up to want's max degree."""
-    ctx = psi.ctx
+    left, right = psi._value_tables(), gamma._value_tables()
     for n in range(1, want.max_degree + 1):
-        for word in ctx.basis_words(n):
-            closed = want._at(n, word)
-            defined = sum(
-                c * psi._at(ld, lw) * gamma._at(rd, rw)
-                for ((ld, lw), (rd, rw)), c
-                in ctx.coproduct(TensorElement(n, {word: 1})).terms.items())
+        closed_values = want._value_tables()[n]
+        for word, terms in _coproducts(psi.ctx, n):
+            closed = closed_values.get(word, 0)
+            defined = sum(c * lv * rv for ld, lw, rd, rw, c in terms
+                          if (lv := left[ld].get(lw))
+                          and (rv := right[rd].get(rw)))
             if closed != defined:
                 raise TheoryError(
                     "closed formula disagrees with the definition at "
@@ -262,5 +296,4 @@ def looks_module_supported(chi):
     Gram weights of its letters is a nonnegative integer.  Necessary
     (not sufficient) for the functional to count module dimensions."""
     return all(v >= 0 and Fraction(v).denominator == 1
-               for n, comp in enumerate(chi.components)
-               for v in (chi._at(n, word) for word in comp.terms))
+               for values in chi._value_tables() for v in values.values())

@@ -359,22 +359,37 @@ def _render_text(data, indent=0):
 
 def _emit(payload, args):
     """Write a JSON-ready payload: the handlers turn fractions, tuples and
-    the like into JSON values themselves, where their payload has any."""
+    the like into JSON values themselves, where their payload has any.
+    JSON is encoded as a stream, so its whole text is never held."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
     else:
-        text = _render_text(payload)
+        chunks = (_render_text(payload),)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        try:
-            print(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader stopped early (say, `| head`); point stdout at
-            # devnull so that the interpreter's final flush is silent too
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _write(fh, chunks)
+        return
+    try:
+        _write(sys.stdout, chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (say, `| head`); point stdout at
+        # devnull so that the interpreter's final flush is silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _write(fh, chunks):
+    """Write ``chunks`` and a final newline, joined into batches of about
+    64 KiB: a write per encoder chunk costs more than the encoding."""
+    batch, held = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        held += len(chunk)
+        if held >= 1 << 16:
+            fh.write("".join(batch))
+            batch, held = [], 0
+    batch.append("\n")
+    fh.write("".join(batch))
 
 
 def main(argv=None):

@@ -51,6 +51,10 @@ class HopfContext:
                 value = iota.inner(e)
                 if value != 1:
                     raise PairingNotOne(which, value)
+        # S of each basis word, for antipode_oracle.  Unbounded, it lives as
+        # long as the context and holds one entry per basis word of degree
+        # up to the largest the oracle was given: the CLI's largest admitted
+        # --cross-check leaves 63 (two_dim) or 121 (cyclic4), at most 1,025.
         self._antipode_cache = {}
 
     # The integer kernels work on numerators over D, the common denominator

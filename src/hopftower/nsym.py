@@ -13,19 +13,25 @@ constants can be compared across different theories.
 
 A family puts one letter inside the blocks and one at the boundaries,
 so its degree-n members are the (n-1)-th tensor power of one 2x2 change
-of basis, and ``expand_in_kind`` inverts it letter by letter.
+of basis, and ``expand_in_kind`` inverts it one tensor position at a
+time, on int numerators over one denominator.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .combinatorics import (boundary_bits, coarsenings,
                             composition_from_boundary_bits, compositions,
                             concat, descents, interior_bits, inverse,
                             partial_sums, permutations, refinements, smash)
-from .elements import TensorElement, TensorSquare, _accumulate, expand_letters
+from .elements import (TensorElement, TensorSquare, _accumulate, _over_lcm,
+                       expand_letters)
 from .functors import ind_along
 from .theory import DualBasisUndefined, TheoryError, dual_pair
 from .antipode import antipode_closed
+from .hopf import _expand_positions, _numerators
 from .verify import _report, _run
 
 KINDS = ("h_basis", "ribbon", "shuffle_dual_primitive")
@@ -117,29 +123,37 @@ def nsym_element(ctx, kind, mu):
 def _coordinates(ctx, kind, degree, letters=None):
     """Each basis letter's (inside, boundary) coordinates, its pairings
     with the dual pair of the family's letters (derived here unless
-    given).  Degree 0 needs no family, and degree-1 words have no letters,
-    so they need only the gates."""
+    given), as ``(L, letter -> (bit, int) pairs)``: the nonzero ones, bit 1
+    for the boundary letter, as numerators over their lcm L.  Degree 0
+    needs no family, and degree-1 words have no letters, so they need
+    only the gates."""
     if degree == 0:
-        return ()
+        return 1, {}
     inside, boundary = letters or _letters(ctx, kind)
     if degree == 1:
-        return ()
+        return 1, {}
     duals = dual_pair(inside, boundary)
-    return tuple(zip(*(ctx.basis.pairings(d) for d in duals)))
+    coords = tuple(zip(*(ctx.basis.pairings(d) for d in duals)))
+    den = lcm(*(c.denominator for pair in coords for c in pair))
+    return den, {letter: tuple((bit, v) for bit, v in
+                               enumerate(_numerators(pair, den)) if v)
+                 for letter, pair in enumerate(coords)}
 
 
 def _in_kind(coords, degree, terms):
-    """Expand a degree's word -> rational dict letter by letter; the sorted
-    boundary-bit words it gives are the compositions in their order."""
+    """Expand a degree's word -> rational dict in the family: on int
+    numerators, one tensor position at a time, then one ``Fraction`` per
+    composition.  The sorted boundary-bit words it gives are the
+    compositions in their order."""
     if degree == 0:
         c = terms.get((), 0)
         return {(): c} if c else {}
-    acc = {}
-    for word, c in terms.items():
-        for bits, v in expand_letters([coords[i] for i in word], c).items():
-            _accumulate(acc, bits, v)
-    return {composition_from_boundary_bits(bits): acc[bits]
-            for bits in sorted(acc)}
+    den, subs = coords
+    common, nums = _over_lcm(terms)
+    bits = _expand_positions(nums, subs, range(degree - 1))
+    den = common * den ** (degree - 1)
+    return {composition_from_boundary_bits(b): Fraction(bits[b], den)
+            for b in sorted(bits)}
 
 
 def expand_in_kind(ctx, kind, x):
@@ -155,11 +169,13 @@ def expand_square_in_kind(ctx, kind, sq):
 
 
 def _square_in_kind(coords, sq):
-    out = {}
+    out, rights = {}, {}
     for ((ld, lw), (rd, rw)), c in sq.terms.items():
-        rights = _in_kind(coords, rd, {rw: 1}).items()
+        right = rights.get((rd, rw))
+        if right is None:  # each right word is expanded once
+            right = rights[rd, rw] = _in_kind(coords, rd, {rw: 1}).items()
         for mu, lc in _in_kind(coords, ld, {lw: c}).items():
-            for nu, rc in rights:
+            for nu, rc in right:
                 _accumulate(out, (mu, nu), lc * rc)
     return out
 
@@ -173,13 +189,13 @@ def product_constants(ctx, kind, max_degree):
         return out
     letters = _letters(ctx, kind)
     coords = _coordinates(ctx, kind, 2, letters)
+    family = {mu: tau_iota_element(ctx.basis, *letters, mu)
+              for n in range(1, max_degree) for mu in compositions(n)}
     for total in range(2, max_degree + 1):
         for a in range(1, total):
             for mu in compositions(a):
-                xa = tau_iota_element(ctx.basis, *letters, mu)
                 for nu in compositions(total - a):
-                    prod = ctx.product(
-                        xa, tau_iota_element(ctx.basis, *letters, nu))
+                    prod = ctx.product(family[mu], family[nu])
                     out[(mu, nu)] = tuple(
                         sorted(_in_kind(coords, total, prod.terms).items()))
     return out

@@ -2,14 +2,15 @@
 oddness, and the nonnegativity screen.
 
 ``reference_interleave`` and ``reference_evaluate`` are the template-list
-block builder and the Gram-weight loop that the word fold and the one-word
-lookup replaced; the tests at the end hold the new code to them.
+block builder and the Gram-weight loop that the word fold and the value
+tables replaced; the tests at the end hold the new code to them.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from hopftower import characters
 from hopftower.characters import (ContextMismatch, LinearCharacter,
                                   NotAMorphism, _interleave, check_morphism,
                                   constant_character, convolve,
@@ -19,6 +20,7 @@ from hopftower.combinatorics import compositions, partial_sums
 from hopftower.elements import TensorElement, expand_letters
 from hopftower.hopf import all_ones_context, induction_context
 from hopftower.theory import TheoryError, cyclic4, two_dim
+from hopftower.verify import verify_characters
 
 
 def ones_ctx(q=3):
@@ -224,3 +226,71 @@ def test_evaluation_matches_the_gram_loop():
                     assert chi(x) == reference_evaluate(chi, x)
                 mixed = TensorElement(n, {w: i - 2 for i, w in enumerate(words)})
                 assert chi(mixed) == reference_evaluate(chi, mixed)
+
+
+# -- the morphism memo and the shared coproduct tables -------------------------
+
+
+def counting_check_morphism(monkeypatch):
+    """Wrap check_morphism; returns the list of characters it is run on."""
+    seen = []
+    real = characters.check_morphism
+
+    def counted(chi):
+        seen.append(chi)
+        return real(chi)
+
+    monkeypatch.setattr(characters, "check_morphism", counted)
+    return seen
+
+
+def test_verify_characters_checks_each_character_once(monkeypatch):
+    seen = counting_check_morphism(monkeypatch)
+    for ctx, top in ((ind_ctx(), 4), (induction_context(cyclic4()), 3)):
+        seen.clear()
+        report = verify_characters(ctx, top)
+        assert report["passed"] == report["checked"] == 17
+        # the counit, three constants, their inverses, two convolution
+        # products fed back into convolve, and the negative control
+        assert len(seen) == 10
+        assert len({id(chi) for chi in seen}) == 10
+        assert len(set(seen)) == 10
+        info = characters._coproducts.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_non_morphism_raises_on_every_call(monkeypatch):
+    ctx = ones_ctx()
+    bad = constant_character(ctx, 2 * ctx.basis.one, 3)
+    good = constant_character(ctx, ctx.basis.one, 3)
+    seen = counting_check_morphism(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(NotAMorphism, match="degree 2, split 1"):
+            convolve(bad, good)
+        with pytest.raises(NotAMorphism, match="degree 2, split 1"):
+            convolve(good, bad)
+        with pytest.raises(NotAMorphism, match="degree 2, split 1"):
+            inverse(bad)
+    assert [chi is bad for chi in seen] == [True, False]
+
+
+def test_perturbed_closed_side_still_raises(monkeypatch):
+    """The coproduct tables are cached, yet the definitional side is still
+    compared: a closed component off by one coefficient raises."""
+    ctx = ind_ctx()
+    a = constant_character(ctx, ctx.alpha, 3)
+    b = constant_character(ctx, ctx.beta, 3)
+    good = convolve(a, b)  # fills the coproduct tables of degrees 1 to 3
+    real = characters._convolve_component
+
+    def perturbed(psi, gamma, n):
+        out = real(psi, gamma, n)
+        if n == 3:
+            out.add_term((1, 0), Fraction(1, 7))
+        return out
+
+    monkeypatch.setattr(characters, "_convolve_component", perturbed)
+    with pytest.raises(TheoryError, match="closed formula disagrees"):
+        convolve(a, b)
+    monkeypatch.undo()
+    assert convolve(a, b) == good

@@ -539,3 +539,44 @@ def test_reader_closing_early_is_not_an_error():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (0, b"")
+
+
+def test_large_json_is_written_in_batches(capsys):
+    """Over several 64 KiB batches the streamed text is still exactly
+    ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline."""
+    code, out, err = run(capsys, ["enumerate", "compositions", "--n", "14"])
+    assert (code, err) == (0, "")
+    assert len(out) > 4 << 16
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# A child that runs one CLI request, its only child, with stdout to
+# devnull, and prints the request's exit code and peak RSS in KiB (Linux
+# counts ru_maxrss in KiB, macOS in bytes).
+_PEAK_RSS = """
+import resource, subprocess, sys
+code = subprocess.call([sys.executable, "-m", "hopftower.cli", *sys.argv[1:]],
+                       stdout=subprocess.DEVNULL)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(code, peak // 1024 if sys.platform == "darwin" else peak)
+"""
+
+
+def test_largest_cyclic4_coproduct_stays_under_64_mib(tmp_path):
+    """The dense cyclic4 degree-9 ``compute coproduct`` (6,561 terms at
+    degree 9, admitted by the 2^22 work bound) writes about 9 MB of JSON.
+    Streamed, it peaks near 56 MiB on Python 3.10-3.12; holding the
+    whole text as well took it to about 119 MiB."""
+    path = tmp_path / "cyclic4_9.json"
+    path.write_text(json.dumps({"degree": 9, "terms": [
+        {"word": list(w), "coeff": "1"}
+        for w in itertools.product(("one", "sgn", "s"), repeat=8)]}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "compute", "coproduct",
+         "--base", "cyclic4", "--iota", "reg", "--beta", "(reg - one)/3",
+         "--x", f"@{path}"],
+        capture_output=True, text=True, env=env, timeout=300)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 64 * 1024, f"peak RSS {peak_kib / 1024:.1f} MiB"

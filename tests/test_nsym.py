@@ -11,11 +11,14 @@ import pytest
 
 from hopftower.antipode import antipode_closed
 from hopftower.combinatorics import (boundary_bits, coarsenings, compositions,
+                                     composition_from_boundary_bits,
                                      conjugate, interior_bits)
-from hopftower.elements import TensorElement, TensorSquare, basis_words
+from hopftower.elements import (TensorElement, TensorSquare, _accumulate,
+                                basis_words, expand_letters)
 from hopftower.functors import ind_along
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
-from hopftower.nsym import (KINDS, InconsistentTag, antipode_corollaries,
+from hopftower.nsym import (KINDS, InconsistentTag, _coordinates, _in_kind,
+                            _letters, antipode_corollaries,
                             coproduct_constants, descent_embedding,
                             expand_in_kind, expand_square_in_kind,
                             nsym_element, product_constants,
@@ -193,6 +196,26 @@ def reference_expand_square_in_kind(ctx, kind, sq):
     return {k: v for k, v in out.items() if v}
 
 
+# The letter-by-letter walk the position-by-position int expansion
+# replaced: each word through expand_letters over its letters' Fraction
+# (inside, boundary) coordinates, accumulated on boundary-bit words.
+
+def reference_in_kind(ctx, kind, x):
+    n = x.degree
+    if n == 0:
+        c = x.terms.get((), 0)
+        return {(): c} if c else {}
+    letters = _letters(ctx, kind)
+    coords = () if n == 1 else tuple(zip(*(
+        ctx.basis.pairings(d) for d in dual_pair(*letters))))
+    acc = {}
+    for word, c in x.terms.items():
+        for bits, v in expand_letters([coords[i] for i in word], c).items():
+            _accumulate(acc, bits, v)
+    return {composition_from_boundary_bits(bits): acc[bits]
+            for bits in sorted(acc)}
+
+
 def expansion_contexts():
     for q in (2, 3, 5):
         yield ind_ctx(q)
@@ -221,6 +244,8 @@ def outcome(fn, *args):
 
 
 def test_expansion_matches_the_dense_solve():
+    """Against the dense solve and the letter walk, as item lists, so the
+    order of the compositions counts too."""
     rng = random.Random(5)
     expanded = 0
     for ctx in expansion_contexts():
@@ -229,6 +254,7 @@ def test_expansion_matches_the_dense_solve():
                 x = dense(rng, ctx, n)
                 got = outcome(expand_in_kind, ctx, kind, x)
                 assert got == outcome(reference_expand_in_kind, ctx, kind, x)
+                assert got == outcome(reference_in_kind, ctx, kind, x)
                 expanded += isinstance(got, list) and n == 7
     assert expanded == 12   # the (context, kind) pairs whose family exists
 
@@ -249,6 +275,22 @@ def test_square_expansion_matches_the_grouped_route():
                 assert got == reference_expand_square_in_kind(ctx, kind, sq)
                 expanded += n == 5
     assert expanded == 12
+
+
+def test_expansion_cancels_after_expanding():
+    """Every word of 2 h(2,1) - 3 h(1,2) reaches other compositions too;
+    their coefficients cancel only once all words are summed."""
+    ctx = ind_ctx()
+    coords = _coordinates(ctx, "h_basis", 3)
+    x = (2 * nsym_element(ctx, "h_basis", (2, 1))
+         - 3 * nsym_element(ctx, "h_basis", (1, 2)))
+    want = {(2, 1): 2, (1, 2): -3}
+    assert expand_in_kind(ctx, "h_basis", x) == want
+    assert reference_in_kind(ctx, "h_basis", x) == want
+    reached = set()
+    for word, c in x.terms.items():
+        reached.update(_in_kind(coords, 3, {word: c}))
+    assert reached - set(want)
 
 
 def test_expansion_edge_cases():
