@@ -16,8 +16,10 @@ equation m(S ⊗ id)Δ = unit∘counit degree by degree, from the public
 coproduct and the iota splice of the product.
 
 ``antipode_closed`` and ``antipode_oracle`` compute with int numerators
-over powers of the context's denominator D and build one ``Fraction`` per
-output term; the set-composition routes multiply ``Fraction`` factors.
+and build one ``Fraction`` per output term: the closed route over powers
+of the context's denominator D, the oracle over the lcm of each S(word)'s
+own reduced denominators.  The set-composition routes multiply
+``Fraction`` factors.
 ``antipode_closed`` sums onto unexpanded words and then expands the
 difference letters and iota separators once, position by position.
 Every per-degree plan is context-free and kept in a bounded cache.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .combinatorics import (bc_bits, compositions, llc_bits, partial_sums,
                             set_compositions, straighten, toggle_free)
@@ -149,59 +151,44 @@ def antipode_oracle(ctx, x):
         return out
     common, nums = _over_lcm(x.terms)
     parts = [(num, *_oracle_word(ctx, n, word)) for word, num in nums.items()]
-    den = ctx._den
-    top = max(e for _, e, _ in parts)
+    top = lcm(*(d for _, d, _ in parts))
     acc = {}
-    for num, e, s in parts:
-        scalar = num * den ** (top - e)
+    for num, d, s in parts:
+        scalar = num * (top // d)
         for w, v in s.items():
             _accumulate(acc, w, scalar * v)
-    den = common * den ** top
+    den = common * top
     out.terms = {w: Fraction(v, den) for w, v in acc.items()}
     return out
 
 
 def _oracle_word(ctx, degree, word):
-    """S of one basis word of positive degree as ``(e, numerators)``: the
-    coefficient of each word is its int numerator over D^e, D the
-    context's denominator ``ctx._den``.  Built from ``ctx.coproduct`` and
+    """S of one basis word of positive degree as ``(L, numerators)``: the
+    coefficient of each word is its int numerator over L, the lcm of the
+    coefficients' reduced denominators.  Built from ``ctx.coproduct`` and
     the iota splice alone, and cached in ``ctx._antipode_cache``."""
     cache = ctx._antipode_cache
     key = (degree, word)
     if key in cache:
         return cache[key]
+    steps = [(c, rw, *_oracle_word(ctx, ld, lw)) for ((ld, lw), (_, rw)), c
+             in ctx.coproduct(TensorElement(degree, {word: 1})).terms.items()
+             if 0 < ld < degree]
+    # c·S(left)·right is over c's denominator, S(left)'s and one iota's D
     den = ctx._den
-    top = 2 * (degree - 1)
-    scale = den ** top  # Δ of a basis word is over D^top
-    steps = []
-    for ((ld, lw), (rd, rw)), c in ctx.coproduct(
-            TensorElement(degree, {word: 1})).terms.items():
-        if ld == 0 or ld == degree:
-            continue
-        q, r = divmod(scale, c.denominator)
-        if r:
-            raise ArithmeticError(f"coproduct coefficient {c} of {word} "
-                                  f"is not over D^{top}")
-        steps.append((c.numerator * q, rw, *_oracle_word(ctx, ld, lw)))
-    # c·S(left)·right is over D^(top + e + 1): Δ, S(left) and one iota
-    exp = max((top + 1 + e for _, _, e, _ in steps), default=0)
-    acc = {word: -den ** exp}
+    top = lcm(*(c.denominator * s_den * den for c, _, s_den, _ in steps))
+    acc = {word: -top}
     iota = ctx._iota_num
-    for c, rw, e, s_left in steps:
-        scalar = -c * den ** (exp - top - 1 - e)
+    for c, rw, s_den, s_left in steps:
+        scalar = -c.numerator * (top // (c.denominator * s_den * den))
         for u, s in s_left.items():
             s *= scalar
             for i, ci in iota:
                 _accumulate(acc, u + (i,) + rw, s * ci)
-    # lower the exponent only as far as every numerator divides
-    g, e = gcd(*acc.values()), exp
-    while e and not g % den:
-        g //= den
-        e -= 1
-    if e < exp:
-        f = den ** (exp - e)
-        acc = {w: v // f for w, v in acc.items()}
-    cache[key] = e, acc
+    # copied even when g is 1: the copy is compact, while acc keeps the
+    # room that its growth and its cancelled words took
+    g = gcd(top, *acc.values())
+    cache[key] = top // g, {w: v // g for w, v in acc.items()}
     return cache[key]
 
 

@@ -3,7 +3,8 @@
 A linear character is a truncated sequence of functionals, one per
 degree, each given by an element of that degree (evaluation is the
 graded inner product).  ``check_morphism`` tests multiplicativity
-against the coproduct; the group law is convolution, computed two ways
+against the product, pairing the letter the product splices iota into
+against iota; the group law is convolution, computed two ways
 (closed block formula and the definitional composite) which are checked
 against each other on every call.  The group operations run
 ``check_morphism`` once per character, and the definitional side reads
@@ -18,8 +19,8 @@ from functools import lru_cache
 
 from .combinatorics import compositions
 from .elements import TensorElement, expand_letters
-from .functors import def_along, pointwise_twist
-from .theory import TheoryError
+from .functors import _pair_away
+from .theory import BaseElement, TheoryError
 
 
 class ContextMismatch(TheoryError):
@@ -118,15 +119,15 @@ def counit_character(ctx, max_degree):
 
 def constant_character(ctx, psi, max_degree):
     """The character whose degree-n component is the pure tensor word
-    with every letter psi (a basis-coefficient element of degree 1 in
-    the underlying class-function space).
+    with every letter psi, a ``BaseElement`` of the context's basis.
 
     Multiplicative exactly when psi pairs to 1 with iota.
     """
-    coords = psi.coords if hasattr(psi, "coords") else tuple(psi)
+    if not isinstance(psi, BaseElement) or psi.basis != ctx.basis:
+        raise TheoryError("psi must be an element of the context's basis")
     comps = [ctx.unit()]
     for n in range(1, max_degree + 1):
-        entries = [coords] * (n - 1)
+        entries = [psi.coords] * (n - 1)
         comps.append(TensorElement(n, expand_letters(entries, 1)))
     return LinearCharacter(ctx, comps)
 
@@ -135,20 +136,20 @@ def check_morphism(chi):
     """Test multiplicativity of ``chi`` on every basis word up to its
     max degree.
 
-    For each degree n and each split j, the word functional composed
-    with the degree-(n-j) deflation of the j-th coordinate twist must
-    agree with the tensor of the degree-j and degree-(n-j) components.
+    The product splices iota between two words, so chi(x·y) pairs the
+    letter at the splice against iota.  For each degree n and each split
+    j, the degree-n component with its j-th letter paired against iota
+    must equal the tensor of the degree-j and degree-(n-j) components.
     Returns None if all checks pass, else ``(n, j, lhs, rhs)`` for the
     first failing pair of functionals (as coefficient dictionaries).
     """
     ctx = chi.ctx
-    basis = ctx.basis
+    pair_iota = ctx.basis.pairings(ctx.iota)
     for n in range(2, chi.max_degree + 1):
         comp = chi.components[n]
         for j in range(1, n):
-            twisted = pointwise_twist(basis, comp, j, ctx.iota)
             bits = tuple(0 if i == j - 1 else 1 for i in range(n - 1))
-            lhs = def_along(basis, bits, twisted)
+            lhs = _pair_away(bits, comp, [pair_iota] * (n - 1))
             rhs_l = chi.components[j]
             rhs_r = chi.components[n - j]
             rhs = TensorElement(n - 1)

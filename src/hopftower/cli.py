@@ -34,9 +34,11 @@ from .verify import (verify_all, verify_antipode_equivalence, verify_axioms,
 # enumerate: the largest --n (sum(mu) for descent_class); verify and
 # compute: the most work one request may ask for, in the units of
 # _check_work; multiply: the most terms len(x)*len(y)*nnz(iota) a product
-# may have
+# may have; coproduct and antipode: the most pairs of words, or words, the
+# result may range over, and the most plans its degree may need
 _BOUNDS = {"compositions": 16, "toggle_free": 8, "descent_class": 7,
-           "verify": 2 ** 12, "compute": 2 ** 22, "multiply": 2 ** 13}
+           "verify": 2 ** 12, "compute": 2 ** 22, "multiply": 2 ** 13,
+           "coproduct": 2 ** 15, "antipode": 2 ** 14}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,6 +227,27 @@ def _check_product_size(x, y, ctx):
             f"exceeds the multiply size bound {bound}")
 
 
+def _check_output_size(action, dim, x):
+    """Refuse (exit 2) a nonzero coproduct or antipode whose output space or
+    per-degree plan count exceeds ``_BOUNDS[action]``: peak memory follows
+    these, not the work that ``_check_work`` bounds."""
+    if not x.terms:
+        return
+    n = x.degree
+    if action == "coproduct":
+        formula = ("max(sum_k dim^max(k-1,0) * dim^max(degree-k-1,0), "
+                   "2^degree) of --x")
+        size = max(sum(dim ** max(k - 1, 0) * dim ** max(n - k - 1, 0)
+                       for k in range(n + 1)), 1 << n)
+    else:
+        formula = "max(dim^(degree-1), 2^(degree-1)) of --x"
+        size = max(dim, 2) ** max(n - 1, 0)
+    bound = _BOUNDS[action]
+    if size > bound:
+        raise ParseError(f"{formula} = {size} exceeds the {action} size "
+                         f"bound {bound} (2^{bound.bit_length() - 1})")
+
+
 def _cmd_compute(args, basis, tag):
     ctx = _build_context(args, basis)
     x = _load_element(args.x, basis, tag)
@@ -237,11 +260,13 @@ def _cmd_compute(args, basis, tag):
         _check_product_size(x, y, ctx)
         return 0, element_to_dict(ctx.product(x, y), basis, tag)
     if args.action == "coproduct":
+        _check_output_size("coproduct", basis.dim, x)
         return 0, square_to_dict(ctx.coproduct(x), basis, tag)
     if args.cross_check:
         # the set-composition routes cost what verify does at this degree
         _check_verify_work(basis.dim, x.degree,
                            "--cross-check: dim^(degree-1) * 2^degree")
+    _check_output_size("antipode", basis.dim, x)
     result = antipode_closed(ctx, x)
     payload = element_to_dict(result, basis, tag)
     if not args.cross_check:

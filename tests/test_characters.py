@@ -3,9 +3,12 @@ oddness, and the nonnegativity screen.
 
 ``reference_interleave`` and ``reference_evaluate`` are the template-list
 block builder and the Gram-weight loop that the word fold and the value
-tables replaced; the tests at the end hold the new code to them.
+tables replaced, and ``reference_check_morphism`` is the twist-then-deflate
+route that pairing against iota replaced; the tests at the end hold the new
+code to them.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,8 +21,9 @@ from hopftower.characters import (ContextMismatch, LinearCharacter,
                                   looks_module_supported)
 from hopftower.combinatorics import compositions, partial_sums
 from hopftower.elements import TensorElement, expand_letters
+from hopftower.functors import def_along, pointwise_twist
 from hopftower.hopf import all_ones_context, induction_context
-from hopftower.theory import TheoryError, cyclic4, two_dim
+from hopftower.theory import TheoryError, cyclic4, from_table, two_dim
 from hopftower.verify import verify_characters
 
 
@@ -61,6 +65,19 @@ def test_counit_and_constants_are_morphisms():
     # any element pairing to 1 with iota works; reg does for iota = one
     assert check_morphism(
         constant_character(ones_ctx(), two_dim(3).reg, 4)) is None
+
+
+def test_constant_character_takes_only_elements_of_its_basis():
+    ctx = ind_ctx()
+    with pytest.raises(TheoryError, match="context's basis"):
+        constant_character(ctx, cyclic4().one, 3)  # three coordinates
+    with pytest.raises(TheoryError, match="context's basis"):
+        constant_character(ctx, (1, 2, 3), 3)
+    with pytest.raises(TheoryError, match="context's basis"):
+        constant_character(ctx, ctx.alpha.coords, 3)
+    # an equal basis built again is the same basis
+    assert constant_character(ctx, two_dim(3).reg, 3) == constant_character(
+        ctx, ctx.basis.reg, 3)
 
 
 def test_check_morphism_reports_first_failure():
@@ -294,3 +311,75 @@ def test_perturbed_closed_side_still_raises(monkeypatch):
         convolve(a, b)
     monkeypatch.undo()
     assert convolve(a, b) == good
+
+
+# -- check_morphism against the twist route -------------------------------------
+
+
+def kronecker(a, b):
+    """The character table of the direct product of a's and b's groups:
+    rows chi (x) psi, class sizes s * t, identity class (e, e)."""
+    return from_table(
+        tuple(tuple(x * y for x in ra for y in rb)
+              for ra in a.table for rb in b.table),
+        tuple(s * t for s in a.sizes for t in b.sizes),
+        a.identity_class * b.dim + b.identity_class)
+
+
+def morphism_tables():
+    """Ranks 2, 2, 2, 3, 4 and 6."""
+    return (two_dim(2), two_dim(3), two_dim(5), cyclic4(),
+            kronecker(two_dim(2), two_dim(3)),
+            kronecker(cyclic4(), two_dim(2)))
+
+
+def reference_check_morphism(chi):
+    """check_morphism with the left-hand side built by twisting letter j of
+    chi_n pointwise by iota and deflating it against the all-ones
+    character."""
+    ctx, basis = chi.ctx, chi.ctx.basis
+    for n in range(2, chi.max_degree + 1):
+        for j in range(1, n):
+            twisted = pointwise_twist(basis, chi.components[n], j, ctx.iota)
+            bits = tuple(0 if i == j - 1 else 1 for i in range(n - 1))
+            lhs = def_along(basis, bits, twisted)
+            rhs = TensorElement(n - 1)
+            for lw, lc in chi.components[j].terms.items():
+                for rw, rc in chi.components[n - j].terms.items():
+                    rhs.add_term(lw + rw, lc * rc)
+            if lhs != rhs:
+                return (n, j, dict(lhs.terms), dict(rhs.terms))
+    return None
+
+
+def perturbed(chi, n):
+    """chi with its degree-n coefficient of the all-ones word changed:
+    every letter of that word pairs to a nonzero value with iota, so chi
+    stops being multiplicative at degree n."""
+    comps = list(chi.components)
+    word = (chi.ctx.basis.one_index,) * (n - 1)
+    comps[n] = comps[n] + TensorElement(n, {word: Fraction(1, 3)})
+    return LinearCharacter(chi.ctx, comps)
+
+
+def test_check_morphism_matches_the_twist_route():
+    rng, top = random.Random(13), 4
+    for basis in morphism_tables():
+        for ctx in (all_ones_context(basis), induction_context(basis)):
+            good = [counit_character(ctx, top),
+                    constant_character(ctx, ctx.alpha, top),
+                    constant_character(ctx, ctx.beta, top),
+                    *non_constant_characters(ctx, top)]
+            assert all(check_morphism(chi) is None for chi in good)
+            bad = {top: perturbed(good[1], top), 3: perturbed(good[3], 3),
+                   2: perturbed(good[4], 2)}
+            for n, chi in bad.items():
+                assert check_morphism(chi)[0] == n
+            noise = [basis.element([Fraction(rng.randint(-4, 4),
+                                             rng.randint(1, 3))
+                                    for _ in range(basis.dim)])
+                     for _ in range(2)]
+            others = [constant_character(ctx, psi, top)
+                      for psi in (2 * basis.one, ctx.iota, *noise)]
+            for chi in good + list(bad.values()) + others:
+                assert check_morphism(chi) == reference_check_morphism(chi)

@@ -12,10 +12,12 @@ from hopftower.combinatorics import (bc_bits, block_index, lc_bits, llc_bits,
                                      setcomp_refines)
 from hopftower.elements import (TensorElement, TensorSquare, basis_words,
                                 expand_letters)
-from hopftower.functors import (def_along, dn_bracket, ind_along, inf_along,
-                                inf_bracket, pointwise_twist, res_along)
+from hopftower.functors import (_pair_away, def_along, dn_bracket, ind_along,
+                                inf_along, inf_bracket, pointwise_twist,
+                                res_along)
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.theory import cyclic4, two_dim
+from test_characters import morphism_tables
 from test_kernels import assert_same
 
 
@@ -102,16 +104,29 @@ def test_induction_is_inflation_twisted_by_reg():
 
 
 def test_restriction_is_deflation_of_reg_twist():
-    for t in (two_dim(3), cyclic4()):
+    """Twisting a letter pointwise by f and deflating it against the
+    all-ones character pairs it against f, <chi_l f, 1> = <chi_l, f>: for
+    f = reg that is restriction, for any f it is ``_pair_away`` with f's
+    pairings (the left-hand side of ``check_morphism``, f = iota)."""
+    rng = random.Random(17)
+    for t in morphism_tables():
+        fs = [t.reg] + [t.element([Fraction(rng.randint(-9, 9),
+                                            rng.randint(1, 7))
+                                   for _ in range(t.dim)])
+                        for _ in range(3)]
         for bits in all_bit_masks(3):
             n = len(bits) + 1
-            for w in basis_words(t.dim, n):
-                x = TensorElement(n, {w: 1})
+            x = TensorElement(n, {w: Fraction(rng.randint(-5, 5), 2)
+                                  for w in basis_words(t.dim, n)})
+            for f in fs:
                 twisted = x
                 for j, b in enumerate(bits, start=1):
                     if not b:
-                        twisted = pointwise_twist(t, twisted, j, t.reg)
-                assert def_along(t, bits, twisted) == res_along(t, bits, x)
+                        twisted = pointwise_twist(t, twisted, j, f)
+                paired = _pair_away(bits, x, [t.pairings(f)] * len(bits))
+                assert def_along(t, bits, twisted) == paired
+            assert _pair_away(bits, x, [t.pairings(t.reg)] * len(bits)) == (
+                res_along(t, bits, x))
 
 
 # -- refinement brackets --------------------------------------------------------

@@ -11,6 +11,7 @@ and ``square_product`` in the reference loops' order.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hopftower.antipode import _closed_plans, antipode_closed, antipode_oracle
 from hopftower.combinatorics import compositions, partial_sums
@@ -205,9 +206,10 @@ def test_fractional_iota_coordinates():
         assert_basis_words_match(ctx, 4)
 
 
-def test_oracle_memo_keeps_its_exponent():
-    """Each memoized S(word) is its reference value as ints over D^e, with
-    e lowered only while every numerator divides by D."""
+def test_oracle_memo_is_over_its_lcm():
+    """Each memoized S(word) is its reference value as ``(L, nums)``: int
+    numerators over L, reduced so that gcd(L, *nums) = 1, in the
+    reference's key order."""
     basis = two_dim(3)
     contexts = [induction_context(cyclic4()), all_ones_context(two_dim(5)),
                 HopfContext.unchecked(basis, basis.reg / 3, basis.one,
@@ -218,11 +220,13 @@ def test_oracle_memo_keeps_its_exponent():
             w: 1 for w in ctx.basis_words(5)}))
         assert len(ctx._antipode_cache) == sum(
             ctx.basis.dim ** (n - 1) for n in range(1, 6))
-        for (n, w), (e, nums) in ctx._antipode_cache.items():
+        for (n, w), (den, nums) in ctx._antipode_cache.items():
             want = _reference_oracle_word(ctx, memo, n, w).terms
-            assert {u: Fraction(v, ctx._den ** e)
-                    for u, v in nums.items()} == want
-            assert e == 0 or any(v % ctx._den for v in nums.values())
+            assert {u: Fraction(v, den) for u, v in nums.items()} == want
+            assert list(nums) == list(want)
+            assert gcd(den, *nums.values()) == 1
+        assert any(den > 1 for den, _ in ctx._antipode_cache.values()) == (
+            ctx._den > 1)
 
 
 def test_integer_tables_are_built_on_first_use():
