@@ -35,10 +35,10 @@ from .verify import (verify_all, verify_antipode_equivalence, verify_axioms,
 # compute: the most work one request may ask for, in the units of
 # _check_work; multiply: the most terms len(x)*len(y)*nnz(iota) a product
 # may have; coproduct and antipode: the most pairs of words, or words, the
-# result may range over, and the most plans its degree may need
+# result may range over; plans: the most per-degree plans either may need
 _BOUNDS = {"compositions": 16, "toggle_free": 8, "descent_class": 7,
            "verify": 2 ** 12, "compute": 2 ** 22, "multiply": 2 ** 13,
-           "coproduct": 2 ** 15, "antipode": 2 ** 14}
+           "coproduct": 2 ** 15, "antipode": 2 ** 14, "plans": 2 ** 15}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,24 +228,28 @@ def _check_product_size(x, y, ctx):
 
 
 def _check_output_size(action, dim, x):
-    """Refuse (exit 2) a nonzero coproduct or antipode whose output space or
-    per-degree plan count exceeds ``_BOUNDS[action]``: peak memory follows
-    these, not the work that ``_check_work`` bounds."""
+    """Refuse (exit 2) a nonzero coproduct or antipode whose pairs of words
+    or words exceed ``_BOUNDS[action]``, or whose per-degree plans exceed
+    ``_BOUNDS["plans"]``: peak memory follows these, not the work that
+    ``_check_work`` bounds.  The plans outnumber the words only for a
+    rank-1 table."""
     if not x.terms:
         return
     n = x.degree
     if action == "coproduct":
-        formula = ("max(sum_k dim^max(k-1,0) * dim^max(degree-k-1,0), "
-                   "2^degree) of --x")
-        size = max(sum(dim ** max(k - 1, 0) * dim ** max(n - k - 1, 0)
-                       for k in range(n + 1)), 1 << n)
+        words = ("sum_k dim^max(k-1,0) * dim^max(degree-k-1,0)",
+                 sum(dim ** max(k - 1, 0) * dim ** max(n - k - 1, 0)
+                     for k in range(n + 1)))
+        plans = ("2^degree", 1 << n)
     else:
-        formula = "max(dim^(degree-1), 2^(degree-1)) of --x"
-        size = max(dim, 2) ** max(n - 1, 0)
-    bound = _BOUNDS[action]
-    if size > bound:
-        raise ParseError(f"{formula} = {size} exceeds the {action} size "
-                         f"bound {bound} (2^{bound.bit_length() - 1})")
+        words = ("dim^(degree-1)", dim ** max(n - 1, 0))
+        plans = ("2^(degree-1)", 1 << max(n - 1, 0))
+    for kind, (formula, size), bound in (("size", words, _BOUNDS[action]),
+                                         ("plan", plans, _BOUNDS["plans"])):
+        if size > bound:
+            raise ParseError(f"{formula} of --x = {size} exceeds the {action} "
+                             f"{kind} bound {bound} "
+                             f"(2^{bound.bit_length() - 1})")
 
 
 def _cmd_compute(args, basis, tag):

@@ -563,63 +563,86 @@ print(code, peak // 1024 if sys.platform == "darwin" else peak)
 """
 
 
-def _cyclic4_request(tmp_path, action, degree, count):
-    """Run ``compute action`` on the first ``count`` cyclic4 words of
-    ``degree`` in a child process: (exit code, peak RSS in KiB, stderr)."""
-    path = tmp_path / f"cyclic4_{degree}.json"
+def _child_request(tmp_path, action, base, labels, degree, count):
+    """Run ``compute action`` on the first ``count`` words of ``degree``
+    over ``labels`` in a child process: (exit code, peak RSS in KiB,
+    stderr)."""
+    path = tmp_path / f"x_{degree}.json"
     path.write_text(json.dumps({"degree": degree, "terms": [
         {"word": list(w), "coeff": "1"} for w in itertools.islice(
-            itertools.product(("one", "sgn", "s"), repeat=degree - 1),
-            count)]}))
+            itertools.product(labels, repeat=degree - 1), count)]}))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, "compute", action,
-         "--base", "cyclic4", "--iota", "reg", "--beta", "(reg - one)/3",
+        [sys.executable, "-c", _PEAK_RSS, "compute", action, *base,
          "--x", f"@{path}"],
         capture_output=True, text=True, env=env, timeout=300)
     code, peak_kib = map(int, proc.stdout.split())
     return code, peak_kib, proc.stderr
 
 
-def assert_largest_admitted(tmp_path, action):
-    """All 6,561 cyclic4 words of degree 9 are the largest request the
-    size bound admits; it stays under 64 MiB.  4,096 words of degree 10
-    pass the 2^22 work bound and exit 2 with one error line."""
-    code, peak_kib, err = _cyclic4_request(tmp_path, action, 9, 3 ** 8)
+def assert_largest_admitted(tmp_path, action, base, labels, top, count,
+                            refused_count, kind):
+    """``count`` words of degree ``top`` are the largest request the size
+    and plan bounds admit; it stays under 64 MiB.  ``refused_count`` words
+    of degree ``top + 1`` pass the 2^22 work bound and exit 2 with one
+    error line."""
+    code, peak_kib, err = _child_request(tmp_path, action, base, labels,
+                                         top, count)
     assert (code, err) == (0, "")
     assert peak_kib < 64 * 1024, f"peak RSS {peak_kib / 1024:.1f} MiB"
-    code, _, err = _cyclic4_request(tmp_path, action, 10, 4096)
+    code, _, err = _child_request(tmp_path, action, base, labels, top + 1,
+                                  refused_count)
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert f"exceeds the {action} size bound" in err
+    assert f"exceeds the {action} {kind} bound" in err
+
+
+_CYCLIC4 = (["--base", "cyclic4", "--iota", "reg", "--beta", "(reg - one)/3"],
+            ("one", "sgn", "s"))
 
 
 def test_largest_cyclic4_coproduct_stays_under_64_mib(tmp_path):
-    """The dense cyclic4 degree-9 ``compute coproduct`` writes about 9 MB
-    of JSON.  Streamed, it peaks near 56 MiB on Python 3.10-3.12; holding
-    the whole text as well took it to about 119 MiB, and degree 10 (4,096
-    words, refused now) took 107 MiB."""
-    assert_largest_admitted(tmp_path, "coproduct")
+    """The dense cyclic4 degree-9 ``compute coproduct`` (all 6,561 words)
+    writes about 9 MB of JSON.  Streamed, it peaks near 56 MiB on Python
+    3.10-3.12; holding the whole text as well took it to about 119 MiB,
+    and degree 10 (4,096 words, refused now) took 107 MiB."""
+    assert_largest_admitted(tmp_path, "coproduct", *_CYCLIC4, 9, 3 ** 8,
+                            4096, "size")
 
 
 def test_largest_cyclic4_antipode_stays_under_64_mib(tmp_path):
     """The dense cyclic4 degree-9 ``compute antipode`` peaks near 43 MiB;
     degree 10 (4,096 words, refused now) took 95 MiB."""
-    assert_largest_admitted(tmp_path, "antipode")
+    assert_largest_admitted(tmp_path, "antipode", *_CYCLIC4, 9, 3 ** 8,
+                            4096, "size")
+
+
+def _rank1(tmp_path):
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"labels": ["one"], "values": [["1"]],
+                                "sizes": [1], "identity_class": 0}))
+    return ["--theory-file", str(path)], ("one",)
+
+
+def test_largest_rank1_requests_stay_under_64_mib(tmp_path):
+    """A rank-1 table has one word per degree, so its plans bound it: the
+    degree-15 coproduct (2^15 plans) peaks near 43 MiB and degree 16 took
+    74 MiB; the degree-16 antipode (2^15 plans) peaks near 40 MiB and
+    degree 17 took 67 MiB."""
+    for action, top in (("coproduct", 15), ("antipode", 16)):
+        assert_largest_admitted(tmp_path, action, *_rank1(tmp_path), top, 1,
+                                1, "plan")
 
 
 def test_compute_size_bound(capsys, tmp_path):
     """2^15 pairs of words for a coproduct, 2^14 words for an antipode,
-    and as many per-degree plans: two_dim admits coproducts to degree 13
-    and antipodes to degree 15, cyclic4 both to degree 9, and a rank-1
-    table, whose plans outnumber its words, both to degree 15."""
-    path = tmp_path / "trivial.json"
-    path.write_text(json.dumps({"labels": ["one"], "values": [["1"]],
-                                "sizes": [1], "identity_class": 0}))
-    bases = {1: ["--theory-file", str(path)], 2: [],
-             3: ["--base", "cyclic4"]}
+    and 2^15 per-degree plans for either: two_dim admits coproducts to
+    degree 13 and antipodes to degree 15, cyclic4 both to degree 9, and a
+    rank-1 table, whose plans outnumber its words, coproducts to degree 15
+    and antipodes to degree 16."""
+    bases = {1: _rank1(tmp_path)[0], 2: [], 3: ["--base", "cyclic4"]}
     for action, dim, top in (("coproduct", 1, 15), ("coproduct", 2, 13),
-                             ("coproduct", 3, 9), ("antipode", 1, 15),
+                             ("coproduct", 3, 9), ("antipode", 1, 16),
                              ("antipode", 2, 15), ("antipode", 3, 9)):
         _check_output_size(action, dim,
                            TensorElement(top, {(0,) * (top - 1): 1}))
@@ -627,6 +650,7 @@ def test_compute_size_bound(capsys, tmp_path):
             "compute", action, *bases[dim],
             "--x", word_json(top + 1, ["one"] * top)])
         assert code == 2 and out == "", (action, dim)
-        assert f"exceeds the {action} size bound" in err
+        kind = "plan" if dim == 1 else "size"
+        assert f"exceeds the {action} {kind} bound" in err
     # the zero element is still admitted at any degree
     _check_output_size("coproduct", 2, TensorElement(60))
