@@ -8,7 +8,7 @@ against iota; the group law is convolution, computed two ways
 (closed block formula and the definitional composite) which are checked
 against each other on every call.  The group operations run
 ``check_morphism`` once per character, and the definitional side reads
-Δ of each basis word from a bounded cache.
+Δ of each basis word from a bounded cache and sums on int numerators.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import compositions
-from .elements import TensorElement, expand_letters
+from .elements import TensorElement, _over_lcm, expand_letters
 from .functors import _pair_away
 from .theory import BaseElement, TheoryError
 
@@ -182,31 +182,47 @@ def _require_morphisms(*chis):
 
 @lru_cache(maxsize=16)
 def _coproducts(ctx, n):
-    """Per basis word of degree n: its coproduct's terms as (left degree,
-    left word, right degree, right word, coefficient), from the public
-    ``ctx.coproduct``."""
-    return tuple(
-        (word, tuple((ld, lw, rd, rw, c) for ((ld, lw), (rd, rw)), c
-                     in ctx.coproduct(TensorElement(n, {word: 1})).terms.items()))
-        for word in ctx.basis_words(n))
+    """Per basis word of degree n: (word, L, terms), the coproduct's terms
+    as (left degree, left word, right degree, right word, c) with c the
+    int numerator over L, from the public ``ctx.coproduct``."""
+    out = []
+    for word in ctx.basis_words(n):
+        den, num = _over_lcm(ctx.coproduct(TensorElement(n, {word: 1})).terms)
+        out.append((word, den, tuple((ld, lw, rd, rw, c) for
+                                     ((ld, lw), (rd, rw)), c in num.items())))
+    return tuple(out)
+
+
+def _numerator_tables(chi):
+    """``chi``'s value tables over one denominator for all degrees: (L,
+    per degree a word -> int numerator dict)."""
+    tables = chi._value_tables()
+    den = math.lcm(*(v.denominator for t in tables for v in t.values()))
+    return den, tuple({w: v.numerator * (den // v.denominator)
+                       for w, v in t.items()} for t in tables)
 
 
 def _check_definition(psi, gamma, want):
     """Raise unless the definitional composite (psi * gamma)(x), summed
     over the coproduct of x, equals want(x) on every basis word x of
-    positive degree up to want's max degree."""
-    left, right = psi._value_tables(), gamma._value_tables()
+    positive degree up to want's max degree.  The sum runs on int
+    numerators over one denominator per word."""
+    left_den, left = _numerator_tables(psi)
+    right_den, right = _numerator_tables(gamma)
+    scale = left_den * right_den
     for n in range(1, want.max_degree + 1):
         closed_values = want._value_tables()[n]
-        for word, terms in _coproducts(psi.ctx, n):
+        for word, den, terms in _coproducts(psi.ctx, n):
             closed = closed_values.get(word, 0)
             defined = sum(c * lv * rv for ld, lw, rd, rw, c in terms
                           if (lv := left[ld].get(lw))
                           and (rv := right[rd].get(rw)))
-            if closed != defined:
+            den *= scale
+            if closed.numerator * den != defined * closed.denominator:
                 raise TheoryError(
                     "closed formula disagrees with the definition at "
-                    "degree %d word %r: %s != %s" % (n, word, closed, defined))
+                    "degree %d word %r: %s != %s"
+                    % (n, word, closed, Fraction(defined, den)))
 
 
 def convolve(psi, gamma):

@@ -9,6 +9,10 @@ alpha, beta) triple; degree: ``--max-degree``).  Exit codes: 0 success,
 1 verification or morphism failure, 2 usage or parse error, 3 invalid
 insertion/pairing triple; 2 and 3 write one ``error:`` line to stderr
 and nothing to stdout.
+
+Only ``serialize`` (and the ``theory`` and ``elements`` it imports) is
+loaded for every command; each handler imports the modules it runs, so a
+request compiles no module its command does not use.
 """
 
 from __future__ import annotations
@@ -18,18 +22,10 @@ import json
 import os
 import sys
 
-from .antipode import ROUTES, antipode_closed
-from .characters import (NotAMorphism, check_morphism, constant_character,
-                         convolve, inverse)
-from .combinatorics import compositions, toggle_free
-from .hopf import HopfContext, PairingNotOne
-from .nsym import descent_embedding, verify_nsym_rules
 from .serialize import (ParseError, character_to_dict, element_from_dict,
                         element_to_dict, jsonable, parse_expression,
                         square_to_dict, theory_from_dict)
 from .theory import cyclic4, two_dim
-from .verify import (verify_all, verify_antipode_equivalence, verify_axioms,
-                     verify_characters)
 
 # enumerate: the largest --n (sum(mu) for descent_class); verify and
 # compute: the most work one request may ask for, in the units of
@@ -167,6 +163,7 @@ def _names(args, basis):
 
 
 def _build_context(args, basis):
+    from .hopf import HopfContext
     scalars, aliases = _names(args, basis)
     iota = parse_expression(args.iota, basis, scalars, aliases)
     alpha = parse_expression(args.alpha, basis, scalars, aliases)
@@ -271,6 +268,7 @@ def _cmd_compute(args, basis, tag):
         _check_verify_work(basis.dim, x.degree,
                            "--cross-check: dim^(degree-1) * 2^degree")
     _check_output_size("antipode", basis.dim, x)
+    from .antipode import ROUTES, antipode_closed
     result = antipode_closed(ctx, x)
     payload = element_to_dict(result, basis, tag)
     if not args.cross_check:
@@ -300,11 +298,14 @@ def _cmd_verify(args, basis, tag):
     _check_verify_work(basis.dim, n)
     ctx = _build_context(args, basis)
     spots = 8 if args.seed is not None else 0
+    from .verify import (verify_all, verify_antipode_equivalence,
+                         verify_axioms, verify_characters)
     if args.suite == "axioms":
         report = verify_axioms(ctx, n, seed=args.seed, spot_checks=spots)
     elif args.suite == "antipode_equiv":
         report = verify_antipode_equivalence(ctx, n)
     elif args.suite == "nsym":
+        from .nsym import verify_nsym_rules
         report = verify_nsym_rules(ctx, n)
     elif args.suite == "characters":
         report = verify_characters(ctx, n)
@@ -331,10 +332,12 @@ def _cmd_enumerate(args):
         if sum(mu) > bound:
             raise ParseError(
                 f"sum(mu) = {sum(mu)} exceeds the bound {bound}")
+        from .nsym import descent_embedding
         image = descent_embedding(mu, bound=bound)
         return 0, [{"perm": list(w), "coeff": "1"} for w in image]
     if not 1 <= args.n <= bound:
         raise ParseError(f"--n must be between 1 and {bound}")
+    from .combinatorics import compositions, toggle_free
     if what == "compositions":
         return 0, [list(mu) for mu in compositions(args.n)]
     return 0, [[list(block) for block in A] for A in toggle_free(args.n)]
@@ -346,6 +349,8 @@ def _cmd_characters(args, basis, tag):
     _check_verify_work(basis.dim, n)
     ctx = _build_context(args, basis)
     scalars, aliases = _names(args, basis)
+    from .characters import (check_morphism, constant_character, convolve,
+                             inverse)
     psi = constant_character(
         ctx, parse_expression(args.psi, basis, scalars, aliases), n)
     if args.action == "check":
@@ -421,6 +426,18 @@ def _write(fh, chunks):
     fh.write("".join(batch))
 
 
+def _exit_code(exc):
+    """3 for an invalid triple, 1 for a character that is not a morphism,
+    else 2.  An exception can only come from a module already loaded, so
+    none is imported just to classify it."""
+    for module, name, code in (("hopf", "PairingNotOne", 3),
+                               ("characters", "NotAMorphism", 1)):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(exc, getattr(loaded, name)):
+            return code
+    return 2
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
@@ -436,9 +453,7 @@ def main(argv=None):
                 code, payload = _cmd_characters(args, basis, tag)
     except ValueError as exc:
         _err(f"error: {exc}")
-        if isinstance(exc, PairingNotOne):
-            return 3
-        return 1 if isinstance(exc, NotAMorphism) else 2
+        return _exit_code(exc)
     _emit(payload, args)
     return code
 

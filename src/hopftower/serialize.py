@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .characters import LinearCharacter
 from .elements import TensorElement, TensorSquare
 from .theory import BaseElement, CharacterBasis, TheoryError
 
@@ -172,6 +171,7 @@ def character_from_dict(data, ctx):
         raise ParseError("character must be a JSON object with components")
     comps = [element_from_dict(c, ctx.basis)
              for c in _array(data["components"], "components")]
+    from .characters import LinearCharacter
     try:
         return LinearCharacter(ctx, comps)
     except TheoryError as exc:

@@ -218,6 +218,18 @@ def test_characters_check(capsys):
     assert (data["degree"], data["split"]) == (2, 1)
 
 
+@pytest.mark.parametrize("action",
+                         [["invert"], ["convolve", "--gamma", "one"]])
+def test_group_operation_on_a_non_morphism_exits_1(capsys, action):
+    """``2*one`` pairs to 2 with iota, so it is not multiplicative and the
+    group operations refuse it with NotAMorphism: exit 1, one error line,
+    no output."""
+    code, out, err = run(capsys, [
+        "characters", *action, "--psi", "2*one", "--max-degree", "3"])
+    assert (code, out) == (1, "")
+    assert err == "error: not multiplicative at degree 2, split 1\n"
+
+
 def test_characters_convolve_and_invert(capsys):
     code, out, _ = run(capsys, [
         "characters", "convolve", *IND, "--max-degree", "2",
@@ -540,6 +552,52 @@ def test_reader_closing_early_is_not_an_error():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (0, b"")
+
+
+# A child that runs one CLI request through main() with its output
+# discarded, and prints the exit code and the hopftower modules it loaded.
+_LOADED = """
+import contextlib, io, json, sys
+from hopftower import cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(name.rpartition(".")[2] for name in sys.modules
+                               if name.startswith("hopftower."))]))
+"""
+
+_TOWER = {"hopf", "antipode", "characters", "functors", "verify", "nsym"}
+
+
+@pytest.mark.parametrize("argv, code, unloaded", [
+    (["enumerate", "compositions", "--n", "3"], 0, _TOWER),
+    (["enumerate", "toggle_free", "--n", "3"], 0, _TOWER),
+    (["compute", "multiply", *IND, "--x", X, "--y", X], 0,
+     _TOWER - {"hopf"}),
+    (["compute", "coproduct", *IND, "--x", X], 0, _TOWER - {"hopf"}),
+    (["compute", "antipode", *IND, "--x", X], 0,
+     {"characters", "verify", "nsym"}),
+    (["characters", "check", "--psi", "one"], 0, {"verify", "nsym"}),
+    (["characters", "convolve", "--psi", "one", "--gamma", "one"], 0,
+     {"verify", "nsym"}),
+    (["characters", "invert", "--psi", "one"], 0, {"verify", "nsym"}),
+    # the exit codes that name an exception class, told apart without
+    # importing a module for it
+    (["compute", "multiply", "--q", "3", "--iota", "reg", "--alpha", "reg",
+      "--x", X, "--y", X], 3, _TOWER - {"hopf"}),
+    (["characters", "invert", "--psi", "2*one"], 1, {"verify", "nsym"}),
+])
+def test_each_command_loads_only_what_it_runs(argv, code, unloaded):
+    """A fresh process compiles every module it imports, so a request
+    loads only the modules its command runs."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.stderr == ""
+    got, loaded = json.loads(proc.stdout)
+    assert got == code
+    assert not unloaded & set(loaded), loaded
 
 
 def test_large_json_is_written_in_batches(capsys):
