@@ -17,6 +17,7 @@ __all__ = [
     "TrivialCharacterMissing", "cyclic4", "dual", "dual_pair",
     "from_table", "solve_linear_system", "two_dim",
     "TensorElement", "TensorSquare", "basis_words", "expand_letters",
+    "FundamentalImage", "descent_embedding",
     "def_along", "dn_bracket", "ind_along", "inf_along", "inf_bracket",
     "pointwise_twist", "res_along",
     "HopfContext", "IotaNotBasisElement", "PairingNotOne",
@@ -26,10 +27,10 @@ __all__ = [
     "ContextMismatch", "LinearCharacter", "NotAMorphism", "check_morphism",
     "constant_character", "convolve", "counit_character", "inverse",
     "is_odd", "looks_module_supported",
-    "KINDS", "FundamentalImage", "InconsistentTag", "antipode_corollaries",
-    "coproduct_constants", "descent_embedding", "expand_in_kind",
-    "nsym_element", "product_constants", "shuffle_dual_complement",
-    "tau_iota_element", "verify_nsym_rules",
+    "KINDS", "InconsistentTag", "antipode_corollaries",
+    "coproduct_constants", "expand_in_kind", "nsym_element",
+    "product_constants", "shuffle_dual_complement", "tau_iota_element",
+    "verify_nsym_rules",
     "find_compat_counterexample", "verify_all",
     "verify_antipode_equivalence", "verify_axioms", "verify_characters",
     "__version__",
@@ -62,6 +63,7 @@ def _import_all():
                          from_table, solve_linear_system, two_dim)
     from .elements import (TensorElement, TensorSquare, basis_words,
                            expand_letters)
+    from .combinatorics import FundamentalImage, descent_embedding
     from .functors import (def_along, dn_bracket, ind_along, inf_along,
                            inf_bracket, pointwise_twist, res_along)
     from .hopf import (HopfContext, IotaNotBasisElement, PairingNotOne,
@@ -72,9 +74,8 @@ def _import_all():
                              check_morphism, constant_character,
                              convolve, counit_character, inverse, is_odd,
                              looks_module_supported)
-    from .nsym import (KINDS, FundamentalImage, InconsistentTag,
-                       antipode_corollaries, coproduct_constants,
-                       descent_embedding, expand_in_kind, nsym_element,
+    from .nsym import (KINDS, InconsistentTag, antipode_corollaries,
+                       coproduct_constants, expand_in_kind, nsym_element,
                        product_constants, shuffle_dual_complement,
                        tau_iota_element, verify_nsym_rules)
     from .verify import (find_compat_counterexample, verify_all,

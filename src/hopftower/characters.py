@@ -32,6 +32,8 @@ class NotAMorphism(TheoryError):
     """A character sequence fails multiplicativity, so the group
     operations do not apply to it."""
 
+    exit_code = 1  # the CLI's exit code for a morphism failure
+
 
 class LinearCharacter:
     """A multiplicative functional, stored by components up to a degree.

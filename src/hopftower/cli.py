@@ -8,7 +8,21 @@ handler reads: its own, plus those of the shared groups it needs (output:
 alpha, beta) triple; degree: ``--max-degree``).  Exit codes: 0 success,
 1 verification or morphism failure, 2 usage or parse error, 3 invalid
 insertion/pairing triple; 2 and 3 write one ``error:`` line to stderr
-and nothing to stdout.
+and nothing to stdout.  An error whose class has an ``exit_code``
+(``PairingNotOne``, ``NotAMorphism``) exits with it, any other with 2.
+
+A request is refused (exit 2) before it runs when a count passes one
+of the bounds in ``_BOUNDS``, each checked by ``_admit``:
+  compute work    -- ``compute``: each element's terms times 2^degree
+  verify work     -- ``verify``, ``characters``, ``--cross-check``: word splits
+  multiply size   -- ``compute multiply``: the product's possible terms
+  coproduct size  -- ``compute coproduct``: the pairs of words it spans
+  antipode size   -- ``compute antipode``: the words it spans
+  coproduct plan  -- ``compute coproduct``: its per-degree plans
+  antipode plan   -- ``compute antipode``: its per-degree plans
+  compositions    -- ``enumerate compositions``: ``--n``
+  toggle_free     -- ``enumerate toggle_free``: ``--n``
+  descent_class   -- ``enumerate descent_class``: the sum of ``--mu``
 
 Only ``serialize`` (and the ``theory`` and ``elements`` it imports) is
 loaded for every command; each handler imports the modules it runs, so a
@@ -27,14 +41,19 @@ from .serialize import (ParseError, character_to_dict, element_from_dict,
                         square_to_dict, theory_from_dict)
 from .theory import cyclic4, two_dim
 
-# enumerate: the largest --n (sum(mu) for descent_class); verify and
-# compute: the most work one request may ask for, in the units of
-# _check_work; multiply: the most terms len(x)*len(y)*nnz(iota) a product
-# may have; coproduct and antipode: the most pairs of words, or words, the
-# result may range over; plans: the most per-degree plans either may need
-_BOUNDS = {"compositions": 16, "toggle_free": 8, "descent_class": 7,
-           "verify": 2 ** 12, "compute": 2 ** 22, "multiply": 2 ** 13,
-           "coproduct": 2 ** 15, "antipode": 2 ** 14, "plans": 2 ** 15}
+# each bound, by name, over the count it caps
+_BOUNDS = {
+    "compute work": 2 ** 22,    # len(terms) * 2^degree of one element
+    "verify work": 2 ** 12,     # dim^(degree-1) * 2^degree (_verify_work)
+    "multiply size": 2 ** 13,   # len(terms of x) * len(terms of y) * nnz(iota)
+    "coproduct size": 2 ** 15,  # the pairs of words the result may span
+    "antipode size": 2 ** 14,   # the words the result may span
+    "coproduct plan": 2 ** 15,  # 2^degree per-degree plans
+    "antipode plan": 2 ** 15,   # 2^(degree-1) per-degree plans
+    "compositions": 16,         # --n
+    "toggle_free": 8,           # --n
+    "descent_class": 7,         # sum(mu)
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,78 +214,63 @@ def _load_element(arg, basis, tag):
     return element_from_dict(data, basis)
 
 
-def _check_work(what, count, degree, formula):
-    """Refuse (exit 2) a request whose work ``count * 2^degree`` exceeds
-    ``_BOUNDS[what]``."""
-    bound = _BOUNDS[what]
-    if count << degree > bound:
-        raise ParseError(f"{formula} exceeds the {what} work bound {bound} "
-                         f"(2^{bound.bit_length() - 1})")
-
-
-def _check_verify_work(dim, degree,
-                       formula="dim^(max_degree-1) * 2^max_degree"):
-    # dim^(degree-1) basis words, each splitting 2^degree ways; the degree
-    # is capped where 2^degree alone passes the bound, so a huge
-    # --max-degree is refused without forming dim^degree
-    degree = min(degree, _BOUNDS["verify"].bit_length())
-    _check_work("verify", dim ** max(degree - 1, 0), degree, formula)
-
-
-def _check_product_size(x, y, ctx):
-    """Refuse (exit 2) a product with more than ``_BOUNDS["multiply"]``
-    terms, before any of them is built."""
-    bound = _BOUNDS["multiply"]
-    size = len(x.terms) * len(y.terms) * sum(1 for c in ctx.iota_coords if c)
+def _admit(name, size, formula):
+    """Refuse (exit 2) a request whose ``size``, counted as ``formula``
+    says, exceeds the bound ``_BOUNDS[name]``."""
+    bound = _BOUNDS[name]
     if size > bound:
-        raise ParseError(
-            f"len(terms of --x) * len(terms of --y) * nnz(iota) = {size} "
-            f"exceeds the multiply size bound {bound}")
+        raise ParseError(f"{formula} exceeds the {name} bound {bound}")
+
+
+def _verify_work(dim, degree):
+    """dim^(degree-1) basis words, each splitting 2^degree ways.  The
+    degree is capped where 2^degree alone passes the bound, so a huge
+    --max-degree is refused without forming dim^degree."""
+    degree = min(degree, _BOUNDS["verify work"].bit_length())
+    return dim ** max(degree - 1, 0) << degree
 
 
 def _check_output_size(action, dim, x):
     """Refuse (exit 2) a nonzero coproduct or antipode whose pairs of words
-    or words exceed ``_BOUNDS[action]``, or whose per-degree plans exceed
-    ``_BOUNDS["plans"]``: peak memory follows these, not the work that
-    ``_check_work`` bounds.  The plans outnumber the words only for a
-    rank-1 table."""
+    or words, or whose per-degree plans, exceed their bounds: peak memory
+    follows these, not the work.  The plans outnumber the words only for
+    a rank-1 table."""
     if not x.terms:
         return
     n = x.degree
     if action == "coproduct":
-        words = ("sum_k dim^max(k-1,0) * dim^max(degree-k-1,0)",
-                 sum(dim ** max(k - 1, 0) * dim ** max(n - k - 1, 0)
-                     for k in range(n + 1)))
-        plans = ("2^degree", 1 << n)
+        words = sum(dim ** max(k - 1, 0) * dim ** max(n - k - 1, 0)
+                    for k in range(n + 1))
+        _admit("coproduct size", words, "sum_k dim^max(k-1,0) * "
+               f"dim^max(degree-k-1,0) of --x = {words}")
+        _admit("coproduct plan", 1 << n, f"2^degree of --x = {1 << n}")
     else:
-        words = ("dim^(degree-1)", dim ** max(n - 1, 0))
-        plans = ("2^(degree-1)", 1 << max(n - 1, 0))
-    for kind, (formula, size), bound in (("size", words, _BOUNDS[action]),
-                                         ("plan", plans, _BOUNDS["plans"])):
-        if size > bound:
-            raise ParseError(f"{formula} of --x = {size} exceeds the {action} "
-                             f"{kind} bound {bound} "
-                             f"(2^{bound.bit_length() - 1})")
+        words, plans = dim ** max(n - 1, 0), 1 << max(n - 1, 0)
+        _admit("antipode size", words, f"dim^(degree-1) of --x = {words}")
+        _admit("antipode plan", plans, f"2^(degree-1) of --x = {plans}")
 
 
 def _cmd_compute(args, basis, tag):
     ctx = _build_context(args, basis)
     x = _load_element(args.x, basis, tag)
-    _check_work("compute", len(x.terms), x.degree,
-                "len(terms) * 2^degree of --x")
+    _admit("compute work", len(x.terms) << x.degree,
+           "len(terms) * 2^degree of --x")
     if args.action == "multiply":
         y = _load_element(args.y, basis, tag)
-        _check_work("compute", len(y.terms), y.degree,
-                    "len(terms) * 2^degree of --y")
-        _check_product_size(x, y, ctx)
+        _admit("compute work", len(y.terms) << y.degree,
+               "len(terms) * 2^degree of --y")
+        size = (len(x.terms) * len(y.terms)
+                * sum(1 for c in ctx.iota_coords if c))
+        _admit("multiply size", size, "len(terms of --x) * len(terms of --y)"
+               f" * nnz(iota) = {size}")
         return 0, element_to_dict(ctx.product(x, y), basis, tag)
     if args.action == "coproduct":
         _check_output_size("coproduct", basis.dim, x)
         return 0, square_to_dict(ctx.coproduct(x), basis, tag)
     if args.cross_check:
         # the set-composition routes cost what verify does at this degree
-        _check_verify_work(basis.dim, x.degree,
-                           "--cross-check: dim^(degree-1) * 2^degree")
+        _admit("verify work", _verify_work(basis.dim, x.degree),
+               "--cross-check: dim^(degree-1) * 2^degree")
     _check_output_size("antipode", basis.dim, x)
     from .antipode import ROUTES, antipode_closed
     result = antipode_closed(ctx, x)
@@ -295,7 +299,8 @@ def _cmd_verify(args, basis, tag):
     n = args.max_degree
     if args.seed is not None and args.suite not in ("axioms", "all"):
         raise ParseError(f"--seed: suite {args.suite!r} samples nothing")
-    _check_verify_work(basis.dim, n)
+    _admit("verify work", _verify_work(basis.dim, n),
+           "dim^(max_degree-1) * 2^max_degree")
     ctx = _build_context(args, basis)
     spots = 8 if args.seed is not None else 0
     from .verify import (verify_all, verify_antipode_equivalence,
@@ -316,27 +321,22 @@ def _cmd_verify(args, basis, tag):
 
 def _parse_mu(text):
     try:
-        mu = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad composition {text!r}") from exc
-    if any(p < 1 for p in mu):
-        raise ParseError(f"bad composition {text!r}")
-    return mu
 
 
 def _cmd_enumerate(args):
     what = args.what
-    bound = _BOUNDS[what]
     if what == "descent_class":
         mu = _parse_mu(args.mu)
-        if sum(mu) > bound:
-            raise ParseError(
-                f"sum(mu) = {sum(mu)} exceeds the bound {bound}")
-        from .nsym import descent_embedding
-        image = descent_embedding(mu, bound=bound)
+        _admit(what, sum(mu), f"sum(mu) = {sum(mu)}")
+        from .combinatorics import descent_embedding
+        image = descent_embedding(mu, bound=_BOUNDS[what])
         return 0, [{"perm": list(w), "coeff": "1"} for w in image]
-    if not 1 <= args.n <= bound:
-        raise ParseError(f"--n must be between 1 and {bound}")
+    if args.n < 1:
+        raise ParseError("--n must be at least 1")
+    _admit(what, args.n, f"--n = {args.n}")
     from .combinatorics import compositions, toggle_free
     if what == "compositions":
         return 0, [list(mu) for mu in compositions(args.n)]
@@ -346,7 +346,8 @@ def _cmd_enumerate(args):
 def _cmd_characters(args, basis, tag):
     n = args.max_degree
     # convolution and inversion cost what verify does at this degree
-    _check_verify_work(basis.dim, n)
+    _admit("verify work", _verify_work(basis.dim, n),
+           "dim^(max_degree-1) * 2^max_degree")
     ctx = _build_context(args, basis)
     scalars, aliases = _names(args, basis)
     from .characters import (check_morphism, constant_character, convolve,
@@ -426,18 +427,6 @@ def _write(fh, chunks):
     fh.write("".join(batch))
 
 
-def _exit_code(exc):
-    """3 for an invalid triple, 1 for a character that is not a morphism,
-    else 2.  An exception can only come from a module already loaded, so
-    none is imported just to classify it."""
-    for module, name, code in (("hopf", "PairingNotOne", 3),
-                               ("characters", "NotAMorphism", 1)):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None and isinstance(exc, getattr(loaded, name)):
-            return code
-    return 2
-
-
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
@@ -453,7 +442,7 @@ def main(argv=None):
                 code, payload = _cmd_characters(args, basis, tag)
     except ValueError as exc:
         _err(f"error: {exc}")
-        return _exit_code(exc)
+        return getattr(exc, "exit_code", 2)
     _emit(payload, args)
     return code
 

@@ -1,4 +1,5 @@
-"""Integer compositions, set compositions, and permutation helpers.
+"""Integer compositions, set compositions, permutation helpers, and
+descent classes.
 
 Compositions of n are tuples of positive integers summing to n.  They are
 identified with binary words of length n-1 in two complementary ways:
@@ -11,6 +12,8 @@ whose union is {1, ..., n}; the order of the blocks matters.
 from __future__ import annotations
 
 from itertools import permutations as _lex_permutations, product as _cartesian
+
+from .theory import TheoryError
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +42,11 @@ def compositions(n):
 
 
 def _check_composition(mu):
+    """``mu`` as a tuple, after checking that its parts are positive ints."""
+    mu = tuple(mu)
     if any(not isinstance(p, int) or p <= 0 for p in mu):
-        raise ValueError(f"not a composition: {mu!r}")
+        raise TheoryError(f"not a composition: {mu!r}")
+    return mu
 
 
 def boundary_bits(mu):
@@ -53,7 +59,7 @@ def boundary_bits(mu):
     >>> boundary_bits((1, 1, 1))
     (1, 1)
     """
-    _check_composition(mu)
+    mu = _check_composition(mu)
     n = sum(mu)
     cuts = set(partial_sums(mu))
     return tuple(1 if j in cuts else 0 for j in range(1, n))
@@ -401,3 +407,50 @@ def descents(w):
 def permutations(n):
     """All permutations of {1, ..., n} in lexicographic one-line order."""
     return _lex_permutations(range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# descent classes
+
+
+class FundamentalImage:
+    """The permutations whose inverse has a prescribed descent set."""
+
+    __slots__ = ("mu", "perms")
+
+    def __init__(self, mu, perms):
+        self.mu = tuple(mu)
+        self.perms = tuple(perms)
+
+    def __len__(self):
+        return len(self.perms)
+
+    def __iter__(self):
+        return iter(self.perms)
+
+    def __contains__(self, w):
+        return tuple(w) in self.perms
+
+    def __eq__(self, other):
+        return (isinstance(other, FundamentalImage)
+                and self.mu == other.mu and self.perms == other.perms)
+
+    def __repr__(self):
+        return f"FundamentalImage(mu={self.mu}, size={len(self.perms)})"
+
+
+def descent_embedding(mu, bound=7):
+    """All permutations of sum(mu) letters whose inverse descent set is
+    the partial-sum set of mu.  The classes over all compositions of n
+    partition the symmetric group."""
+    mu = _check_composition(mu)
+    if not mu:
+        raise TheoryError("composition must be nonempty")
+    n = sum(mu)
+    if n > bound:
+        raise ValueError(
+            f"degree {n} exceeds the bound {bound} for descent classes")
+    target = set(partial_sums(mu))
+    perms = tuple(w for w in permutations(n)
+                  if descents(inverse(w)) == target)
+    return FundamentalImage(mu, perms)

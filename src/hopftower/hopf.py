@@ -22,6 +22,8 @@ from .elements import (TensorElement, TensorSquare, _accumulate, _over_lcm,
 class PairingNotOne(ValueError):
     """The insertion element must pair to 1 with both coproduct elements."""
 
+    exit_code = 3  # the CLI's exit code for an invalid triple
+
     def __init__(self, which, value):
         self.which = which
         self.value = value

@@ -24,8 +24,7 @@ from math import lcm
 
 from .combinatorics import (boundary_bits, coarsenings,
                             composition_from_boundary_bits, compositions,
-                            concat, descents, interior_bits, inverse,
-                            partial_sums, permutations, refinements, smash)
+                            concat, interior_bits, refinements, smash)
 from .elements import (TensorElement, TensorSquare, _accumulate, _over_lcm,
                        expand_letters)
 from .functors import ind_along
@@ -42,13 +41,6 @@ class InconsistentTag(TheoryError):
     or the pairing elements do not satisfy the family's hypotheses)."""
 
 
-def _check_composition(mu):
-    mu = tuple(mu)
-    if any(not isinstance(p, int) or p < 1 for p in mu):
-        raise TheoryError("composition parts must be positive integers")
-    return mu
-
-
 def tau_iota_element(basis, tau, iota, mu):
     """The word with iota at the block boundaries of mu and tau inside
     the blocks, expanded over the basis.  Empty mu gives the unit.
@@ -56,7 +48,7 @@ def tau_iota_element(basis, tau, iota, mu):
     Swapping the two letters conjugates the composition:
     tau_iota_element(b, t, i, mu) == tau_iota_element(b, i, t, conjugate(mu)).
     """
-    mu = _check_composition(mu)
+    mu = tuple(mu)
     entries = [iota.coords if b else tau.coords for b in boundary_bits(mu)]
     return TensorElement(sum(mu), expand_letters(entries, 1))
 
@@ -335,48 +327,3 @@ def antipode_corollaries(ctx, max_n):
                     _run(report, ("h_alternating_sum", mu),
                          antipode_closed(ctx, x), want)
     return report
-
-
-# -- descent classes -----------------------------------------------------------
-
-class FundamentalImage:
-    """The permutations whose inverse has a prescribed descent set."""
-
-    __slots__ = ("mu", "perms")
-
-    def __init__(self, mu, perms):
-        self.mu = tuple(mu)
-        self.perms = tuple(perms)
-
-    def __len__(self):
-        return len(self.perms)
-
-    def __iter__(self):
-        return iter(self.perms)
-
-    def __contains__(self, w):
-        return tuple(w) in self.perms
-
-    def __eq__(self, other):
-        return (isinstance(other, FundamentalImage)
-                and self.mu == other.mu and self.perms == other.perms)
-
-    def __repr__(self):
-        return f"FundamentalImage(mu={self.mu}, size={len(self.perms)})"
-
-
-def descent_embedding(mu, bound=7):
-    """All permutations of sum(mu) letters whose inverse descent set is
-    the partial-sum set of mu.  The classes over all compositions of n
-    partition the symmetric group."""
-    mu = _check_composition(mu)
-    if not mu:
-        raise TheoryError("composition must be nonempty")
-    n = sum(mu)
-    if n > bound:
-        raise ValueError(
-            f"degree {n} exceeds the bound {bound} for descent classes")
-    target = set(partial_sums(mu))
-    perms = tuple(w for w in permutations(n)
-                  if descents(inverse(w)) == target)
-    return FundamentalImage(mu, perms)

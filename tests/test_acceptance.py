@@ -14,13 +14,14 @@ from hopftower.characters import (check_morphism, constant_character,
 from hopftower.combinatorics import (boundary_bits, bc_bits, compositions,
                                      composition_from_boundary_bits,
                                      composition_from_interior_bits, concat,
-                                     conjugate, interior_bits, lc_bits,
-                                     llc_bits, set_compositions,
-                                     setcomp_refinements, smash, toggle_free)
+                                     conjugate, descent_embedding,
+                                     interior_bits, lc_bits, llc_bits,
+                                     set_compositions, setcomp_refinements,
+                                     smash, toggle_free)
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.nsym import (antipode_corollaries, coproduct_constants,
-                            descent_embedding, product_constants,
-                            tau_iota_element, verify_nsym_rules)
+                            product_constants, tau_iota_element,
+                            verify_nsym_rules)
 from hopftower.theory import cyclic4, from_table, two_dim
 from hopftower.verify import (find_compat_counterexample,
                               verify_antipode_equivalence, verify_axioms,

@@ -281,7 +281,20 @@ def test_enumerate_bounds(capsys):
     assert run(capsys, ["enumerate", "toggle_free", "--n", "9"])[0] == 2
     assert run(capsys, ["enumerate", "descent_class", "--mu", "5,5"])[0] == 2
     assert run(capsys, ["enumerate", "compositions"])[0] == 2
+    assert run(capsys, ["enumerate", "compositions", "--n", "0"])[0] == 2
     assert run(capsys, ["enumerate", "descent_class", "--mu", "0,1"])[0] == 2
+    # the largest admitted request of each bound, and the next size up
+    for what, bound, flag, top, past, count in (
+            ("compositions", 16, "--n", "16", "17", 2 ** 15),
+            ("toggle_free", 8, "--n", "8", "9", 3 ** 7),
+            ("descent_class", 7, "--mu", "3,4", "4,4", 34)):
+        code, out, err = run(capsys, ["enumerate", what, flag, top])
+        assert (code, err) == (0, ""), what
+        assert len(json.loads(out)) == count, what
+        code, out, err = run(capsys, ["enumerate", what, flag, past])
+        assert code == 2 and out == "", what
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"exceeds the {what} bound {bound}" in err
 
 
 def test_theory_file(tmp_path, capsys):
@@ -581,11 +594,12 @@ _TOWER = {"hopf", "antipode", "characters", "functors", "verify", "nsym"}
     (["characters", "convolve", "--psi", "one", "--gamma", "one"], 0,
      {"verify", "nsym"}),
     (["characters", "invert", "--psi", "one"], 0, {"verify", "nsym"}),
-    # the exit codes that name an exception class, told apart without
-    # importing a module for it
+    # the exit codes that an exception class carries
     (["compute", "multiply", "--q", "3", "--iota", "reg", "--alpha", "reg",
       "--x", X, "--y", X], 3, _TOWER - {"hopf"}),
     (["characters", "invert", "--psi", "2*one"], 1, {"verify", "nsym"}),
+    # descent classes are combinatorics, not the tower
+    (["enumerate", "descent_class", "--mu", "1,2"], 0, _TOWER),
 ])
 def test_each_command_loads_only_what_it_runs(argv, code, unloaded):
     """A fresh process compiles every module it imports, so a request

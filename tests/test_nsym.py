@@ -12,18 +12,18 @@ import pytest
 from hopftower.antipode import antipode_closed
 from hopftower.combinatorics import (boundary_bits, coarsenings, compositions,
                                      composition_from_boundary_bits,
-                                     conjugate, interior_bits)
+                                     conjugate, descent_embedding,
+                                     interior_bits)
 from hopftower.elements import (TensorElement, TensorSquare, _accumulate,
                                 basis_words, expand_letters)
 from hopftower.functors import ind_along
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.nsym import (KINDS, InconsistentTag, _coordinates, _in_kind,
                             _letters, antipode_corollaries,
-                            coproduct_constants, descent_embedding,
-                            expand_in_kind, expand_square_in_kind,
-                            nsym_element, product_constants,
-                            shuffle_dual_complement, tau_iota_element,
-                            verify_nsym_rules)
+                            coproduct_constants, expand_in_kind,
+                            expand_square_in_kind, nsym_element,
+                            product_constants, shuffle_dual_complement,
+                            tau_iota_element, verify_nsym_rules)
 from hopftower.theory import (DualBasisUndefined, TheoryError, cyclic4,
                               dual_pair, solve_linear_system, two_dim)
 
@@ -397,6 +397,7 @@ def test_descent_embedding_worked_example():
     assert len(img) == 2
     assert list(img) == list(img.perms)
     assert img == descent_embedding((2, 1))
+    assert img == descent_embedding(p for p in (2, 1))
     assert img != descent_embedding((1, 2))
     assert "size=2" in repr(img)
 
