@@ -18,11 +18,10 @@ coproduct and the iota splice of the product.
 ``antipode_closed`` and ``antipode_oracle`` compute with int numerators
 and build one ``Fraction`` per output term: the closed route over powers
 of the context's denominator D, the oracle over the lcm of each S(word)'s
-own reduced denominators.  The set-composition routes multiply
-``Fraction`` factors.
-``antipode_closed`` sums onto unexpanded words and then expands the
-difference letters and iota separators once, position by position.
-Every per-degree plan is context-free and kept in a bounded cache.
+own reduced denominators.  The set-composition routes stay on
+``Fraction``s and read only the context's public pairings and iota.  The
+closed and set-composition routes evaluate context-free per-degree plans,
+kept in bounded caches, through ``hopf._plan_sum``.
 """
 
 from __future__ import annotations
@@ -33,8 +32,10 @@ from math import gcd, lcm
 
 from .combinatorics import (bc_bits, compositions, llc_bits, partial_sums,
                             set_compositions, straighten, toggle_free)
-from .elements import TensorElement, _accumulate, _over_lcm, expand_letters
-from .hopf import _MARKER, _expand_positions, _getter
+from .elements import TensorElement, _accumulate, _over_lcm
+from .hopf import _MARKER, _expand_positions, _getter, _plan_sum
+
+_SIGNS = (1, -1)  # the antipode plans' scales: plan k has sign _SIGNS[k]
 
 
 def antipode_closed(ctx, x):
@@ -45,19 +46,8 @@ def antipode_closed(ctx, x):
     out = TensorElement(n)
     if not x.terms:  # at once: the 2^(n-1) plans of a zero are not built
         return out
-    beta, plans = ctx._beta_num, _closed_plans(n)
     common, nums = _over_lcm(x.terms)
-    acc = {}
-    for word, num in nums.items():
-        marked = word + (_MARKER,)
-        for sign, cuts, get in plans:
-            scalar = sign * num
-            for j in cuts:
-                scalar *= beta[word[j]]
-                if not scalar:
-                    break
-            if scalar:
-                acc[key] = acc.get(key := get(marked), 0) + scalar
+    acc = _plan_sum(nums, (ctx._beta_num,), _SIGNS, _closed_plans(n))
     subs = {**dict(enumerate(ctx._diff_num)), _MARKER: ctx._iota_num}
     # over the context's denominator D each summand carries D^2(n-1):
     # D per beta pairing and per iota separator (one each per cut), D^2
@@ -70,9 +60,9 @@ def antipode_closed(ctx, x):
 
 @lru_cache(maxsize=16)
 def _closed_plans(n):
-    """Per composition of n: (sign, the boundary letter after each block
-    but the last, a getter of the blocks' letters in reversed block order,
-    an iota marker between blocks, from ``word + (_MARKER,)``)."""
+    """Per composition of n, a ``_plan_sum`` plan: the sign's index, a beta
+    crossing at the letter after each block but the last, and a getter of
+    the blocks' letters in reversed block order, iota markers between."""
     plans = []
     for mu in compositions(n):
         cuts = partial_sums(mu)
@@ -81,47 +71,41 @@ def _closed_plans(n):
         for b in range(len(mu), 0, -1):  # reversed block order
             template.extend(range(bounds[b - 1], bounds[b] - 1))
             if b != 1:
-                template.append(-1)  # the marker ending word + (_MARKER,)
-        plans.append((-1 if len(mu) % 2 else 1,
-                      tuple(cut - 1 for cut in cuts), _getter(template)))
+                template.append(_MARKER)
+        plans.append((len(mu) % 2, tuple((cut - 1, 0) for cut in cuts),
+                       _getter(template)))
     return tuple(plans)
 
 
 @lru_cache(maxsize=16)
 def _setcomp_table(comps_of, n):
-    """The sum over comps_of(n) as ((pairs, slots), net sign) items: under
-    A, letter j (between positions j+1, j+2) fills its slot of
-    straighten(A) if both share a block, else pairs as (j, 1 for alpha or
-    0 for beta); empty slots hold iota.  Equal keys add their signs."""
+    """The sum over comps_of(n) as ``_plan_sum`` plans: under A, letter j
+    (between positions j+1, j+2) fills its slot of straighten(A) if both
+    share a block, else crosses as (j, 1 for alpha or 0 for beta); empty
+    slots hold the iota marker.  Equal plans add their signs (net ±1)."""
     table = {}
     for A in comps_of(n):
         w, llc, bc = straighten(A), llc_bits(A), bc_bits(A)
-        pairs, slots = [], [None] * (n - 1)
+        crossings, slots = [], [_MARKER] * (n - 1)
         for j in range(n - 1):
             if bc[j]:
                 slots[w[j] - 1] = j
             else:
-                pairs.append((j, llc[j]))
-        _accumulate(table, (tuple(pairs), tuple(slots)),
+                crossings.append((j, llc[j]))
+        _accumulate(table, (tuple(crossings), tuple(slots)),
                     -1 if len(A) % 2 else 1)
-    return tuple(table.items())
+    return tuple((_SIGNS.index(sign), crossings, _getter(slots))
+                 for (crossings, slots), sign in table.items())
 
 
 def _setcomp_sum(ctx, x, comps_of):
     # degree 0 needs no case of its own: the table is the identity
-    out = TensorElement(x.degree)
-    table = _setcomp_table(comps_of, x.degree)
-    pairing, iota = (ctx.pair_beta, ctx.pair_alpha), ctx.iota_coords
-    for word, coeff in x.terms.items():
-        for (pairs, slots), sign in table:
-            scalar = sign * coeff
-            for j, flag in pairs:
-                scalar *= pairing[flag][word[j]]
-                if not scalar:
-                    break
-            if scalar:
-                out.add_scaled(expand_letters(
-                    [iota if j is None else word[j] for j in slots], scalar))
+    n = x.degree
+    out = TensorElement(n)
+    acc = _plan_sum(x.terms, (ctx.pair_beta, ctx.pair_alpha), _SIGNS,
+                    _setcomp_table(comps_of, n))
+    iota = {_MARKER: [(i, c) for i, c in enumerate(ctx.iota_coords) if c]}
+    out.terms = _expand_positions(acc, iota, range(n - 1))
     return out
 
 

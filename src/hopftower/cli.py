@@ -15,6 +15,8 @@ A request is refused (exit 2) before it runs when a count passes one
 of the bounds in ``_BOUNDS``, each checked by ``_admit``:
   compute work    -- ``compute``: each element's terms times 2^degree
   verify work     -- ``verify``, ``characters``, ``--cross-check``: word splits
+  set compositions -- ``verify --suite antipode_equiv|all``,
+                      ``--cross-check``: the ordered set partitions summed
   multiply size   -- ``compute multiply``: the product's possible terms
   coproduct size  -- ``compute coproduct``: the pairs of words it spans
   antipode size   -- ``compute antipode``: the words it spans
@@ -35,6 +37,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 
 from .serialize import (ParseError, character_to_dict, element_from_dict,
                         element_to_dict, jsonable, parse_expression,
@@ -45,6 +48,7 @@ from .theory import cyclic4, two_dim
 _BOUNDS = {
     "compute work": 2 ** 22,    # len(terms) * 2^degree of one element
     "verify work": 2 ** 12,     # dim^(degree-1) * 2^degree (_verify_work)
+    "set compositions": 2 ** 16,  # Fubini(degree) (_admit_set_compositions)
     "multiply size": 2 ** 13,   # len(terms of x) * len(terms of y) * nnz(iota)
     "coproduct size": 2 ** 15,  # the pairs of words the result may span
     "antipode size": 2 ** 14,   # the words the result may span
@@ -230,6 +234,17 @@ def _verify_work(dim, degree):
     return dim ** max(degree - 1, 0) << degree
 
 
+def _admit_set_compositions(degree, what):
+    """Refuse (exit 2) a sum over the ordered set partitions of ``degree``
+    positions, Fubini(degree) of them at any rank, past its bound: a(m) =
+    sum_k C(m, k) a(m - k), a(0) = 1.  Call it after the verify work check,
+    which caps the degree."""
+    a = [1]
+    for m in range(1, degree + 1):
+        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    _admit("set compositions", a[degree], f"Fubini({what}) = {a[degree]}")
+
+
 def _check_output_size(action, dim, x):
     """Refuse (exit 2) a nonzero coproduct or antipode whose pairs of words
     or words, or whose per-degree plans, exceed their bounds: peak memory
@@ -271,6 +286,7 @@ def _cmd_compute(args, basis, tag):
         # the set-composition routes cost what verify does at this degree
         _admit("verify work", _verify_work(basis.dim, x.degree),
                "--cross-check: dim^(degree-1) * 2^degree")
+        _admit_set_compositions(x.degree, "degree")
     _check_output_size("antipode", basis.dim, x)
     from .antipode import ROUTES, antipode_closed
     result = antipode_closed(ctx, x)
@@ -301,6 +317,8 @@ def _cmd_verify(args, basis, tag):
         raise ParseError(f"--seed: suite {args.suite!r} samples nothing")
     _admit("verify work", _verify_work(basis.dim, n),
            "dim^(max_degree-1) * 2^max_degree")
+    if args.suite in ("antipode_equiv", "all"):
+        _admit_set_compositions(n, "max_degree")
     ctx = _build_context(args, basis)
     spots = 8 if args.seed is not None else 0
     from .verify import (verify_all, verify_antipode_equivalence,

@@ -175,17 +175,7 @@ class HopfContext:
         den = common * den ** (2 * (n - 1))
         # one (left degree, right degree) at a time: one dict alive
         for (left_n, right_n), (marks, plans) in _split_plans(n):
-            acc = {}
-            for word, num in nums.items():
-                marked = word + (_MARKER,)
-                for crossings, power, get in plans:
-                    scalar = num * scales[power]
-                    for j, flag in crossings:
-                        scalar *= tables[flag][word[j]]
-                        if not scalar:
-                            break
-                    if scalar:
-                        acc[key] = acc.get(key := get(marked), 0) + scalar
+            acc = _plan_sum(nums, tables, scales, plans)
             cut = max(left_n - 1, 0)
             for w, v in sorted(_expand_positions(acc, iota, marks).items()):
                 out.terms[((left_n, w[:cut]), (right_n, w[cut:]))] = (
@@ -275,9 +265,9 @@ class HopfContext:
 
 @lru_cache(maxsize=16)
 def _split_plans(n):
-    """Per (left degree, right degree): its splits' marker positions, and
-    per split the crossings (letter, 1 for alpha, 0 for beta), the power of
-    D padding it to D^(2(n-1)) and a getter of left + right on word+marker."""
+    """Per (left degree, right degree): its splits' marker positions and
+    ``_plan_sum`` plans: the power of D padding each to D^(2(n-1)), its
+    crossings (letter, 1 for alpha, 0 for beta), a getter of left + right."""
     groups = {}
     for mask in range(1 << n):
         side = [(mask >> j) & 1 for j in range(n)]  # 1: position j+1 left
@@ -298,7 +288,7 @@ def _split_plans(n):
         left_n = sum(side)
         marks, plans = groups.setdefault((left_n, n - left_n), (set(), []))
         marks.update(p for p, j in enumerate(left + right) if j == -1)
-        plans.append((tuple(crossings), power, _getter(left + right)))
+        plans.append((power, tuple(crossings), _getter(left + right)))
     return tuple(sorted(groups.items()))
 
 
@@ -327,10 +317,29 @@ def _getter(indices):
             else lambda w: tuple(w[j] for j in indices))
 
 
+def _plan_sum(nums, tables, scales, plans):
+    """A degree's plans summed over the words of an element (word -> coeff)
+    onto unexpanded words: per word and plan (k, crossings, get), coeff
+    times ``scales[k]`` times ``tables[flag][word[j]]`` per crossing
+    (j, flag), added at ``get(word + (_MARKER,))``.  Zeros may stay."""
+    acc = {}
+    for word, num in nums.items():
+        marked = word + (_MARKER,)
+        for k, crossings, get in plans:
+            scalar = num * scales[k]
+            for j, flag in crossings:
+                scalar *= tables[flag][word[j]]
+                if not scalar:
+                    break
+            if scalar:
+                acc[key] = acc.get(key := get(marked), 0) + scalar
+    return acc
+
+
 def _expand_positions(terms, subs, positions):
-    """Expand words (word -> int) at each of ``positions`` in turn: an entry
-    in ``subs`` becomes its (letter, int) pairs, others stay, equal words
-    merge and zeros drop."""
+    """Expand words (word -> int or Fraction) at each of ``positions`` in
+    turn: an entry in ``subs`` becomes its (letter, coefficient) pairs,
+    others stay, equal words merge and zeros drop."""
     for p in positions:
         out = {}
         for w, c in terms.items():

@@ -9,8 +9,8 @@ from hopftower.antipode import (_closed_plans, _setcomp_table,
 from hopftower.characters import constant_character
 from hopftower.combinatorics import set_compositions, toggle_free
 from hopftower.elements import TensorElement, basis_words
-from hopftower.hopf import (HopfContext, _split_plans, all_ones_context,
-                            induction_context)
+from hopftower.hopf import (_MARKER, HopfContext, _split_plans,
+                            all_ones_context, induction_context)
 from hopftower.nsym import tau_iota_element
 from hopftower.theory import two_dim
 from test_kernels import (assert_same, reference_antipode_closed,
@@ -131,12 +131,20 @@ def test_oracle_results_are_not_shared():
 def test_full_sum_cancels_to_the_toggle_free_table():
     """Grouped by what they do to the positions, the signs of all set
     compositions cancel down to the toggle-free ones (Benedetti-Sagan):
-    3^(n-1) entries, each of sign +1 or -1."""
+    3^(n-1) entries, each of sign +1 or -1 (index 0 or 1 in _SIGNS).  A
+    plan's getter, on the word of letters 0..n-2 and the marker, returns
+    its slot template."""
     for n in range(1, 8):
-        full = dict(_setcomp_table(set_compositions, n))
-        assert full == dict(_setcomp_table(toggle_free, n))
+        probe = tuple(range(n - 1)) + (_MARKER,)
+
+        def table(comps_of):
+            return {(crossings, get(probe)): k for k, crossings, get
+                    in _setcomp_table(comps_of, n)}
+
+        full = table(set_compositions)
+        assert full == table(toggle_free)
         assert len(full) == 3 ** (n - 1)
-        assert set(full.values()) <= {1, -1}
+        assert set(full.values()) <= {0, 1}
 
 
 def test_plans_are_shared_across_contexts():

@@ -377,14 +377,38 @@ def test_ambiguous_theory_labels_exit_2(tmp_path, capsys):
         assert "error:" in err
 
 
+# A child that runs one CLI request through main() with its address space
+# capped at 512 MiB, so that a request the degree cap misses fails at once
+# instead of exhausting the machine's memory.
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from hopftower.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_capped(argv):
+    """``argv`` as a CLI request in a memory-capped child: (exit code,
+    stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _CAPPED, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_verify_work_bound_exits_2(capsys):
     for argv in (["--max-degree", "12"],
                  ["--max-degree", "7"],
-                 ["--base", "cyclic4", "--max-degree", "6"],
-                 ["--max-degree", str(10 ** 12)]):
+                 ["--base", "cyclic4", "--max-degree", "6"]):
         code, out, err = run(capsys, ["verify", "--suite", "all", *argv])
         assert code == 2 and out == "", argv
         assert "verify work bound 4096" in err
+    code, out, err = run_capped(["verify", "--suite", "all",
+                                 "--max-degree", str(10 ** 12)])
+    assert code == 2 and out == ""
+    assert "verify work bound 4096" in err
 
 
 def test_largest_admitted_verify(capsys):
@@ -451,12 +475,15 @@ def test_multiply_size_bound(capsys):
 def test_characters_work_bound_exits_2(capsys):
     # convolution and inversion are bounded as verify is: dim^(n-1) * 2^n
     for argv in (["--max-degree", "7"],
-                 ["--base", "cyclic4", "--max-degree", "6"],
-                 ["--max-degree", str(10 ** 12)]):
+                 ["--base", "cyclic4", "--max-degree", "6"]):
         code, out, err = run(capsys, [
             "characters", "invert", "--psi", "one", *argv])
         assert code == 2 and out == "", argv
         assert "verify work bound 4096" in err
+    code, out, err = run_capped(["characters", "invert", "--psi", "one",
+                                 "--max-degree", str(10 ** 12)])
+    assert code == 2 and out == ""
+    assert "verify work bound 4096" in err
 
 
 def test_largest_admitted_characters(capsys):
@@ -726,3 +753,25 @@ def test_compute_size_bound(capsys, tmp_path):
         assert f"exceeds the {action} {kind} bound" in err
     # the zero element is still admitted at any degree
     _check_output_size("coproduct", 2, TensorElement(60))
+
+
+def test_set_composition_bound(capsys, tmp_path):
+    """The full set-composition sum runs over all Fubini(n) ordered set
+    partitions whatever the rank, so a rank-1 table, which the verify work
+    bound admits to degree 12, is refused past Fubini(7) = 47,293: the
+    antipode-equivalence suites and --cross-check at degree 8 (545,835)
+    exit 2.  The suites that sum no set compositions stay admitted."""
+    rank1 = _rank1(tmp_path)[0]
+    for suite, degree in (("antipode_equiv", "7"), ("axioms", "8")):
+        code, out, err = run(capsys, ["verify", "--suite", suite, *rank1,
+                                      "--max-degree", degree])
+        assert code == 0 and err == "", suite
+        assert json.loads(out)["first_failure"] is None
+    for argv in (["verify", "--suite", "antipode_equiv", "--max-degree", "8"],
+                 ["verify", "--suite", "all", "--max-degree", "8"],
+                 ["compute", "antipode", "--cross-check",
+                  "--x", word_json(8, ["one"] * 7)]):
+        code, out, err = run(capsys, [*argv, *rank1])
+        assert code == 2 and out == "", argv
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "exceeds the set compositions bound 65536" in err

@@ -6,14 +6,18 @@ The reference functions below multiply ``Fraction`` factors one at a time
 and expand through the public ``expand_letters``; the kernels must give
 the same term dicts with every coefficient a ``Fraction``.  The coproduct
 and the closed antipode emit their terms in sorted key order, the oracle
-and ``square_product`` in the reference loops' order.
+and ``square_product`` in the reference loops' order.  On dense
+elements the two set-composition routes must match the reference closed
+antipode too, in any key order.
 """
 
 import random
 from fractions import Fraction
 from math import gcd
 
-from hopftower.antipode import _closed_plans, antipode_closed, antipode_oracle
+from hopftower.antipode import (_closed_plans, antipode_all_setcomps,
+                                antipode_closed, antipode_oracle,
+                                antipode_toggle_free)
 from hopftower.combinatorics import compositions, partial_sums
 from hopftower.elements import TensorElement, TensorSquare, expand_letters
 from hopftower.hopf import (_MARKER, HopfContext, _expand_positions,
@@ -251,7 +255,16 @@ def test_dense_mixed_denominators():
                 induction_context(cyclic4())]
     for ctx in contexts:
         for degree in range(6):
-            assert_kernels_match(ctx, _dense(rng, ctx, degree))
+            x = _dense(rng, ctx, degree)
+            assert_kernels_match(ctx, x)
+            # the set-composition routes sum onto unexpanded words too,
+            # where the words of one input may meet; their key order is
+            # not pinned
+            want = reference_antipode_closed(ctx, x)
+            for route in (antipode_toggle_free, antipode_all_setcomps):
+                got = route(ctx, x)
+                assert got == want, (route.__name__, degree)
+                assert all(type(c) is Fraction for c in got.terms.values())
     # larger degrees, where many unexpanded words merge before expansion
     for ctx, degree in ((contexts[2], 6), (contexts[0], 8)):
         x = _dense(rng, ctx, degree)
