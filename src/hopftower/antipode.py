@@ -15,13 +15,15 @@ set compositions, the sum ``antipode_toggle_free`` evaluates.
 equation m(S ⊗ id)Δ = unit∘counit degree by degree, from the public
 coproduct and the iota splice of the product.
 
-``antipode_closed`` and ``antipode_oracle`` compute with int numerators
-and build one ``Fraction`` per output term: the closed route over powers
-of the context's denominator D, the oracle over the lcm of each S(word)'s
-own reduced denominators.  The set-composition routes stay on
-``Fraction``s and read only the context's public pairings and iota.  The
-closed and set-composition routes evaluate context-free per-degree plans,
-kept in bounded caches, through ``hopf._plan_sum``.
+Every route computes with int numerators and builds one ``Fraction`` per
+output term: the closed route over powers of the context's denominator D,
+the oracle over the lcm of each S(word)'s own reduced denominators, and
+the set-composition routes over powers of their own d, the lcm of the
+denominators of the public pairings and iota.  The set-composition routes
+read nothing else of the context, so they stay independent of the closed
+route's integer tables.  The closed and set-composition routes evaluate
+context-free per-degree plans, kept in bounded caches, through
+``hopf._plan_sum``, and emit their terms in sorted key order.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from math import gcd, lcm
 from .combinatorics import (bc_bits, compositions, llc_bits, partial_sums,
                             set_compositions, straighten, toggle_free)
 from .elements import TensorElement, _accumulate, _over_lcm
-from .hopf import _MARKER, _expand_positions, _getter, _plan_sum
+from .hopf import (_MARKER, _expand_positions, _getter, _numerators,
+                   _plan_sum)
 
 _SIGNS = (1, -1)  # the antipode plans' scales: plan k has sign _SIGNS[k]
 
@@ -99,13 +102,29 @@ def _setcomp_table(comps_of, n):
 
 
 def _setcomp_sum(ctx, x, comps_of):
+    """The sum over comps_of(n) on int numerators over the route's own
+    denominator d, the lcm of the public pairings' and iota's; terms in
+    sorted key order.  Reads none of the context's integer tables."""
     # degree 0 needs no case of its own: the table is the identity
     n = x.degree
     out = TensorElement(n)
-    acc = _plan_sum(x.terms, (ctx.pair_beta, ctx.pair_alpha), _SIGNS,
-                    _setcomp_table(comps_of, n))
-    iota = {_MARKER: [(i, c) for i, c in enumerate(ctx.iota_coords) if c]}
-    out.terms = _expand_positions(acc, iota, range(n - 1))
+    if not x.terms:  # at once: the Fubini(n) set compositions are not walked
+        return out
+    d = lcm(*(c.denominator for c in
+              ctx.pair_alpha + ctx.pair_beta + ctx.iota_coords))
+    tables = (_numerators(ctx.pair_beta, d), _numerators(ctx.pair_alpha, d))
+    iota = {_MARKER: [(i, c) for i, c in
+                      enumerate(_numerators(ctx.iota_coords, d)) if c]}
+    common, nums = _over_lcm(x.terms)
+    acc = _plan_sum(nums, tables, _SIGNS, _setcomp_table(comps_of, n))
+    # a word with k markers comes only from plans with k crossings, each
+    # over d^2 (a pairing and an iota): pad it from d^(2k) to d^(2(n-1))
+    top = max(n - 1, 0)
+    pads = [d ** (2 * (top - k)) for k in range(top + 1)]
+    acc = {w: v * pads[w.count(_MARKER)] for w, v in acc.items()}
+    den = common * d ** (2 * top)
+    out.terms = {w: Fraction(v, den) for w, v in
+                 sorted(_expand_positions(acc, iota, range(top)).items())}
     return out
 
 

@@ -6,19 +6,22 @@ The reference functions below multiply ``Fraction`` factors one at a time
 and expand through the public ``expand_letters``; the kernels must give
 the same term dicts with every coefficient a ``Fraction``.  The coproduct
 and the closed antipode emit their terms in sorted key order, the oracle
-and ``square_product`` in the reference loops' order.  On dense
-elements the two set-composition routes must match the reference closed
-antipode too, in any key order.
+and ``square_product`` in the reference loops' order.  The two
+set-composition routes, on int numerators over their own denominator,
+emit sorted terms too; they must match the reference closed antipode on
+dense elements and a plain walk over every set composition.
 """
 
 import random
 from fractions import Fraction
 from math import gcd
 
-from hopftower.antipode import (_closed_plans, antipode_all_setcomps,
-                                antipode_closed, antipode_oracle,
-                                antipode_toggle_free)
-from hopftower.combinatorics import compositions, partial_sums
+from hopftower.antipode import (_closed_plans, _setcomp_sum, _setcomp_table,
+                                antipode_all_setcomps, antipode_closed,
+                                antipode_oracle, antipode_toggle_free)
+from hopftower.combinatorics import (bc_bits, compositions, llc_bits,
+                                     partial_sums, set_compositions,
+                                     straighten)
 from hopftower.elements import TensorElement, TensorSquare, expand_letters
 from hopftower.hopf import (_MARKER, HopfContext, _expand_positions,
                             _split_plans, all_ones_context, induction_context)
@@ -120,6 +123,30 @@ def reference_antipode_closed(ctx, x):
     return out
 
 
+def reference_setcomp_sum(ctx, x):
+    """The defining sum over every ordered set partition A of the
+    positions, one A at a time: sign (-1)^len(A); the letter between
+    positions j+1 and j+2 keeps its slot of straighten(A) when the two
+    share a block, else it is paired away (against alpha when j+1's block
+    comes first, beta otherwise) and iota fills its slot."""
+    n = x.degree
+    out = TensorElement(n)
+    for word, coeff in x.terms.items():
+        for A in set_compositions(n):
+            w, llc, bc = straighten(A), llc_bits(A), bc_bits(A)
+            scalar = Fraction(-coeff if len(A) % 2 else coeff)
+            entries = [ctx.iota_coords] * (n - 1)
+            for j in range(n - 1):
+                if bc[j]:
+                    entries[w[j] - 1] = word[j]
+                else:
+                    scalar *= (ctx.pair_alpha if llc[j]
+                               else ctx.pair_beta)[word[j]]
+            if scalar:
+                out.add_scaled(expand_letters(entries, scalar))
+    return out
+
+
 def reference_antipode_oracle(ctx, x, memo=None):
     """The convolution solver on ``Fraction`` elements; ``memo`` maps
     (degree, word) to S of that basis word."""
@@ -191,9 +218,9 @@ def test_cyclic4_basis_words_through_degree_5():
         assert_basis_words_match(ctx, 5)
 
 
-def test_fractional_iota_coordinates():
-    # unchecked triples and a table built from raw values: iota's
-    # coordinates are not integers, so D comes from iota as well
+def fractional_iota_contexts():
+    """Unchecked triples and a table built from raw values: iota's
+    coordinates are not integers, so D comes from iota as well."""
     basis = two_dim(3)
     one, reg = basis.one, basis.reg
     iota = Fraction(1, 2) * one + Fraction(1, 3) * (reg - one)
@@ -205,7 +232,11 @@ def test_fractional_iota_coordinates():
     table = from_table(((1, 1, 1), (1, 1, -1), (2, -2, 0)), (1, 1, 2), 0)
     contexts.append(HopfContext.unchecked(
         table, table.reg / 4, table.one, table.one + table.reg / 6))
-    for ctx in contexts:
+    return contexts
+
+
+def test_fractional_iota_coordinates():
+    for ctx in fractional_iota_contexts():
         assert any(c.denominator > 1 for c in ctx.iota_coords)
         assert_basis_words_match(ctx, 4)
 
@@ -258,13 +289,10 @@ def test_dense_mixed_denominators():
             x = _dense(rng, ctx, degree)
             assert_kernels_match(ctx, x)
             # the set-composition routes sum onto unexpanded words too,
-            # where the words of one input may meet; their key order is
-            # not pinned
+            # where the words of one input may meet
             want = reference_antipode_closed(ctx, x)
             for route in (antipode_toggle_free, antipode_all_setcomps):
-                got = route(ctx, x)
-                assert got == want, (route.__name__, degree)
-                assert all(type(c) is Fraction for c in got.terms.values())
+                assert_same(route(ctx, x), want, sorted_keys=True)
     # larger degrees, where many unexpanded words merge before expansion
     for ctx, degree in ((contexts[2], 6), (contexts[0], 8)):
         x = _dense(rng, ctx, degree)
@@ -294,13 +322,46 @@ def test_cancellation_and_low_degrees():
 
 
 def test_zero_element_builds_no_plans():
-    # the plans of a degree-n zero would be 2^n (2^(n-1)) entries; without
-    # the early return they are built, and the caches change
+    # the plans of a degree-n zero would be 2^n (2^(n-1)) entries, and
+    # the set-composition tables walk Fubini(n) set compositions (47,293
+    # at degree 7); without the early return they are built, and the
+    # caches change
     ctx = induction_context(two_dim(3))
-    before = _split_plans.cache_info(), _closed_plans.cache_info()
+    caches = (_split_plans, _closed_plans, _setcomp_table)
+    before = [cache.cache_info() for cache in caches]
     assert ctx.coproduct(TensorElement(12)).terms == {}
     assert antipode_closed(ctx, TensorElement(12)).terms == {}
-    assert (_split_plans.cache_info(), _closed_plans.cache_info()) == before
+    for route in (antipode_all_setcomps, antipode_toggle_free):
+        assert route(ctx, TensorElement(7)).terms == {}
+    assert [cache.cache_info() for cache in caches] == before
+
+
+def test_setcomp_routes_match_the_plain_walk():
+    """Both set-composition routes against ``reference_setcomp_sum`` where
+    their own denominator d is not 1, so that a word padded by the wrong
+    power of d shows: basis words, and dense elements with mixed
+    denominators."""
+    rng = random.Random(13)
+    contexts = [*unchecked_d21(), *fractional_iota_contexts(),
+                induction_context(cyclic4())]
+    for ctx in contexts:
+        for degree in range(5):
+            xs = [TensorElement(degree, {w: Fraction(-2, 3)})
+                  for w in ctx.basis_words(degree)]
+            xs.append(_dense(rng, ctx, degree))
+            for x in xs:
+                want = reference_setcomp_sum(ctx, x)
+                for route in (antipode_all_setcomps, antipode_toggle_free):
+                    assert_same(route(ctx, x), want, sorted_keys=True)
+
+
+def test_setcomp_routes_read_no_integer_table_of_the_context():
+    """The set-composition routes stay a cross-check of the closed route:
+    they name none of the context's integer tables or the closed plans."""
+    names = set(_setcomp_sum.__code__.co_names)
+    assert "pair_alpha" in names  # co_names holds the attributes read
+    assert not names & {"_den", "_alpha_num", "_beta_num", "_iota_num",
+                        "_diff_num", "_closed_plans"}
 
 
 def unchecked_d21():

@@ -13,6 +13,7 @@ from hopftower.theory import cyclic4, two_dim
 from hopftower.verify import (find_compat_counterexample,
                               verify_all, verify_antipode_equivalence,
                               verify_axioms, verify_characters)
+from test_characters import kronecker
 from test_kernels import reference_square_product, unchecked_d21
 
 
@@ -67,6 +68,19 @@ def test_antipode_equivalence_report():
         # 3 comparison routes on each of the 8 words of degree <= 3
         assert rep["checked"] == rep["passed"] == 24
         assert rep["toggle_free_counts"] == {1: 1, 2: 3, 3: 9}
+
+
+def test_antipode_equivalence_past_rank_three():
+    """Green at degree 4 on the induction contexts of Kronecker tables of
+    ranks 4 and 6, where D is 5 and 7."""
+    for basis in (kronecker(two_dim(2), two_dim(3)),
+                  kronecker(cyclic4(), two_dim(2))):
+        ctx = induction_context(basis)
+        assert ctx._den == basis.order - 1
+        rep = verify_antipode_equivalence(ctx, 4)
+        assert rep["first_failure"] is None
+        words = sum(basis.dim ** (n - 1) for n in range(1, 5)) + 1
+        assert rep["checked"] == rep["passed"] == 3 * words
 
 
 def test_characters_report():
