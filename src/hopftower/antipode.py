@@ -12,18 +12,21 @@ signs added, and the net signs left are those of the 3^(n-1) toggle-free
 set compositions, the sum ``antipode_toggle_free`` evaluates.
 
 ``antipode_oracle`` uses none of the formulas: it solves the convolution
-equation m(S ⊗ id)Δ = unit∘counit degree by degree, from the public
-coproduct and the iota splice of the product.
+equation m(S ⊗ id)Δ = unit∘counit, from the public coproduct and the iota
+splice of the product.  Δ is linear, so it takes one coproduct of the
+whole input and sums S(left)·right over its merged intermediate terms; S
+of each left word comes from a per-word memo filled the same way.
 
 Every route computes with int numerators and builds one ``Fraction`` per
 output term: the closed route over powers of the context's denominator D,
-the oracle over the lcm of each S(word)'s own reduced denominators, and
-the set-composition routes over powers of their own d, the lcm of the
+the oracle over the lcm of its steps' reduced denominators, and the
+set-composition routes over powers of their own d, the lcm of the
 denominators of the public pairings and iota.  The set-composition routes
-read nothing else of the context, so they stay independent of the closed
+read nothing else of the context, and the oracle nothing of it but the
+coproduct, D and the iota numerators, so neither shares the closed
 route's integer tables.  The closed and set-composition routes evaluate
 context-free per-degree plans, kept in bounded caches, through
-``hopf._plan_sum``, and emit their terms in sorted key order.
+``hopf._plan_sum``.  All four routes emit their terms in sorted key order.
 """
 
 from __future__ import annotations
@@ -140,11 +143,13 @@ def antipode_toggle_free(ctx, x):
 
 
 def antipode_oracle(ctx, x):
-    """Antipode from the convolution equation: on a degree-n word,
-    S(x) = -x - sum of S(left)·right over the strictly intermediate
-    coproduct terms.  Memoized per context and basis word in
-    ``ctx._antipode_cache``, which only the context's lifetime and the
-    degrees asked for bound (see ``HopfContext``)."""
+    """Antipode from the convolution equation, which holds for x itself as
+    Δ is linear: S(x) = -x - sum of S(left)·right over the strictly
+    intermediate terms of one ``ctx.coproduct(x)``; terms in sorted key
+    order.  S of each left word, and of a one-word input, is memoized per
+    context and basis word in ``ctx._antipode_cache``, which only the
+    context's lifetime and the degrees asked for bound (see
+    ``HopfContext``)."""
     n = x.degree
     out = TensorElement(n)
     if n == 0:
@@ -152,35 +157,41 @@ def antipode_oracle(ctx, x):
         return out
     if not x.terms:
         return out
-    common, nums = _over_lcm(x.terms)
-    parts = [(num, *_oracle_word(ctx, n, word)) for word, num in nums.items()]
-    top = lcm(*(d for _, d, _ in parts))
-    acc = {}
-    for num, d, s in parts:
-        scalar = num * (top // d)
-        for w, v in s.items():
-            _accumulate(acc, w, scalar * v)
-    den = common * top
-    out.terms = {w: Fraction(v, den) for w, v in acc.items()}
+    if len(x.terms) == 1:  # a word that a later input may have on the left
+        ((word, c),) = x.terms.items()
+        top, nums = _oracle_word(ctx, n, word)
+    else:
+        c = 1
+        top, nums = _oracle_solve(ctx, x)
+    num, den = c.numerator, c.denominator * top
+    out.terms = {w: Fraction(num * v, den) for w, v in sorted(nums.items())}
     return out
 
 
 def _oracle_word(ctx, degree, word):
-    """S of one basis word of positive degree as ``(L, numerators)``: the
-    coefficient of each word is its int numerator over L, the lcm of the
-    coefficients' reduced denominators.  Built from ``ctx.coproduct`` and
-    the iota splice alone, and cached in ``ctx._antipode_cache``."""
+    """``_oracle_solve`` of one basis word of positive degree, cached in
+    ``ctx._antipode_cache``."""
     cache = ctx._antipode_cache
     key = (degree, word)
-    if key in cache:
-        return cache[key]
+    if key not in cache:
+        cache[key] = _oracle_solve(ctx, TensorElement(degree, {word: 1}))
+    return cache[key]
+
+
+def _oracle_solve(ctx, x):
+    """S of a nonzero x of positive degree as ``(L, numerators)``: the
+    coefficient of each word is its int numerator over L, the lcm of the
+    coefficients' reduced denominators.  Built from ``ctx.coproduct`` and
+    the iota splice alone."""
+    n = x.degree
+    common, nums = _over_lcm(x.terms)
     steps = [(c, rw, *_oracle_word(ctx, ld, lw)) for ((ld, lw), (_, rw)), c
-             in ctx.coproduct(TensorElement(degree, {word: 1})).terms.items()
-             if 0 < ld < degree]
+             in ctx.coproduct(x).terms.items() if 0 < ld < n]
     # c·S(left)·right is over c's denominator, S(left)'s and one iota's D
     den = ctx._den
-    top = lcm(*(c.denominator * s_den * den for c, _, s_den, _ in steps))
-    acc = {word: -top}
+    top = lcm(common, *(c.denominator * s_den * den
+                        for c, _, s_den, _ in steps))
+    acc = {w: -v * (top // common) for w, v in nums.items()}
     iota = ctx._iota_num
     for c, rw, s_den, s_left in steps:
         scalar = -c.numerator * (top // (c.denominator * s_den * den))
@@ -191,8 +202,7 @@ def _oracle_word(ctx, degree, word):
     # copied even when g is 1: the copy is compact, while acc keeps the
     # room that its growth and its cancelled words took
     g = gcd(top, *acc.values())
-    cache[key] = top // g, {w: v // g for w, v in acc.items()}
-    return cache[key]
+    return top // g, {w: v // g for w, v in acc.items()}
 
 
 # The routes checked against antipode_closed.  Each looks its function up

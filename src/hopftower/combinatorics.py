@@ -162,25 +162,34 @@ def refines(nu, mu):
 
 
 def refinements(mu):
-    """Yield every composition refining mu (mu itself included).
+    """Yield every composition refining mu (mu itself included), in the
+    order of ``compositions``: each part split as ``compositions`` splits
+    it, the first part's boundary bits the most significant.
 
     >>> sorted(refinements((2, 1)))
     [(1, 1, 1), (2, 1)]
     """
-    for nu in compositions(sum(mu)):
-        if refines(nu, mu):
-            yield nu
+    for pieces in _cartesian(*map(compositions, _check_composition(mu))):
+        yield sum(pieces, ())
 
 
 def coarsenings(mu):
-    """Yield every composition that mu refines (mu itself included).
+    """Yield every composition that mu refines (mu itself included), in
+    the order of ``compositions``: each boundary of mu dropped (0) or kept
+    (1), the first one the most significant.
 
     >>> sorted(coarsenings((1, 2)))
     [(1, 2), (3,)]
     """
-    for nu in compositions(sum(mu)):
-        if refines(mu, nu):
-            yield nu
+    mu = _check_composition(mu)
+    for keep in _cartesian((0, 1), repeat=max(len(mu) - 1, 0)):
+        parts = list(mu[:1])
+        for part, kept in zip(mu[1:], keep):
+            if kept:
+                parts.append(part)
+            else:
+                parts[-1] += part
+        yield tuple(parts)
 
 
 # ---------------------------------------------------------------------------

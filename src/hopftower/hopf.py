@@ -54,9 +54,13 @@ class HopfContext:
                 if value != 1:
                     raise PairingNotOne(which, value)
         # S of each basis word, for antipode_oracle.  Unbounded, it lives as
-        # long as the context and holds one entry per basis word of degree
-        # up to the largest the oracle was given: the CLI's largest admitted
-        # --cross-check leaves 63 (two_dim) or 121 (cyclic4), at most 1,025.
+        # long as the context and holds the left words of the inputs'
+        # coproducts, below their degrees, and each one-word input.  The
+        # CLI's largest admitted --cross-check, dense, leaves 31 (two_dim,
+        # degree 6), 40 (cyclic4, degree 5) or 43 (rank 6, degree 4); any
+        # admitted one leaves at most 44 (rank 6, degree 4: 1 + 6 + 36
+        # words, and the input word).  verify's antipode suite asks for
+        # every word up to its degree: at most 1,025 (rank 1,024, degree 2).
         self._antipode_cache = {}
 
     # The integer kernels work on numerators over D, the common denominator

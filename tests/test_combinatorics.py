@@ -104,6 +104,19 @@ def test_coarsenings_conjugate_duality():
             assert coarse == fine_conj
 
 
+def test_refinements_and_coarsenings_are_the_filter_in_order():
+    """Both enumerate masks directly; they must yield exactly the
+    compositions ``refines`` admits, in the order of ``compositions``."""
+    for n in range(9):
+        comps = list(compositions(n))
+        for mu in comps:
+            assert list(refinements(mu)) == [
+                nu for nu in comps if refines(nu, mu)]
+            assert list(coarsenings(mu)) == [
+                nu for nu in comps if refines(mu, nu)]
+    assert list(coarsenings(())) == list(refinements(())) == [()]
+
+
 # -- set compositions ---------------------------------------------------------
 
 

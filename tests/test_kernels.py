@@ -5,8 +5,8 @@
 The reference functions below multiply ``Fraction`` factors one at a time
 and expand through the public ``expand_letters``; the kernels must give
 the same term dicts with every coefficient a ``Fraction``.  The coproduct
-and the closed antipode emit their terms in sorted key order, the oracle
-and ``square_product`` in the reference loops' order.  The two
+and the antipode routes emit their terms in sorted key order,
+``square_product`` in the reference loop's order.  The two
 set-composition routes, on int numerators over their own denominator,
 emit sorted terms too; they must match the reference closed antipode on
 dense elements and a plain walk over every set composition.
@@ -15,6 +15,7 @@ dense elements and a plain walk over every set composition.
 import random
 from fractions import Fraction
 from math import gcd
+from types import CodeType, FunctionType
 
 from hopftower.antipode import (_closed_plans, _setcomp_sum, _setcomp_table,
                                 antipode_all_setcomps, antipode_closed,
@@ -193,7 +194,7 @@ def assert_kernels_match(ctx, x, memo=None):
     assert_same(antipode_closed(ctx, x), reference_antipode_closed(ctx, x),
                 sorted_keys=True)
     assert_same(antipode_oracle(ctx, x),
-                reference_antipode_oracle(ctx, x, memo))
+                reference_antipode_oracle(ctx, x, memo), sorted_keys=True)
 
 
 def assert_basis_words_match(ctx, max_degree):
@@ -244,7 +245,8 @@ def test_fractional_iota_coordinates():
 def test_oracle_memo_is_over_its_lcm():
     """Each memoized S(word) is its reference value as ``(L, nums)``: int
     numerators over L, reduced so that gcd(L, *nums) = 1, in the
-    reference's key order."""
+    reference's key order.  A dense input is solved through its own
+    coproduct, so only its left words, of degrees 1 to 4, are memoized."""
     basis = two_dim(3)
     contexts = [induction_context(cyclic4()), all_ones_context(two_dim(5)),
                 HopfContext.unchecked(basis, basis.reg / 3, basis.one,
@@ -254,7 +256,7 @@ def test_oracle_memo_is_over_its_lcm():
         antipode_oracle(ctx, TensorElement(5, {
             w: 1 for w in ctx.basis_words(5)}))
         assert len(ctx._antipode_cache) == sum(
-            ctx.basis.dim ** (n - 1) for n in range(1, 6))
+            ctx.basis.dim ** (n - 1) for n in range(1, 5))
         for (n, w), (den, nums) in ctx._antipode_cache.items():
             want = _reference_oracle_word(ctx, memo, n, w).terms
             assert {u: Fraction(v, den) for u, v in nums.items()} == want
@@ -262,6 +264,40 @@ def test_oracle_memo_is_over_its_lcm():
             assert gcd(den, *nums.values()) == 1
         assert any(den > 1 for den, _ in ctx._antipode_cache.values()) == (
             ctx._den > 1)
+
+
+def test_oracle_takes_one_coproduct_of_a_multiword_input():
+    """A multi-word input costs one coproduct of itself, plus one of each
+    left word not memoized yet; a one-word input is memoized."""
+    rng = random.Random(11)
+    for ctx in (induction_context(cyclic4()), all_ones_context(two_dim(3))):
+        calls = []
+        coproduct = ctx.coproduct
+
+        def counting(x, coproduct=coproduct, calls=calls):
+            calls.append(x)
+            return coproduct(x)
+
+        # an instance attribute, which the oracle's lookup finds first
+        ctx.coproduct = counting
+        # a word of degree 3 memoizes itself and its left words
+        antipode_oracle(ctx, TensorElement(3, {(1, 0): 2}))
+        assert (3, (1, 0)) in ctx._antipode_cache
+        results = []
+        for x in (_dense(rng, ctx, 5), _dense(rng, ctx, 5)):
+            calls.clear()
+            before = set(ctx._antipode_cache)
+            results.append((x, antipode_oracle(ctx, x)))
+            new = set(ctx._antipode_cache) - before
+            assert calls[0] is x
+            assert len(calls) == 1 + len(new)
+            assert {(c.degree, *c.terms) for c in calls[1:]} == new
+            assert all(0 < n < 5 for n, _ in new)
+        assert len(calls) == 1  # the first dense input memoized them all
+        del ctx.coproduct
+        for x, got in results:
+            assert_same(got, reference_antipode_oracle(ctx, x),
+                        sorted_keys=True)
 
 
 def test_integer_tables_are_built_on_first_use():
@@ -362,6 +398,37 @@ def test_setcomp_routes_read_no_integer_table_of_the_context():
     assert "pair_alpha" in names  # co_names holds the attributes read
     assert not names & {"_den", "_alpha_num", "_beta_num", "_iota_num",
                         "_diff_num", "_closed_plans"}
+
+
+def _names_reached(function):
+    """The names that ``function`` and the helpers of its own module that
+    it reaches use, with those of nested code (comprehensions)."""
+    scope = function.__globals__
+    names, todo, seen = set(), [function.__code__], set()
+    while todo:
+        code = todo.pop()
+        names.update(code.co_names)
+        todo.extend(c for c in code.co_consts if isinstance(c, CodeType))
+        for name in set(code.co_names) - seen:
+            helper = scope.get(name)
+            if isinstance(helper, FunctionType) and helper.__globals__ is scope:
+                seen.add(name)
+                todo.append(helper.__code__)
+    return names
+
+
+def test_oracle_reads_no_other_route():
+    """The oracle stays a cross-check of the formulas: it and its helpers
+    name no other route and none of the closed route's plans, tables or
+    integer pairings."""
+    names = _names_reached(antipode_oracle)
+    # the names are collected: the public coproduct and the memo helpers
+    assert {"coproduct", "_iota_num", "_den", "_antipode_cache",
+            "_oracle_word", "_oracle_solve"} <= names
+    assert not names & {"antipode_closed", "_closed_plans", "_setcomp_table",
+                        "_setcomp_sum", "_plan_sum", "_diff_num",
+                        "_alpha_num", "_beta_num", "antipode_all_setcomps",
+                        "antipode_toggle_free"}
 
 
 def unchecked_d21():
