@@ -3,7 +3,8 @@
 ``antipode_closed`` sums over integer compositions of the degree: the
 blocks, reversed, contribute difference letters (letter minus its
 alpha-pairing times iota) joined by iota separators, weighted by beta
-pairings of the boundary letters and signed by block count.
+pairings of the boundary letters and signed by block count, summed
+letter by letter: each letter is kept in its block or cut after.
 
 ``antipode_all_setcomps`` evaluates the defining sum over every ordered
 set partition of the tensor positions through its per-degree table: set
@@ -24,9 +25,9 @@ set-composition routes over powers of their own d, the lcm of the
 denominators of the public pairings and iota.  The set-composition routes
 read nothing else of the context, and the oracle nothing of it but the
 coproduct, D and the iota numerators, so neither shares the closed
-route's integer tables.  The closed and set-composition routes evaluate
-context-free per-degree plans, kept in bounded caches, through
-``hopf._plan_sum``.  All four routes emit their terms in sorted key order.
+route's integer tables.  The set-composition routes evaluate
+context-free per-degree plans, kept in a bounded cache, through
+``_plan_sum``.  All four routes emit their terms in sorted key order.
 """
 
 from __future__ import annotations
@@ -34,53 +35,77 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import itemgetter
 
-from .combinatorics import (bc_bits, compositions, llc_bits, partial_sums,
-                            set_compositions, straighten, toggle_free)
+from .combinatorics import (bc_bits, llc_bits, set_compositions, straighten,
+                            toggle_free)
 from .elements import TensorElement, _accumulate, _over_lcm
-from .hopf import (_MARKER, _expand_positions, _getter, _numerators,
-                   _plan_sum)
-
-_SIGNS = (1, -1)  # the antipode plans' scales: plan k has sign _SIGNS[k]
+from .hopf import _expand_positions, _numerators
 
 
 def antipode_closed(ctx, x):
-    """Closed-form antipode, linear in x; terms in sorted key order."""
-    # degree 0 needs no case of its own: the empty composition gives
-    # S(unit) = unit
+    """Closed-form antipode, linear in x; terms in sorted key order.
+
+    One pass over the letters on int numerators over D^(2(n-1)): a kept
+    letter appends its difference letter's pairs (over D^2) to the block;
+    a cut after it takes minus its beta pairing (D) and moves the block,
+    behind an iota separator (D), to the front of the finished blocks.
+    States, keyed by (block, finished blocks, unread letters), merge
+    across the words of x.  Sign: -1 per block (none at degree 0).
+    """
     n = x.degree
     out = TensorElement(n)
-    if not x.terms:  # at once: the 2^(n-1) plans of a zero are not built
-        return out
     common, nums = _over_lcm(x.terms)
-    acc = _plan_sum(nums, (ctx._beta_num,), _SIGNS, _closed_plans(n))
-    subs = {**dict(enumerate(ctx._diff_num)), _MARKER: ctx._iota_num}
-    # over the context's denominator D each summand carries D^2(n-1):
-    # D per beta pairing and per iota separator (one each per cut), D^2
-    # per difference letter
+    beta, diff, iota = ctx._beta_num, ctx._diff_num, ctx._iota_num
+    states = {((), (), w): -v if n else v for w, v in nums.items()}
+    for _ in range(n - 1):
+        old, states = states, {}
+        while old:
+            (block, done, rest), v = old.popitem()
+            a, rest = rest[0], rest[1:]
+            for i, c in diff[a]:
+                key = (block + (i,), done, rest)
+                states[key] = states.get(key, 0) + v * c
+            if s := -v * beta[a]:
+                for i, c in iota:
+                    key = ((), (i,) + block + done, rest)
+                    states[key] = states.get(key, 0) + s * c
+    acc = {}
+    for (block, done, _), v in states.items():
+        w = block + done
+        acc[w] = acc.get(w, 0) + v
     den = common * ctx._den ** (2 * max(n - 1, 0))
-    out.terms = {w: Fraction(v, den) for w, v in
-                 sorted(_expand_positions(acc, subs, range(n - 1)).items())}
+    out.terms = {w: Fraction(v, den) for w, v in sorted(acc.items()) if v}
     return out
 
 
-@lru_cache(maxsize=16)
-def _closed_plans(n):
-    """Per composition of n, a ``_plan_sum`` plan: the sign's index, a beta
-    crossing at the letter after each block but the last, and a getter of
-    the blocks' letters in reversed block order, iota markers between."""
-    plans = []
-    for mu in compositions(n):
-        cuts = partial_sums(mu)
-        bounds = (0,) + cuts + (n,)
-        template = []
-        for b in range(len(mu), 0, -1):  # reversed block order
-            template.extend(range(bounds[b - 1], bounds[b] - 1))
-            if b != 1:
-                template.append(_MARKER)
-        plans.append((len(mu) % 2, tuple((cut - 1, 0) for cut in cuts),
-                       _getter(template)))
-    return tuple(plans)
+_MARKER = -1  # an iota marker in an unexpanded word; letters are >= 0
+_SIGNS = (1, -1)  # plan k of a set-composition table has sign _SIGNS[k]
+
+
+def _getter(indices):
+    """The function picking the entries at ``indices`` out of a tuple."""
+    return (itemgetter(*indices) if len(indices) > 1
+            else lambda w: tuple(w[j] for j in indices))
+
+
+def _plan_sum(nums, tables, scales, plans):
+    """A degree's plans summed over the words of an element (word -> coeff)
+    onto unexpanded words: per word and plan (k, crossings, get), coeff
+    times ``scales[k]`` times ``tables[flag][word[j]]`` per crossing
+    (j, flag), added at ``get(word + (_MARKER,))``.  Zeros may stay."""
+    acc = {}
+    for word, num in nums.items():
+        marked = word + (_MARKER,)
+        for k, crossings, get in plans:
+            scalar = num * scales[k]
+            for j, flag in crossings:
+                scalar *= tables[flag][word[j]]
+                if not scalar:
+                    break
+            if scalar:
+                acc[key] = acc.get(key := get(marked), 0) + scalar
+    return acc
 
 
 @lru_cache(maxsize=16)

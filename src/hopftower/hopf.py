@@ -6,14 +6,15 @@ iota (expanded over the basis) between them; the coproduct sums over the
 2^n splittings of the n tensor positions, sending each inter-position
 letter to one side, pairing it away against alpha or beta, or replacing it
 by an iota marker, according to where the neighbouring positions land.
+Each choice is local to one letter, so the sum is taken letter by letter,
+merging equal partial states across input words (transfer-matrix method).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
-from operator import itemgetter
 
 from .elements import (TensorElement, TensorSquare, _accumulate, _over_lcm,
                        basis_words, expand_letters)
@@ -161,29 +162,59 @@ class HopfContext:
         on that side; between sides it is paired away (against alpha when
         the left position comes first, beta otherwise) and replaced by an
         iota marker on its own side unless its position is the last one
-        there.  Scalars are summed on unexpanded words, then markers are
-        expanded position by position; terms come in sorted key order.
+        there.
+
+        One pass over the letters on int numerators over D^(2(n-1)): a
+        kept letter (D^2) joins its side; a split's first crossing, at
+        letter j, is read off the input word (its pairing, D, and D^2 per
+        letter before it); a later one enters a side already started and
+        puts there the marker that side is owed, as its iota pairs.
+        States, keyed by (left word, right word, unread letters), merge
+        across the words of x.  Terms come in sorted key order.
         """
         n = x.degree
         out = TensorSquare()
-        if n == 0:
-            for w, c in x.terms.items():
-                out.add_term(((0, ()), (0, ())), c)
-            return out
-        if not x.terms:  # at once: the 2^n plans of a zero are not built
-            return out
-        iota, den = {_MARKER: self._iota_num}, self._den
-        tables = (self._beta_num, self._alpha_num)
-        scales = [den ** k for k in range(2 * n - 1)]
+        alpha, beta, iota = self._alpha_num, self._beta_num, self._iota_num
+        d1, d2 = self._den, self._den ** 2
+        top = d2 ** max(n - 1, 0)  # D^(2(n-1))
         common, nums = _over_lcm(x.terms)
-        den = common * den ** (2 * (n - 1))
-        # one (left degree, right degree) at a time: one dict alive
-        for (left_n, right_n), (marks, plans) in _split_plans(n):
-            acc = _plan_sum(nums, tables, scales, plans)
-            cut = max(left_n - 1, 0)
-            for w, v in sorted(_expand_positions(acc, iota, marks).items()):
-                out.terms[((left_n, w[:cut]), (right_n, w[cut:]))] = (
-                    Fraction(v, den))
+        on_l, on_r = {}, {}  # the position last read is on the left, right
+        for j in range(n - 1):
+            old_l, old_r, on_l, on_r = on_l, on_r, {}, {}
+            scale = d2 ** j * d1
+            for w, v in nums.items():  # the first crossing, at letter j
+                a, head, rest = w[j], w[:j], w[j + 1:]
+                if s := v * alpha[a] * scale:
+                    on_r[key] = on_r.get(key := (head, (), rest), 0) + s
+                if s := v * beta[a] * scale:
+                    on_l[key] = on_l.get(key := ((), head, rest), 0) + s
+            while old_l:
+                (lw, rw, rest), v = old_l.popitem()
+                a, rest = rest[0], rest[1:]
+                key = (lw + (a,), rw, rest)
+                on_l[key] = on_l.get(key, 0) + v * d2
+                if s := v * alpha[a]:
+                    for i, c in iota:
+                        key = (lw, rw + (i,), rest)
+                        on_r[key] = on_r.get(key, 0) + s * c
+            while old_r:
+                (lw, rw, rest), v = old_r.popitem()
+                a, rest = rest[0], rest[1:]
+                key = (lw, rw + (a,), rest)
+                on_r[key] = on_r.get(key, 0) + v * d2
+                if s := v * beta[a]:
+                    for i, c in iota:
+                        key = (lw + (i,), rw, rest)
+                        on_l[key] = on_l.get(key, 0) + s * c
+        acc = {}
+        for w, v in nums.items():
+            acc[(n, w), (0, ())] = acc[(0, ()), (n, w)] = v * top
+        for states in (on_l, on_r):
+            for (lw, rw, _), v in states.items():
+                key = ((len(lw) + 1, lw), (len(rw) + 1, rw))
+                acc[key] = acc.get(key, 0) + v
+        den = common * top
+        out.terms = {k: Fraction(v, den) for k, v in sorted(acc.items()) if v}
         return out
 
     def square_product(self, s, t):
@@ -267,35 +298,6 @@ class HopfContext:
             TensorElement(len(seg) + 1, {tuple(seg): 1}) for seg in segments)
 
 
-@lru_cache(maxsize=16)
-def _split_plans(n):
-    """Per (left degree, right degree): its splits' marker positions and
-    ``_plan_sum`` plans: the power of D padding each to D^(2(n-1)), its
-    crossings (letter, 1 for alpha, 0 for beta), a getter of left + right."""
-    groups = {}
-    for mask in range(1 << n):
-        side = [(mask >> j) & 1 for j in range(n)]  # 1: position j+1 left
-        last = {s: j for j, s in enumerate(side)}
-        crossings, left, right = [], [], []
-        power = 2 * (n - 1)
-        for j in range(n - 1):  # letter j sits between positions j+1, j+2
-            here = side[j]
-            entries = left if here else right
-            if here == side[j + 1]:
-                entries.append(j)
-                continue
-            crossings.append((j, here))
-            power -= 1  # one D for the pairing, one more for a marker
-            if j != last[here]:
-                entries.append(-1)  # the marker ending word + (_MARKER,)
-                power -= 1
-        left_n = sum(side)
-        marks, plans = groups.setdefault((left_n, n - left_n), (set(), []))
-        marks.update(p for p, j in enumerate(left + right) if j == -1)
-        plans.append((power, tuple(crossings), _getter(left + right)))
-    return tuple(sorted(groups.items()))
-
-
 def _splice(du, u, dv, v, iota, one):
     """Basis words u, v of degrees du, dv multiplied, as (word, coeff)
     pairs: each (letter, coeff) of ``iota`` spliced in between, or one
@@ -310,34 +312,6 @@ def _splice(du, u, dv, v, iota, one):
 def _numerators(values, den):
     """The ints ``values * den``, for a common denominator ``den``."""
     return tuple(c.numerator * (den // c.denominator) for c in values)
-
-
-_MARKER = -1  # an iota marker in an unexpanded word; letters are >= 0
-
-
-def _getter(indices):
-    """The function picking the entries at ``indices`` out of a tuple."""
-    return (itemgetter(*indices) if len(indices) > 1
-            else lambda w: tuple(w[j] for j in indices))
-
-
-def _plan_sum(nums, tables, scales, plans):
-    """A degree's plans summed over the words of an element (word -> coeff)
-    onto unexpanded words: per word and plan (k, crossings, get), coeff
-    times ``scales[k]`` times ``tables[flag][word[j]]`` per crossing
-    (j, flag), added at ``get(word + (_MARKER,))``.  Zeros may stay."""
-    acc = {}
-    for word, num in nums.items():
-        marked = word + (_MARKER,)
-        for k, crossings, get in plans:
-            scalar = num * scales[k]
-            for j, flag in crossings:
-                scalar *= tables[flag][word[j]]
-                if not scalar:
-                    break
-            if scalar:
-                acc[key] = acc.get(key := get(marked), 0) + scalar
-    return acc
 
 
 def _expand_positions(terms, subs, positions):

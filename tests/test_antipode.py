@@ -3,14 +3,13 @@ toggle-free sum, and the convolution-equation solver."""
 
 from fractions import Fraction
 
-from hopftower.antipode import (_closed_plans, _setcomp_table,
-                                antipode_all_setcomps, antipode_closed,
-                                antipode_oracle, antipode_toggle_free)
+from hopftower.antipode import (_MARKER, _setcomp_table, antipode_all_setcomps,
+                                antipode_closed, antipode_oracle,
+                                antipode_toggle_free)
 from hopftower.characters import constant_character
 from hopftower.combinatorics import set_compositions, toggle_free
 from hopftower.elements import TensorElement, basis_words
-from hopftower.hopf import (_MARKER, HopfContext, _split_plans,
-                            all_ones_context, induction_context)
+from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.nsym import tau_iota_element
 from hopftower.theory import two_dim
 from test_kernels import (assert_same, reference_antipode_closed,
@@ -148,13 +147,12 @@ def test_full_sum_cancels_to_the_toggle_free_table():
 
 
 def test_plans_are_shared_across_contexts():
-    """The per-degree plans hold nothing of a context: calls alternating
-    between two contexts with different denominators D, at each degree,
-    all match the Fraction references."""
-    caches = (_split_plans, _closed_plans, _setcomp_table)
-    for cache in caches:
-        assert cache.cache_info().maxsize is not None
-        cache.cache_clear()
+    """The set-composition tables hold nothing of a context, and the
+    coproduct and closed antipode keep no state between calls: calls
+    alternating between two contexts with different denominators D, at
+    each degree, all match the Fraction references."""
+    assert _setcomp_table.cache_info().maxsize is not None
+    _setcomp_table.cache_clear()
     basis = two_dim(3)
     contexts = (induction_context(basis),
                 HopfContext.unchecked(basis, basis.reg / 3, basis.one,
@@ -169,5 +167,4 @@ def test_plans_are_shared_across_contexts():
                 want = reference_antipode_closed(ctx, x)
                 assert_same(antipode_closed(ctx, x), want, sorted_keys=True)
                 assert antipode_all_setcomps(ctx, x) == want
-    for cache in caches:
-        assert cache.cache_info().hits > 0
+    assert _setcomp_table.cache_info().hits > 0

@@ -710,7 +710,7 @@ def test_largest_cyclic4_coproduct_stays_under_64_mib(tmp_path):
 
 
 def test_largest_cyclic4_antipode_stays_under_64_mib(tmp_path):
-    """The dense cyclic4 degree-9 ``compute antipode`` peaks near 43 MiB;
+    """The dense cyclic4 degree-9 ``compute antipode`` peaks near 24 MiB;
     degree 10 (4,096 words, refused now) took 95 MiB."""
     assert_largest_admitted(tmp_path, "antipode", *_CYCLIC4, 9, 3 ** 8,
                             4096, "size")
@@ -724,10 +724,10 @@ def _rank1(tmp_path):
 
 
 def test_largest_rank1_requests_stay_under_64_mib(tmp_path):
-    """A rank-1 table has one word per degree, so its plans bound it: the
-    degree-15 coproduct (2^15 plans) peaks near 43 MiB and degree 16 took
-    74 MiB; the degree-16 antipode (2^15 plans) peaks near 40 MiB and
-    degree 17 took 67 MiB."""
+    """A rank-1 table has one word per degree, so only the "plan" bounds on
+    its 2^degree splits and 2^(degree-1) compositions refuse it.  Summed
+    letter by letter, the degree-15 coproduct and the degree-16 antipode
+    peak near 16 MiB."""
     for action, top in (("coproduct", 15), ("antipode", 16)):
         assert_largest_admitted(tmp_path, action, *_rank1(tmp_path), top, 1,
                                 1, "plan")
@@ -735,10 +735,10 @@ def test_largest_rank1_requests_stay_under_64_mib(tmp_path):
 
 def test_compute_size_bound(capsys, tmp_path):
     """2^15 pairs of words for a coproduct, 2^14 words for an antipode,
-    and 2^15 per-degree plans for either: two_dim admits coproducts to
-    degree 13 and antipodes to degree 15, cyclic4 both to degree 9, and a
-    rank-1 table, whose plans outnumber its words, coproducts to degree 15
-    and antipodes to degree 16."""
+    and 2^15 splits or compositions for either: two_dim admits coproducts
+    to degree 13 and antipodes to degree 15, cyclic4 both to degree 9, and
+    a rank-1 table, whose splits outnumber its words, coproducts to degree
+    15 and antipodes to degree 16."""
     bases = {1: _rank1(tmp_path)[0], 2: [], 3: ["--base", "cyclic4"]}
     for action, dim, top in (("coproduct", 1, 15), ("coproduct", 2, 13),
                              ("coproduct", 3, 9), ("antipode", 1, 16),

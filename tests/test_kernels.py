@@ -9,24 +9,36 @@ and the antipode routes emit their terms in sorted key order,
 ``square_product`` in the reference loop's order.  The two
 set-composition routes, on int numerators over their own denominator,
 emit sorted terms too; they must match the reference closed antipode on
-dense elements and a plain walk over every set composition.
+dense elements and a plain walk over every set composition.  A
+hypothesis property draws elements and contexts for the coproduct and
+the closed antipode, and the CLI's output on two dense elements is
+pinned by digest.
 """
 
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
 from types import CodeType, FunctionType
 
-from hopftower.antipode import (_closed_plans, _setcomp_sum, _setcomp_table,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopftower import hopf
+from hopftower.antipode import (_MARKER, _setcomp_sum, _setcomp_table,
                                 antipode_all_setcomps, antipode_closed,
                                 antipode_oracle, antipode_toggle_free)
+from hopftower.cli import main
 from hopftower.combinatorics import (bc_bits, compositions, llc_bits,
                                      partial_sums, set_compositions,
                                      straighten)
 from hopftower.elements import TensorElement, TensorSquare, expand_letters
-from hopftower.hopf import (_MARKER, HopfContext, _expand_positions,
-                            _split_plans, all_ones_context, induction_context)
+from hopftower.hopf import (HopfContext, _expand_positions, all_ones_context,
+                            induction_context)
 from hopftower.theory import cyclic4, from_table, two_dim
+from test_characters import kronecker
 
 
 def reference_coproduct(ctx, x):
@@ -358,18 +370,20 @@ def test_cancellation_and_low_degrees():
 
 
 def test_zero_element_builds_no_plans():
-    # the plans of a degree-n zero would be 2^n (2^(n-1)) entries, and
-    # the set-composition tables walk Fubini(n) set compositions (47,293
-    # at degree 7); without the early return they are built, and the
-    # caches change
+    # the coproduct and the closed antipode keep no plans: a degree-12 zero
+    # is an empty pass, and hopf caches nothing per degree; the
+    # set-composition tables walk Fubini(n) set compositions (47,293 at
+    # degree 7), so without the early return they are built, and the
+    # cache changes
     ctx = induction_context(two_dim(3))
-    caches = (_split_plans, _closed_plans, _setcomp_table)
-    before = [cache.cache_info() for cache in caches]
     assert ctx.coproduct(TensorElement(12)).terms == {}
     assert antipode_closed(ctx, TensorElement(12)).terms == {}
+    assert "lru_cache" not in vars(hopf)
+    assert not [f for f in vars(hopf).values() if hasattr(f, "cache_info")]
+    before = _setcomp_table.cache_info()
     for route in (antipode_all_setcomps, antipode_toggle_free):
         assert route(ctx, TensorElement(7)).terms == {}
-    assert [cache.cache_info() for cache in caches] == before
+    assert _setcomp_table.cache_info() == before
 
 
 def test_setcomp_routes_match_the_plain_walk():
@@ -440,6 +454,82 @@ def unchecked_d21():
             HopfContext.unchecked(basis, reg / 3, Fraction(2, 7) * reg, one),
             HopfContext.unchecked(basis, Fraction(1, 7) * reg + one / 3,
                                   one, reg)]
+
+
+def _property_contexts():
+    """A rank-1 table, the D = 21 triples, the fractional-iota triples,
+    cyclic4 and a rank-4 table."""
+    rank1 = from_table(((1,),), (1,), 0)
+    return [all_ones_context(rank1), *unchecked_d21(),
+            *fractional_iota_contexts(), induction_context(cyclic4()),
+            induction_context(kronecker(two_dim(2), two_dim(3)))]
+
+
+# ones and halves of both signs, so that output terms of different input
+# words cancel, and denominators 3 and 7 besides
+_COEFFS = st.sampled_from((1, -1, Fraction(1, 2), Fraction(-1, 2),
+                           Fraction(2, 3), Fraction(-5, 7), 3))
+
+
+@st.composite
+def kernel_inputs(draw, contexts=_property_contexts()):
+    """A context and an element of degree 0 to 6 on it: every word, when
+    there are at most 64 and the draw says dense, else up to 8 words."""
+    ctx = draw(st.sampled_from(contexts))
+    n = draw(st.integers(0, 6))
+    words = list(ctx.basis_words(n))
+    if len(words) > 64 or not draw(st.booleans()):
+        words = draw(st.lists(st.sampled_from(words), max_size=8, unique=True))
+    return ctx, TensorElement(n, {w: draw(_COEFFS) for w in words})
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_inputs())
+def test_letter_pass_kernels_match_the_references(case):
+    ctx, x = case
+    assert_same(ctx.coproduct(x), reference_coproduct(ctx, x),
+                sorted_keys=True)
+    assert_same(antipode_closed(ctx, x), reference_antipode_closed(ctx, x),
+                sorted_keys=True)
+
+
+def _seeded_dense_json(seed, labels, degree):
+    """Every word of ``degree`` over ``labels``, with seeded rationals."""
+    rng = random.Random(seed)
+    return json.dumps({"degree": degree, "terms": [
+        {"word": list(w),
+         "coeff": f"{rng.choice((-1, 1)) * rng.randint(1, 9)}/"
+                  f"{rng.randint(1, 6)}"}
+        for w in itertools.product(labels, repeat=degree - 1)]})
+
+
+# SHA-256 of stdout, as the per-degree plan kernels printed it
+_PINNED = (
+    (["--q", "3", "--iota", "reg", "--beta", "beta_star"], ("one", "regm1"), 8,
+     {"coproduct": "c2b9e5cdaab0dca0a39bc94716e1f21b"
+                   "382b7ce6b838bae40cb443fc927a0761",
+      "antipode": "716a2c0d763a26d378aa64bf5fba2603"
+                  "c5f144022088445eff0da0666650227b"}),
+    (["--base", "cyclic4", "--iota", "reg", "--beta", "(reg - one)/3"],
+     ("one", "sgn", "s"), 5,
+     {"coproduct": "81d7e088cbcec67fba5011a67dedb309"
+                   "229dc44ca22080e888aa15633b569c2d",
+      "antipode": "494f03dbe9a538c0186a43031161b61e"
+                  "6907a091e33c69f4576a684bd605b3a3"}),
+)
+
+
+def test_compute_output_is_pinned(capsys):
+    """``compute coproduct`` and ``compute antipode`` on a dense two_dim(3)
+    degree-8 and a dense cyclic4 degree-5 element print byte for byte
+    what they printed before the letter-by-letter kernels."""
+    for base, labels, degree, digests in _PINNED:
+        x = _seeded_dense_json(degree, labels, degree)
+        for action, digest in digests.items():
+            assert main(["compute", action, *base, "--x", x]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, action
 
 
 def assert_square_products_match(ctx, lefts, rights):
