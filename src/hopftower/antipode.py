@@ -19,10 +19,12 @@ whole input and sums S(left)·right over its merged intermediate terms; S
 of each left word comes from a per-word memo filled the same way.
 
 Every route computes with int numerators and builds one ``Fraction`` per
-output term: the closed route over powers of the context's denominator D,
-the oracle over the lcm of its steps' reduced denominators, and the
-set-composition routes over powers of their own d, the lcm of the
-denominators of the public pairings and iota.  The set-composition routes
+output term only at its public edge: the closed route over powers of the
+context's denominator D, as the int form ``_closed_num`` that
+``antipode_closed`` wraps and ``verify_axioms`` reads, the oracle over
+the lcm of its steps' reduced denominators, and the set-composition
+routes over powers of their own d, the lcm of the denominators of the
+public pairings and iota.  The set-composition routes
 read nothing else of the context, and the oracle nothing of it but the
 coproduct, D and the iota numerators, so neither shares the closed
 route's integer tables.  The set-composition routes evaluate
@@ -44,7 +46,17 @@ from .hopf import _expand_positions, _numerators
 
 
 def antipode_closed(ctx, x):
-    """Closed-form antipode, linear in x; terms in sorted key order.
+    """Closed-form antipode, linear in x; terms in sorted key order, one
+    ``Fraction`` each, from ``_closed_num``."""
+    den, acc = _closed_num(ctx, x)
+    out = TensorElement(x.degree)
+    out.terms = {w: Fraction(v, den) for w, v in sorted(acc.items()) if v}
+    return out
+
+
+def _closed_num(ctx, x):
+    """The closed-form antipode as ``(den, word -> int numerator over
+    den)``, in no particular word order and with zeros left in.
 
     One pass over the letters on int numerators over D^(2(n-1)): a kept
     letter appends its difference letter's pairs (over D^2) to the block;
@@ -54,7 +66,6 @@ def antipode_closed(ctx, x):
     across the words of x.  Sign: -1 per block (none at degree 0).
     """
     n = x.degree
-    out = TensorElement(n)
     common, nums = _over_lcm(x.terms)
     beta, diff, iota = ctx._beta_num, ctx._diff_num, ctx._iota_num
     states = {((), (), w): -v if n else v for w, v in nums.items()}
@@ -74,9 +85,7 @@ def antipode_closed(ctx, x):
     for (block, done, _), v in states.items():
         w = block + done
         acc[w] = acc.get(w, 0) + v
-    den = common * ctx._den ** (2 * max(n - 1, 0))
-    out.terms = {w: Fraction(v, den) for w, v in sorted(acc.items()) if v}
-    return out
+    return common * ctx._den ** (2 * max(n - 1, 0)), acc
 
 
 _MARKER = -1  # an iota marker in an unexpanded word; letters are >= 0

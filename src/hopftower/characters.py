@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import compositions
-from .elements import TensorElement, _over_lcm, expand_letters
+from .elements import TensorElement, expand_letters
 from .functors import _pair_away
 from .theory import BaseElement, TheoryError
 
@@ -184,14 +184,15 @@ def _require_morphisms(*chis):
 
 @lru_cache(maxsize=16)
 def _coproducts(ctx, n):
-    """Per basis word of degree n: (word, L, terms), the coproduct's terms
-    as (left degree, left word, right degree, right word, c) with c the
-    int numerator over L, from the public ``ctx.coproduct``."""
+    """Per basis word of degree n: (word, L, terms), the coproduct's
+    nonzero terms as (left degree, left word, right degree, right word, c)
+    with c the int numerator over L, from ``ctx._coproduct_num``."""
     out = []
     for word in ctx.basis_words(n):
-        den, num = _over_lcm(ctx.coproduct(TensorElement(n, {word: 1})).terms)
+        den, num = ctx._coproduct_num(TensorElement(n, {word: 1}))
         out.append((word, den, tuple((ld, lw, rd, rw, c) for
-                                     ((ld, lw), (rd, rw)), c in num.items())))
+                                     ((ld, lw), (rd, rw)), c in num.items()
+                                     if c)))
     return tuple(out)
 
 

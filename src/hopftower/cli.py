@@ -20,8 +20,6 @@ of the bounds in ``_BOUNDS``, each checked by ``_admit``:
   multiply size   -- ``compute multiply``: the product's possible terms
   coproduct size  -- ``compute coproduct``: the pairs of words it spans
   antipode size   -- ``compute antipode``: the words it spans
-  coproduct plan  -- ``compute coproduct``: the 2^degree splits it sums
-  antipode plan   -- ``compute antipode``: the 2^(degree-1) compositions
   compositions    -- ``enumerate compositions``: ``--n``
   toggle_free     -- ``enumerate toggle_free``: ``--n``
   descent_class   -- ``enumerate descent_class``: the sum of ``--mu``
@@ -52,8 +50,6 @@ _BOUNDS = {
     "multiply size": 2 ** 13,   # len(terms of x) * len(terms of y) * nnz(iota)
     "coproduct size": 2 ** 15,  # the pairs of words the result may span
     "antipode size": 2 ** 14,   # the words the result may span
-    "coproduct plan": 2 ** 15,  # 2^degree splits, summed letter by letter
-    "antipode plan": 2 ** 15,   # 2^(degree-1) compositions, likewise
     "compositions": 16,         # --n
     "toggle_free": 8,           # --n
     "descent_class": 7,         # sum(mu)
@@ -247,9 +243,8 @@ def _admit_set_compositions(degree, what):
 
 def _check_output_size(action, dim, x):
     """Refuse (exit 2) a nonzero coproduct or antipode whose pairs of words
-    or words exceed their bounds (peak memory follows these, not the
-    work), or whose splits or compositions exceed the "plan" bounds; those
-    outnumber the words only for a rank-1 table, and bound no memory."""
+    or words exceed their bounds: peak memory follows these, not the
+    work, which the "compute work" bound caps."""
     if not x.terms:
         return
     n = x.degree
@@ -258,11 +253,9 @@ def _check_output_size(action, dim, x):
                     for k in range(n + 1))
         _admit("coproduct size", words, "sum_k dim^max(k-1,0) * "
                f"dim^max(degree-k-1,0) of --x = {words}")
-        _admit("coproduct plan", 1 << n, f"2^degree of --x = {1 << n}")
     else:
-        words, plans = dim ** max(n - 1, 0), 1 << max(n - 1, 0)
+        words = dim ** max(n - 1, 0)
         _admit("antipode size", words, f"dim^(degree-1) of --x = {words}")
-        _admit("antipode plan", plans, f"2^(degree-1) of --x = {plans}")
 
 
 def _cmd_compute(args, basis, tag):

@@ -4,6 +4,11 @@ A degree-n vector is a finite rational combination of words of n-1 letters
 (indices into a character basis); degree 0 is one-dimensional, spanned by
 the empty word.  A :class:`TensorSquare` holds an element of the tensor
 square, keyed by pairs of (degree, word).
+
+Coefficients are ``Fraction``s at the public edge only: the kernels here
+and in ``hopf`` and ``antipode`` sum int numerators over one common
+denominator (``_over_lcm`` takes a term dict there) and build one
+``Fraction`` per output term.
 """
 
 from __future__ import annotations
@@ -14,12 +19,16 @@ from math import lcm
 
 
 def _accumulate(terms, key, coeff):
-    """Add ``coeff`` to ``terms[key]``, dropping the key when it cancels."""
-    new = terms.get(key, 0) + coeff
-    if new:
+    """Add ``coeff`` to ``terms[key]``, dropping the key when it cancels;
+    a new key takes ``coeff`` itself, unless it is zero."""
+    old = terms.get(key)
+    if old is None:
+        if coeff:
+            terms[key] = coeff
+    elif new := old + coeff:
         terms[key] = new
     else:
-        terms.pop(key, None)
+        del terms[key]
 
 
 def _over_lcm(terms):
@@ -215,19 +224,25 @@ def expand_letters(entries, coeff=1):
 
     Each entry is either an int (a fixed letter) or a coordinate tuple
     (a letter expanded over the basis, one branch per nonzero coordinate).
+    The words are summed on int numerators over the product of the
+    coefficient's and each tuple's denominators.
 
     >>> sorted(expand_letters([0, (Fraction(1), Fraction(-2))]).items())
     [((0, 0), Fraction(1, 1)), ((0, 1), Fraction(-2, 1))]
     """
-    partial = {(): Fraction(coeff)}
+    coeff = Fraction(coeff)
+    den, partial = coeff.denominator, {(): coeff.numerator}
     for entry in entries:
         if isinstance(entry, int):
             partial = {w + (entry,): c for w, c in partial.items()}
             continue
+        d = lcm(*(c.denominator for c in entry))
+        den *= d
+        nums = [c.numerator * (d // c.denominator) for c in entry]
         # the words of partial share one length, so each (i, w) gives its
         # own key and nothing needs accumulating
-        partial = {w + (i,): c * ci for i, ci in enumerate(entry) if ci
+        partial = {w + (i,): c * ci for i, ci in enumerate(nums) if ci
                    for w, c in partial.items() if c}
         if not partial:
             break
-    return partial
+    return {w: Fraction(c, den) for w, c in partial.items()}

@@ -8,6 +8,12 @@ letter to one side, pairing it away against alpha or beta, or replacing it
 by an iota marker, according to where the neighbouring positions land.
 Each choice is local to one letter, so the sum is taken letter by letter,
 merging equal partial states across input words (transfer-matrix method).
+
+Int numerators inside, one ``Fraction`` per term at the public edge: the
+product sums over the lcm of its inputs' denominators, and ``coproduct``
+and ``square_product`` wrap the int forms ``_coproduct_num`` and
+``_square_product_num``, each ``(den, key -> int numerator)``, which
+callers inside the package read directly.
 """
 
 from __future__ import annotations
@@ -129,17 +135,21 @@ class HopfContext:
     # -- product -------------------------------------------------------------
 
     def product(self, x, y):
-        """Insert iota between the words of x and y, bilinearly."""
+        """Insert iota between the words of x and y, bilinearly, on int
+        numerators over x's lcm times y's lcm times D."""
         dx, dy = x.degree, y.degree
-        iota = [(i, c) for i, c in enumerate(self.iota_coords) if c]
+        lx, xs = _over_lcm(x.terms)
+        ly, ys = _over_lcm(y.terms)
+        iota, d = self._iota_num, self._den
+        den = lx * ly * d
         # every word of x (of y) has the same length, so each splice gives
         # its own word and nothing needs accumulating
         out = {}
-        for u, cu in x.terms.items():
-            for v, cv in y.terms.items():
+        for u, cu in xs.items():
+            for v, cv in ys.items():
                 c = cu * cv
-                for w, cw in _splice(dx, u, dy, v, iota, 1):
-                    out[w] = c * cw
+                for w, cw in _splice(dx, u, dy, v, iota, d):
+                    out[w] = Fraction(c * cw, den)
         result = TensorElement(dx + dy)
         result.terms = out
         return result
@@ -154,7 +164,16 @@ class HopfContext:
     # -- coproduct -----------------------------------------------------------
 
     def coproduct(self, x):
-        """Sum over subsets of the tensor positions 1..n.
+        """Sum over subsets of the tensor positions 1..n; terms in sorted
+        key order, one ``Fraction`` each, from ``_coproduct_num``."""
+        den, acc = self._coproduct_num(x)
+        out = TensorSquare()
+        out.terms = {k: Fraction(v, den) for k, v in sorted(acc.items()) if v}
+        return out
+
+    def _coproduct_num(self, x):
+        """The coproduct as ``(den, key -> int numerator over den)``, in no
+        particular key order and with zeros left in.
 
         Positions in the subset feed the left factor, the rest the right
         factor, each side keeping its letters in increasing position
@@ -170,10 +189,9 @@ class HopfContext:
         letter before it); a later one enters a side already started and
         puts there the marker that side is owed, as its iota pairs.
         States, keyed by (left word, right word, unread letters), merge
-        across the words of x.  Terms come in sorted key order.
+        across the words of x.
         """
         n = x.degree
-        out = TensorSquare()
         alpha, beta, iota = self._alpha_num, self._beta_num, self._iota_num
         d1, d2 = self._den, self._den ** 2
         top = d2 ** max(n - 1, 0)  # D^(2(n-1))
@@ -213,16 +231,23 @@ class HopfContext:
             for (lw, rw, _), v in states.items():
                 key = ((len(lw) + 1, lw), (len(rw) + 1, rw))
                 acc[key] = acc.get(key, 0) + v
-        den = common * top
-        out.terms = {k: Fraction(v, den) for k, v in sorted(acc.items()) if v}
-        return out
+        return common * top, acc
 
     def square_product(self, s, t):
-        """Componentwise product of two tensor-square elements."""
-        # s and t each over their own lcm, a splice over D (a unit factor
-        # padded by D): every term is over ds * dt * D^2
-        ds, s = _over_lcm(s.terms)
-        dt, t = _over_lcm(t.terms)
+        """Componentwise product of two tensor-square elements, one
+        ``Fraction`` per term of ``_square_product_num``."""
+        den, acc = self._square_product_num(*_over_lcm(s.terms),
+                                            *_over_lcm(t.terms))
+        out = TensorSquare()
+        out.terms = {key: Fraction(v, den) for key, v in acc.items()}
+        return out
+
+    def _square_product_num(self, ds, s, dt, t):
+        """The componentwise product of s and t, given as int numerators
+        over ``ds`` and ``dt``, as ``(den, key -> nonzero int numerator)``,
+        keys in the order the loops first leave them nonzero."""
+        # a splice is over D (a unit factor padded by D): every term is
+        # over ds * dt * D^2
         iota, den = self._iota_num, self._den
         acc = {}
         for ((lda, lwa), (rda, rwa)), ca in s.items():
@@ -233,10 +258,7 @@ class HopfContext:
                     for rw, rc in rights:
                         _accumulate(acc, ((lda + ldb, lw), (rda + rdb, rw)),
                                     c * lc * rc)
-        out = TensorSquare()
-        den = ds * dt * den ** 2
-        out.terms = {key: Fraction(v, den) for key, v in acc.items()}
-        return out
+        return ds * dt * den ** 2, acc
 
     def is_primitive(self, x):
         """True when the coproduct of x is x ⊗ unit + unit ⊗ x exactly."""

@@ -7,10 +7,14 @@ that agreed, and a description of the first failure (or None).  Nothing
 is sampled unless a seed is passed explicitly; the default runs are
 exhaustive and deterministic, and spot checks without a seed are refused.
 
-``verify_axioms`` sums coassociativity and both antipode convolutions on
-int numerators over one denominator per word, from Δ and S of each basis
-word computed once by the public ``coproduct`` and ``antipode_closed``;
-a failure is reported with ``Fraction`` values as before.
+``verify_axioms`` keeps int numerators between kernels: Δ and S of each
+basis word are computed once, as the int forms ``_coproduct_num`` and
+``_closed_num``; the counit, coassociativity and both antipode
+convolution checks sum on them over one denominator per word, and the
+compatibility check compares ``_coproduct_num`` of the product with
+``_square_product_num`` of the memoized Δ's by cross-multiplication.
+A failure is reported with ``Fraction`` values as the public kernels
+give them, built only then.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .antipode import ROUTES, antipode_closed
+from .antipode import ROUTES, _closed_num, antipode_closed
 from .characters import (_morphism_failure, constant_character, convolve,
                          counit_character, inverse)
 from .combinatorics import toggle_free
-from .elements import TensorElement, _accumulate, _over_lcm
+from .elements import TensorElement, TensorSquare, _accumulate
 from .hopf import _splice
 
 
@@ -35,14 +39,19 @@ def _report(**extra):
 
 def _run(report, name, lhs, rhs, shown=None):
     """One comparison; on the first failure ``shown``, if given, turns
-    each side into the value the report holds."""
+    the two sides into the pair of values the report holds."""
     report["checked"] += 1
     if lhs == rhs:
         report["passed"] += 1
     elif report["first_failure"] is None:
         if shown:
-            lhs, rhs = shown(lhs), shown(rhs)
+            lhs, rhs = shown(lhs, rhs)
         report["first_failure"] = {"inputs": name, "lhs": lhs, "rhs": rhs}
+
+
+def _both(f):
+    """A ``shown`` for ``_run`` that turns each side by ``f``."""
+    return lambda lhs, rhs: (f(lhs), f(rhs))
 
 
 def _word_elements(ctx, degree):
@@ -50,27 +59,44 @@ def _word_elements(ctx, degree):
         yield w, TensorElement(degree, {w: 1})
 
 
-def _word_memo(f):
-    """``f`` of the basis word given as (degree, word), computed once per
-    returned function."""
-    return cache(lambda degree, word: f(TensorElement(degree, {word: 1})))
+def _num_memo(f):
+    """The int form ``(L, key -> int numerator over L)`` that ``f`` gives
+    of the basis word given as (degree, word), zeros dropped and keys
+    sorted as the public kernels emit them, computed once per returned
+    function."""
+    def num(degree, word):
+        den, terms = f(TensorElement(degree, {word: 1}))
+        return den, {k: v for k, v in sorted(terms.items()) if v}
+    return cache(num)
 
 
-def _compat_pairs(ctx, max_degree, delta=None):
-    """Both sides of product/coproduct compatibility on every pair of
-    basis words, by total degree: yields ((a, wx), (b, wy), lhs, rhs).
-    The right-hand side takes the coproducts of the words from
-    ``delta``; the left-hand side computes Δ(x·y) afresh."""
-    if delta is None:
-        delta = _word_memo(ctx.coproduct)
+def _compat_checks(ctx, max_degree, delta_num=None):
+    """Product/coproduct compatibility on every pair of basis words, by
+    total degree: yields ((a, wx), (b, wy), lhs, rhs, shown) for
+    ``_run``.  The left-hand side is ``_coproduct_num`` of the public
+    product, the right-hand side ``_square_product_num`` of the words'
+    coproducts from ``delta_num``; each side's numerators are multiplied
+    by the other's denominator, and ``shown`` rebuilds both as the
+    public ``coproduct`` and ``square_product`` would give them."""
+    if delta_num is None:
+        delta_num = _num_memo(ctx._coproduct_num)
     for total in range(2, max_degree + 1):
         for a in range(1, total):
             for wx, x in _word_elements(ctx, a):
-                cx = delta(a, wx)
+                cx = delta_num(a, wx)
                 for wy, y in _word_elements(ctx, total - a):
+                    lden, lhs = ctx._coproduct_num(ctx.product(x, y))
+                    rden, rhs = ctx._square_product_num(
+                        *cx, *delta_num(total - a, wy))
+                    den = lden * rden
                     yield ((a, wx), (total - a, wy),
-                           ctx.coproduct(ctx.product(x, y)),
-                           ctx.square_product(cx, delta(total - a, wy)))
+                           {k: v * rden for k, v in lhs.items() if v},
+                           {k: v * lden for k, v in rhs.items()},
+                           lambda left, right, den=den: (
+                               TensorSquare({k: Fraction(v, den) for k, v
+                                             in sorted(left.items())}),
+                               TensorSquare({k: Fraction(v, den)
+                                             for k, v in right.items()})))
 
 
 def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
@@ -82,31 +108,27 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
     rep = _report()
     unit = ctx.unit()
     iota, iota_den = ctx._iota_num, ctx._den
-    # the memos of Δ and S also as (L, key -> int numerator over L)
-    delta = _word_memo(ctx.coproduct)
-    delta_num = cache(lambda d, w: _over_lcm(delta(d, w).terms))
-    antipode_num = _word_memo(
-        lambda x: _over_lcm(antipode_closed(ctx, x).terms))
+    # Δ and S of each basis word as (L, key -> int numerator over L)
+    delta_num = _num_memo(ctx._coproduct_num)
+    antipode_num = _num_memo(lambda x: _closed_num(ctx, x))
 
     for n in range(max_degree + 1):
         for w, x in _word_elements(ctx, n):
             _run(rep, ("left_unit", n, w), ctx.product(unit, x), x)
             _run(rep, ("right_unit", n, w), ctx.product(x, unit), x)
 
-            cop = delta(n, w)
-            left_strip = TensorElement(n)
-            right_strip = TensorElement(n)
-            for ((ld, lw), (rd, rw)), c in cop.terms.items():
-                if ld == 0:
-                    left_strip.add_term(rw, c)
-                if rd == 0:
-                    right_strip.add_term(lw, c)
-            _run(rep, ("left_counit", n, w), left_strip, x)
-            _run(rep, ("right_counit", n, w), right_strip, x)
+            cop_den, cop_num = delta_num(n, w)
+            shown = lambda strip, _: (TensorElement(n, {
+                u: Fraction(v, cop_den) for u, v in strip.items()}), x)
+            _run(rep, ("left_counit", n, w),
+                 {rw: c for ((ld, _), (_, rw)), c in cop_num.items()
+                  if ld == 0}, {w: cop_den}, shown)
+            _run(rep, ("right_counit", n, w),
+                 {lw: c for ((_, lw), (rd, _)), c in cop_num.items()
+                  if rd == 0}, {w: cop_den}, shown)
 
             # c·c2 on each side, over the lcm of Δ(w) times one pad for
             # the word (the lcm of the lcms of the factors' Δ)
-            cop_den, cop_num = delta_num(n, w)
             pad = lcm(*(delta_num(*side)[0]
                         for key in cop_num for side in key))
             triple_a = {}
@@ -126,7 +148,7 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
             _run(rep, ("coassociativity", n, w),
                  {k: v for k, v in triple_a.items() if v},
                  {k: v for k, v in triple_b.items() if v},
-                 lambda t: {k: Fraction(v, den) for k, v in t.items()})
+                 _both(lambda t: {k: Fraction(v, den) for k, v in t.items()}))
 
             if n >= 1:
                 # c·S(left)·right and c·left·S(right), over the lcm of
@@ -147,13 +169,13 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
                         for word, cw in _splice(ld, lw, rd, u, iota, iota_den):
                             _accumulate(right_conv, word, c_pad * v * cw)
                 den = cop_den * pad * iota_den
-                shown = lambda t: TensorElement(
-                    n, {u: Fraction(v, den) for u, v in t.items()})
+                shown = _both(lambda t: TensorElement(
+                    n, {u: Fraction(v, den) for u, v in t.items()}))
                 _run(rep, ("antipode_left", n, w), left_conv, {}, shown)
                 _run(rep, ("antipode_right", n, w), right_conv, {}, shown)
 
-    for x, y, lhs, rhs in _compat_pairs(ctx, max_degree, delta):
-        _run(rep, ("compatibility", x, y), lhs, rhs)
+    for x, y, lhs, rhs, shown in _compat_checks(ctx, max_degree, delta_num):
+        _run(rep, ("compatibility", x, y), lhs, rhs, shown)
 
     for total in range(3, max_degree + 1):
         for a in range(1, total - 1):
@@ -199,8 +221,9 @@ def find_compat_counterexample(ctx, max_degree):
     """First basis-word pair (by total degree, then enumeration order)
     where the coproduct of the product differs from the product of the
     coproducts.  Returns None when compatibility holds throughout."""
-    for x, y, lhs, rhs in _compat_pairs(ctx, max_degree):
+    for x, y, lhs, rhs, shown in _compat_checks(ctx, max_degree):
         if lhs != rhs:
+            lhs, rhs = shown(lhs, rhs)
             return {"inputs": {"x": x, "y": y}, "lhs": lhs, "rhs": rhs}
     return None
 

@@ -680,11 +680,10 @@ def _child_request(tmp_path, action, base, labels, degree, count):
 
 
 def assert_largest_admitted(tmp_path, action, base, labels, top, count,
-                            refused_count, kind):
-    """``count`` words of degree ``top`` are the largest request the size
-    and plan bounds admit; it stays under 64 MiB.  ``refused_count`` words
-    of degree ``top + 1`` pass the 2^22 work bound and exit 2 with one
-    error line."""
+                            refused_count, bound):
+    """``count`` words of degree ``top`` are the largest request the
+    bounds admit; it stays under 64 MiB.  ``refused_count`` words of
+    degree ``top + 1`` exit 2 with one error line, naming ``bound``."""
     code, peak_kib, err = _child_request(tmp_path, action, base, labels,
                                          top, count)
     assert (code, err) == (0, "")
@@ -693,7 +692,7 @@ def assert_largest_admitted(tmp_path, action, base, labels, top, count,
                                   refused_count)
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert f"exceeds the {action} {kind} bound" in err
+    assert f"exceeds the {bound} bound" in err
 
 
 _CYCLIC4 = (["--base", "cyclic4", "--iota", "reg", "--beta", "(reg - one)/3"],
@@ -706,14 +705,14 @@ def test_largest_cyclic4_coproduct_stays_under_64_mib(tmp_path):
     3.10-3.12; holding the whole text as well took it to about 119 MiB,
     and degree 10 (4,096 words, refused now) took 107 MiB."""
     assert_largest_admitted(tmp_path, "coproduct", *_CYCLIC4, 9, 3 ** 8,
-                            4096, "size")
+                            4096, "coproduct size")
 
 
 def test_largest_cyclic4_antipode_stays_under_64_mib(tmp_path):
     """The dense cyclic4 degree-9 ``compute antipode`` peaks near 24 MiB;
     degree 10 (4,096 words, refused now) took 95 MiB."""
     assert_largest_admitted(tmp_path, "antipode", *_CYCLIC4, 9, 3 ** 8,
-                            4096, "size")
+                            4096, "antipode size")
 
 
 def _rank1(tmp_path):
@@ -724,24 +723,24 @@ def _rank1(tmp_path):
 
 
 def test_largest_rank1_requests_stay_under_64_mib(tmp_path):
-    """A rank-1 table has one word per degree, so only the "plan" bounds on
-    its 2^degree splits and 2^(degree-1) compositions refuse it.  Summed
-    letter by letter, the degree-15 coproduct and the degree-16 antipode
-    peak near 16 MiB."""
-    for action, top in (("coproduct", 15), ("antipode", 16)):
-        assert_largest_admitted(tmp_path, action, *_rank1(tmp_path), top, 1,
-                                1, "plan")
+    """A rank-1 table has one word per degree, so no size bound refuses
+    it: the compute work bound does, past a one-word input of degree 22
+    (2^22).  Summed letter by letter, the degree-22 coproduct and
+    antipode peak near 15 MiB."""
+    for action in ("coproduct", "antipode"):
+        assert_largest_admitted(tmp_path, action, *_rank1(tmp_path), 22, 1,
+                                1, "compute work")
 
 
 def test_compute_size_bound(capsys, tmp_path):
-    """2^15 pairs of words for a coproduct, 2^14 words for an antipode,
-    and 2^15 splits or compositions for either: two_dim admits coproducts
-    to degree 13 and antipodes to degree 15, cyclic4 both to degree 9, and
-    a rank-1 table, whose splits outnumber its words, coproducts to degree
-    15 and antipodes to degree 16."""
+    """2^15 pairs of words for a coproduct and 2^14 words for an
+    antipode: two_dim admits coproducts to degree 13 and antipodes to
+    degree 15, cyclic4 both to degree 9.  A rank-1 table, one word per
+    degree, passes both bounds at any degree; the compute work bound
+    (2^22 for one word) admits both to degree 22."""
     bases = {1: _rank1(tmp_path)[0], 2: [], 3: ["--base", "cyclic4"]}
-    for action, dim, top in (("coproduct", 1, 15), ("coproduct", 2, 13),
-                             ("coproduct", 3, 9), ("antipode", 1, 16),
+    for action, dim, top in (("coproduct", 1, 22), ("coproduct", 2, 13),
+                             ("coproduct", 3, 9), ("antipode", 1, 22),
                              ("antipode", 2, 15), ("antipode", 3, 9)):
         _check_output_size(action, dim,
                            TensorElement(top, {(0,) * (top - 1): 1}))
@@ -749,10 +748,13 @@ def test_compute_size_bound(capsys, tmp_path):
             "compute", action, *bases[dim],
             "--x", word_json(top + 1, ["one"] * top)])
         assert code == 2 and out == "", (action, dim)
-        kind = "plan" if dim == 1 else "size"
-        assert f"exceeds the {action} {kind} bound" in err
-    # the zero element is still admitted at any degree
+        bound = "compute work" if dim == 1 else f"{action} size"
+        assert f"exceeds the {bound} bound" in err
+    # the zero element is still admitted at any degree, and so is a
+    # rank-1 word by the size bounds
     _check_output_size("coproduct", 2, TensorElement(60))
+    for action in ("coproduct", "antipode"):
+        _check_output_size(action, 1, TensorElement(60, {(0,) * 59: 1}))
 
 
 def test_set_composition_bound(capsys, tmp_path):

@@ -1,12 +1,15 @@
-"""The integer-numerator kernels of ``HopfContext.coproduct``,
-``HopfContext.square_product``, ``antipode_closed`` and
-``antipode_oracle`` against the plain ``Fraction`` loops they replaced.
+"""The integer-numerator kernels of ``HopfContext.product``,
+``HopfContext.coproduct``, ``HopfContext.square_product``,
+``expand_letters``, ``antipode_closed`` and ``antipode_oracle`` against
+the plain ``Fraction`` loops they replaced.
 
 The reference functions below multiply ``Fraction`` factors one at a time
-and expand through the public ``expand_letters``; the kernels must give
+and expand through ``reference_expand_letters``; the kernels must give
 the same term dicts with every coefficient a ``Fraction``.  The coproduct
 and the antipode routes emit their terms in sorted key order,
-``square_product`` in the reference loop's order.  The two
+``square_product``, ``product`` and ``expand_letters`` in the reference
+loop's order.  The public coproduct, square product and closed antipode
+must each be one ``Fraction`` per nonzero term of their int forms.  The two
 set-composition routes, on int numerators over their own denominator,
 emit sorted terms too; they must match the reference closed antipode on
 dense elements and a plain walk over every set composition.  A
@@ -27,18 +30,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopftower import hopf
-from hopftower.antipode import (_MARKER, _setcomp_sum, _setcomp_table,
-                                antipode_all_setcomps, antipode_closed,
-                                antipode_oracle, antipode_toggle_free)
+from hopftower.antipode import (_MARKER, _closed_num, _setcomp_sum,
+                                _setcomp_table, antipode_all_setcomps,
+                                antipode_closed, antipode_oracle,
+                                antipode_toggle_free)
 from hopftower.cli import main
 from hopftower.combinatorics import (bc_bits, compositions, llc_bits,
                                      partial_sums, set_compositions,
                                      straighten)
-from hopftower.elements import TensorElement, TensorSquare, expand_letters
+from hopftower.elements import (TensorElement, TensorSquare, _over_lcm,
+                                expand_letters)
 from hopftower.hopf import (HopfContext, _expand_positions, all_ones_context,
                             induction_context)
 from hopftower.theory import cyclic4, from_table, two_dim
 from test_characters import kronecker
+
+
+def reference_expand_letters(entries, coeff=1):
+    """``expand_letters`` on ``Fraction`` products, one per word and
+    coordinate."""
+    partial = {(): Fraction(coeff)}
+    for entry in entries:
+        if isinstance(entry, int):
+            partial = {w + (entry,): c for w, c in partial.items()}
+            continue
+        partial = {w + (i,): c * ci for i, ci in enumerate(entry) if ci
+                   for w, c in partial.items() if c}
+        if not partial:
+            break
+    return partial
 
 
 def reference_coproduct(ctx, x):
@@ -75,8 +95,10 @@ def reference_coproduct(ctx, x):
                         ctx.iota_coords)
             if not scalar:
                 continue
-            for lw, lc in expand_letters(left_entries, scalar).items():
-                for rw, rc in expand_letters(right_entries, 1).items():
+            for lw, lc in reference_expand_letters(left_entries,
+                                                   scalar).items():
+                for rw, rc in reference_expand_letters(right_entries,
+                                                       1).items():
                     out.add_term(((left_n, lw), (right_n, rw)), lc * rc)
     return out
 
@@ -87,6 +109,16 @@ def _reference_splice(ctx, du, u, dv, v):
     if not dv:
         return ((u, 1),)
     return [(u + (i,) + v, c) for i, c in enumerate(ctx.iota_coords) if c]
+
+
+def reference_product(ctx, x, y):
+    out = TensorElement(x.degree + y.degree)
+    for u, cu in x.terms.items():
+        for v, cv in y.terms.items():
+            c = cu * cv
+            for w, cw in _reference_splice(ctx, x.degree, u, y.degree, v):
+                out.terms[w] = c * cw
+    return out
 
 
 def reference_square_product(ctx, s, t):
@@ -132,7 +164,7 @@ def reference_antipode_closed(ctx, x):
                     entries.append(_diff_coords(ctx, word[i - 1]))
                 if b != 1:
                     entries.append(ctx.iota_coords)
-            out.add_scaled(expand_letters(entries, sign * scalar))
+            out.add_scaled(reference_expand_letters(entries, sign * scalar))
     return out
 
 
@@ -156,7 +188,7 @@ def reference_setcomp_sum(ctx, x):
                     scalar *= (ctx.pair_alpha if llc[j]
                                else ctx.pair_beta)[word[j]]
             if scalar:
-                out.add_scaled(expand_letters(entries, scalar))
+                out.add_scaled(reference_expand_letters(entries, scalar))
     return out
 
 
@@ -491,6 +523,97 @@ def test_letter_pass_kernels_match_the_references(case):
                 sorted_keys=True)
     assert_same(antipode_closed(ctx, x), reference_antipode_closed(ctx, x),
                 sorted_keys=True)
+
+
+def _int_form_contexts():
+    """The D = 21 triples, the fractional-iota triples and cyclic4."""
+    return [*unchecked_d21(), *fractional_iota_contexts(),
+            induction_context(cyclic4())]
+
+
+@st.composite
+def mixed_elements(draw, ctx, max_degree=4):
+    """An element of degree 0 to ``max_degree`` on up to 6 words (none
+    makes zero; degrees 0 and 1 have one word) with mixed denominators."""
+    n = draw(st.integers(0, max_degree))
+    words = draw(st.lists(st.sampled_from(list(ctx.basis_words(n))),
+                          max_size=6, unique=True))
+    return TensorElement(n, {w: draw(_COEFFS) for w in words})
+
+
+@st.composite
+def letter_templates(draw, ctx):
+    """An ``expand_letters`` template over the context's basis: letters
+    and coordinate tuples (iota, the pairings, a difference letter and
+    plain ints), and a coefficient that may be 0."""
+    dim = ctx.basis.dim
+    tuples = [ctx.iota_coords, ctx.alpha.coords, ctx.beta.coords,
+              _diff_coords(ctx, 0), tuple(range(-1, dim - 1))]
+    entries = draw(st.lists(st.one_of(st.integers(0, dim - 1),
+                                      st.sampled_from(tuples)), max_size=5))
+    return entries, draw(st.one_of(_COEFFS, st.just(0)))
+
+
+def assert_wraps(got, den, nums):
+    """``got``'s terms are ``Fraction(v, den)`` of the nonzero ``nums``."""
+    assert got.terms == {k: Fraction(v, den) for k, v in nums.items() if v}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_public_kernels_wrap_their_int_forms(data):
+    """Each public kernel is one ``Fraction`` per nonzero term of its int
+    form, and equals its plain ``Fraction`` reference in key order:
+    sorted for the coproduct and the closed antipode, the reference's
+    for ``product``, ``square_product`` and ``expand_letters``."""
+    ctx = data.draw(st.sampled_from(_int_form_contexts()))
+    x = data.draw(mixed_elements(ctx))
+    y = data.draw(mixed_elements(ctx))
+
+    got = ctx.coproduct(x)
+    assert_wraps(got, *ctx._coproduct_num(x))
+    assert_same(got, reference_coproduct(ctx, x), sorted_keys=True)
+
+    got = antipode_closed(ctx, x)
+    assert_wraps(got, *_closed_num(ctx, x))
+    assert_same(got, reference_antipode_closed(ctx, x), sorted_keys=True)
+
+    s, t = ctx.coproduct(x), ctx.coproduct(y)
+    got = ctx.square_product(s, t)
+    assert_wraps(got, *ctx._square_product_num(*_over_lcm(s.terms),
+                                               *_over_lcm(t.terms)))
+    assert_same(got, reference_square_product(ctx, s, t))
+
+    assert_same(ctx.product(x, y), reference_product(ctx, x, y))
+
+    entries, coeff = data.draw(letter_templates(ctx))
+    got = expand_letters(entries, coeff)
+    want = reference_expand_letters(entries, coeff)
+    assert got == want and list(got) == list(want)
+    assert all(type(c) is Fraction for c in got.values())
+
+
+def test_int_forms_on_zero_and_low_degrees():
+    """The cases the property may draw seldom, on every context: the zero
+    element and one-word inputs of degrees 0 and 1."""
+    for ctx in _int_form_contexts():
+        for x in (TensorElement(0), TensorElement(1), TensorElement(4),
+                  ctx.unit(Fraction(-5, 3)),
+                  TensorElement(1, {(): Fraction(2, 7)}),
+                  TensorElement(2, {(1,): Fraction(-3, 4)})):
+            got = ctx.coproduct(x)
+            assert_wraps(got, *ctx._coproduct_num(x))
+            assert_same(got, reference_coproduct(ctx, x), sorted_keys=True)
+            got = antipode_closed(ctx, x)
+            assert_wraps(got, *_closed_num(ctx, x))
+            assert_same(got, reference_antipode_closed(ctx, x),
+                        sorted_keys=True)
+            for y in (ctx.unit(), TensorElement(3), x):
+                assert_same(ctx.product(x, y), reference_product(ctx, x, y))
+                assert_same(ctx.product(y, x), reference_product(ctx, y, x))
+        assert expand_letters([], 0) == reference_expand_letters([], 0)
+        assert expand_letters([0, 1], 0) == {(0, 1): 0}
+        assert expand_letters([ctx.iota_coords], 0) == {}
 
 
 def _seeded_dense_json(seed, labels, degree):

@@ -113,16 +113,15 @@ def test_characters_report_below_degree_two():
 
 
 def test_axioms_compute_each_antipode_once(monkeypatch):
-    """verify_axioms takes S of each basis word once, however many
-    convolution identities use it."""
-    import hopftower.verify as verify
+    """verify_axioms takes S of each basis word once, through the int
+    form ``_closed_num``, however many convolution identities use it."""
     seen = []
-    real = verify.antipode_closed
+    real = verify._closed_num
 
     def counted(ctx, x):
         seen.append((x.degree, tuple(x.terms.items())))
         return real(ctx, x)
-    monkeypatch.setattr(verify, "antipode_closed", counted)
+    monkeypatch.setattr(verify, "_closed_num", counted)
     rep = verify_axioms(induction_context(two_dim(3)), 4)
     assert rep["first_failure"] is None
     assert seen and len(seen) == len(set(seen))
@@ -298,6 +297,63 @@ def test_axioms_failures_match_fraction_reference(monkeypatch):
         assert {"coassociativity", "antipode_left",
                 "antipode_right"} <= kinds
         assert rep == assert_axioms_match_reference(monkeypatch, ctx, 4)
+
+
+def _flip_odd_left(terms):
+    """``terms`` with the sign of each term of odd left degree flipped,
+    in the same key order."""
+    return {k: -v if k[0][0] % 2 else v for k, v in terms.items()}
+
+
+def test_compatibility_mutant_matches_fraction_reference(monkeypatch):
+    """A sign flip in ``_square_product_num`` turns compatibility checks
+    red, and every failure, the first included, is what the Fraction
+    reference reports with the same flip in its square product."""
+    real = HopfContext._square_product_num
+
+    def flipped(self, ds, s, dt, t):
+        den, acc = real(self, ds, s, dt, t)
+        return den, _flip_odd_left(acc)
+
+    def flipped_reference(ctx, s, t, plain=reference_square_product):
+        out = plain(ctx, s, t)
+        out.terms = _flip_odd_left(out.terms)
+        return out
+
+    for ctx in (induction_context(two_dim(3)), induction_context(cyclic4())):
+        assert verify_axioms(ctx, 3)["first_failure"] is None
+        with monkeypatch.context() as patch:
+            patch.setattr(HopfContext, "_square_product_num", flipped)
+            patch.setitem(globals(), "reference_square_product",
+                          flipped_reference)
+            rep = assert_axioms_match_reference(monkeypatch, ctx, 3)
+            assert rep["first_failure"]["inputs"][0] == "compatibility"
+            assert 0 < rep["passed"] < rep["checked"]
+            found = find_compat_counterexample(ctx, 3)
+            assert found["lhs"] == rep["first_failure"]["lhs"]
+            assert found["rhs"] == rep["first_failure"]["rhs"]
+
+
+def test_coproduct_mutant_matches_fraction_reference(monkeypatch):
+    """Doubling the terms of left degree 0 in ``_coproduct_num`` reaches
+    the reference through the public coproduct, and turns the left
+    counit, coassociativity and compatibility checks red: every failure
+    is what the Fraction reference reports."""
+    real = HopfContext._coproduct_num
+
+    def doubled(self, x):
+        den, acc = real(self, x)
+        return den, {k: 2 * v if k[0][0] == 0 else v for k, v in acc.items()}
+
+    for ctx in (induction_context(two_dim(3)), *unchecked_d21()[:1]):
+        with monkeypatch.context() as patch:
+            patch.setattr(HopfContext, "_coproduct_num", doubled)
+            failures, _ = failures_and_report(monkeypatch, verify_axioms,
+                                              ctx, 3)
+            assert {"left_counit", "coassociativity", "compatibility"} <= {
+                failure["inputs"][0] for failure in failures}
+            rep = assert_axioms_match_reference(monkeypatch, ctx, 3)
+            assert rep["first_failure"]["inputs"][0] == "left_counit"
 
 
 def test_axioms_spot_checks_need_a_seed():
