@@ -13,21 +13,24 @@ signs added, and the net signs left are those of the 3^(n-1) toggle-free
 set compositions, the sum ``antipode_toggle_free`` evaluates.
 
 ``antipode_oracle`` uses none of the formulas: it solves the convolution
-equation m(S ⊗ id)Δ = unit∘counit, from the public coproduct and the iota
-splice of the product.  Δ is linear, so it takes one coproduct of the
-whole input and sums S(left)·right over its merged intermediate terms; S
-of each left word comes from a per-word memo filled the same way.
+equation m(S ⊗ id)Δ = unit∘counit, from the coproduct's int form
+``_coproduct_num`` and the iota splice of the product.  Δ is linear, so
+it takes one coproduct of the whole input and sums S(left)·right over its
+merged intermediate terms; S of each left word comes from a per-word memo
+filled the same way.
 
 Every route computes with int numerators and builds one ``Fraction`` per
 output term only at its public edge: the closed route over powers of the
 context's denominator D, as the int form ``_closed_num`` that
 ``antipode_closed`` wraps and ``verify_axioms`` reads, the oracle over
-the lcm of its steps' reduced denominators, and the set-composition
-routes over powers of their own d, the lcm of the denominators of the
-public pairings and iota.  The set-composition routes
-read nothing else of the context, and the oracle nothing of it but the
-coproduct, D and the iota numerators, so neither shares the closed
-route's integer tables.  The set-composition routes evaluate
+Δ's denominator, reduced to the lcm of its coefficients' denominators,
+and the set-composition routes over powers of their own d, the lcm of
+the denominators of the public pairings and iota.  The closed route and
+the set-composition routes leave iota markers in their words and expand
+them at the end through ``hopf._expand_positions``.  The set-composition
+routes read nothing else of the context, and the oracle nothing of it
+but the coproduct, D and the iota numerators, so neither shares the
+closed route's integer tables.  The set-composition routes evaluate
 context-free per-degree plans, kept in a bounded cache, through
 ``_plan_sum``.  All four routes emit their terms in sorted key order.
 """
@@ -50,24 +53,25 @@ def antipode_closed(ctx, x):
     ``Fraction`` each, from ``_closed_num``."""
     den, acc = _closed_num(ctx, x)
     out = TensorElement(x.degree)
-    out.terms = {w: Fraction(v, den) for w, v in sorted(acc.items()) if v}
+    out.terms = {w: Fraction(v, den) for w, v in sorted(acc.items())}
     return out
 
 
 def _closed_num(ctx, x):
-    """The closed-form antipode as ``(den, word -> int numerator over
-    den)``, in no particular word order and with zeros left in.
+    """The closed-form antipode as ``(den, word -> nonzero int numerator
+    over den)``, in no particular word order.
 
     One pass over the letters on int numerators over D^(2(n-1)): a kept
     letter appends its difference letter's pairs (over D^2) to the block;
     a cut after it takes minus its beta pairing (D) and moves the block,
-    behind an iota separator (D), to the front of the finished blocks.
-    States, keyed by (block, finished blocks, unread letters), merge
-    across the words of x.  Sign: -1 per block (none at degree 0).
+    behind an iota marker, to the front of the finished blocks.  States,
+    keyed by (block, finished blocks, unread letters), merge across the
+    words of x.  The markers are expanded over iota's pairs (D) once, at
+    the end.  Sign: -1 per block (none at degree 0).
     """
     n = x.degree
     common, nums = _over_lcm(x.terms)
-    beta, diff, iota = ctx._beta_num, ctx._diff_num, ctx._iota_num
+    beta, diff = ctx._beta_num, ctx._diff_num
     states = {((), (), w): -v if n else v for w, v in nums.items()}
     for _ in range(n - 1):
         old, states = states, {}
@@ -78,14 +82,14 @@ def _closed_num(ctx, x):
                 key = (block + (i,), done, rest)
                 states[key] = states.get(key, 0) + v * c
             if s := -v * beta[a]:
-                for i, c in iota:
-                    key = ((), (i,) + block + done, rest)
-                    states[key] = states.get(key, 0) + s * c
+                key = ((), (_MARKER,) + block + done, rest)
+                states[key] = states.get(key, 0) + s
     acc = {}
     for (block, done, _), v in states.items():
         w = block + done
         acc[w] = acc.get(w, 0) + v
-    return common * ctx._den ** (2 * max(n - 1, 0)), acc
+    return (common * ctx._den ** (2 * max(n - 1, 0)),
+            _expand_positions(acc, {_MARKER: ctx._iota_num}, range(n - 1)))
 
 
 _MARKER = -1  # an iota marker in an unexpanded word; letters are >= 0
@@ -179,7 +183,7 @@ def antipode_toggle_free(ctx, x):
 def antipode_oracle(ctx, x):
     """Antipode from the convolution equation, which holds for x itself as
     Δ is linear: S(x) = -x - sum of S(left)·right over the strictly
-    intermediate terms of one ``ctx.coproduct(x)``; terms in sorted key
+    intermediate terms of one ``ctx._coproduct_num(x)``; terms in sorted key
     order.  S of each left word, and of a one-word input, is memoized per
     context and basis word in ``ctx._antipode_cache``, which only the
     context's lifetime and the degrees asked for bound (see
@@ -215,20 +219,21 @@ def _oracle_word(ctx, degree, word):
 def _oracle_solve(ctx, x):
     """S of a nonzero x of positive degree as ``(L, numerators)``: the
     coefficient of each word is its int numerator over L, the lcm of the
-    coefficients' reduced denominators.  Built from ``ctx.coproduct`` and
-    the iota splice alone."""
+    coefficients' reduced denominators.  Built from the coproduct's int
+    form and the iota splice alone."""
     n = x.degree
     common, nums = _over_lcm(x.terms)
+    # Δ's terms over its one denominator, in the public coproduct's order
+    delta_den, delta = ctx._coproduct_num(x)
     steps = [(c, rw, *_oracle_word(ctx, ld, lw)) for ((ld, lw), (_, rw)), c
-             in ctx.coproduct(x).terms.items() if 0 < ld < n]
-    # c·S(left)·right is over c's denominator, S(left)'s and one iota's D
-    den = ctx._den
-    top = lcm(common, *(c.denominator * s_den * den
-                        for c, _, s_den, _ in steps))
+             in sorted(delta.items()) if c and 0 < ld < n]
+    # c·S(left)·right is over Δ's denominator, S(left)'s and one iota's D
+    den = delta_den * ctx._den
+    top = lcm(common, *(s_den * den for _, _, s_den, _ in steps))
     acc = {w: -v * (top // common) for w, v in nums.items()}
     iota = ctx._iota_num
     for c, rw, s_den, s_left in steps:
-        scalar = -c.numerator * (top // (c.denominator * s_den * den))
+        scalar = -c * (top // (s_den * den))
         for u, s in s_left.items():
             s *= scalar
             for i, ci in iota:

@@ -103,6 +103,13 @@ class HopfContext:
                   if (v := (den2 if i == letter else 0) - pa * c))
             for letter, pa in enumerate(self._alpha_num))
 
+    @cached_property
+    def _words(self):
+        # _coproduct_num's (packed word -> (degree, word), b bits a letter):
+        # the words below the degrees asked for, each unpacked once; 3,280
+        # after the CLI's largest admitted coproduct (cyclic4, degree 9)
+        return {1: (1, ())}, max(1, (self.basis.dim - 1).bit_length())
+
     @classmethod
     def unchecked(cls, basis, iota, alpha, beta):
         """Skip triple validation (for probing invalid triples)."""
@@ -188,49 +195,68 @@ class HopfContext:
         letter j, is read off the input word (its pairing, D, and D^2 per
         letter before it); a later one enters a side already started and
         puts there the marker that side is owed, as its iota pairs.
-        States, keyed by (left word, right word, unread letters), merge
-        across the words of x.
+        Words are packed ints, a 1 bit then b bits a letter, so a letter
+        joins a word as ``w << b | a``.  States merge across the words of
+        x, grouped by their unread letters, an int whose low b bits are the
+        next letter; their words are unpacked at the end through
+        ``_words``.
         """
         n = x.degree
         alpha, beta, iota = self._alpha_num, self._beta_num, self._iota_num
         d1, d2 = self._den, self._den ** 2
         top = d2 ** max(n - 1, 0)  # D^(2(n-1))
         common, nums = _over_lcm(x.terms)
-        on_l, on_r = {}, {}  # the position last read is on the left, right
-        for j in range(n - 1):
-            old_l, old_r, on_l, on_r = on_l, on_r, {}, {}
-            scale = d2 ** j * d1
-            for w, v in nums.items():  # the first crossing, at letter j
-                a, head, rest = w[j], w[:j], w[j + 1:]
-                if s := v * alpha[a] * scale:
-                    on_r[key] = on_r.get(key := (head, (), rest), 0) + s
-                if s := v * beta[a] * scale:
-                    on_l[key] = on_l.get(key := ((), head, rest), 0) + s
-            while old_l:
-                (lw, rw, rest), v = old_l.popitem()
-                a, rest = rest[0], rest[1:]
-                key = (lw + (a,), rw, rest)
-                on_l[key] = on_l.get(key, 0) + v * d2
-                if s := v * alpha[a]:
-                    for i, c in iota:
-                        key = (lw, rw + (i,), rest)
-                        on_r[key] = on_r.get(key, 0) + s * c
-            while old_r:
-                (lw, rw, rest), v = old_r.popitem()
-                a, rest = rest[0], rest[1:]
-                key = (lw, rw + (a,), rest)
-                on_r[key] = on_r.get(key, 0) + v * d2
-                if s := v * beta[a]:
-                    for i, c in iota:
-                        key = (lw + (i,), rw, rest)
-                        on_l[key] = on_l.get(key, 0) + s * c
-        acc = {}
+        words, b = self._words
+        mask = (1 << b) - 1
+        acc, heads = {}, []  # heads: (head read, unread letters, numerator)
         for w, v in nums.items():
             acc[(n, w), (0, ())] = acc[(0, ()), (n, w)] = v * top
-        for states in (on_l, on_r):
-            for (lw, rw, _), v in states.items():
-                key = ((len(lw) + 1, lw), (len(rw) + 1, rw))
-                acc[key] = acc.get(key, 0) + v
+            rest = 0
+            for a in reversed(w):
+                rest = rest << b | a
+            heads.append((1, rest, v))
+        # by the side of the position last read (left, right): groups of
+        # states keyed (that side's word, the other side's word)
+        on, scale = ({}, {}), d1
+        for _ in range(n - 1):
+            old, on = on, ({}, {})
+            old_heads, heads = heads, []
+            for head, rest, v in old_heads:  # a first crossing, at this letter
+                a, rest = rest & mask, rest >> b
+                heads.append((head << b | a, rest, v))
+                if s := v * alpha[a] * scale:  # on to the right
+                    group = on[1].setdefault(rest, {})
+                    group[key] = group.get(key := (1, head), 0) + s
+                if s := v * beta[a] * scale:  # on to the left
+                    group = on[0].setdefault(rest, {})
+                    group[key] = group.get(key := (1, head), 0) + s
+            scale *= d2
+            for side, pair_of in ((0, alpha), (1, beta)):
+                here, there = on[side], on[1 - side]
+                while old[side]:
+                    rest, states = old[side].popitem()
+                    a, rest = rest & mask, rest >> b
+                    kept, pair = here.setdefault(rest, {}), pair_of[a]
+                    crossed = there.setdefault(rest, {}) if pair else None
+                    for (own, other), v in states.items():
+                        key = (own << b | a, other)
+                        kept[key] = kept.get(key, 0) + v * d2
+                        if pair:
+                            s, other = v * pair, other << b
+                            for i, c in iota:
+                                key = (other | i, own)
+                                crossed[key] = crossed.get(key, 0) + s * c
+        # each side's states end in one group, with no letters unread
+        states = on[0].pop(0, {})
+        for (rw, lw), v in on[1].pop(0, {}).items():
+            states[lw, rw] = states.get((lw, rw), 0) + v
+        for (lw, rw), v in states.items():
+            try:
+                acc[words[lw], words[rw]] = v
+            except KeyError:  # a word this context has not unpacked yet
+                _unpack(words, lw, b)
+                _unpack(words, rw, b)
+                acc[words[lw], words[rw]] = v
         return common * top, acc
 
     def square_product(self, s, t):
@@ -329,6 +355,19 @@ def _splice(du, u, dv, v, iota, one):
     if not dv:
         return ((u, one),)
     return [(u + (i,) + v, c) for i, c in iota]
+
+
+def _unpack(words, packed, b):
+    """Add ``packed`` to ``words`` (packed word -> (degree, word)) with
+    the prefixes it needs, each off its prefix's entry and last letter."""
+    todo = []
+    while packed not in words:
+        todo.append(packed)
+        packed >>= b
+    k, word = words[packed]
+    for packed in reversed(todo):
+        k, word = k + 1, word + (packed & ((1 << b) - 1),)
+        words[packed] = k, word
 
 
 def _numerators(values, den):

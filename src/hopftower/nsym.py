@@ -31,7 +31,7 @@ from .functors import ind_along
 from .theory import DualBasisUndefined, TheoryError, dual_pair
 from .antipode import antipode_closed
 from .hopf import _expand_positions, _numerators
-from .verify import _report, _run
+from .verify import _compat_sides, _num_memo, _report, _run
 
 KINDS = ("h_basis", "ribbon", "shuffle_dual_primitive")
 
@@ -252,15 +252,16 @@ def verify_nsym_rules(ctx, max_degree):
                 want += r[nu]
             _run(report, ("h_coarsening", mu), h[mu], want)
 
-    # compatibility of the coproduct with h products (bounded)
+    # compatibility of the coproduct with h products (bounded), on the
+    # int coproducts of the factors
+    delta = _num_memo(ctx._coproduct_num, h.__getitem__)
     for total in range(2, min(max_degree, 4) + 1):
         for a in range(1, total):
             for mu in compositions(a):
-                ca = ctx.coproduct(h[mu])
                 for nu in compositions(total - a):
                     _run(report, ("h_compat", mu, nu),
-                         ctx.coproduct(ctx.product(h[mu], h[nu])),
-                         ctx.square_product(ca, ctx.coproduct(h[nu])))
+                         *_compat_sides(ctx, h[mu], h[nu], delta(mu),
+                                        delta(nu)))
 
     # independent route to h when iota is the regular character and the
     # dual of alpha is the all-ones character

@@ -59,25 +59,39 @@ def _word_elements(ctx, degree):
         yield w, TensorElement(degree, {w: 1})
 
 
-def _num_memo(f):
+def _num_memo(f, make=lambda degree, word: TensorElement(degree, {word: 1})):
     """The int form ``(L, key -> int numerator over L)`` that ``f`` gives
-    of the basis word given as (degree, word), zeros dropped and keys
-    sorted as the public kernels emit them, computed once per returned
-    function."""
-    def num(degree, word):
-        den, terms = f(TensorElement(degree, {word: 1}))
+    of ``make(*args)``, by default the basis word given as (degree, word),
+    zeros dropped and keys sorted as the public kernels emit them,
+    computed once per returned function."""
+    def num(*args):
+        den, terms = f(make(*args))
         return den, {k: v for k, v in sorted(terms.items()) if v}
     return cache(num)
+
+
+def _compat_sides(ctx, x, y, cx, cy):
+    """(lhs, rhs, shown) for ``_run``: ``_coproduct_num`` of the public
+    product x·y against ``_square_product_num`` of cx and cy, the
+    ``_num_memo`` coproducts of x and y.  Each side's numerators are
+    multiplied by the other's denominator, and ``shown`` rebuilds both as
+    the public ``coproduct`` and ``square_product`` would give them."""
+    lden, lhs = ctx._coproduct_num(ctx.product(x, y))
+    rden, rhs = ctx._square_product_num(*cx, *cy)
+    den = lden * rden
+    return ({k: v * rden for k, v in lhs.items() if v},
+            {k: v * lden for k, v in rhs.items()},
+            lambda left, right: (
+                TensorSquare({k: Fraction(v, den)
+                              for k, v in sorted(left.items())}),
+                TensorSquare({k: Fraction(v, den) for k, v in right.items()})))
 
 
 def _compat_checks(ctx, max_degree, delta_num=None):
     """Product/coproduct compatibility on every pair of basis words, by
     total degree: yields ((a, wx), (b, wy), lhs, rhs, shown) for
-    ``_run``.  The left-hand side is ``_coproduct_num`` of the public
-    product, the right-hand side ``_square_product_num`` of the words'
-    coproducts from ``delta_num``; each side's numerators are multiplied
-    by the other's denominator, and ``shown`` rebuilds both as the
-    public ``coproduct`` and ``square_product`` would give them."""
+    ``_run``, from ``_compat_sides`` with the words' coproducts from
+    ``delta_num``."""
     if delta_num is None:
         delta_num = _num_memo(ctx._coproduct_num)
     for total in range(2, max_degree + 1):
@@ -85,18 +99,9 @@ def _compat_checks(ctx, max_degree, delta_num=None):
             for wx, x in _word_elements(ctx, a):
                 cx = delta_num(a, wx)
                 for wy, y in _word_elements(ctx, total - a):
-                    lden, lhs = ctx._coproduct_num(ctx.product(x, y))
-                    rden, rhs = ctx._square_product_num(
-                        *cx, *delta_num(total - a, wy))
-                    den = lden * rden
                     yield ((a, wx), (total - a, wy),
-                           {k: v * rden for k, v in lhs.items() if v},
-                           {k: v * lden for k, v in rhs.items()},
-                           lambda left, right, den=den: (
-                               TensorSquare({k: Fraction(v, den) for k, v
-                                             in sorted(left.items())}),
-                               TensorSquare({k: Fraction(v, den)
-                                             for k, v in right.items()})))
+                           *_compat_sides(ctx, x, y, cx,
+                                          delta_num(total - a, wy)))
 
 
 def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):

@@ -22,7 +22,7 @@ from hopftower.characters import (ContextMismatch, LinearCharacter,
 from hopftower.combinatorics import compositions, partial_sums
 from hopftower.elements import TensorElement, expand_letters
 from hopftower.functors import def_along, pointwise_twist
-from hopftower.hopf import all_ones_context, induction_context
+from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.theory import TheoryError, cyclic4, from_table, two_dim
 from hopftower.verify import verify_characters
 
@@ -243,6 +243,36 @@ def test_evaluation_matches_the_gram_loop():
                     assert chi(x) == reference_evaluate(chi, x)
                 mixed = TensorElement(n, {w: i - 2 for i, w in enumerate(words)})
                 assert chi(mixed) == reference_evaluate(chi, mixed)
+
+
+def negative_coproduct_contexts():
+    """Valid triples with beta pairing negatively with some letters, so
+    that some basis words' coproducts have negative terms: two_dim(3)
+    with beta = (-1, 1) and cyclic4 with beta = (-2, -1, 2)."""
+    q3, c4 = two_dim(3), cyclic4()
+    return [HopfContext(q3, q3.reg, q3.one, q3.element((-1, 1))),
+            HopfContext(c4, c4.reg, c4.one, c4.element((-2, -1, 2)))]
+
+
+def test_convolution_over_negative_coproduct_terms():
+    """The definitional cross-check of convolve and inverse sums over
+    every coproduct term, negative ones included: a table that dropped
+    them would disagree with the closed formulas here."""
+    top = 4
+    for ctx in negative_coproduct_contexts():
+        assert any(c < 0 for n in range(top + 1) for w in ctx.basis_words(n)
+                   for c in ctx.coproduct(TensorElement(n, {w: 1})).terms
+                   .values())
+        eps = counit_character(ctx, top)
+        a = constant_character(ctx, ctx.alpha, top)
+        b = constant_character(ctx, ctx.beta, top)
+        chars = [a, b, *non_constant_characters(ctx, top)]
+        assert all(check_morphism(chi) is None for chi in chars)
+        for chi in chars:
+            inv = inverse(chi)
+            assert convolve(chi, inv) == eps == convolve(inv, chi)
+        assert convolve(convolve(a, b), chars[3]) == convolve(
+            a, convolve(b, chars[3]))
 
 
 # -- the morphism memo and the shared coproduct tables -------------------------

@@ -23,7 +23,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from types import CodeType, FunctionType
 
 from hypothesis import given, settings
@@ -316,14 +316,18 @@ def test_oracle_takes_one_coproduct_of_a_multiword_input():
     rng = random.Random(11)
     for ctx in (induction_context(cyclic4()), all_ones_context(two_dim(3))):
         calls = []
-        coproduct = ctx.coproduct
+        coproduct_num = ctx._coproduct_num
 
-        def counting(x, coproduct=coproduct, calls=calls):
+        def counting(x, coproduct_num=coproduct_num, calls=calls):
             calls.append(x)
-            return coproduct(x)
+            return coproduct_num(x)
 
-        # an instance attribute, which the oracle's lookup finds first
-        ctx.coproduct = counting
+        def public(x):
+            raise AssertionError("the oracle calls the public coproduct")
+
+        # instance attributes, which the oracle's lookups find first
+        ctx._coproduct_num = counting
+        ctx.coproduct = public
         # a word of degree 3 memoizes itself and its left words
         antipode_oracle(ctx, TensorElement(3, {(1, 0): 2}))
         assert (3, (1, 0)) in ctx._antipode_cache
@@ -338,7 +342,7 @@ def test_oracle_takes_one_coproduct_of_a_multiword_input():
             assert {(c.degree, *c.terms) for c in calls[1:]} == new
             assert all(0 < n < 5 for n, _ in new)
         assert len(calls) == 1  # the first dense input memoized them all
-        del ctx.coproduct
+        del ctx._coproduct_num, ctx.coproduct
         for x, got in results:
             assert_same(got, reference_antipode_oracle(ctx, x),
                         sorted_keys=True)
@@ -468,9 +472,11 @@ def test_oracle_reads_no_other_route():
     name no other route and none of the closed route's plans, tables or
     integer pairings."""
     names = _names_reached(antipode_oracle)
-    # the names are collected: the public coproduct and the memo helpers
-    assert {"coproduct", "_iota_num", "_den", "_antipode_cache",
+    # the names are collected: the coproduct's int form and the memo
+    # helpers; the public coproduct is not called
+    assert {"_coproduct_num", "_iota_num", "_den", "_antipode_cache",
             "_oracle_word", "_oracle_solve"} <= names
+    assert "coproduct" not in names
     assert not names & {"antipode_closed", "_closed_plans", "_setcomp_table",
                         "_setcomp_sum", "_plan_sum", "_diff_num",
                         "_alpha_num", "_beta_num", "antipode_all_setcomps",
@@ -523,6 +529,61 @@ def test_letter_pass_kernels_match_the_references(case):
                 sorted_keys=True)
     assert_same(antipode_closed(ctx, x), reference_antipode_closed(ctx, x),
                 sorted_keys=True)
+
+
+def _width_contexts():
+    """One context per letter width b of the packed coproduct words, each
+    with the largest degree drawn: rank 1 (b = 1, every word all zeros),
+    two_dim(3) (b = 1, both letters), cyclic4 (b = 2), the rank-4
+    two_dim(2) x two_dim(3) (b = 2, all four letters) and the rank-6
+    cyclic4 x two_dim(2) (b = 3)."""
+    rank1 = from_table(((1,),), (1,), 0)
+    return [(all_ones_context(rank1), 9), (induction_context(two_dim(3)), 7),
+            (induction_context(cyclic4()), 6),
+            (induction_context(kronecker(two_dim(2), two_dim(3))), 5),
+            (induction_context(kronecker(cyclic4(), two_dim(2))), 5)]
+
+
+@st.composite
+def width_inputs(draw, contexts=_width_contexts()):
+    """A context and an element on up to 4 words of degree 0 to its
+    largest: the all-zero word, the all-top-letter word and any others."""
+    ctx, top = draw(st.sampled_from(contexts))
+    n = draw(st.integers(0, top))
+    length, dim = max(n - 1, 0), ctx.basis.dim
+    any_word = st.lists(st.integers(0, dim - 1), min_size=length,
+                        max_size=length).map(tuple)
+    words = draw(st.lists(st.one_of(st.just((0,) * length),
+                                    st.just((dim - 1,) * length), any_word),
+                          max_size=4, unique=True))
+    return ctx, TensorElement(n, {w: draw(_COEFFS) for w in words})
+
+
+@settings(max_examples=80, deadline=None)
+@given(width_inputs())
+def test_kernels_match_the_references_at_every_letter_width(case):
+    ctx, x = case
+    assert_wraps(reference_coproduct(ctx, x), *ctx._coproduct_num(x))
+    assert_wraps(reference_antipode_closed(ctx, x), *_closed_num(ctx, x))
+    assert_same(antipode_oracle(ctx, x), reference_antipode_oracle(ctx, x),
+                sorted_keys=True)
+
+
+def test_rank1_word_of_the_largest_admitted_degree():
+    """The rank-1 word of degree 22, the largest the CLI admits: words
+    of 21 letters, packed at one bit each.  Over the all-ones rank-1
+    context the product adds degrees, so word n is t^n for a primitive
+    t: its coproduct is the binomial sum and its antipode (-1)^n t^n."""
+    ctx = all_ones_context(from_table(((1,),), (1,), 0))
+    n = 22
+    x = TensorElement(n, {(0,) * (n - 1): Fraction(-3, 7)})
+    assert_wraps(TensorSquare({((k, (0,) * max(k - 1, 0)),
+                                (n - k, (0,) * max(n - k - 1, 0))):
+                               Fraction(-3, 7) * comb(n, k)
+                               for k in range(n + 1)}),
+                 *ctx._coproduct_num(x))
+    assert_wraps(x, *_closed_num(ctx, x))
+    assert_same(antipode_oracle(ctx, x), x)
 
 
 def _int_form_contexts():
