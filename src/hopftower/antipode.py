@@ -19,9 +19,8 @@ it takes one coproduct of the whole input and sums S(left)·right over its
 merged intermediate terms; S of each left word comes from a per-word memo
 filled the same way.
 
-Every route computes with int numerators and builds one ``Fraction`` per
-output term only at its public edge: the closed route over powers of the
-context's denominator D, as the int form ``_closed_num`` that
+Every route sums on int forms (see ``elements``): the closed route over
+powers of the context's denominator D, as ``_closed_num``, which
 ``antipode_closed`` wraps and ``verify_axioms`` reads, the oracle over
 Δ's denominator, reduced to the lcm of its coefficients' denominators,
 and the set-composition routes over powers of their own d, the lcm of
@@ -37,29 +36,28 @@ context-free per-degree plans, kept in a bounded cache, through
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 
 from .combinatorics import (bc_bits, llc_bits, set_compositions, straighten,
                             toggle_free)
-from .elements import TensorElement, _accumulate, _over_lcm
-from .hopf import _expand_positions, _numerators
+from .elements import TensorElement, _accumulate, _fractions, _over_lcm
+from .hopf import _expand_positions
 
 
 def antipode_closed(ctx, x):
-    """Closed-form antipode, linear in x; terms in sorted key order, one
-    ``Fraction`` each, from ``_closed_num``."""
-    den, acc = _closed_num(ctx, x)
+    """Closed-form antipode, linear in x; terms in sorted key order, from
+    ``_closed_num``."""
     out = TensorElement(x.degree)
-    out.terms = {w: Fraction(v, den) for w, v in sorted(acc.items())}
+    out.terms = _fractions(*_closed_num(ctx, x.degree, _over_lcm(x.terms)),
+                           sort=True)
     return out
 
 
-def _closed_num(ctx, x):
-    """The closed-form antipode as ``(den, word -> nonzero int numerator
-    over den)``, in no particular word order.
+def _closed_num(ctx, n, x):
+    """The closed-form antipode of the int form x of degree n, nonzero
+    terms in no particular word order.
 
     One pass over the letters on int numerators over D^(2(n-1)): a kept
     letter appends its difference letter's pairs (over D^2) to the block;
@@ -69,8 +67,7 @@ def _closed_num(ctx, x):
     words of x.  The markers are expanded over iota's pairs (D) once, at
     the end.  Sign: -1 per block (none at degree 0).
     """
-    n = x.degree
-    common, nums = _over_lcm(x.terms)
+    common, nums = x
     beta, diff = ctx._beta_num, ctx._diff_num
     states = {((), (), w): -v if n else v for w, v in nums.items()}
     for _ in range(n - 1):
@@ -151,21 +148,18 @@ def _setcomp_sum(ctx, x, comps_of):
     out = TensorElement(n)
     if not x.terms:  # at once: the Fubini(n) set compositions are not walked
         return out
-    d = lcm(*(c.denominator for c in
-              ctx.pair_alpha + ctx.pair_beta + ctx.iota_coords))
-    tables = (_numerators(ctx.pair_beta, d), _numerators(ctx.pair_alpha, d))
-    iota = {_MARKER: [(i, c) for i, c in
-                      enumerate(_numerators(ctx.iota_coords, d)) if c]}
+    d, beta, alpha, iota = _over_lcm(ctx.pair_beta, ctx.pair_alpha,
+                                     ctx.iota_coords)
+    iota = {_MARKER: [(i, c) for i, c in enumerate(iota) if c]}
     common, nums = _over_lcm(x.terms)
-    acc = _plan_sum(nums, tables, _SIGNS, _setcomp_table(comps_of, n))
+    acc = _plan_sum(nums, (beta, alpha), _SIGNS, _setcomp_table(comps_of, n))
     # a word with k markers comes only from plans with k crossings, each
     # over d^2 (a pairing and an iota): pad it from d^(2k) to d^(2(n-1))
     top = max(n - 1, 0)
     pads = [d ** (2 * (top - k)) for k in range(top + 1)]
     acc = {w: v * pads[w.count(_MARKER)] for w, v in acc.items()}
-    den = common * d ** (2 * top)
-    out.terms = {w: Fraction(v, den) for w, v in
-                 sorted(_expand_positions(acc, iota, range(top)).items())}
+    out.terms = _fractions(common * d ** (2 * top),
+                           _expand_positions(acc, iota, range(top)), sort=True)
     return out
 
 
@@ -197,12 +191,13 @@ def antipode_oracle(ctx, x):
         return out
     if len(x.terms) == 1:  # a word that a later input may have on the left
         ((word, c),) = x.terms.items()
-        top, nums = _oracle_word(ctx, n, word)
+        den, nums = _oracle_word(ctx, n, word)
+        if c != 1:
+            den, nums = (den * c.denominator,
+                         {w: c.numerator * v for w, v in nums.items()})
     else:
-        c = 1
-        top, nums = _oracle_solve(ctx, x)
-    num, den = c.numerator, c.denominator * top
-    out.terms = {w: Fraction(num * v, den) for w, v in sorted(nums.items())}
+        den, nums = _oracle_solve(ctx, n, _over_lcm(x.terms))
+    out.terms = _fractions(den, nums, sort=True)
     return out
 
 
@@ -212,19 +207,18 @@ def _oracle_word(ctx, degree, word):
     cache = ctx._antipode_cache
     key = (degree, word)
     if key not in cache:
-        cache[key] = _oracle_solve(ctx, TensorElement(degree, {word: 1}))
+        cache[key] = _oracle_solve(ctx, degree, (1, {word: 1}))
     return cache[key]
 
 
-def _oracle_solve(ctx, x):
-    """S of a nonzero x of positive degree as ``(L, numerators)``: the
-    coefficient of each word is its int numerator over L, the lcm of the
-    coefficients' reduced denominators.  Built from the coproduct's int
-    form and the iota splice alone."""
-    n = x.degree
-    common, nums = _over_lcm(x.terms)
+def _oracle_solve(ctx, n, x):
+    """S of the nonzero int form x of positive degree n as ``(L,
+    numerators)``: the coefficient of each word is its int numerator over
+    L, the lcm of the coefficients' reduced denominators.  Built from the
+    coproduct's int form and the iota splice alone."""
+    common, nums = x
     # Δ's terms over its one denominator, in the public coproduct's order
-    delta_den, delta = ctx._coproduct_num(x)
+    delta_den, delta = ctx._coproduct_num(n, x)
     steps = [(c, rw, *_oracle_word(ctx, ld, lw)) for ((ld, lw), (_, rw)), c
              in sorted(delta.items()) if c and 0 < ld < n]
     # c·S(left)·right is over Δ's denominator, S(left)'s and one iota's D

@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import compositions
-from .elements import TensorElement, expand_letters
+from .elements import (TensorElement, _fractions, _over_lcm, _same,
+                       expand_letters)
 from .functors import _pair_away
 from .theory import BaseElement, TheoryError
 
@@ -184,48 +185,41 @@ def _require_morphisms(*chis):
 
 @lru_cache(maxsize=16)
 def _coproducts(ctx, n):
-    """Per basis word of degree n: (word, L, terms), the coproduct's
-    nonzero terms as (left degree, left word, right degree, right word, c)
-    with c the int numerator over L, from ``ctx._coproduct_num``."""
+    """The coproducts of the basis words of degree n, from
+    ``ctx._coproduct_num``, as (L, per word (word, terms)): the nonzero
+    terms as (left degree, left word, right degree, right word, c), c the
+    int numerator over L, which is D^(2(n-1)) for every basis word."""
     out = []
     for word in ctx.basis_words(n):
-        den, num = ctx._coproduct_num(TensorElement(n, {word: 1}))
-        out.append((word, den, tuple((ld, lw, rd, rw, c) for
-                                     ((ld, lw), (rd, rw)), c in num.items()
-                                     if c)))
-    return tuple(out)
-
-
-def _numerator_tables(chi):
-    """``chi``'s value tables over one denominator for all degrees: (L,
-    per degree a word -> int numerator dict)."""
-    tables = chi._value_tables()
-    den = math.lcm(*(v.denominator for t in tables for v in t.values()))
-    return den, tuple({w: v.numerator * (den // v.denominator)
-                       for w, v in t.items()} for t in tables)
+        den, num = ctx._coproduct_num(n, (1, {word: 1}))
+        out.append((word, tuple((ld, lw, rd, rw, c) for
+                                ((ld, lw), (rd, rw)), c in num.items() if c)))
+    return den, tuple(out)
 
 
 def _check_definition(psi, gamma, want):
     """Raise unless the definitional composite (psi * gamma)(x), summed
     over the coproduct of x, equals want(x) on every basis word x of
     positive degree up to want's max degree.  The sum runs on int
-    numerators over one denominator per word."""
-    left_den, left = _numerator_tables(psi)
-    right_den, right = _numerator_tables(gamma)
-    scale = left_den * right_den
+    numerators over one denominator per degree."""
+    left_den, *left = _over_lcm(*psi._value_tables())
+    right_den, *right = _over_lcm(*gamma._value_tables())
     for n in range(1, want.max_degree + 1):
-        closed_values = want._value_tables()[n]
-        for word, den, terms in _coproducts(psi.ctx, n):
-            closed = closed_values.get(word, 0)
-            defined = sum(c * lv * rv for ld, lw, rd, rw, c in terms
-                          if (lv := left[ld].get(lw))
-                          and (rv := right[rd].get(rw)))
-            den *= scale
-            if closed.numerator * den != defined * closed.denominator:
-                raise TheoryError(
-                    "closed formula disagrees with the definition at "
-                    "degree %d word %r: %s != %s"
-                    % (n, word, closed, Fraction(defined, den)))
+        den, coproducts = _coproducts(psi.ctx, n)
+        defined = (den * left_den * right_den, {
+            word: sum(c * lv * rv for ld, lw, rd, rw, c in terms
+                      if (lv := left[ld].get(lw))
+                      and (rv := right[rd].get(rw)))
+            for word, terms in coproducts})
+        closed = want._value_tables()[n]
+        if not _same(_over_lcm(closed), defined):
+            shown = _fractions(*defined)
+            word = next(w for w in defined[1]
+                        if closed.get(w, 0) != shown.get(w, 0))
+            raise TheoryError(
+                "closed formula disagrees with the definition at "
+                "degree %d word %r: %s != %s"
+                % (n, word, closed.get(word, 0), shown.get(word, 0)))
 
 
 def convolve(psi, gamma):

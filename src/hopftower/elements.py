@@ -5,10 +5,15 @@ A degree-n vector is a finite rational combination of words of n-1 letters
 the empty word.  A :class:`TensorSquare` holds an element of the tensor
 square, keyed by pairs of (degree, word).
 
-Coefficients are ``Fraction``s at the public edge only: the kernels here
-and in ``hopf`` and ``antipode`` sum int numerators over one common
-denominator (``_over_lcm`` takes a term dict there) and build one
-``Fraction`` per output term.
+Coefficients are ``Fraction``s at the public edge only.  Inside, the
+kernels (the ``_*_num`` methods and functions of ``hopf`` and
+``antipode``) take and return the *int form* ``(den, key -> int
+numerator over den)``, in which zeros may stay.  Three helpers here are
+all that touch it: ``_over_lcm`` puts rationals over the lcm of their
+denominators, ``_fractions`` is the one edge back to nonzero ``Fraction``
+terms, and ``_same`` compares two int forms by cross-multiplication.  A
+public kernel is a wrapper that converts once on the way in and once on
+the way out.
 """
 
 from __future__ import annotations
@@ -31,12 +36,41 @@ def _accumulate(terms, key, coeff):
         del terms[key]
 
 
-def _over_lcm(terms):
-    """``terms`` (key -> rational) over one denominator: (L, key -> int
-    numerator), L the lcm of the coefficients' denominators."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, {k: c.numerator * (den // c.denominator)
-                 for k, c in terms.items()}
+def _over_lcm(*tables):
+    """Rationals over one denominator: ``(L, *numerators)``, L the lcm of
+    the denominators in all ``tables``, each table as int numerators over
+    L, a dict (key -> rational) as a dict on its keys, a sequence as a
+    tuple.
+
+    >>> _over_lcm({"a": Fraction(1, 2)}, (Fraction(2, 3), 1))
+    (6, {'a': 3}, (4, 6))
+    """
+    den = lcm(*(c.denominator for t in tables
+                for c in (t.values() if isinstance(t, dict) else t)))
+    return (den, *({k: c.numerator * (den // c.denominator)
+                    for k, c in t.items()} if isinstance(t, dict)
+                   else tuple(c.numerator * (den // c.denominator) for c in t)
+                   for t in tables))
+
+
+def _fractions(den, nums, sort=False):
+    """The int form ``(den, nums)`` as its nonzero ``Fraction`` terms, in
+    sorted key order or in ``nums``' own: the one edge out of the int form.
+
+    >>> _fractions(4, {"b": 2, "a": 0, "c": -4})
+    {'b': Fraction(1, 2), 'c': Fraction(-1, 1)}
+    """
+    return {k: Fraction(v, den)
+            for k, v in (sorted(nums.items()) if sort else nums.items()) if v}
+
+
+def _same(a, b):
+    """Whether the int forms ``a`` and ``b`` hold the same rationals, by
+    cross-multiplication; zeros may stay in either."""
+    (da, na), (db, nb) = a, b
+    return (da == db and na == nb
+            or {k: v * db for k, v in na.items() if v}
+            == {k: v * da for k, v in nb.items() if v})
 
 
 class _Sparse:
@@ -225,10 +259,12 @@ def expand_letters(entries, coeff=1):
     Each entry is either an int (a fixed letter) or a coordinate tuple
     (a letter expanded over the basis, one branch per nonzero coordinate).
     The words are summed on int numerators over the product of the
-    coefficient's and each tuple's denominators.
+    coefficient's and each tuple's denominators; zeros drop.
 
     >>> sorted(expand_letters([0, (Fraction(1), Fraction(-2))]).items())
     [((0, 0), Fraction(1, 1)), ((0, 1), Fraction(-2, 1))]
+    >>> expand_letters([0, 1], 0)
+    {}
     """
     coeff = Fraction(coeff)
     den, partial = coeff.denominator, {(): coeff.numerator}
@@ -236,13 +272,12 @@ def expand_letters(entries, coeff=1):
         if isinstance(entry, int):
             partial = {w + (entry,): c for w, c in partial.items()}
             continue
-        d = lcm(*(c.denominator for c in entry))
+        d, nums = _over_lcm(entry)
         den *= d
-        nums = [c.numerator * (d // c.denominator) for c in entry]
         # the words of partial share one length, so each (i, w) gives its
         # own key and nothing needs accumulating
         partial = {w + (i,): c * ci for i, ci in enumerate(nums) if ci
                    for w, c in partial.items() if c}
         if not partial:
             break
-    return {w: Fraction(c, den) for w, c in partial.items()}
+    return _fractions(den, partial)

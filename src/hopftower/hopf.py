@@ -9,21 +9,19 @@ by an iota marker, according to where the neighbouring positions land.
 Each choice is local to one letter, so the sum is taken letter by letter,
 merging equal partial states across input words (transfer-matrix method).
 
-Int numerators inside, one ``Fraction`` per term at the public edge: the
-product sums over the lcm of its inputs' denominators, and ``coproduct``
-and ``square_product`` wrap the int forms ``_coproduct_num`` and
-``_square_product_num``, each ``(den, key -> int numerator)``, which
-callers inside the package read directly.
+``product``, ``coproduct`` and ``square_product`` wrap the int-form
+kernels ``_product_num``, ``_coproduct_num`` and ``_square_product_num``
+(see ``elements`` for the int form), which callers inside the package
+read directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
-from .elements import (TensorElement, TensorSquare, _accumulate, _over_lcm,
-                       basis_words, expand_letters)
+from .elements import (TensorElement, TensorSquare, _accumulate, _fractions,
+                       _over_lcm, basis_words, expand_letters)
 
 
 class PairingNotOne(ValueError):
@@ -77,29 +75,22 @@ class HopfContext:
     # Each table is built on first use.
 
     @cached_property
-    def _den(self):
-        return lcm(*(c.denominator for c in
-                     self.pair_alpha + self.pair_beta + self.iota_coords))
+    def _int_tables(self):
+        return _over_lcm(self.pair_alpha, self.pair_beta, self.iota_coords)
 
-    @cached_property
-    def _alpha_num(self):
-        return _numerators(self.pair_alpha, self._den)
-
-    @cached_property
-    def _beta_num(self):
-        return _numerators(self.pair_beta, self._den)
+    _den = cached_property(lambda self: self._int_tables[0])
+    _alpha_num = cached_property(lambda self: self._int_tables[1])
+    _beta_num = cached_property(lambda self: self._int_tables[2])
 
     @cached_property
     def _iota_num(self):
-        return tuple((i, c) for i, c in
-                     enumerate(_numerators(self.iota_coords, self._den)) if c)
+        return tuple((i, c) for i, c in enumerate(self._int_tables[3]) if c)
 
     @cached_property
     def _diff_num(self):
         den2 = self._den ** 2
-        iota = _numerators(self.iota_coords, self._den)
         return tuple(
-            tuple((i, v) for i, c in enumerate(iota)
+            tuple((i, v) for i, c in enumerate(self._int_tables[3])
                   if (v := (den2 if i == letter else 0) - pa * c))
             for letter, pa in enumerate(self._alpha_num))
 
@@ -142,13 +133,18 @@ class HopfContext:
     # -- product -------------------------------------------------------------
 
     def product(self, x, y):
-        """Insert iota between the words of x and y, bilinearly, on int
-        numerators over x's lcm times y's lcm times D."""
-        dx, dy = x.degree, y.degree
-        lx, xs = _over_lcm(x.terms)
-        ly, ys = _over_lcm(y.terms)
+        """Insert iota between the words of x and y, bilinearly; terms in
+        ``_product_num``'s order."""
+        out = TensorElement(x.degree + y.degree)
+        out.terms = _fractions(*self._product_num(
+            x.degree, _over_lcm(x.terms), y.degree, _over_lcm(y.terms)))
+        return out
+
+    def _product_num(self, dx, x, dy, y):
+        """The product of the int forms x and y, of degrees dx and dy, over
+        their denominators times D; words in the order of the loops."""
+        (lx, xs), (ly, ys) = x, y
         iota, d = self._iota_num, self._den
-        den = lx * ly * d
         # every word of x (of y) has the same length, so each splice gives
         # its own word and nothing needs accumulating
         out = {}
@@ -156,10 +152,8 @@ class HopfContext:
             for v, cv in ys.items():
                 c = cu * cv
                 for w, cw in _splice(dx, u, dy, v, iota, d):
-                    out[w] = Fraction(c * cw, den)
-        result = TensorElement(dx + dy)
-        result.terms = out
-        return result
+                    out[w] = c * cw
+        return lx * ly * d, out
 
     def product_many(self, factors):
         """Product of a sequence of elements; empty product is the unit."""
@@ -172,15 +166,15 @@ class HopfContext:
 
     def coproduct(self, x):
         """Sum over subsets of the tensor positions 1..n; terms in sorted
-        key order, one ``Fraction`` each, from ``_coproduct_num``."""
-        den, acc = self._coproduct_num(x)
+        key order, from ``_coproduct_num``."""
         out = TensorSquare()
-        out.terms = {k: Fraction(v, den) for k, v in sorted(acc.items()) if v}
+        out.terms = _fractions(
+            *self._coproduct_num(x.degree, _over_lcm(x.terms)), sort=True)
         return out
 
-    def _coproduct_num(self, x):
-        """The coproduct as ``(den, key -> int numerator over den)``, in no
-        particular key order and with zeros left in.
+    def _coproduct_num(self, n, x):
+        """The coproduct of the int form x of degree n, in no particular
+        key order and with zeros left in.
 
         Positions in the subset feed the left factor, the rest the right
         factor, each side keeping its letters in increasing position
@@ -201,11 +195,10 @@ class HopfContext:
         next letter; their words are unpacked at the end through
         ``_words``.
         """
-        n = x.degree
         alpha, beta, iota = self._alpha_num, self._beta_num, self._iota_num
         d1, d2 = self._den, self._den ** 2
         top = d2 ** max(n - 1, 0)  # D^(2(n-1))
-        common, nums = _over_lcm(x.terms)
+        common, nums = x
         words, b = self._words
         mask = (1 << b) - 1
         acc, heads = {}, []  # heads: (head read, unread letters, numerator)
@@ -260,20 +253,19 @@ class HopfContext:
         return common * top, acc
 
     def square_product(self, s, t):
-        """Componentwise product of two tensor-square elements, one
-        ``Fraction`` per term of ``_square_product_num``."""
-        den, acc = self._square_product_num(*_over_lcm(s.terms),
-                                            *_over_lcm(t.terms))
+        """Componentwise product of two tensor-square elements; terms in
+        ``_square_product_num``'s order."""
         out = TensorSquare()
-        out.terms = {key: Fraction(v, den) for key, v in acc.items()}
+        out.terms = _fractions(*self._square_product_num(_over_lcm(s.terms),
+                                                         _over_lcm(t.terms)))
         return out
 
-    def _square_product_num(self, ds, s, dt, t):
-        """The componentwise product of s and t, given as int numerators
-        over ``ds`` and ``dt``, as ``(den, key -> nonzero int numerator)``,
-        keys in the order the loops first leave them nonzero."""
+    def _square_product_num(self, s, t):
+        """The componentwise product of the int forms s and t, keys in the
+        order the loops first leave them nonzero."""
         # a splice is over D (a unit factor padded by D): every term is
         # over ds * dt * D^2
+        (ds, s), (dt, t) = s, t
         iota, den = self._iota_num, self._den
         acc = {}
         for ((lda, lwa), (rda, rwa)), ca in s.items():
@@ -368,11 +360,6 @@ def _unpack(words, packed, b):
     for packed in reversed(todo):
         k, word = k + 1, word + (packed & ((1 << b) - 1),)
         words[packed] = k, word
-
-
-def _numerators(values, den):
-    """The ints ``values * den``, for a common denominator ``den``."""
-    return tuple(c.numerator * (den // c.denominator) for c in values)
 
 
 def _expand_positions(terms, subs, positions):

@@ -14,23 +14,22 @@ constants can be compared across different theories.
 A family puts one letter inside the blocks and one at the boundaries,
 so its degree-n members are the (n-1)-th tensor power of one 2x2 change
 of basis, and ``expand_in_kind`` inverts it one tensor position at a
-time, on int numerators over one denominator.
+time, on int forms (see ``elements``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from functools import cache
 
 from .combinatorics import (boundary_bits, coarsenings,
                             composition_from_boundary_bits, compositions,
                             concat, interior_bits, refinements, smash)
-from .elements import (TensorElement, TensorSquare, _accumulate, _over_lcm,
-                       expand_letters)
+from .elements import (TensorElement, TensorSquare, _accumulate, _fractions,
+                       _over_lcm, expand_letters)
 from .functors import ind_along
 from .theory import DualBasisUndefined, TheoryError, dual_pair
 from .antipode import antipode_closed
-from .hopf import _expand_positions, _numerators
+from .hopf import _expand_positions
 from .verify import _compat_sides, _num_memo, _report, _run
 
 KINDS = ("h_basis", "ribbon", "shuffle_dual_primitive")
@@ -125,10 +124,8 @@ def _coordinates(ctx, kind, degree, letters=None):
     if degree == 1:
         return 1, {}
     duals = dual_pair(inside, boundary)
-    coords = tuple(zip(*(ctx.basis.pairings(d) for d in duals)))
-    den = lcm(*(c.denominator for pair in coords for c in pair))
-    return den, {letter: tuple((bit, v) for bit, v in
-                               enumerate(_numerators(pair, den)) if v)
+    den, *coords = _over_lcm(*zip(*(ctx.basis.pairings(d) for d in duals)))
+    return den, {letter: tuple((bit, v) for bit, v in enumerate(pair) if v)
                  for letter, pair in enumerate(coords)}
 
 
@@ -142,10 +139,10 @@ def _in_kind(coords, degree, terms):
         return {(): c} if c else {}
     den, subs = coords
     common, nums = _over_lcm(terms)
-    bits = _expand_positions(nums, subs, range(degree - 1))
-    den = common * den ** (degree - 1)
-    return {composition_from_boundary_bits(b): Fraction(bits[b], den)
-            for b in sorted(bits)}
+    bits = _fractions(common * den ** (degree - 1),
+                      _expand_positions(nums, subs, range(degree - 1)),
+                      sort=True)
+    return {composition_from_boundary_bits(b): c for b, c in bits.items()}
 
 
 def expand_in_kind(ctx, kind, x):
@@ -253,15 +250,16 @@ def verify_nsym_rules(ctx, max_degree):
             _run(report, ("h_coarsening", mu), h[mu], want)
 
     # compatibility of the coproduct with h products (bounded), on the
-    # int coproducts of the factors
-    delta = _num_memo(ctx._coproduct_num, h.__getitem__)
+    # int forms of the factors and of their coproducts
+    form = cache(lambda mu: (sum(mu), _over_lcm(h[mu].terms)))
+    delta = _num_memo(ctx._coproduct_num, form)
     for total in range(2, min(max_degree, 4) + 1):
         for a in range(1, total):
             for mu in compositions(a):
                 for nu in compositions(total - a):
                     _run(report, ("h_compat", mu, nu),
-                         *_compat_sides(ctx, h[mu], h[nu], delta(mu),
-                                        delta(nu)))
+                         *_compat_sides(ctx, *form(mu), *form(nu), delta(mu),
+                                        delta(nu)), TensorSquare)
 
     # independent route to h when iota is the regular character and the
     # dual of alpha is the all-ones character

@@ -7,28 +7,27 @@ that agreed, and a description of the first failure (or None).  Nothing
 is sampled unless a seed is passed explicitly; the default runs are
 exhaustive and deterministic, and spot checks without a seed are refused.
 
-``verify_axioms`` keeps int numerators between kernels: Δ and S of each
-basis word are computed once, as the int forms ``_coproduct_num`` and
-``_closed_num``; the counit, coassociativity and both antipode
-convolution checks sum on them over one denominator per word, and the
-compatibility check compares ``_coproduct_num`` of the product with
-``_square_product_num`` of the memoized Δ's by cross-multiplication.
-A failure is reported with ``Fraction`` values as the public kernels
-give them, built only then.
+``verify_axioms`` checks on int forms (see ``elements``): Δ and S of
+each basis word are computed once, by ``_coproduct_num`` and
+``_closed_num``, and every exhaustive check sums and multiplies on them
+through the int kernels.  ``_run`` compares two int forms itself, and
+builds the ``Fraction`` values the public kernels would give only for
+the first failure.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import lcm
 
 from .antipode import ROUTES, _closed_num, antipode_closed
 from .characters import (_morphism_failure, constant_character, convolve,
                          counit_character, inverse)
 from .combinatorics import toggle_free
-from .elements import TensorElement, TensorSquare, _accumulate
+from .elements import (TensorElement, TensorSquare, _accumulate, _fractions,
+                       _same)
 from .hopf import _splice
 
 
@@ -37,21 +36,18 @@ def _report(**extra):
     return {"checked": 0, "passed": 0, "first_failure": None, **extra}
 
 
-def _run(report, name, lhs, rhs, shown=None):
-    """One comparison; on the first failure ``shown``, if given, turns
-    the two sides into the pair of values the report holds."""
+def _run(report, name, lhs, rhs, wrap=None):
+    """One comparison: of two values by ``==``, or, given ``wrap``, of two
+    int forms by ``_same``.  On the first failure ``wrap`` turns each int
+    form's ``Fraction`` terms into the value the report holds: a dict, a
+    ``TensorSquare`` or a ``TensorElement`` of one degree."""
     report["checked"] += 1
-    if lhs == rhs:
+    if _same(lhs, rhs) if wrap else lhs == rhs:
         report["passed"] += 1
     elif report["first_failure"] is None:
-        if shown:
-            lhs, rhs = shown(lhs, rhs)
+        if wrap:
+            lhs, rhs = wrap(_fractions(*lhs)), wrap(_fractions(*rhs))
         report["first_failure"] = {"inputs": name, "lhs": lhs, "rhs": rhs}
-
-
-def _both(f):
-    """A ``shown`` for ``_run`` that turns each side by ``f``."""
-    return lambda lhs, rhs: (f(lhs), f(rhs))
 
 
 def _word_elements(ctx, degree):
@@ -59,48 +55,44 @@ def _word_elements(ctx, degree):
         yield w, TensorElement(degree, {w: 1})
 
 
-def _num_memo(f, make=lambda degree, word: TensorElement(degree, {word: 1})):
-    """The int form ``(L, key -> int numerator over L)`` that ``f`` gives
-    of ``make(*args)``, by default the basis word given as (degree, word),
+def _word_forms(ctx, degree):
+    for w in ctx.basis_words(degree):
+        yield w, (1, {w: 1})
+
+
+def _num_memo(f, make=lambda degree, word: (degree, (1, {word: 1}))):
+    """The int form that ``f`` gives of the degree and int form
+    ``make(*args)``, by default the basis word given as (degree, word),
     zeros dropped and keys sorted as the public kernels emit them,
     computed once per returned function."""
     def num(*args):
-        den, terms = f(make(*args))
+        den, terms = f(*make(*args))
         return den, {k: v for k, v in sorted(terms.items()) if v}
     return cache(num)
 
 
-def _compat_sides(ctx, x, y, cx, cy):
-    """(lhs, rhs, shown) for ``_run``: ``_coproduct_num`` of the public
-    product x·y against ``_square_product_num`` of cx and cy, the
-    ``_num_memo`` coproducts of x and y.  Each side's numerators are
-    multiplied by the other's denominator, and ``shown`` rebuilds both as
-    the public ``coproduct`` and ``square_product`` would give them."""
-    lden, lhs = ctx._coproduct_num(ctx.product(x, y))
-    rden, rhs = ctx._square_product_num(*cx, *cy)
-    den = lden * rden
-    return ({k: v * rden for k, v in lhs.items() if v},
-            {k: v * lden for k, v in rhs.items()},
-            lambda left, right: (
-                TensorSquare({k: Fraction(v, den)
-                              for k, v in sorted(left.items())}),
-                TensorSquare({k: Fraction(v, den) for k, v in right.items()})))
+def _compat_sides(ctx, dx, x, dy, y, cx, cy):
+    """The two int forms compatibility compares for the int forms x and y
+    of degrees dx and dy: ``_coproduct_num`` of their product, sorted as
+    the public coproduct emits it, and ``_square_product_num`` of cx and
+    cy, their ``_num_memo`` coproducts."""
+    den, lhs = ctx._coproduct_num(dx + dy, ctx._product_num(dx, x, dy, y))
+    return (den, dict(sorted(lhs.items()))), ctx._square_product_num(cx, cy)
 
 
 def _compat_checks(ctx, max_degree, delta_num=None):
     """Product/coproduct compatibility on every pair of basis words, by
-    total degree: yields ((a, wx), (b, wy), lhs, rhs, shown) for
-    ``_run``, from ``_compat_sides`` with the words' coproducts from
-    ``delta_num``."""
+    total degree: yields ((a, wx), (b, wy), lhs, rhs), from
+    ``_compat_sides`` with the words' coproducts from ``delta_num``."""
     if delta_num is None:
         delta_num = _num_memo(ctx._coproduct_num)
     for total in range(2, max_degree + 1):
         for a in range(1, total):
-            for wx, x in _word_elements(ctx, a):
+            for wx, x in _word_forms(ctx, a):
                 cx = delta_num(a, wx)
-                for wy, y in _word_elements(ctx, total - a):
+                for wy, y in _word_forms(ctx, total - a):
                     yield ((a, wx), (total - a, wy),
-                           *_compat_sides(ctx, x, y, cx,
+                           *_compat_sides(ctx, a, x, total - a, y, cx,
                                           delta_num(total - a, wy)))
 
 
@@ -111,33 +103,31 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
     if spot_checks and seed is None:
         raise ValueError("spot checks sample: pass a seed")
     rep = _report()
-    unit = ctx.unit()
+    unit, product = (1, {(): 1}), ctx._product_num
     iota, iota_den = ctx._iota_num, ctx._den
-    # Δ and S of each basis word as (L, key -> int numerator over L)
+    # Δ and S of each basis word, as int forms
     delta_num = _num_memo(ctx._coproduct_num)
-    antipode_num = _num_memo(lambda x: _closed_num(ctx, x))
+    antipode_num = _num_memo(partial(_closed_num, ctx))
 
     for n in range(max_degree + 1):
-        for w, x in _word_elements(ctx, n):
-            _run(rep, ("left_unit", n, w), ctx.product(unit, x), x)
-            _run(rep, ("right_unit", n, w), ctx.product(x, unit), x)
+        element = partial(TensorElement, n)
+        for w, x in _word_forms(ctx, n):
+            _run(rep, ("left_unit", n, w), product(0, unit, n, x), x, element)
+            _run(rep, ("right_unit", n, w), product(n, x, 0, unit), x, element)
 
             cop_den, cop_num = delta_num(n, w)
-            shown = lambda strip, _: (TensorElement(n, {
-                u: Fraction(v, cop_den) for u, v in strip.items()}), x)
             _run(rep, ("left_counit", n, w),
-                 {rw: c for ((ld, _), (_, rw)), c in cop_num.items()
-                  if ld == 0}, {w: cop_den}, shown)
+                 (cop_den, {rw: c for ((ld, _), (_, rw)), c in cop_num.items()
+                            if ld == 0}), x, element)
             _run(rep, ("right_counit", n, w),
-                 {lw: c for ((_, lw), (rd, _)), c in cop_num.items()
-                  if rd == 0}, {w: cop_den}, shown)
+                 (cop_den, {lw: c for ((_, lw), (rd, _)), c in cop_num.items()
+                            if rd == 0}), x, element)
 
             # c·c2 on each side, over the lcm of Δ(w) times one pad for
             # the word (the lcm of the lcms of the factors' Δ)
             pad = lcm(*(delta_num(*side)[0]
                         for key in cop_num for side in key))
-            triple_a = {}
-            triple_b = {}
+            triple_a, triple_b = {}, {}
             for (left, right), c in cop_num.items():
                 sub_den, sub = delta_num(*left)
                 c_pad = c * (pad // sub_den)
@@ -150,18 +140,15 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
                     key = (left, l2, r2)
                     triple_b[key] = triple_b.get(key, 0) + c_pad * c2
             den = cop_den * pad
-            _run(rep, ("coassociativity", n, w),
-                 {k: v for k, v in triple_a.items() if v},
-                 {k: v for k, v in triple_b.items() if v},
-                 _both(lambda t: {k: Fraction(v, den) for k, v in t.items()}))
+            _run(rep, ("coassociativity", n, w), (den, triple_a),
+                 (den, triple_b), dict)
 
             if n >= 1:
                 # c·S(left)·right and c·left·S(right), over the lcm of
                 # Δ(w), one pad for the word and the splice's D
                 pad = lcm(*(antipode_num(*side)[0]
                             for key in cop_num for side in key))
-                left_conv = {}
-                right_conv = {}
+                left_conv, right_conv = {}, {}
                 for ((ld, lw), (rd, rw)), c in cop_num.items():
                     s_den, s = antipode_num(ld, lw)
                     c_pad = c * (pad // s_den)
@@ -174,26 +161,27 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
                         for word, cw in _splice(ld, lw, rd, u, iota, iota_den):
                             _accumulate(right_conv, word, c_pad * v * cw)
                 den = cop_den * pad * iota_den
-                shown = _both(lambda t: TensorElement(
-                    n, {u: Fraction(v, den) for u, v in t.items()}))
-                _run(rep, ("antipode_left", n, w), left_conv, {}, shown)
-                _run(rep, ("antipode_right", n, w), right_conv, {}, shown)
+                for name, conv in (("antipode_left", left_conv),
+                                   ("antipode_right", right_conv)):
+                    _run(rep, (name, n, w), (den, conv), (1, {}), element)
 
-    for x, y, lhs, rhs, shown in _compat_checks(ctx, max_degree, delta_num):
-        _run(rep, ("compatibility", x, y), lhs, rhs, shown)
+    for x, y, lhs, rhs in _compat_checks(ctx, max_degree, delta_num):
+        _run(rep, ("compatibility", x, y), lhs, rhs, TensorSquare)
 
     for total in range(3, max_degree + 1):
+        element = partial(TensorElement, total)
         for a in range(1, total - 1):
             for b in range(1, total - a):
                 c = total - a - b
-                for wx, x in _word_elements(ctx, a):
-                    for wy, y in _word_elements(ctx, b):
-                        xy = ctx.product(x, y)
-                        for wz, z in _word_elements(ctx, c):
+                for wx, x in _word_forms(ctx, a):
+                    for wy, y in _word_forms(ctx, b):
+                        xy = product(a, x, b, y)
+                        for wz, z in _word_forms(ctx, c):
                             _run(rep, ("associativity",
                                        (a, wx), (b, wy), (c, wz)),
-                                 ctx.product(xy, z),
-                                 ctx.product(x, ctx.product(y, z)))
+                                 product(a + b, xy, c, z),
+                                 product(a, x, b + c, product(b, y, c, z)),
+                                 element)
 
     if spot_checks:
         rng = random.Random(seed)
@@ -226,10 +214,11 @@ def find_compat_counterexample(ctx, max_degree):
     """First basis-word pair (by total degree, then enumeration order)
     where the coproduct of the product differs from the product of the
     coproducts.  Returns None when compatibility holds throughout."""
-    for x, y, lhs, rhs, shown in _compat_checks(ctx, max_degree):
-        if lhs != rhs:
-            lhs, rhs = shown(lhs, rhs)
-            return {"inputs": {"x": x, "y": y}, "lhs": lhs, "rhs": rhs}
+    rep = _report()
+    for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
+        _run(rep, {"x": x, "y": y}, lhs, rhs, TensorSquare)
+        if rep["first_failure"]:
+            return rep["first_failure"]
     return None
 
 

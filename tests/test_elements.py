@@ -76,6 +76,9 @@ def test_expand_letters():
     # a zero template annihilates everything
     assert expand_letters([0, (0, 0)]) == {}
     assert expand_letters([], Fraction(1, 3)) == {(): Fraction(1, 3)}
+    # a zero coefficient leaves no word, fixed letters or not
+    assert expand_letters([0, 1], 0) == {}
+    assert expand_letters([], 0) == {}
 
 
 def test_tensor_square_basic():

@@ -8,8 +8,9 @@ and expand through ``reference_expand_letters``; the kernels must give
 the same term dicts with every coefficient a ``Fraction``.  The coproduct
 and the antipode routes emit their terms in sorted key order,
 ``square_product``, ``product`` and ``expand_letters`` in the reference
-loop's order.  The public coproduct, square product and closed antipode
-must each be one ``Fraction`` per nonzero term of their int forms.  The two
+loop's order.  The public product, coproduct, square product and closed
+antipode must each be one ``Fraction`` per nonzero term of their int
+forms.  The two
 set-composition routes, on int numerators over their own denominator,
 emit sorted terms too; they must match the reference closed antipode on
 dense elements and a plain walk over every set composition.  A
@@ -38,8 +39,8 @@ from hopftower.cli import main
 from hopftower.combinatorics import (bc_bits, compositions, llc_bits,
                                      partial_sums, set_compositions,
                                      straighten)
-from hopftower.elements import (TensorElement, TensorSquare, _over_lcm,
-                                expand_letters)
+from hopftower.elements import (TensorElement, TensorSquare, _fractions,
+                                _over_lcm, _same, expand_letters)
 from hopftower.hopf import (HopfContext, _expand_positions, all_ones_context,
                             induction_context)
 from hopftower.theory import cyclic4, from_table, two_dim
@@ -48,7 +49,7 @@ from test_characters import kronecker
 
 def reference_expand_letters(entries, coeff=1):
     """``expand_letters`` on ``Fraction`` products, one per word and
-    coordinate."""
+    coordinate; zero words drop."""
     partial = {(): Fraction(coeff)}
     for entry in entries:
         if isinstance(entry, int):
@@ -58,7 +59,7 @@ def reference_expand_letters(entries, coeff=1):
                    for w, c in partial.items() if c}
         if not partial:
             break
-    return partial
+    return {w: c for w, c in partial.items() if c}
 
 
 def reference_coproduct(ctx, x):
@@ -318,9 +319,9 @@ def test_oracle_takes_one_coproduct_of_a_multiword_input():
         calls = []
         coproduct_num = ctx._coproduct_num
 
-        def counting(x, coproduct_num=coproduct_num, calls=calls):
-            calls.append(x)
-            return coproduct_num(x)
+        def counting(n, x, coproduct_num=coproduct_num, calls=calls):
+            calls.append((n, x))
+            return coproduct_num(n, x)
 
         def public(x):
             raise AssertionError("the oracle calls the public coproduct")
@@ -337,9 +338,9 @@ def test_oracle_takes_one_coproduct_of_a_multiword_input():
             before = set(ctx._antipode_cache)
             results.append((x, antipode_oracle(ctx, x)))
             new = set(ctx._antipode_cache) - before
-            assert calls[0] is x
+            assert calls[0] == int_form(x)
             assert len(calls) == 1 + len(new)
-            assert {(c.degree, *c.terms) for c in calls[1:]} == new
+            assert {(n, *terms) for n, (_, terms) in calls[1:]} == new
             assert all(0 < n < 5 for n, _ in new)
         assert len(calls) == 1  # the first dense input memoized them all
         del ctx._coproduct_num, ctx.coproduct
@@ -563,8 +564,10 @@ def width_inputs(draw, contexts=_width_contexts()):
 @given(width_inputs())
 def test_kernels_match_the_references_at_every_letter_width(case):
     ctx, x = case
-    assert_wraps(reference_coproduct(ctx, x), *ctx._coproduct_num(x))
-    assert_wraps(reference_antipode_closed(ctx, x), *_closed_num(ctx, x))
+    assert_wraps(reference_coproduct(ctx, x),
+                 *ctx._coproduct_num(*int_form(x)))
+    assert_wraps(reference_antipode_closed(ctx, x),
+                 *_closed_num(ctx, *int_form(x)))
     assert_same(antipode_oracle(ctx, x), reference_antipode_oracle(ctx, x),
                 sorted_keys=True)
 
@@ -581,8 +584,8 @@ def test_rank1_word_of_the_largest_admitted_degree():
                                 (n - k, (0,) * max(n - k - 1, 0))):
                                Fraction(-3, 7) * comb(n, k)
                                for k in range(n + 1)}),
-                 *ctx._coproduct_num(x))
-    assert_wraps(x, *_closed_num(ctx, x))
+                 *ctx._coproduct_num(*int_form(x)))
+    assert_wraps(x, *_closed_num(ctx, *int_form(x)))
     assert_same(antipode_oracle(ctx, x), x)
 
 
@@ -620,6 +623,11 @@ def assert_wraps(got, den, nums):
     assert got.terms == {k: Fraction(v, den) for k, v in nums.items() if v}
 
 
+def int_form(x):
+    """An element as the int kernels take it: its degree and int form."""
+    return x.degree, _over_lcm(x.terms)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_public_kernels_wrap_their_int_forms(data):
@@ -632,26 +640,56 @@ def test_public_kernels_wrap_their_int_forms(data):
     y = data.draw(mixed_elements(ctx))
 
     got = ctx.coproduct(x)
-    assert_wraps(got, *ctx._coproduct_num(x))
+    assert_wraps(got, *ctx._coproduct_num(*int_form(x)))
     assert_same(got, reference_coproduct(ctx, x), sorted_keys=True)
 
     got = antipode_closed(ctx, x)
-    assert_wraps(got, *_closed_num(ctx, x))
+    assert_wraps(got, *_closed_num(ctx, *int_form(x)))
     assert_same(got, reference_antipode_closed(ctx, x), sorted_keys=True)
 
     s, t = ctx.coproduct(x), ctx.coproduct(y)
     got = ctx.square_product(s, t)
-    assert_wraps(got, *ctx._square_product_num(*_over_lcm(s.terms),
-                                               *_over_lcm(t.terms)))
+    assert_wraps(got, *ctx._square_product_num(_over_lcm(s.terms),
+                                               _over_lcm(t.terms)))
     assert_same(got, reference_square_product(ctx, s, t))
 
-    assert_same(ctx.product(x, y), reference_product(ctx, x, y))
+    got = ctx.product(x, y)
+    assert_wraps(got, *ctx._product_num(*int_form(x), *int_form(y)))
+    assert_same(got, reference_product(ctx, x, y))
 
     entries, coeff = data.draw(letter_templates(ctx))
     got = expand_letters(entries, coeff)
     want = reference_expand_letters(entries, coeff)
     assert got == want and list(got) == list(want)
     assert all(type(c) is Fraction for c in got.values())
+
+
+def assert_same_as_edges(a, b, want):
+    """``_same`` gives ``want`` both ways, as ``==`` on the two edges'
+    ``Fraction`` terms does."""
+    assert _same(a, b) == _same(b, a) == want
+    assert (_fractions(*a) == _fractions(*b)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_same_agrees_with_fraction_equality(data):
+    """The int-form comparison against ``Fraction`` equality of the edge:
+    on two drawn elements, on equal values over different denominators
+    with a zero numerator left in, and with a key on one side only or
+    one sign flipped."""
+    ctx = data.draw(st.sampled_from(_int_form_contexts()))
+    a = _over_lcm(data.draw(mixed_elements(ctx)).terms)
+    b = _over_lcm(data.draw(mixed_elements(ctx)).terms)
+    assert_same_as_edges(a, b, _fractions(*a) == _fractions(*b))
+    den, nums = a
+    k = data.draw(st.integers(2, 9))
+    scaled = (den * k, {**{w: v * k for w, v in nums.items()}, (_MARKER,): 0})
+    assert_same_as_edges(a, scaled, True)
+    assert_same_as_edges(a, (den, {**nums, (_MARKER,): 1}), False)
+    if nums:
+        w = data.draw(st.sampled_from(sorted(nums)))
+        assert_same_as_edges(a, (den, {**nums, w: -nums[w]}), False)
 
 
 def test_int_forms_on_zero_and_low_degrees():
@@ -663,17 +701,17 @@ def test_int_forms_on_zero_and_low_degrees():
                   TensorElement(1, {(): Fraction(2, 7)}),
                   TensorElement(2, {(1,): Fraction(-3, 4)})):
             got = ctx.coproduct(x)
-            assert_wraps(got, *ctx._coproduct_num(x))
+            assert_wraps(got, *ctx._coproduct_num(*int_form(x)))
             assert_same(got, reference_coproduct(ctx, x), sorted_keys=True)
             got = antipode_closed(ctx, x)
-            assert_wraps(got, *_closed_num(ctx, x))
+            assert_wraps(got, *_closed_num(ctx, *int_form(x)))
             assert_same(got, reference_antipode_closed(ctx, x),
                         sorted_keys=True)
             for y in (ctx.unit(), TensorElement(3), x):
                 assert_same(ctx.product(x, y), reference_product(ctx, x, y))
                 assert_same(ctx.product(y, x), reference_product(ctx, y, x))
         assert expand_letters([], 0) == reference_expand_letters([], 0)
-        assert expand_letters([0, 1], 0) == {(0, 1): 0}
+        assert expand_letters([0, 1], 0) == {}
         assert expand_letters([ctx.iota_coords], 0) == {}
 
 

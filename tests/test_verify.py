@@ -118,9 +118,9 @@ def test_axioms_compute_each_antipode_once(monkeypatch):
     seen = []
     real = verify._closed_num
 
-    def counted(ctx, x):
-        seen.append((x.degree, tuple(x.terms.items())))
-        return real(ctx, x)
+    def counted(ctx, n, x):
+        seen.append((n, tuple(x[1].items())))
+        return real(ctx, n, x)
     monkeypatch.setattr(verify, "_closed_num", counted)
     rep = verify_axioms(induction_context(two_dim(3)), 4)
     assert rep["first_failure"] is None
@@ -247,12 +247,12 @@ def failures_and_report(monkeypatch, suite, ctx, max_degree, **kwargs):
     real = verify._run
     failures = []
 
-    def recording(report, name, lhs, rhs, shown=None):
+    def recording(report, name, lhs, rhs, wrap=None):
         alone = verify._report()
-        real(alone, name, lhs, rhs, shown)
+        real(alone, name, lhs, rhs, wrap)
         if alone["first_failure"]:
             failures.append(alone["first_failure"])
-        real(report, name, lhs, rhs, shown)
+        real(report, name, lhs, rhs, wrap)
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_run", recording)
         report = suite(ctx, max_degree, **kwargs)
@@ -311,8 +311,8 @@ def test_compatibility_mutant_matches_fraction_reference(monkeypatch):
     reference reports with the same flip in its square product."""
     real = HopfContext._square_product_num
 
-    def flipped(self, ds, s, dt, t):
-        den, acc = real(self, ds, s, dt, t)
+    def flipped(self, s, t):
+        den, acc = real(self, s, t)
         return den, _flip_odd_left(acc)
 
     def flipped_reference(ctx, s, t, plain=reference_square_product):
@@ -341,8 +341,8 @@ def test_coproduct_mutant_matches_fraction_reference(monkeypatch):
     is what the Fraction reference reports."""
     real = HopfContext._coproduct_num
 
-    def doubled(self, x):
-        den, acc = real(self, x)
+    def doubled(self, n, x):
+        den, acc = real(self, n, x)
         return den, {k: 2 * v if k[0][0] == 0 else v for k, v in acc.items()}
 
     for ctx in (induction_context(two_dim(3)), *unchecked_d21()[:1]):
@@ -354,6 +354,39 @@ def test_coproduct_mutant_matches_fraction_reference(monkeypatch):
                 failure["inputs"][0] for failure in failures}
             rep = assert_axioms_match_reference(monkeypatch, ctx, 3)
             assert rep["first_failure"]["inputs"][0] == "left_counit"
+
+
+def test_product_mutant_matches_fraction_reference(monkeypatch):
+    """Doubling the products of total degree 2 in ``_product_num`` reaches
+    the reference through the public product, and turns the unit,
+    compatibility and associativity checks red (x·y·z where exactly one
+    of x·y and y·z has degree 2): every failure, the first included, is
+    what the Fraction reference reports.  A scale that depends on the
+    total degree alone leaves both convolution sums and the bilinearity
+    spot checks green."""
+    real = HopfContext._product_num
+
+    def doubled(self, dx, x, dy, y):
+        den, acc = real(self, dx, x, dy, y)
+        return den, ({w: 2 * v for w, v in acc.items()} if dx + dy == 2
+                     else acc)
+
+    def kinds(ctx):
+        failures, _ = failures_and_report(monkeypatch, verify_axioms, ctx, 4,
+                                          seed=5, spot_checks=3)
+        return {failure["inputs"][0] for failure in failures}
+
+    for ctx in (induction_context(two_dim(3)), *unchecked_d21()[:1]):
+        before = kinds(ctx)
+        with monkeypatch.context() as patch:
+            patch.setattr(HopfContext, "_product_num", doubled)
+            after = kinds(ctx)
+            moved = {"left_unit", "right_unit", "compatibility",
+                     "associativity"}
+            assert moved <= after and after - before <= moved
+            rep = assert_axioms_match_reference(monkeypatch, ctx, 4, seed=5,
+                                                spot_checks=3)
+            assert rep["first_failure"]["inputs"][0] == "left_unit"
 
 
 def test_axioms_spot_checks_need_a_seed():
