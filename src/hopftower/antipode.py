@@ -40,8 +40,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 
-from .combinatorics import (bc_bits, llc_bits, set_compositions, straighten,
-                            toggle_free)
+from .combinatorics import set_compositions, setcomp_profile, toggle_free
 from .elements import TensorElement, _accumulate, _fractions, _over_lcm
 from .hopf import _expand_positions
 
@@ -126,7 +125,7 @@ def _setcomp_table(comps_of, n):
     slots hold the iota marker.  Equal plans add their signs (net ±1)."""
     table = {}
     for A in comps_of(n):
-        w, llc, bc = straighten(A), llc_bits(A), bc_bits(A)
+        w, llc, bc = setcomp_profile(A)
         crossings, slots = [], [_MARKER] * (n - 1)
         for j in range(n - 1):
             if bc[j]:

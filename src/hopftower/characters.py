@@ -7,8 +7,9 @@ against the product, pairing the letter the product splices iota into
 against iota; the group law is convolution, computed two ways
 (closed block formula and the definitional composite) which are checked
 against each other on every call.  The group operations run
-``check_morphism`` once per character, and the definitional side reads
-Δ of each basis word from a bounded cache and sums on int numerators.
+``check_morphism`` once per character.  Both sides sum on int forms, the
+closed side on components put over their lcm, the definitional side on
+the value tables and on Δ of each basis word from a bounded cache.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 from .combinatorics import compositions
 from .elements import (TensorElement, _fractions, _over_lcm, _same,
-                       expand_letters)
+                       _sum_forms, expand_letters)
 from .functors import _pair_away
 from .theory import BaseElement, TheoryError
 
@@ -54,7 +55,7 @@ class LinearCharacter:
     and it keeps its ``check_morphism`` result and its value tables.
     """
 
-    __slots__ = ("ctx", "components", "_failure", "_values")
+    __slots__ = ("ctx", "components", "_failure", "_values", "_nums")
 
     def __init__(self, ctx, components):
         components = tuple(components)
@@ -69,7 +70,7 @@ class LinearCharacter:
         self.ctx = ctx
         self.components = components
         self._failure = _UNCHECKED
-        self._values = None
+        self._values = self._nums = None
 
     @property
     def max_degree(self):
@@ -86,6 +87,13 @@ class LinearCharacter:
                  for word, c in comp.terms.items()}
                 for comp in self.components)
         return self._values
+
+    def _num_tables(self):
+        """``_over_lcm`` of the components' terms, for the closed formulas;
+        built on first use."""
+        if self._nums is None:
+            self._nums = _over_lcm(*(comp.terms for comp in self.components))
+        return self._nums
 
     def __call__(self, x):
         """Evaluate on an element, word by word."""
@@ -234,44 +242,41 @@ def convolve(psi, gamma):
     _require_morphisms(psi, gamma)
     ctx = psi.ctx
     top = min(psi.max_degree, gamma.max_degree)
-    comps = [ctx.unit()]
-    for n in range(1, top + 1):
-        comps.append(_convolve_component(psi, gamma, n))
-    out = LinearCharacter(ctx, comps)
+    out = LinearCharacter(ctx, [ctx.unit()] + [
+        _convolve_component(psi, gamma, n) for n in range(1, top + 1)])
     _check_definition(psi, gamma, out)
     return out
 
 
 def _interleave(chi_a, chi_b, mark_a, mark_b, mu):
-    """The words of one composition mu, as a word -> coefficient dict.
+    """The words of one composition mu as an int form, from int-form marks.
 
     Blocks are taken alternately from chi_a, chi_b, chi_a, ...; before
     each block after the first, the previous block's marker is spliced
     in, one branch per nonzero coordinate.  All words of the fold share
     one length, so no two branches meet and nothing needs accumulating.
     """
-    acc = {(): Fraction(1)}
-    mark = None
+    sides = (chi_a._num_tables(), mark_a), (chi_b._num_tables(), mark_b)
+    den, acc, owed = 1, {(): 1}, None
     for b, part in enumerate(mu):
-        if mark is not None:
+        if owed is not None:  # the previous block's marker
+            mark_den, mark = owed
+            den *= mark_den
             acc = {w + (i,): c * ci for w, c in acc.items()
                    for i, ci in enumerate(mark) if ci}
-        chi, mark = (chi_a, mark_a) if b % 2 == 0 else (chi_b, mark_b)
-        block = chi.components[part].terms
+        (block_den, *blocks), owed = sides[b % 2]
+        den *= block_den
         acc = {w + bw: c * bc for w, c in acc.items()
-               for bw, bc in block.items()}
-    return acc
+               for bw, bc in blocks[part].items()}
+    return den, acc
 
 
 def _convolve_component(psi, gamma, n):
     ctx = psi.ctx
-    out = TensorElement(n)
-    alpha = tuple(ctx.alpha.coords)
-    beta = tuple(ctx.beta.coords)
-    for mu in compositions(n):
-        out.add_scaled(_interleave(psi, gamma, alpha, beta, mu))
-        out.add_scaled(_interleave(gamma, psi, beta, alpha, mu))
-    return out
+    alpha, beta = _over_lcm(ctx.alpha.coords), _over_lcm(ctx.beta.coords)
+    return TensorElement(n, _fractions(*_sum_forms(
+        (1, _interleave(*pair, mu)) for mu in compositions(n)
+        for pair in ((psi, gamma, alpha, beta), (gamma, psi, beta, alpha)))))
 
 
 def inverse(psi):
@@ -279,15 +284,12 @@ def inverse(psi):
     compositions of psi blocks joined by (alpha + beta) markers."""
     _require_morphisms(psi)
     ctx = psi.ctx
-    mark = tuple(a + b for a, b in
-                 zip(ctx.alpha.coords, ctx.beta.coords))
+    mark = _over_lcm((ctx.alpha + ctx.beta).coords)
     comps = [ctx.unit()]
     for n in range(1, psi.max_degree + 1):
-        comp = TensorElement(n)
-        for mu in compositions(n):
-            comp.add_scaled(_interleave(psi, psi, mark, mark, mu),
-                            -1 if len(mu) % 2 else 1)
-        comps.append(comp)
+        comps.append(TensorElement(n, _fractions(*_sum_forms(
+            (-1 if len(mu) % 2 else 1, _interleave(psi, psi, mark, mark, mu))
+            for mu in compositions(n)))))
     out = LinearCharacter(ctx, comps)
     _check_definition(psi, out, counit_character(ctx, psi.max_degree))
     return out

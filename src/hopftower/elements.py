@@ -6,14 +6,13 @@ the empty word.  A :class:`TensorSquare` holds an element of the tensor
 square, keyed by pairs of (degree, word).
 
 Coefficients are ``Fraction``s at the public edge only.  Inside, the
-kernels (the ``_*_num`` methods and functions of ``hopf`` and
-``antipode``) take and return the *int form* ``(den, key -> int
-numerator over den)``, in which zeros may stay.  Three helpers here are
-all that touch it: ``_over_lcm`` puts rationals over the lcm of their
-denominators, ``_fractions`` is the one edge back to nonzero ``Fraction``
-terms, and ``_same`` compares two int forms by cross-multiplication.  A
-public kernel is a wrapper that converts once on the way in and once on
-the way out.
+kernels (the ``_*_num`` functions of ``hopf``, ``antipode`` and ``nsym``,
+and the closed formulas of ``characters``) take and return the *int
+form* ``(den, key -> int numerator over den)``, in which zeros may stay.
+Five helpers here are all that touch it: ``_over_lcm`` and ``_expand_num``
+build it, ``_sum_forms`` adds scaled ones, ``_same`` compares two by
+cross-multiplication, and ``_fractions`` is the one edge back to nonzero
+``Fraction`` terms.  A public kernel converts once each way.
 """
 
 from __future__ import annotations
@@ -62,6 +61,22 @@ def _fractions(den, nums, sort=False):
     """
     return {k: Fraction(v, den)
             for k, v in (sorted(nums.items()) if sort else nums.items()) if v}
+
+
+def _sum_forms(scaled):
+    """The sum of (int scalar, int form) pairs over the lcm of their
+    denominators, keys in the order ``_accumulate`` leaves them.
+
+    >>> _sum_forms([(1, (2, {"a": 1, "b": 1})), (-1, (4, {"a": 2, "c": 3}))])
+    (4, {'b': 2, 'c': -3})
+    """
+    scaled = list(scaled)
+    den, acc = lcm(*(d for _, (d, _) in scaled)), {}
+    for s, (d, nums) in scaled:
+        s *= den // d
+        for k, v in nums.items():
+            _accumulate(acc, k, s * v)
+    return den, acc
 
 
 def _same(a, b):
@@ -254,17 +269,26 @@ def basis_words(dim, degree):
 
 
 def expand_letters(entries, coeff=1):
-    """Expand a template of letters into a word -> coefficient dict.
-
-    Each entry is either an int (a fixed letter) or a coordinate tuple
-    (a letter expanded over the basis, one branch per nonzero coordinate).
-    The words are summed on int numerators over the product of the
-    coefficient's and each tuple's denominators; zeros drop.
+    """Expand a template of letters, each an int (a fixed letter) or a
+    coordinate tuple (one branch per nonzero coordinate), into a word ->
+    coefficient dict: the nonzero terms of ``_expand_num``.
 
     >>> sorted(expand_letters([0, (Fraction(1), Fraction(-2))]).items())
     [((0, 0), Fraction(1, 1)), ((0, 1), Fraction(-2, 1))]
     >>> expand_letters([0, 1], 0)
     {}
+    """
+    return _fractions(*_expand_num(
+        [e if isinstance(e, int) else _over_lcm(e) for e in entries], coeff))
+
+
+def _expand_num(entries, coeff=1):
+    """``expand_letters`` on int forms: each entry an int (a fixed letter)
+    or a letter's coordinates as ``(den, numerator tuple)``; the words are
+    over the product of the coefficient's and the entries' denominators.
+
+    >>> _expand_num([(2, (1, 0)), 1], Fraction(2, 3))
+    (6, {(0, 1): 2})
     """
     coeff = Fraction(coeff)
     den, partial = coeff.denominator, {(): coeff.numerator}
@@ -272,12 +296,10 @@ def expand_letters(entries, coeff=1):
         if isinstance(entry, int):
             partial = {w + (entry,): c for w, c in partial.items()}
             continue
-        d, nums = _over_lcm(entry)
+        d, nums = entry
         den *= d
         # the words of partial share one length, so each (i, w) gives its
         # own key and nothing needs accumulating
         partial = {w + (i,): c * ci for i, ci in enumerate(nums) if ci
                    for w, c in partial.items() if c}
-        if not partial:
-            break
-    return _fractions(den, partial)
+    return den, partial

@@ -36,17 +36,17 @@ def _report(**extra):
     return {"checked": 0, "passed": 0, "first_failure": None, **extra}
 
 
-def _run(report, name, lhs, rhs, wrap=None):
+def _run(report, name, lhs, rhs, wrap=None, sort=False):
     """One comparison: of two values by ``==``, or, given ``wrap``, of two
     int forms by ``_same``.  On the first failure ``wrap`` turns each int
-    form's ``Fraction`` terms into the value the report holds: a dict, a
-    ``TensorSquare`` or a ``TensorElement`` of one degree."""
+    form's ``Fraction`` terms (lhs's sorted, given ``sort``) into the value
+    the report holds: a dict, a ``TensorSquare`` or a ``TensorElement``."""
     report["checked"] += 1
     if _same(lhs, rhs) if wrap else lhs == rhs:
         report["passed"] += 1
     elif report["first_failure"] is None:
         if wrap:
-            lhs, rhs = wrap(_fractions(*lhs)), wrap(_fractions(*rhs))
+            lhs, rhs = wrap(_fractions(*lhs, sort)), wrap(_fractions(*rhs))
         report["first_failure"] = {"inputs": name, "lhs": lhs, "rhs": rhs}
 
 
@@ -72,12 +72,10 @@ def _num_memo(f, make=lambda degree, word: (degree, (1, {word: 1}))):
 
 
 def _compat_sides(ctx, dx, x, dy, y, cx, cy):
-    """The two int forms compatibility compares for the int forms x and y
-    of degrees dx and dy: ``_coproduct_num`` of their product, sorted as
-    the public coproduct emits it, and ``_square_product_num`` of cx and
-    cy, their ``_num_memo`` coproducts."""
-    den, lhs = ctx._coproduct_num(dx + dy, ctx._product_num(dx, x, dy, y))
-    return (den, dict(sorted(lhs.items()))), ctx._square_product_num(cx, cy)
+    """The int forms compatibility compares for x and y of degrees dx and
+    dy: Δ(x·y), and the square product of their coproducts cx and cy."""
+    return (ctx._coproduct_num(dx + dy, ctx._product_num(dx, x, dy, y)),
+            ctx._square_product_num(cx, cy))
 
 
 def _compat_checks(ctx, max_degree, delta_num=None):
@@ -166,7 +164,7 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
                     _run(rep, (name, n, w), (den, conv), (1, {}), element)
 
     for x, y, lhs, rhs in _compat_checks(ctx, max_degree, delta_num):
-        _run(rep, ("compatibility", x, y), lhs, rhs, TensorSquare)
+        _run(rep, ("compatibility", x, y), lhs, rhs, TensorSquare, True)
 
     for total in range(3, max_degree + 1):
         element = partial(TensorElement, total)
@@ -216,7 +214,7 @@ def find_compat_counterexample(ctx, max_degree):
     coproducts.  Returns None when compatibility holds throughout."""
     rep = _report()
     for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
-        _run(rep, {"x": x, "y": y}, lhs, rhs, TensorSquare)
+        _run(rep, {"x": x, "y": y}, lhs, rhs, TensorSquare, True)
         if rep["first_failure"]:
             return rep["first_failure"]
     return None

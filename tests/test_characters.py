@@ -20,7 +20,8 @@ from hopftower.characters import (ContextMismatch, LinearCharacter,
                                   counit_character, inverse, is_odd,
                                   looks_module_supported)
 from hopftower.combinatorics import compositions, partial_sums
-from hopftower.elements import TensorElement, expand_letters
+from hopftower.elements import (TensorElement, _fractions, _over_lcm,
+                                expand_letters)
 from hopftower.functors import def_along, pointwise_twist
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.theory import TheoryError, cyclic4, from_table, two_dim
@@ -226,9 +227,58 @@ def test_interleave_matches_the_template_lists():
             for mu in compositions(n):
                 for chi_a, chi_b in ((p, g), (g, p), (p, p)):
                     for mark_a, mark_b in ((alpha, beta), (beta, alpha)):
-                        got = _interleave(chi_a, chi_b, mark_a, mark_b, mu)
+                        got = _fractions(*_interleave(
+                            chi_a, chi_b, _over_lcm(mark_a), _over_lcm(mark_b),
+                            mu))
                         assert got == reference_interleave(
                             chi_a, chi_b, mark_a, mark_b, mu, n), mu
+
+
+# -- the closed formulas against the template lists ----------------------------
+
+
+def reference_convolve(psi, gamma):
+    """The components of psi * gamma: per composition, both interleavings
+    from ``reference_interleave``, added in turn as ``Fraction`` terms."""
+    alpha, beta = tuple(psi.ctx.alpha.coords), tuple(psi.ctx.beta.coords)
+    comps = [psi.ctx.unit()]
+    for n in range(1, min(psi.max_degree, gamma.max_degree) + 1):
+        comp = TensorElement(n)
+        for mu in compositions(n):
+            for pair in ((psi, gamma, alpha, beta), (gamma, psi, beta, alpha)):
+                comp.add_scaled(reference_interleave(*pair, mu, n))
+        comps.append(comp)
+    return comps
+
+
+def reference_inverse(psi):
+    """The components of psi's inverse: the signed sum over compositions
+    of ``reference_interleave`` with (alpha + beta) markers."""
+    mark = tuple((psi.ctx.alpha + psi.ctx.beta).coords)
+    comps = [psi.ctx.unit()]
+    for n in range(1, psi.max_degree + 1):
+        comp = TensorElement(n)
+        for mu in compositions(n):
+            comp.add_scaled(reference_interleave(psi, psi, mark, mark, mu, n),
+                            -1 if len(mu) % 2 else 1)
+        comps.append(comp)
+    return comps
+
+
+def test_convolve_and_inverse_match_the_template_lists():
+    """On non-constant characters, over contexts with and without
+    negative coproduct terms, with ``Fraction`` coefficients."""
+    for ctx in (ind_ctx(), induction_context(cyclic4()),
+                *negative_coproduct_contexts()):
+        chars = [constant_character(ctx, ctx.alpha, 4),
+                 *non_constant_characters(ctx, 4)]
+        pairs = [(convolve(x, y), reference_convolve(x, y))
+                 for x in chars for y in chars]
+        pairs += [(inverse(x), reference_inverse(x)) for x in chars]
+        for got, want in pairs:
+            assert list(got.components) == want
+            assert all(type(c) is Fraction for comp in got.components
+                       for c in comp.terms.values())
 
 
 def test_evaluation_matches_the_gram_loop():

@@ -30,7 +30,7 @@ from types import CodeType, FunctionType
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopftower import hopf
+from hopftower import characters, hopf
 from hopftower.antipode import (_MARKER, _closed_num, _setcomp_sum,
                                 _setcomp_table, antipode_all_setcomps,
                                 antipode_closed, antipode_oracle,
@@ -466,6 +466,17 @@ def _names_reached(function):
                 seen.add(name)
                 todo.append(helper.__code__)
     return names
+
+
+def test_definitional_character_side_reads_no_closed_table():
+    """``_check_definition`` and ``check_morphism`` stay cross-checks of
+    the closed convolution and inverse: they and their helpers name none
+    of the closed side's int tables or functions."""
+    for function in (characters._check_definition, characters.check_morphism):
+        names = _names_reached(function)
+        assert {"_value_tables", "components"} & names
+        assert not names & {"_num_tables", "_nums", "_interleave",
+                            "_convolve_component", "_sum_forms"}
 
 
 def test_oracle_reads_no_other_route():

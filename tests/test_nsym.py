@@ -6,26 +6,33 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+import hopftower.antipode as antipode
+import hopftower.nsym as nsym
+import hopftower.verify as verify
 from hopftower.antipode import antipode_closed
 from hopftower.combinatorics import (boundary_bits, coarsenings, compositions,
-                                     composition_from_boundary_bits,
+                                     composition_from_boundary_bits, concat,
                                      conjugate, descent_embedding,
-                                     interior_bits)
+                                     interior_bits, refinements, smash)
 from hopftower.elements import (TensorElement, TensorSquare, _accumulate,
-                                basis_words, expand_letters)
+                                _fractions, _over_lcm, basis_words,
+                                expand_letters)
 from hopftower.functors import ind_along
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.nsym import (KINDS, InconsistentTag, _coordinates, _in_kind,
-                            _letters, antipode_corollaries,
+                            _letters, _spans, antipode_corollaries,
                             coproduct_constants, expand_in_kind,
                             expand_square_in_kind, nsym_element,
                             product_constants, shuffle_dual_complement,
                             tau_iota_element, verify_nsym_rules)
 from hopftower.theory import (DualBasisUndefined, TheoryError, cyclic4,
                               dual_pair, solve_linear_system, two_dim)
+from test_kernels import reference_square_product, unchecked_d21
+from test_verify import assert_same_value, failures_and_report
 
 
 def ones_ctx(q=3):
@@ -289,7 +296,7 @@ def test_expansion_cancels_after_expanding():
     assert reference_in_kind(ctx, "h_basis", x) == want
     reached = set()
     for word, c in x.terms.items():
-        reached.update(_in_kind(coords, 3, {word: c}))
+        reached.update(_fractions(*_in_kind(coords, 3, _over_lcm({word: c}))))
     assert reached - set(want)
 
 
@@ -377,6 +384,206 @@ def test_corollary_reports():
 
     with pytest.raises(InconsistentTag):
         antipode_corollaries(all_ones_context(cyclic4()), 3)
+
+
+# -- failure parity with the Fraction suites -----------------------------------
+
+# The suites as they were before they moved onto int forms: every side a
+# public Fraction element, from the public product, coproduct and closed
+# antipode, and the compatibility right-hand side from
+# ``reference_square_product``.  Each check goes through ``verify._run`` as
+# looked up at the call.
+
+
+def reference_verify_nsym_rules(ctx, max_degree):
+    run, rep = verify._run, verify._report()
+    h_letters, r_letters = _letters(ctx, "h_basis"), _letters(ctx, "ribbon")
+    h, r = {}, {}
+    for n in range(max_degree + 1):
+        for mu in compositions(n):
+            h[mu] = tau_iota_element(ctx.basis, *h_letters, mu)
+            r[mu] = tau_iota_element(ctx.basis, *r_letters, mu)
+    for total in range(2, max_degree + 1):
+        for a in range(1, total):
+            for mu in compositions(a):
+                for nu in compositions(total - a):
+                    run(rep, ("h_concat", mu, nu),
+                        ctx.product(h[mu], h[nu]), h[concat(mu, nu)])
+                    run(rep, ("ribbon_product", mu, nu),
+                        ctx.product(r[mu], r[nu]),
+                        r[concat(mu, nu)] + r[smash(mu, nu)])
+    for n in range(1, max_degree + 1):
+        want = TensorSquare()
+        for j in range(n + 1):
+            want += TensorSquare.tensor(h[(j,) if j else ()],
+                                        h[(n - j,) if n - j else ()])
+        run(rep, ("h_deconcat", n), ctx.coproduct(h[(n,)]), want)
+    for n in range(1, max_degree + 1):
+        for mu in compositions(n):
+            want = TensorElement(n)
+            for nu in coarsenings(mu):
+                want += r[nu]
+            run(rep, ("h_coarsening", mu), h[mu], want)
+    for total in range(2, min(max_degree, 4) + 1):
+        for a in range(1, total):
+            for mu in compositions(a):
+                for nu in compositions(total - a):
+                    run(rep, ("h_compat", mu, nu),
+                        ctx.coproduct(ctx.product(h[mu], h[nu])),
+                        reference_square_product(ctx, ctx.coproduct(h[mu]),
+                                                 ctx.coproduct(h[nu])))
+    if ctx.iota == ctx.basis.reg and h_letters[0] == ctx.basis.one:
+        for n in range(1, max_degree + 1):
+            for mu in compositions(n):
+                bits = interior_bits(mu)
+                ones = TensorElement(sum(bits) + 1,
+                                     {(ctx.basis.one_index,) * sum(bits): 1})
+                run(rep, ("h_induced", mu), h[mu],
+                    ind_along(ctx.basis, bits, ones))
+    return rep
+
+
+def reference_antipode_corollaries(ctx, max_n):
+    run, rep = verify._run, verify._report(cases=[])
+    basis = ctx.basis
+    family = partial(tau_iota_element, basis)
+    if ctx.alpha == ctx.beta:
+        tau = shuffle_dual_complement(ctx)
+        if _spans(tau, ctx):
+            rep["cases"].append("primitive_negation")
+            for n in range(1, max_n + 1):
+                x = family(tau, ctx.iota, (n,))
+                run(rep, ("primitive_negation", n),
+                    antipode_closed(ctx, x), -x)
+        if ctx.iota == basis.one and ctx.alpha == basis.one:
+            rep["cases"].append("block_reversal")
+            for n in range(1, max_n + 1):
+                for mu in compositions(n):
+                    sign = -1 if len(mu) % 2 else 1
+                    run(rep, ("block_reversal", mu),
+                        antipode_closed(ctx, family(tau, ctx.iota, mu)),
+                        sign * family(tau, ctx.iota, tuple(reversed(mu))))
+    else:
+        astar, _ = _letters(ctx, "h_basis")
+        rep["cases"].append("generator_shift")
+        for n in range(1, max_n + 1):
+            run(rep, ("generator_shift", n),
+                antipode_closed(ctx, family(astar, ctx.iota, (n,))),
+                -family(astar - ctx.iota, ctx.iota, (n,)))
+        if ctx.iota == basis.reg and astar == basis.one:
+            rep["cases"].append("h_alternating_sum")
+            for n in range(1, max_n + 1):
+                for mu in compositions(n):
+                    want = TensorElement(n)
+                    for nu in refinements(tuple(reversed(mu))):
+                        want.add_scaled(family(astar, ctx.iota, nu).terms,
+                                        -1 if len(nu) % 2 else 1)
+                    run(rep, ("h_alternating_sum", mu),
+                        antipode_closed(ctx, family(astar, ctx.iota, mu)),
+                        want)
+    return rep
+
+
+def assert_suite_matches_reference(monkeypatch, suite, reference, ctx,
+                                   max_degree):
+    """The suite's report and every failing check, each as the report
+    would hold it had it failed first, are the reference's: values, types
+    and key order.  Returns the report."""
+    with monkeypatch.context() as patch:
+        # nsym binds verify's _run at import; route it through the
+        # recording one that failures_and_report installs
+        patch.setattr(nsym, "_run", lambda *args: verify._run(*args))
+        got = failures_and_report(monkeypatch, suite, ctx, max_degree)
+    want = failures_and_report(monkeypatch, reference, ctx, max_degree)
+    assert got[1]["checked"] == want[1]["checked"]
+    assert got[1]["passed"] == want[1]["passed"]
+    assert got[1].get("cases") == want[1].get("cases")
+    assert len(got[0]) == len(want[0])
+    for failure, expected in zip(got[0] + [got[1]["first_failure"]],
+                                 want[0] + [want[1]["first_failure"]]):
+        assert (failure is None) == (expected is None)
+        if expected is not None:
+            assert failure["inputs"] == expected["inputs"]
+            assert_same_value(failure["lhs"], expected["lhs"])
+            assert_same_value(failure["rhs"], expected["rhs"])
+    return got[1]
+
+
+def _flip(terms, pick):
+    """``terms`` with the sign of each picked term flipped, in the same
+    key order."""
+    return {k: -v if pick(k) else v for k, v in terms.items()}
+
+
+def test_nsym_suites_match_fraction_reference(monkeypatch):
+    """Green and red contexts alike: the unchecked D = 21 triple fails
+    most nsym rules."""
+    for ctx, green in ((ind_ctx(2), True), (ind_ctx(3), True),
+                       (ones_ctx(3), True), (unchecked_d21()[0], False)):
+        if ctx.alpha != ctx.beta:
+            rep = assert_suite_matches_reference(
+                monkeypatch, verify_nsym_rules, reference_verify_nsym_rules,
+                ctx, 5)
+            assert (rep["first_failure"] is None) == green
+        assert_suite_matches_reference(
+            monkeypatch, antipode_corollaries, reference_antipode_corollaries,
+            ctx, 5)
+
+
+def test_product_and_coproduct_mutants_match_fraction_reference(monkeypatch):
+    """A sign flip in ``_product_num`` (degree-3 products ending in letter
+    0) or in ``_coproduct_num`` (degree 3, left degree 1) reaches the
+    reference through the public kernels and turns nsym rules red: every
+    failure, the first included, is what the reference reports."""
+    product, coproduct = HopfContext._product_num, HopfContext._coproduct_num
+
+    def flipped_product(self, dx, x, dy, y):
+        den, acc = product(self, dx, x, dy, y)
+        return den, _flip(acc, lambda w: dx + dy == 3 and w[-1] == 0)
+
+    def flipped_coproduct(self, n, x):
+        den, acc = coproduct(self, n, x)
+        return den, _flip(acc, lambda k: n == 3 and k[0][0] == 1)
+
+    for name, mutant, first in (("_product_num", flipped_product, "h_concat"),
+                                ("_coproduct_num", flipped_coproduct,
+                                 "h_deconcat")):
+        for ctx in (ind_ctx(3), unchecked_d21()[0]):
+            with monkeypatch.context() as patch:
+                patch.setattr(HopfContext, name, mutant)
+                rep = assert_suite_matches_reference(
+                    monkeypatch, verify_nsym_rules,
+                    reference_verify_nsym_rules, ctx, 5)
+                if ctx == ind_ctx(3):
+                    assert rep["first_failure"]["inputs"][0] == first
+                    assert 0 < rep["passed"] < rep["checked"]
+
+
+def test_closed_antipode_mutant_matches_fraction_reference(monkeypatch):
+    """A sign flip in ``_closed_num`` (degree 3 and up, words starting
+    with letter 1) reaches the reference through ``antipode_closed`` and
+    turns every corollary case red: every failure, the first included, is
+    what the reference reports."""
+    real = antipode._closed_num
+
+    def flipped(ctx, n, x):
+        den, acc = real(ctx, n, x)
+        return den, _flip(acc, lambda w: n >= 3 and w[0] == 1)
+
+    t = two_dim(3)
+    half = t.element((Fraction(1, 2), Fraction(1, 4)))
+    cases = set()
+    for ctx in (ind_ctx(3), ones_ctx(2), HopfContext(t, t.reg, half, half)):
+        with monkeypatch.context() as patch:
+            patch.setattr(antipode, "_closed_num", flipped)
+            patch.setattr(nsym, "_closed_num", flipped)
+            rep = assert_suite_matches_reference(
+                monkeypatch, antipode_corollaries,
+                reference_antipode_corollaries, ctx, 5)
+        assert 0 < rep["passed"] < rep["checked"]
+        cases.update(rep["cases"])
+    assert cases == {"primitive_negation", "block_reversal",
+                     "generator_shift", "h_alternating_sum"}
 
 
 # -- descent classes -----------------------------------------------------------

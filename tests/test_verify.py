@@ -247,12 +247,12 @@ def failures_and_report(monkeypatch, suite, ctx, max_degree, **kwargs):
     real = verify._run
     failures = []
 
-    def recording(report, name, lhs, rhs, wrap=None):
+    def recording(report, name, lhs, rhs, *how):
         alone = verify._report()
-        real(alone, name, lhs, rhs, wrap)
+        real(alone, name, lhs, rhs, *how)
         if alone["first_failure"]:
             failures.append(alone["first_failure"])
-        real(report, name, lhs, rhs, wrap)
+        real(report, name, lhs, rhs, *how)
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_run", recording)
         report = suite(ctx, max_degree, **kwargs)
