@@ -19,19 +19,20 @@ it takes one coproduct of the whole input and sums S(left)·right over its
 merged intermediate terms; S of each left word comes from a per-word memo
 filled the same way.
 
-Every route sums on int forms (see ``elements``): the closed route over
-powers of the context's denominator D, as ``_closed_num``, which
-``antipode_closed`` wraps and ``verify_axioms`` reads, the oracle over
-Δ's denominator, reduced to the lcm of its coefficients' denominators,
-and the set-composition routes over powers of their own d, the lcm of
-the denominators of the public pairings and iota.  The closed route and
-the set-composition routes leave iota markers in their words and expand
-them at the end through ``hopf._expand_positions``.  The set-composition
-routes read nothing else of the context, and the oracle nothing of it
-but the coproduct, D and the iota numerators, so neither shares the
-closed route's integer tables.  The set-composition routes evaluate
-context-free per-degree plans, kept in a bounded cache, through
-``_plan_sum``.  All four routes emit their terms in sorted key order.
+Each route is an int kernel on int forms (see ``elements``), which its
+public function wraps, emitting terms in sorted key order: ``_closed_num``
+over powers of the context's denominator D, ``_setcomp_num`` over powers
+of its own d, the lcm of the denominators of the public pairings and
+iota, and ``_oracle_num`` over Δ's denominator, reduced to the lcm of its
+coefficients' denominators.  ``ROUTES`` lists the other three kernels,
+which ``verify`` and ``compute antipode --cross-check`` compare with
+``_closed_num``.  The closed and set-composition routes leave iota
+markers in their words and expand them at the end through
+``hopf._expand_positions``.  The set-composition routes read nothing
+else of the context, and the oracle nothing of it but the coproduct, D
+and the iota numerators, so neither shares the closed route's integer
+tables.  The set-composition routes evaluate context-free per-degree
+plans through ``_plan_sum``, keeping those up to degree ``_KEPT``.
 """
 
 from __future__ import annotations
@@ -45,13 +46,17 @@ from .elements import TensorElement, _accumulate, _fractions, _over_lcm
 from .hopf import _expand_positions
 
 
-def antipode_closed(ctx, x):
-    """Closed-form antipode, linear in x; terms in sorted key order, from
-    ``_closed_num``."""
-    out = TensorElement(x.degree)
-    out.terms = _fractions(*_closed_num(ctx, x.degree, _over_lcm(x.terms)),
-                           sort=True)
+def _element(n, form):
+    """The public degree-n element of a route's int form: its nonzero
+    ``Fraction`` terms in sorted key order."""
+    out = TensorElement(n)
+    out.terms = _fractions(*form, sort=True)
     return out
+
+
+def antipode_closed(ctx, x):
+    """Closed-form antipode, linear in x, from ``_closed_num``."""
+    return _element(x.degree, _closed_num(ctx, x.degree, _over_lcm(x.terms)))
 
 
 def _closed_num(ctx, n, x):
@@ -90,6 +95,7 @@ def _closed_num(ctx, n, x):
 
 _MARKER = -1  # an iota marker in an unexpanded word; letters are >= 0
 _SIGNS = (1, -1)  # plan k of a set-composition table has sign _SIGNS[k]
+_KEPT = 7  # tables kept up to here: the CLI's bound admits Fubini(7)
 
 
 def _getter(indices):
@@ -117,7 +123,7 @@ def _plan_sum(nums, tables, scales, plans):
     return acc
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2 * (_KEPT + 1))  # both routes, degrees 0 to _KEPT
 def _setcomp_table(comps_of, n):
     """The sum over comps_of(n) as ``_plan_sum`` plans: under A, letter j
     (between positions j+1, j+2) fills its slot of straighten(A) if both
@@ -138,28 +144,33 @@ def _setcomp_table(comps_of, n):
                  for (crossings, slots), sign in table.items())
 
 
-def _setcomp_sum(ctx, x, comps_of):
-    """The sum over comps_of(n) on int numerators over the route's own
-    denominator d, the lcm of the public pairings' and iota's; terms in
-    sorted key order.  Reads none of the context's integer tables."""
+def _setcomp_num(ctx, n, x, comps_of):
+    """The sum over comps_of(n) of the int form x of degree n, on int
+    numerators over the route's own denominator d, the lcm of the public
+    pairings' and iota's; words in no particular order.  Reads none of
+    the context's integer tables."""
     # degree 0 needs no case of its own: the table is the identity
-    n = x.degree
-    out = TensorElement(n)
-    if not x.terms:  # at once: the Fubini(n) set compositions are not walked
-        return out
+    common, nums = x
+    if not nums:  # at once: the Fubini(n) set compositions are not walked
+        return common, {}
     d, beta, alpha, iota = _over_lcm(ctx.pair_beta, ctx.pair_alpha,
                                      ctx.iota_coords)
     iota = {_MARKER: [(i, c) for i, c in enumerate(iota) if c]}
-    common, nums = _over_lcm(x.terms)
-    acc = _plan_sum(nums, (beta, alpha), _SIGNS, _setcomp_table(comps_of, n))
+    table = (_setcomp_table if n <= _KEPT
+             else _setcomp_table.__wrapped__)(comps_of, n)
+    acc = _plan_sum(nums, (beta, alpha), _SIGNS, table)
     # a word with k markers comes only from plans with k crossings, each
     # over d^2 (a pairing and an iota): pad it from d^(2k) to d^(2(n-1))
     top = max(n - 1, 0)
     pads = [d ** (2 * (top - k)) for k in range(top + 1)]
     acc = {w: v * pads[w.count(_MARKER)] for w, v in acc.items()}
-    out.terms = _fractions(common * d ** (2 * top),
-                           _expand_positions(acc, iota, range(top)), sort=True)
-    return out
+    return common * d ** (2 * top), _expand_positions(acc, iota, range(top))
+
+
+def _setcomp_sum(ctx, x, comps_of):
+    """``_setcomp_num``'s public element."""
+    return _element(x.degree, _setcomp_num(ctx, x.degree, _over_lcm(x.terms),
+                                           comps_of))
 
 
 def antipode_all_setcomps(ctx, x):
@@ -174,30 +185,27 @@ def antipode_toggle_free(ctx, x):
 
 
 def antipode_oracle(ctx, x):
-    """Antipode from the convolution equation, which holds for x itself as
-    Δ is linear: S(x) = -x - sum of S(left)·right over the strictly
-    intermediate terms of one ``ctx._coproduct_num(x)``; terms in sorted key
-    order.  S of each left word, and of a one-word input, is memoized per
-    context and basis word in ``ctx._antipode_cache``, which only the
-    context's lifetime and the degrees asked for bound (see
-    ``HopfContext``)."""
-    n = x.degree
-    out = TensorElement(n)
-    if n == 0:
-        out += x
-        return out
-    if not x.terms:
-        return out
-    if len(x.terms) == 1:  # a word that a later input may have on the left
-        ((word, c),) = x.terms.items()
-        den, nums = _oracle_word(ctx, n, word)
-        if c != 1:
-            den, nums = (den * c.denominator,
-                         {w: c.numerator * v for w, v in nums.items()})
-    else:
-        den, nums = _oracle_solve(ctx, n, _over_lcm(x.terms))
-    out.terms = _fractions(den, nums, sort=True)
-    return out
+    """Antipode from the convolution equation, from ``_oracle_num``."""
+    return _element(x.degree, _oracle_num(ctx, x.degree, _over_lcm(x.terms)))
+
+
+def _oracle_num(ctx, n, x):
+    """S of the int form x of degree n (x itself at degree 0) from the
+    convolution equation, which holds for x as Δ is linear: S(x) = -x -
+    sum of S(left)·right over the strictly intermediate terms of one
+    ``ctx._coproduct_num(x)``.  S of each left word, and of a one-word
+    input, is memoized per context and basis word in
+    ``ctx._antipode_cache``, which only the context's lifetime and the
+    degrees asked for bound (see ``HopfContext``)."""
+    common, nums = x
+    if n == 0 or not nums:
+        return x
+    if len(nums) == 1:  # a word that a later input may have on the left
+        ((word, c),) = nums.items()
+        den, s = _oracle_word(ctx, n, word)
+        return ((den, s) if common == c == 1
+                else (den * common, {w: c * v for w, v in s.items()}))
+    return _oracle_solve(ctx, n, x)
 
 
 def _oracle_word(ctx, degree, word):
@@ -216,10 +224,10 @@ def _oracle_solve(ctx, n, x):
     L, the lcm of the coefficients' reduced denominators.  Built from the
     coproduct's int form and the iota splice alone."""
     common, nums = x
-    # Δ's terms over its one denominator, in the public coproduct's order
+    # Δ's terms over its one denominator, in its sorted order
     delta_den, delta = ctx._coproduct_num(n, x)
     steps = [(c, rw, *_oracle_word(ctx, ld, lw)) for ((ld, lw), (_, rw)), c
-             in sorted(delta.items()) if c and 0 < ld < n]
+             in delta.items() if c and 0 < ld < n]
     # c·S(left)·right is over Δ's denominator, S(left)'s and one iota's D
     den = delta_den * ctx._den
     top = lcm(common, *(s_den * den for _, _, s_den, _ in steps))
@@ -237,10 +245,12 @@ def _oracle_solve(ctx, n, x):
     return top // g, {w: v // g for w, v in acc.items()}
 
 
-# The routes checked against antipode_closed.  Each looks its function up
-# when called, so a wrapper bound later to the module attribute sees it.
+# The int kernels of the routes checked against _closed_num, called as
+# route(ctx, n, x).  Each looks its kernel up when called, so a function
+# bound later to the module attribute is the one checked.
 ROUTES = (
-    ("all_setcomps", lambda ctx, x: antipode_all_setcomps(ctx, x)),
-    ("toggle_free", lambda ctx, x: antipode_toggle_free(ctx, x)),
-    ("oracle", lambda ctx, x: antipode_oracle(ctx, x)),
+    ("all_setcomps", lambda ctx, n, x: _setcomp_num(ctx, n, x,
+                                                    set_compositions)),
+    ("toggle_free", lambda ctx, n, x: _setcomp_num(ctx, n, x, toggle_free)),
+    ("oracle", lambda ctx, n, x: _oracle_num(ctx, n, x)),
 )

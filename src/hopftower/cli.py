@@ -281,16 +281,19 @@ def _cmd_compute(args, basis, tag):
                "--cross-check: dim^(degree-1) * 2^degree")
         _admit_set_compositions(x.degree, "degree")
     _check_output_size("antipode", basis.dim, x)
-    from .antipode import ROUTES, antipode_closed
-    result = antipode_closed(ctx, x)
-    payload = element_to_dict(result, basis, tag)
+    from .antipode import ROUTES, _closed_num, _element, antipode_closed
     if not args.cross_check:
-        return 0, payload
+        return 0, element_to_dict(antipode_closed(ctx, x), basis, tag)
+    # the routes compared as int forms; Fractions only for the output
+    from .elements import _over_lcm, _same
+    n, form = x.degree, _over_lcm(x.terms)
+    closed = _closed_num(ctx, n, form)
+    payload = element_to_dict(_element(n, closed), basis, tag)
     for name, route in ROUTES:
-        other = route(ctx, x)
-        if other != result:
+        if not _same(other := route(ctx, n, form), closed):
             return 1, {"agreed": False, "variant": name, "closed": payload,
-                       "other": element_to_dict(other, basis, tag)}
+                       "other": element_to_dict(_element(n, other), basis,
+                                                tag)}
     payload["cross_checked"] = True
     return 0, payload
 

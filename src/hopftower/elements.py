@@ -12,7 +12,9 @@ form* ``(den, key -> int numerator over den)``, in which zeros may stay.
 Five helpers here are all that touch it: ``_over_lcm`` and ``_expand_num``
 build it, ``_sum_forms`` adds scaled ones, ``_same`` compares two by
 cross-multiplication, and ``_fractions`` is the one edge back to nonzero
-``Fraction`` terms.  A public kernel converts once each way.
+``Fraction`` terms, one ``Fraction`` per distinct numerator.  A public
+kernel converts once each way, and the antipode routes' kernels are
+compared as int forms.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ def _fractions(den, nums, sort=False):
     >>> _fractions(4, {"b": 2, "a": 0, "c": -4})
     {'b': Fraction(1, 2), 'c': Fraction(-1, 1)}
     """
-    return {k: Fraction(v, den)
+    made = {v: Fraction(v, den) for v in set(nums.values()) if v}
+    return {k: made[v]
             for k, v in (sorted(nums.items()) if sort else nums.items()) if v}
 
 

@@ -112,8 +112,11 @@ class HopfContext:
     def __eq__(self, other):
         return isinstance(other, HopfContext) and self._key() == other._key()
 
+    # once per context, not per lookup of a memo keyed by contexts
+    _hash = cached_property(lambda self: hash(self._key()))
+
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return (f"HopfContext(iota={self.iota!r}, alpha={self.alpha!r}, "
@@ -165,16 +168,16 @@ class HopfContext:
     # -- coproduct -----------------------------------------------------------
 
     def coproduct(self, x):
-        """Sum over subsets of the tensor positions 1..n; terms in sorted
-        key order, from ``_coproduct_num``."""
+        """Sum over subsets of the tensor positions 1..n; terms in
+        ``_coproduct_num``'s order, which is sorted."""
         out = TensorSquare()
-        out.terms = _fractions(
-            *self._coproduct_num(x.degree, _over_lcm(x.terms)), sort=True)
+        out.terms = _fractions(*self._coproduct_num(x.degree,
+                                                    _over_lcm(x.terms)))
         return out
 
     def _coproduct_num(self, n, x):
-        """The coproduct of the int form x of degree n, in no particular
-        key order and with zeros left in.
+        """The coproduct of the int form x of degree n, keys in sorted
+        order and zeros left in.
 
         Positions in the subset feed the left factor, the rest the right
         factor, each side keeping its letters in increasing position
@@ -194,6 +197,11 @@ class HopfContext:
         x, grouped by their unread letters, an int whose low b bits are the
         next letter; their words are unpacked at the end through
         ``_words``.
+
+        Keys come out sorted: the ``((0, ()), (n, w))`` ends by w, the
+        states as packed (left, right) pairs, which sort as (degree, word)
+        does (a longer word is a larger int, the first letter highest),
+        then the ``((n, w), (0, ()))`` ends by w.
         """
         alpha, beta, iota = self._alpha_num, self._beta_num, self._iota_num
         d1, d2 = self._den, self._den ** 2
@@ -201,9 +209,10 @@ class HopfContext:
         common, nums = x
         words, b = self._words
         mask = (1 << b) - 1
-        acc, heads = {}, []  # heads: (head read, unread letters, numerator)
+        ends = [(w, nums[w] * top) for w in sorted(nums)]
+        acc = {((0, ()), (n, w)): v for w, v in ends}
+        heads = []  # (head read, unread letters, numerator)
         for w, v in nums.items():
-            acc[(n, w), (0, ())] = acc[(0, ()), (n, w)] = v * top
             rest = 0
             for a in reversed(w):
                 rest = rest << b | a
@@ -243,13 +252,15 @@ class HopfContext:
         states = on[0].pop(0, {})
         for (rw, lw), v in on[1].pop(0, {}).items():
             states[lw, rw] = states.get((lw, rw), 0) + v
-        for (lw, rw), v in states.items():
+        for key in sorted(states):  # plain pairs of ints sort fastest
+            lw, rw = key
             try:
-                acc[words[lw], words[rw]] = v
+                acc[words[lw], words[rw]] = states[key]
             except KeyError:  # a word this context has not unpacked yet
                 _unpack(words, lw, b)
                 _unpack(words, rw, b)
-                acc[words[lw], words[rw]] = v
+                acc[words[lw], words[rw]] = states[key]
+        acc.update((((n, w), (0, ())), v) for w, v in ends)
         return common * top, acc
 
     def square_product(self, s, t):

@@ -253,7 +253,7 @@ def verify_nsym_rules(ctx, max_degree):
     for n in range(1, max_degree + 1):
         _run(report, ("h_deconcat", n), ctx._coproduct_num(n, h[(n,)]),
              _sum_forms((1, tensor(j, n - j)) for j in range(n + 1)),
-             TensorSquare, True)
+             TensorSquare)
 
     # h is the coarsening sum of ribbons
     for n in range(1, max_degree + 1):
@@ -272,7 +272,7 @@ def verify_nsym_rules(ctx, max_degree):
                 for nu in compositions(total - a):
                     _run(report, ("h_compat", mu, nu),
                          *_compat_sides(ctx, *form(mu), *form(nu), delta(mu),
-                                        delta(nu)), TensorSquare, True)
+                                        delta(nu)), TensorSquare)
 
     # independent route to h when iota is the regular character and the
     # dual of alpha is the all-ones character

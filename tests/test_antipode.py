@@ -3,7 +3,8 @@ toggle-free sum, and the convolution-equation solver."""
 
 from fractions import Fraction
 
-from hopftower.antipode import (_MARKER, _setcomp_table, antipode_all_setcomps,
+from hopftower.antipode import (_KEPT, _MARKER, _setcomp_table,
+                                antipode_all_setcomps,
                                 antipode_closed, antipode_oracle,
                                 antipode_toggle_free)
 from hopftower.characters import constant_character
@@ -168,3 +169,22 @@ def test_plans_are_shared_across_contexts():
                 assert_same(antipode_closed(ctx, x), want, sorted_keys=True)
                 assert antipode_all_setcomps(ctx, x) == want
     assert _setcomp_table.cache_info().hits > 0
+
+
+def test_set_composition_tables_are_kept_up_to_degree_seven():
+    """Both routes' tables are kept up to degree 7, the largest the CLI's
+    set-composition bound admits; a degree-8 table is built per call and
+    leaves the cache as it was."""
+    assert _KEPT == 7
+    assert _setcomp_table.cache_info().maxsize == 2 * (_KEPT + 1)
+    ctx = induction_context(two_dim(2))
+    seven, eight = word(7, [0, 1] * 3), word(8, [1, 0] * 3 + [1])
+    assert antipode_toggle_free(ctx, seven) == antipode_closed(ctx, seven)
+    before = _setcomp_table.cache_info()
+    assert antipode_toggle_free(ctx, seven) == antipode_closed(ctx, seven)
+    assert _setcomp_table.cache_info().hits == before.hits + 1
+    before = _setcomp_table.cache_info()
+    assert antipode_toggle_free(ctx, eight) == antipode_closed(ctx, eight)
+    after = _setcomp_table.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -11,10 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from hopftower import antipode
+from hopftower.antipode import antipode_closed
 from hopftower.cli import _check_output_size, main
 from hopftower.elements import TensorElement
-from hopftower.serialize import theory_to_dict
+from hopftower.hopf import induction_context
+from hopftower.serialize import (element_from_dict, element_to_dict,
+                                 theory_to_dict)
 from hopftower.theory import two_dim
+from test_verify import PUBLIC_ROUTES, route_mutants
 
 IND = ["--q", "3", "--iota", "reg", "--alpha", "one", "--beta", "beta_star"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,6 +84,46 @@ def test_compute_antipode_cross_checked(capsys):
     data = json.loads(out)
     assert data["cross_checked"] is True
     assert data["terms"] == [{"word": ["regm1"], "coeff": "1"}]
+
+
+def reference_cross_check(ctx, x, closed, tag):
+    """What ``compute antipode --cross-check`` printed when it compared
+    the public ``Fraction`` routes with ``antipode_closed`` by ``==``:
+    ``closed`` is the closed antipode's payload."""
+    result = antipode_closed(ctx, x)
+    for name, route in PUBLIC_ROUTES:
+        other = route(ctx, x)
+        if other != result:
+            return 1, {"agreed": False, "variant": name, "closed": closed,
+                       "other": element_to_dict(other, ctx.basis, tag)}
+    return 0, {**closed, "cross_checked": True}
+
+
+def test_cross_check_mutants_match_fraction_reference(capsys, monkeypatch):
+    """With ``_setcomp_num`` or ``_oracle_num`` sign-flipped, the
+    cross-check exits 1 and prints, byte for byte, what the public-route
+    loop reports; unflipped, it prints the closed antipode."""
+    x = words_json(4, ["one", "regm1"], 8)
+    ctx = induction_context(two_dim(3))
+    element = element_from_dict(json.loads(x), ctx.basis)
+    code, out, _ = run(capsys, ["compute", "antipode", *IND, "--x", x])
+    closed = json.loads(out)
+    tag = {k: v for k, v in closed.items() if k not in ("degree", "terms")}
+    assert closed == element_to_dict(antipode_closed(ctx, element),
+                                     ctx.basis, tag)
+    cases = [(None, None, None), *route_mutants()]
+    for name, mutant, variant in cases:
+        with monkeypatch.context() as patch:
+            if name:
+                patch.setattr(antipode, name, mutant)
+            want = reference_cross_check(ctx, element, closed, tag)
+            code, out, _ = run(capsys, ["compute", "antipode", *IND,
+                                        "--cross-check", "--x", x])
+        assert (code, out) == (want[0], json.dumps(
+            want[1], indent=2, sort_keys=True) + "\n")
+        assert code == (1 if name else 0)
+        if name:
+            assert json.loads(out)["variant"] == variant
 
 
 def readme_examples():

@@ -62,6 +62,25 @@ def test_context_equality_and_hash():
     assert len({ones_ctx(), ones_ctx(), ind_ctx()}) == 2
 
 
+def test_context_is_hashed_once(monkeypatch):
+    """A context hashes its basis and triple once, however often a memo
+    looks it up; equal contexts still hash equal."""
+    real, keyed = HopfContext._key, []
+
+    def counted(self):
+        keyed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(HopfContext, "_key", counted)
+    a, b = ind_ctx(), ind_ctx()
+    assert hash(a) == hash(b) == hash(a) == hash(b)
+    assert len(keyed) == 2
+    assert {a: 1}[b] == 1
+    t = two_dim(3)
+    assert hash(HopfContext.unchecked(t, t.reg, t.one, t.one)) == hash(
+        HopfContext.unchecked(two_dim(3), t.reg, t.one, t.one))
+
+
 def test_context_rejects_foreign_elements():
     with pytest.raises(ValueError):
         HopfContext(two_dim(3), two_dim(5).one, two_dim(3).one, two_dim(3).one)

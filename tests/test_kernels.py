@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopftower import characters, hopf
-from hopftower.antipode import (_MARKER, _closed_num, _setcomp_sum,
+from hopftower.antipode import (_MARKER, _closed_num, _setcomp_num,
                                 _setcomp_table, antipode_all_setcomps,
                                 antipode_closed, antipode_oracle,
                                 antipode_toggle_free)
@@ -444,11 +444,13 @@ def test_setcomp_routes_match_the_plain_walk():
 
 def test_setcomp_routes_read_no_integer_table_of_the_context():
     """The set-composition routes stay a cross-check of the closed route:
-    they name none of the context's integer tables or the closed plans."""
-    names = set(_setcomp_sum.__code__.co_names)
-    assert "pair_alpha" in names  # co_names holds the attributes read
+    their int kernel and its helpers name none of the context's integer
+    tables or the closed route."""
+    names = _names_reached(_setcomp_num)
+    # co_names holds the attributes read; the helpers are reached
+    assert {"pair_alpha", "_plan_sum", "_setcomp_table"} <= names
     assert not names & {"_den", "_alpha_num", "_beta_num", "_iota_num",
-                        "_diff_num", "_closed_plans"}
+                        "_diff_num", "_closed_plans", "_closed_num"}
 
 
 def _names_reached(function):
@@ -490,7 +492,8 @@ def test_oracle_reads_no_other_route():
             "_oracle_word", "_oracle_solve"} <= names
     assert "coproduct" not in names
     assert not names & {"antipode_closed", "_closed_plans", "_setcomp_table",
-                        "_setcomp_sum", "_plan_sum", "_diff_num",
+                        "_setcomp_sum", "_setcomp_num", "_plan_sum",
+                        "_closed_num", "_diff_num",
                         "_alpha_num", "_beta_num", "antipode_all_setcomps",
                         "antipode_toggle_free"}
 
@@ -864,3 +867,58 @@ def test_expand_positions_matches_expand_letters():
                 assert got == reference_expand_positions(terms, subs,
                                                          positions, dim)
                 assert all(type(c) is int and c for c in got.values())
+
+
+def _order_contexts():
+    """two_dim(3) (1 bit a letter), cyclic4 (2 bits) and the rank-6
+    cyclic4 x two_dim(2) (3 bits)."""
+    return [induction_context(two_dim(3)), induction_context(cyclic4()),
+            induction_context(kronecker(cyclic4(), two_dim(2)))]
+
+
+@st.composite
+def order_inputs(draw, contexts=_order_contexts()):
+    """A context and an element of degree 0 to 6 on it: empty, one word
+    or up to 6 words, in drawn term order."""
+    ctx = draw(st.sampled_from(contexts))
+    n = draw(st.integers(0, 6))
+    length, dim = max(n - 1, 0), ctx.basis.dim
+    any_word = st.lists(st.integers(0, dim - 1), min_size=length,
+                        max_size=length).map(tuple)
+    size = draw(st.sampled_from(((0, 0), (1, 1), (2, 6))))
+    words = draw(st.lists(any_word, min_size=min(size[0], dim ** length),
+                          max_size=size[1], unique=True))
+    return ctx, TensorElement(n, [(w, draw(_COEFFS)) for w in words])
+
+
+@settings(max_examples=80, deadline=None)
+@given(order_inputs(), st.randoms(use_true_random=False))
+def test_coproduct_keys_come_out_sorted(case, rng):
+    """``_coproduct_num`` emits its keys sorted, so the public coproduct
+    sorts nothing, and its terms do not depend on the input's order."""
+    ctx, x = case
+    keys = list(ctx._coproduct_num(*int_form(x))[1])
+    assert keys == sorted(keys)
+    items = list(x.terms.items())
+    rng.shuffle(items)
+    got = ctx.coproduct(x)
+    assert list(got.terms.items()) == list(
+        ctx.coproduct(TensorElement(x.degree, items)).terms.items())
+    assert list(got.terms) == sorted(got.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.integers(-5, 5)),
+       st.integers(1, 12), st.booleans())
+def test_fractions_build_one_fraction_per_distinct_numerator(nums, den, sort):
+    """``_fractions`` is the per-term build in values, types and key
+    order, zeros dropped and negative numerators kept, with one
+    ``Fraction`` per distinct nonzero numerator."""
+    items = sorted(nums.items()) if sort else nums.items()
+    want = {k: Fraction(v, den) for k, v in items if v}
+    got = _fractions(den, nums, sort)
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is Fraction for c in got.values())
+    assert len({id(c) for c in got.values()}) == len(
+        {v for v in nums.values() if v})

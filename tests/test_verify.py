@@ -6,7 +6,10 @@ import random
 import pytest
 
 import hopftower.verify as verify
-from hopftower.antipode import antipode_closed
+from hopftower import antipode
+from hopftower.antipode import (antipode_all_setcomps, antipode_closed,
+                                antipode_oracle, antipode_toggle_free)
+from hopftower.combinatorics import toggle_free
 from hopftower.elements import TensorElement
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.theory import cyclic4, two_dim
@@ -19,6 +22,12 @@ from test_kernels import reference_square_product, unchecked_d21
 
 def contexts(q=3):
     return all_ones_context(two_dim(q)), induction_context(two_dim(q))
+
+
+def word_elements(ctx, degree):
+    """Each basis word of the degree with its public one-word element."""
+    for w in ctx.basis_words(degree):
+        yield w, TensorElement(degree, {w: 1})
 
 
 def test_axioms_pass_on_valid_contexts():
@@ -150,7 +159,7 @@ def reference_verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
         return memo["S", degree, word]
 
     for n in range(max_degree + 1):
-        for w, x in verify._word_elements(ctx, n):
+        for w, x in word_elements(ctx, n):
             run(rep, ("left_unit", n, w), ctx.product(unit, x), x)
             run(rep, ("right_unit", n, w), ctx.product(x, unit), x)
 
@@ -192,8 +201,8 @@ def reference_verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
 
     for total in range(2, max_degree + 1):
         for a in range(1, total):
-            for wx, x in verify._word_elements(ctx, a):
-                for wy, y in verify._word_elements(ctx, total - a):
+            for wx, x in word_elements(ctx, a):
+                for wy, y in word_elements(ctx, total - a):
                     run(rep, ("compatibility", (a, wx), (total - a, wy)),
                         ctx.coproduct(ctx.product(x, y)),
                         reference_square_product(ctx, delta(a, wx),
@@ -203,10 +212,10 @@ def reference_verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
         for a in range(1, total - 1):
             for b in range(1, total - a):
                 c = total - a - b
-                for wx, x in verify._word_elements(ctx, a):
-                    for wy, y in verify._word_elements(ctx, b):
+                for wx, x in word_elements(ctx, a):
+                    for wy, y in word_elements(ctx, b):
                         xy = ctx.product(x, y)
-                        for wz, z in verify._word_elements(ctx, c):
+                        for wz, z in word_elements(ctx, c):
                             run(rep, ("associativity",
                                       (a, wx), (b, wy), (c, wz)),
                                 ctx.product(xy, z),
@@ -405,3 +414,93 @@ def test_verify_all_passes_spot_checks_to_axioms():
     assert plain["axioms"]["checked"] + 8 == seeded["axioms"]["checked"]
     assert {k: v for k, v in plain.items() if k != "axioms"} == {
         k: v for k, v in seeded.items() if k != "axioms"}
+
+
+# the routes as verify_antipode_equivalence compared them on Fraction
+# elements, each looked up when called
+PUBLIC_ROUTES = (
+    ("all_setcomps", lambda ctx, x: antipode_all_setcomps(ctx, x)),
+    ("toggle_free", lambda ctx, x: antipode_toggle_free(ctx, x)),
+    ("oracle", lambda ctx, x: antipode_oracle(ctx, x)),
+)
+
+
+def reference_verify_antipode_equivalence(ctx, max_degree):
+    """``verify_antipode_equivalence`` through the public ``Fraction``
+    routes: each basis word's antipode by every route against
+    ``antipode_closed``'s, compared by ``==`` through ``verify._run`` as
+    looked up at the call."""
+    run, rep = verify._run, verify._report()
+    for n in range(max_degree + 1):
+        for w, x in word_elements(ctx, n):
+            reference = antipode_closed(ctx, x)
+            for name, route in PUBLIC_ROUTES:
+                run(rep, ("closed_vs_" + name, n, w), route(ctx, x),
+                    reference)
+    rep["toggle_free_counts"] = {
+        n: sum(1 for _ in toggle_free(n)) for n in range(1, max_degree + 1)}
+    return rep
+
+
+def _flip_from_one(n, terms):
+    """``terms`` with the sign of each word starting with letter 1 flipped
+    from degree 3 on, in the same key order."""
+    return {w: -v if n >= 3 and w[0] == 1 else v for w, v in terms.items()}
+
+
+def route_mutants():
+    """(kernel name, the kernel sign-flipped by ``_flip_from_one``, the
+    first route it turns red) for the set-composition and oracle
+    kernels."""
+    setcomp, oracle = antipode._setcomp_num, antipode._oracle_num
+
+    def flipped_setcomp(ctx, n, x, comps_of):
+        den, acc = setcomp(ctx, n, x, comps_of)
+        return den, _flip_from_one(n, acc)
+
+    def flipped_oracle(ctx, n, x):
+        den, acc = oracle(ctx, n, x)
+        return den, _flip_from_one(n, acc)
+
+    return (("_setcomp_num", flipped_setcomp, "all_setcomps"),
+            ("_oracle_num", flipped_oracle, "oracle"))
+
+
+def assert_equivalence_matches_reference(monkeypatch, ctx, max_degree):
+    got = failures_and_report(monkeypatch, verify_antipode_equivalence, ctx,
+                              max_degree)
+    want = failures_and_report(monkeypatch,
+                               reference_verify_antipode_equivalence, ctx,
+                               max_degree)
+    assert got[1] == want[1]
+    assert len(got[0]) == len(want[0])
+    for failure, expected in zip(got[0] + [got[1]["first_failure"]],
+                                 want[0] + [want[1]["first_failure"]]):
+        assert (failure is None) == (expected is None)
+        if expected is not None:
+            assert failure["inputs"] == expected["inputs"]
+            assert_same_value(failure["lhs"], expected["lhs"])
+            assert_same_value(failure["rhs"], expected["rhs"])
+    return got[1]
+
+
+def test_antipode_equivalence_matches_fraction_reference(monkeypatch):
+    """On int kernels the suite reports what the public-route loop
+    reports, on valid contexts and on unchecked triples."""
+    for ctx in (*contexts(), induction_context(cyclic4()), *unchecked_d21()):
+        assert_equivalence_matches_reference(monkeypatch, ctx, 4)
+
+
+def test_route_mutants_match_fraction_reference(monkeypatch):
+    """A sign flip in ``_setcomp_num`` or ``_oracle_num`` reaches the
+    reference through the public routes and turns the suite red: every
+    failure, the first included, is what the public-route loop reports."""
+    for name, mutant, variant in route_mutants():
+        for ctx in (induction_context(two_dim(3)),
+                    induction_context(cyclic4())):
+            with monkeypatch.context() as patch:
+                patch.setattr(antipode, name, mutant)
+                rep = assert_equivalence_matches_reference(monkeypatch, ctx,
+                                                           4)
+            assert rep["first_failure"]["inputs"][0] == "closed_vs_" + variant
+            assert 0 < rep["passed"] < rep["checked"]
