@@ -28,11 +28,11 @@ coefficients' denominators.  ``ROUTES`` lists the other three kernels,
 which ``verify`` and ``compute antipode --cross-check`` compare with
 ``_closed_num``.  The closed and set-composition routes leave iota
 markers in their words and expand them at the end through
-``hopf._expand_positions``.  The set-composition routes read nothing
+``elements._expand_positions``.  The set-composition routes read nothing
 else of the context, and the oracle nothing of it but the coproduct, D
 and the iota numerators, so neither shares the closed route's integer
-tables.  The set-composition routes evaluate context-free per-degree
-plans through ``_plan_sum``, keeping those up to degree ``_KEPT``.
+tables.  The set-composition routes sum context-free per-degree tables
+of plans in one loop, keeping the tables up to degree ``_KEPT``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .combinatorics import set_compositions, setcomp_profile, toggle_free
-from .elements import TensorElement, _accumulate, _fractions, _over_lcm
-from .hopf import _expand_positions
+from .elements import (TensorElement, _accumulate, _expand_positions,
+                       _fractions, _over_lcm)
 
 
 def _element(n, form):
@@ -90,11 +90,10 @@ def _closed_num(ctx, n, x):
         w = block + done
         acc[w] = acc.get(w, 0) + v
     return (common * ctx._den ** (2 * max(n - 1, 0)),
-            _expand_positions(acc, {_MARKER: ctx._iota_num}, range(n - 1)))
+            _expand_positions(acc, {_MARKER: ctx._iota_num}))
 
 
 _MARKER = -1  # an iota marker in an unexpanded word; letters are >= 0
-_SIGNS = (1, -1)  # plan k of a set-composition table has sign _SIGNS[k]
 _KEPT = 7  # tables kept up to here: the CLI's bound admits Fubini(7)
 
 
@@ -104,31 +103,14 @@ def _getter(indices):
             else lambda w: tuple(w[j] for j in indices))
 
 
-def _plan_sum(nums, tables, scales, plans):
-    """A degree's plans summed over the words of an element (word -> coeff)
-    onto unexpanded words: per word and plan (k, crossings, get), coeff
-    times ``scales[k]`` times ``tables[flag][word[j]]`` per crossing
-    (j, flag), added at ``get(word + (_MARKER,))``.  Zeros may stay."""
-    acc = {}
-    for word, num in nums.items():
-        marked = word + (_MARKER,)
-        for k, crossings, get in plans:
-            scalar = num * scales[k]
-            for j, flag in crossings:
-                scalar *= tables[flag][word[j]]
-                if not scalar:
-                    break
-            if scalar:
-                acc[key] = acc.get(key := get(marked), 0) + scalar
-    return acc
-
-
 @lru_cache(maxsize=2 * (_KEPT + 1))  # both routes, degrees 0 to _KEPT
 def _setcomp_table(comps_of, n):
-    """The sum over comps_of(n) as ``_plan_sum`` plans: under A, letter j
-    (between positions j+1, j+2) fills its slot of straighten(A) if both
-    share a block, else crosses as (j, 1 for alpha or 0 for beta); empty
-    slots hold the iota marker.  Equal plans add their signs (net ±1)."""
+    """The sum over comps_of(n) as plans (sign, crossings, get): under A,
+    letter j (between positions j+1, j+2) fills its slot of straighten(A)
+    if both share a block, else crosses as (j, 1 for alpha or 0 for
+    beta); empty slots hold the iota marker, and ``get`` picks the slots
+    out of a word with the marker appended.  Equal plans add their signs
+    (net ±1)."""
     table = {}
     for A in comps_of(n):
         w, llc, bc = setcomp_profile(A)
@@ -140,7 +122,7 @@ def _setcomp_table(comps_of, n):
                 crossings.append((j, llc[j]))
         _accumulate(table, (tuple(crossings), tuple(slots)),
                     -1 if len(A) % 2 else 1)
-    return tuple((_SIGNS.index(sign), crossings, _getter(slots))
+    return tuple((sign, crossings, _getter(slots))
                  for (crossings, slots), sign in table.items())
 
 
@@ -156,32 +138,39 @@ def _setcomp_num(ctx, n, x, comps_of):
     d, beta, alpha, iota = _over_lcm(ctx.pair_beta, ctx.pair_alpha,
                                      ctx.iota_coords)
     iota = {_MARKER: [(i, c) for i, c in enumerate(iota) if c]}
+    pairings = (beta, alpha)
     table = (_setcomp_table if n <= _KEPT
              else _setcomp_table.__wrapped__)(comps_of, n)
-    acc = _plan_sum(nums, (beta, alpha), _SIGNS, table)
-    # a word with k markers comes only from plans with k crossings, each
-    # over d^2 (a pairing and an iota): pad it from d^(2k) to d^(2(n-1))
+    # a plan with k crossings leaves k markers, each crossing over d^2 (a
+    # pairing and an iota): pad it from d^(2k) to d^(2(n-1))
     top = max(n - 1, 0)
-    pads = [d ** (2 * (top - k)) for k in range(top + 1)]
-    acc = {w: v * pads[w.count(_MARKER)] for w, v in acc.items()}
-    return common * d ** (2 * top), _expand_positions(acc, iota, range(top))
-
-
-def _setcomp_sum(ctx, x, comps_of):
-    """``_setcomp_num``'s public element."""
-    return _element(x.degree, _setcomp_num(ctx, x.degree, _over_lcm(x.terms),
-                                           comps_of))
+    plans = [(sign * d ** (2 * (top - len(crossings))), crossings, get)
+             for sign, crossings, get in table]
+    acc = {}
+    for word, num in nums.items():
+        marked = word + (_MARKER,)
+        for scale, crossings, get in plans:
+            scalar = num * scale
+            for j, flag in crossings:
+                scalar *= pairings[flag][word[j]]
+                if not scalar:
+                    break
+            if scalar:
+                acc[key] = acc.get(key := get(marked), 0) + scalar
+    return common * d ** (2 * top), _expand_positions(acc, iota)
 
 
 def antipode_all_setcomps(ctx, x):
     """Antipode as the full sum over ordered set partitions of the
     positions."""
-    return _setcomp_sum(ctx, x, set_compositions)
+    return _element(x.degree, _setcomp_num(ctx, x.degree, _over_lcm(x.terms),
+                                           set_compositions))
 
 
 def antipode_toggle_free(ctx, x):
     """Antipode as the reduced sum over toggle-free set compositions."""
-    return _setcomp_sum(ctx, x, toggle_free)
+    return _element(x.degree, _setcomp_num(ctx, x.degree, _over_lcm(x.terms),
+                                           toggle_free))
 
 
 def antipode_oracle(ctx, x):

@@ -9,8 +9,9 @@ Coefficients are ``Fraction``s at the public edge only.  Inside, the
 kernels (the ``_*_num`` functions of ``hopf``, ``antipode`` and ``nsym``,
 and the closed formulas of ``characters``) take and return the *int
 form* ``(den, key -> int numerator over den)``, in which zeros may stay.
-Five helpers here are all that touch it: ``_over_lcm`` and ``_expand_num``
-build it, ``_sum_forms`` adds scaled ones, ``_same`` compares two by
+Six helpers here are all that touch it: ``_over_lcm`` and ``_expand_num``
+build it, ``_expand_positions`` expands the entries of its words,
+``_sum_forms`` adds scaled ones, ``_same`` compares two by
 cross-multiplication, and ``_fractions`` is the one edge back to nonzero
 ``Fraction`` terms, one ``Fraction`` per distinct numerator.  A public
 kernel converts once each way, and the antipode routes' kernels are
@@ -306,3 +307,26 @@ def _expand_num(entries, coeff=1):
         partial = {w + (i,): c * ci for i, ci in enumerate(nums) if ci
                    for w, c in partial.items() if c}
     return den, partial
+
+
+def _expand_positions(terms, subs):
+    """Expand every position of words of one length (word -> int or
+    Fraction) in turn: an entry in ``subs`` becomes its (letter,
+    coefficient) pairs, others stay, equal words merge and zeros drop.
+
+    >>> _expand_positions({(-1, 0): 2, (1, 1): 0}, {-1: ((0, 3), (1, -1))})
+    {(0, 0): 6, (1, 0): -2}
+    """
+    for p in range(len(next(iter(terms), ()))):
+        out = {}
+        for w, c in terms.items():
+            pairs = subs.get(w[p])
+            if pairs is None:
+                out[w] = out.get(w, 0) + c
+            elif c:
+                head, tail = w[:p], w[p + 1:]
+                for i, ci in pairs:
+                    key = head + (i,) + tail
+                    out[key] = out.get(key, 0) + c * ci
+        terms = out
+    return {w: c for w, c in terms.items() if c}

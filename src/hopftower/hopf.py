@@ -373,25 +373,6 @@ def _unpack(words, packed, b):
         words[packed] = k, word
 
 
-def _expand_positions(terms, subs, positions):
-    """Expand words (word -> int or Fraction) at each of ``positions`` in
-    turn: an entry in ``subs`` becomes its (letter, coefficient) pairs,
-    others stay, equal words merge and zeros drop."""
-    for p in positions:
-        out = {}
-        for w, c in terms.items():
-            pairs = subs.get(w[p])
-            if pairs is None:
-                out[w] = out.get(w, 0) + c
-            elif c:
-                head, tail = w[:p], w[p + 1:]
-                for i, ci in pairs:
-                    key = head + (i,) + tail
-                    out[key] = out.get(key, 0) + c * ci
-        terms = out
-    return {w: c for w, c in terms.items() if c}
-
-
 def all_ones_context(basis):
     """iota = alpha = beta = the all-ones character."""
     one = basis.one

@@ -27,11 +27,10 @@ from .combinatorics import (boundary_bits, coarsenings,
                             composition_from_boundary_bits, compositions,
                             concat, interior_bits, refinements, smash)
 from .elements import (TensorElement, TensorSquare, _accumulate, _expand_num,
-                       _fractions, _over_lcm, _sum_forms)
+                       _expand_positions, _fractions, _over_lcm, _sum_forms)
 from .functors import ind_along
 from .theory import DualBasisUndefined, TheoryError, dual_pair
 from .antipode import _closed_num
-from .hopf import _expand_positions
 from .verify import _compat_sides, _num_memo, _report, _run
 
 KINDS = ("h_basis", "ribbon", "shuffle_dual_primitive")
@@ -143,7 +142,7 @@ def _in_kind(coords, degree, x):
     if degree == 0:
         return common, {(): nums.get((), 0)}
     den, subs = coords
-    bits = _expand_positions(nums, subs, range(degree - 1))
+    bits = _expand_positions(nums, subs)
     return common * den ** (degree - 1), {
         composition_from_boundary_bits(b): v for b, v in sorted(bits.items())}
 

@@ -74,12 +74,10 @@ def _compat_sides(ctx, dx, x, dy, y, cx, cy):
             ctx._square_product_num(cx, cy))
 
 
-def _compat_checks(ctx, max_degree, delta_num=None):
+def _compat_checks(ctx, max_degree, delta_num):
     """Product/coproduct compatibility on every pair of basis words, by
     total degree: yields ((a, wx), (b, wy), lhs, rhs), from
     ``_compat_sides`` with the words' coproducts from ``delta_num``."""
-    if delta_num is None:
-        delta_num = _num_memo(ctx._coproduct_num)
     for total in range(2, max_degree + 1):
         for a in range(1, total):
             for wx, x in _word_forms(ctx, a):
@@ -209,7 +207,8 @@ def find_compat_counterexample(ctx, max_degree):
     where the coproduct of the product differs from the product of the
     coproducts.  Returns None when compatibility holds throughout."""
     rep = _report()
-    for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
+    for x, y, lhs, rhs in _compat_checks(ctx, max_degree,
+                                         _num_memo(ctx._coproduct_num)):
         _run(rep, {"x": x, "y": y}, lhs, rhs, TensorSquare)
         if rep["first_failure"]:
             return rep["first_failure"]

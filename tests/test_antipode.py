@@ -131,20 +131,19 @@ def test_oracle_results_are_not_shared():
 def test_full_sum_cancels_to_the_toggle_free_table():
     """Grouped by what they do to the positions, the signs of all set
     compositions cancel down to the toggle-free ones (Benedetti-Sagan):
-    3^(n-1) entries, each of sign +1 or -1 (index 0 or 1 in _SIGNS).  A
-    plan's getter, on the word of letters 0..n-2 and the marker, returns
-    its slot template."""
+    3^(n-1) entries, each of sign +1 or -1.  A plan's getter, on the word
+    of letters 0..n-2 and the marker, returns its slot template."""
     for n in range(1, 8):
         probe = tuple(range(n - 1)) + (_MARKER,)
 
         def table(comps_of):
-            return {(crossings, get(probe)): k for k, crossings, get
+            return {(crossings, get(probe)): sign for sign, crossings, get
                     in _setcomp_table(comps_of, n)}
 
         full = table(set_compositions)
         assert full == table(toggle_free)
         assert len(full) == 3 ** (n - 1)
-        assert set(full.values()) <= {0, 1}
+        assert set(full.values()) <= {1, -1}
 
 
 def test_plans_are_shared_across_contexts():

@@ -39,10 +39,10 @@ from hopftower.cli import main
 from hopftower.combinatorics import (bc_bits, compositions, llc_bits,
                                      partial_sums, set_compositions,
                                      straighten)
-from hopftower.elements import (TensorElement, TensorSquare, _fractions,
-                                _over_lcm, _same, expand_letters)
-from hopftower.hopf import (HopfContext, _expand_positions, all_ones_context,
-                            induction_context)
+from hopftower.elements import (TensorElement, TensorSquare,
+                                _expand_positions, _fractions, _over_lcm,
+                                _same, expand_letters)
+from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.theory import cyclic4, from_table, two_dim
 from test_characters import kronecker
 
@@ -448,9 +448,13 @@ def test_setcomp_routes_read_no_integer_table_of_the_context():
     tables or the closed route."""
     names = _names_reached(_setcomp_num)
     # co_names holds the attributes read; the helpers are reached
-    assert {"pair_alpha", "_plan_sum", "_setcomp_table"} <= names
+    assert {"pair_alpha", "_setcomp_table"} <= names
     assert not names & {"_den", "_alpha_num", "_beta_num", "_iota_num",
                         "_diff_num", "_closed_plans", "_closed_num"}
+    # and the routes' module holds nothing of hopf's
+    assert not [name for name, obj in _setcomp_num.__globals__.items()
+                if obj is hopf
+                or getattr(obj, "__module__", None) == hopf.__name__]
 
 
 def _names_reached(function):
@@ -492,7 +496,7 @@ def test_oracle_reads_no_other_route():
             "_oracle_word", "_oracle_solve"} <= names
     assert "coproduct" not in names
     assert not names & {"antipode_closed", "_closed_plans", "_setcomp_table",
-                        "_setcomp_sum", "_setcomp_num", "_plan_sum",
+                        "_setcomp_num",
                         "_closed_num", "_diff_num",
                         "_alpha_num", "_beta_num", "antipode_all_setcomps",
                         "antipode_toggle_free"}
@@ -823,15 +827,14 @@ def test_square_product_dense_degree_zero_and_zero_squares():
         assert_square_products_match(ctx, squares, squares)
 
 
-def reference_expand_positions(terms, subs, positions, dim):
+def reference_expand_positions(terms, subs, dim):
     """Each unexpanded word through the public ``expand_letters``: an
-    entry at one of ``positions`` that is in ``subs`` as its coordinate
-    tuple, any other as a letter."""
+    entry that is in ``subs`` as its coordinate tuple, any other as a
+    letter."""
     out = {}
     for w, c in terms.items():
         entries = [tuple(dict(subs[e]).get(i, 0) for i in range(dim))
-                   if p in positions and e in subs else e
-                   for p, e in enumerate(w)]
+                   if e in subs else e for e in w]
         for u, v in expand_letters(entries, c).items():
             out[u] = out.get(u, 0) + v
     return {u: v for u, v in out.items() if v}
@@ -845,27 +848,24 @@ def test_expand_positions_matches_expand_letters():
     every_entry = {**dict(enumerate(ctx._diff_num)), _MARKER: ctx._iota_num}
     # the marker and letter 0 both give the words 0 and 1, cancelling
     cancelling = {_MARKER: ((0, 1), (1, -1)), 0: ((0, 2), (1, -2))}
-    # empty words, words with no markers, unexpanded words whose
-    # expansions cancel to zero, and positions left out
-    assert _expand_positions({(): 5}, marker_only, ()) == {(): 5}
-    assert _expand_positions({(): 0}, every_entry, ()) == {}
-    assert _expand_positions({(0, 2): 3, (2, 0): 0}, marker_only,
-                             range(2)) == {(0, 2): 3}
-    assert _expand_positions({(_MARKER,): 2, (0,): -1}, cancelling,
-                             range(1)) == {}
-    assert _expand_positions({(2, _MARKER): 2, (2, 0): -1}, cancelling,
-                             range(2)) == {}
-    assert _expand_positions({(0, _MARKER): 1}, cancelling, (1,)) == {
-        (0, 0): 1, (0, 1): -1}
+    # no terms, empty words, words with no markers, and unexpanded words
+    # whose expansions cancel to zero
+    assert _expand_positions({}, every_entry) == {}
+    assert _expand_positions({(): 5}, marker_only) == {(): 5}
+    assert _expand_positions({(): 0}, every_entry) == {}
+    assert _expand_positions({(0, 2): 3, (2, 0): 0}, marker_only) == {
+        (0, 2): 3}
+    assert _expand_positions({(_MARKER,): 2, (0,): -1}, cancelling) == {}
+    assert _expand_positions({(2, _MARKER): 2, (2, 0): -1}, cancelling) == {}
+    assert _expand_positions({(0, _MARKER): 1}, cancelling) == {
+        (0, 0): 2, (0, 1): -2, (1, 0): -2, (1, 1): 2}
     for subs in (marker_only, every_entry, cancelling):
         for length in range(6):
             for _ in range(20):
                 terms = {tuple(rng.randrange(-1, dim) for _ in range(length)):
                          rng.randint(-3, 3) for _ in range(rng.randint(0, 12))}
-                positions = [p for p in range(length) if rng.random() < 0.8]
-                got = _expand_positions(terms, subs, positions)
-                assert got == reference_expand_positions(terms, subs,
-                                                         positions, dim)
+                got = _expand_positions(terms, subs)
+                assert got == reference_expand_positions(terms, subs, dim)
                 assert all(type(c) is int and c for c in got.values())
 
 

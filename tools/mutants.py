@@ -1,0 +1,97 @@
+"""Mutation gate: the tier-1 suite must fail on each listed mutant of src/.
+
+A mutant is (file under src/hopftower, old text, new text, expected
+outcome), and its old text must occur exactly once in the file.  The
+unmutated tree runs first and must pass; then each mutant is applied to a
+fresh copy of the working tree (without ``.git``) in a temporary
+directory, where the tier-1 suite runs with ``-x`` under a timeout.  A
+run that fails or times out kills the mutant.
+
+Exits 1 when the unmutated tree fails, when an old text does not occur
+exactly once, or when a mutant expected to be killed survives.  Run from
+anywhere, with the test extra installed:
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 900  # per run; the whole suite takes under a minute
+
+MUTANTS = [
+    # the set-composition routes' pad, d^(2(n-1-k)) for k crossings
+    ("antipode.py", "d ** (2 * (top - len(crossings)))",
+     "d ** (2 * (top - len(crossings) + 1))", "killed"),
+    # a crossing pairs against beta (flag 0) or alpha (flag 1)
+    ("antipode.py", "pairings = (beta, alpha)", "pairings = (alpha, beta)",
+     "killed"),
+    # a set composition's sign, (-1)^(number of blocks)
+    ("antipode.py", "-1 if len(A) % 2 else 1", "1 if len(A) % 2 else -1",
+     "killed"),
+    # an expanded entry's coefficient
+    ("elements.py", "out[key] = out.get(key, 0) + c * ci",
+     "out[key] = out.get(key, 0) + c", "killed"),
+]
+
+
+def _copy_tree(dest):
+    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", "*.egg-info", ".hypothesis", ".pytest_cache"))
+
+
+def _run_suite(tree):
+    """(outcome, seconds) of tier-1 with -x on the tree at ``tree``:
+    "passed", "failed" or "timeout"."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+           "no:cacheprovider", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start
+    return ("passed" if proc.returncode == 0 else "failed",
+            time.perf_counter() - start)
+
+
+def main():
+    for file, old, _, _ in MUTANTS:
+        count = (ROOT / "src" / "hopftower" / file).read_text().count(old)
+        if count != 1:
+            print(f"{file}: {old!r} occurs {count} times, not once")
+            return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        _copy_tree(base)
+        outcome, seconds = _run_suite(base)
+        print(f"unmutated tree: {outcome} in {seconds:.1f} s")
+        if outcome != "passed":
+            return 1
+        survivors = 0
+        for i, (file, old, new, expected) in enumerate(MUTANTS):
+            tree = Path(tmp) / f"mutant{i}"
+            _copy_tree(tree)
+            path = tree / "src" / "hopftower" / file
+            path.write_text(path.read_text().replace(old, new))
+            outcome, seconds = _run_suite(tree)
+            got = "survived" if outcome == "passed" else "killed"
+            survivors += got == "survived" and expected == "killed"
+            print(f"{got} ({outcome} in {seconds:.1f} s, expected {expected})"
+                  f": {file}: {old!r} -> {new!r}")
+            shutil.rmtree(tree)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
