@@ -9,14 +9,14 @@ against iota; the group law is convolution, computed two ways
 against each other on every call.  The group operations run
 ``check_morphism`` once per character.  Both sides sum on int forms, the
 closed side on components put over their lcm, the definitional side on
-the value tables and on Δ of each basis word from a bounded cache.
+the value tables and on Δ of each basis word from the context's table
+(``HopfContext._word_coproduct``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .combinatorics import compositions
 from .elements import (TensorElement, _fractions, _over_lcm, _same,
@@ -191,20 +191,6 @@ def _require_morphisms(*chis):
                 "not multiplicative at degree %d, split %d" % bad[:2])
 
 
-@lru_cache(maxsize=16)
-def _coproducts(ctx, n):
-    """The coproducts of the basis words of degree n, from
-    ``ctx._coproduct_num``, as (L, per word (word, terms)): the nonzero
-    terms as (left degree, left word, right degree, right word, c), c the
-    int numerator over L, which is D^(2(n-1)) for every basis word."""
-    out = []
-    for word in ctx.basis_words(n):
-        den, num = ctx._coproduct_num(n, (1, {word: 1}))
-        out.append((word, tuple((ld, lw, rd, rw, c) for
-                                ((ld, lw), (rd, rw)), c in num.items() if c)))
-    return den, tuple(out)
-
-
 def _check_definition(psi, gamma, want):
     """Raise unless the definitional composite (psi * gamma)(x), summed
     over the coproduct of x, equals want(x) on every basis word x of
@@ -213,12 +199,13 @@ def _check_definition(psi, gamma, want):
     left_den, *left = _over_lcm(*psi._value_tables())
     right_den, *right = _over_lcm(*gamma._value_tables())
     for n in range(1, want.max_degree + 1):
-        den, coproducts = _coproducts(psi.ctx, n)
-        defined = (den * left_den * right_den, {
-            word: sum(c * lv * rv for ld, lw, rd, rw, c in terms
-                      if (lv := left[ld].get(lw))
-                      and (rv := right[rd].get(rw)))
-            for word, terms in coproducts})
+        sums = {}
+        for word in psi.ctx.basis_words(n):
+            den, terms = psi.ctx._word_coproduct(n, word)  # den D^(2(n-1))
+            sums[word] = sum(c * lv * rv for ((ld, lw), (rd, rw)), c
+                             in terms.items() if (lv := left[ld].get(lw))
+                             and (rv := right[rd].get(rw)))
+        defined = (den * left_den * right_den, sums)
         closed = want._value_tables()[n]
         if not _same(_over_lcm(closed), defined):
             shown = _fractions(*defined)

@@ -67,6 +67,11 @@ class HopfContext:
         # words, and the input word).  verify's antipode suite asks for
         # every word up to its degree: at most 1,025 (rank 1,024, degree 2).
         self._antipode_cache = {}
+        # Δ of each basis word, for the suites and characters; as long-lived,
+        # and at the CLI's largest admitted verify --suite all it holds 64
+        # words in 0.15 MiB (two_dim(3), degree 6), 122 in 0.31 MiB
+        # (cyclic4, degree 5) or 260 in 0.51 MiB (rank 6, degree 4).
+        self._coproduct_table = {}
 
     # The integer kernels work on numerators over D, the common denominator
     # of the pairing and iota tables: the pairings times D, iota times D as
@@ -112,7 +117,7 @@ class HopfContext:
     def __eq__(self, other):
         return isinstance(other, HopfContext) and self._key() == other._key()
 
-    # once per context, not per lookup of a memo keyed by contexts
+    # once per context, not per hash of a character over it
     _hash = cached_property(lambda self: hash(self._key()))
 
     def __hash__(self):
@@ -262,6 +267,18 @@ class HopfContext:
                 acc[words[lw], words[rw]] = states[key]
         acc.update((((n, w), (0, ())), v) for w, v in ends)
         return common * top, acc
+
+    def _word_coproduct(self, n, word):
+        """``_coproduct_num`` of the basis word of degree n, zeros dropped,
+        keys sorted as it emits them, once per context: the table dies with
+        the context, which a ``functools`` cache on this method (keyed by
+        ``self``) would keep alive.  A test that patches ``_coproduct_num``
+        builds its context after the patch."""
+        table = self._coproduct_table
+        if (n, word) not in table:
+            den, terms = self._coproduct_num(n, (1, {word: 1}))
+            table[n, word] = den, {k: v for k, v in terms.items() if v}
+        return table[n, word]
 
     def square_product(self, s, t):
         """Componentwise product of two tensor-square elements; terms in

@@ -7,13 +7,14 @@ that agreed, and a description of the first failure (or None).  Nothing
 is sampled unless a seed is passed explicitly; the default runs are
 exhaustive and deterministic, and spot checks without a seed are refused.
 
-``verify_axioms`` checks on int forms (see ``elements``): Δ and S of
-each basis word are computed once, by ``_coproduct_num`` and
-``_closed_num``, and every exhaustive check sums and multiplies on them
-through the int kernels, as ``verify_antipode_equivalence`` compares
-the routes' kernels (``antipode.ROUTES``) with ``_closed_num``.  ``_run``
-compares two int forms itself, and builds the ``Fraction`` values the
-public kernels would give only for the first failure.
+``verify_axioms`` checks on int forms (see ``elements``): Δ of each
+basis word from the context's table (``_word_coproduct``), S of each by
+``_closed_num`` once a call, and every exhaustive check sums and
+multiplies on them through the int kernels, as
+``verify_antipode_equivalence`` compares the routes' kernels
+(``antipode.ROUTES``) with ``_closed_num``.  ``_run`` compares two int
+forms itself, and builds the ``Fraction`` values the public kernels
+would give only for the first failure.
 """
 
 from __future__ import annotations
@@ -37,34 +38,23 @@ def _report(**extra):
     return {"checked": 0, "passed": 0, "first_failure": None, **extra}
 
 
-def _run(report, name, lhs, rhs, wrap=None, sort=False):
+def _run(report, name, lhs, rhs, wrap=None):
     """One comparison: of two values by ``==``, or, given ``wrap``, of two
     int forms by ``_same``.  On the first failure ``wrap`` turns each int
-    form's ``Fraction`` terms (lhs's sorted, given ``sort``) into the value
-    the report holds: a dict, a ``TensorSquare`` or a ``TensorElement``."""
+    form's ``Fraction`` terms into the value the report holds: a dict, a
+    ``TensorSquare`` or a ``TensorElement``."""
     report["checked"] += 1
     if _same(lhs, rhs) if wrap else lhs == rhs:
         report["passed"] += 1
     elif report["first_failure"] is None:
         if wrap:
-            lhs, rhs = wrap(_fractions(*lhs, sort)), wrap(_fractions(*rhs))
+            lhs, rhs = wrap(_fractions(*lhs)), wrap(_fractions(*rhs))
         report["first_failure"] = {"inputs": name, "lhs": lhs, "rhs": rhs}
 
 
 def _word_forms(ctx, degree):
     for w in ctx.basis_words(degree):
         yield w, (1, {w: 1})
-
-
-def _num_memo(f, make=lambda degree, word: (degree, (1, {word: 1}))):
-    """The int form that ``f`` gives of the degree and int form
-    ``make(*args)``, by default the basis word given as (degree, word),
-    zeros dropped and keys sorted as the public kernels emit them,
-    computed once per returned function."""
-    def num(*args):
-        den, terms = f(*make(*args))
-        return den, {k: v for k, v in sorted(terms.items()) if v}
-    return cache(num)
 
 
 def _compat_sides(ctx, dx, x, dy, y, cx, cy):
@@ -74,18 +64,18 @@ def _compat_sides(ctx, dx, x, dy, y, cx, cy):
             ctx._square_product_num(cx, cy))
 
 
-def _compat_checks(ctx, max_degree, delta_num):
+def _compat_checks(ctx, max_degree):
     """Product/coproduct compatibility on every pair of basis words, by
     total degree: yields ((a, wx), (b, wy), lhs, rhs), from
-    ``_compat_sides`` with the words' coproducts from ``delta_num``."""
+    ``_compat_sides`` with the words' coproducts from ``_word_coproduct``."""
     for total in range(2, max_degree + 1):
         for a in range(1, total):
             for wx, x in _word_forms(ctx, a):
-                cx = delta_num(a, wx)
+                cx = ctx._word_coproduct(a, wx)
                 for wy, y in _word_forms(ctx, total - a):
                     yield ((a, wx), (total - a, wy),
                            *_compat_sides(ctx, a, x, total - a, y, cx,
-                                          delta_num(total - a, wy)))
+                                          ctx._word_coproduct(total - a, wy)))
 
 
 def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
@@ -97,9 +87,12 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
     rep = _report()
     unit, product = (1, {(): 1}), ctx._product_num
     iota, iota_den = ctx._iota_num, ctx._den
-    # Δ and S of each basis word, as int forms
-    delta_num = _num_memo(ctx._coproduct_num)
-    antipode_num = _num_memo(partial(_closed_num, ctx))
+    delta_num = ctx._word_coproduct
+
+    @cache
+    def antipode_num(degree, word):  # sorted, as failure reports show S
+        den, terms = _closed_num(ctx, degree, (1, {word: 1}))
+        return den, dict(sorted(terms.items()))
 
     for n in range(max_degree + 1):
         element = partial(TensorElement, n)
@@ -157,7 +150,7 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
                                    ("antipode_right", right_conv)):
                     _run(rep, (name, n, w), (den, conv), (1, {}), element)
 
-    for x, y, lhs, rhs in _compat_checks(ctx, max_degree, delta_num):
+    for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
         _run(rep, ("compatibility", x, y), lhs, rhs, TensorSquare)
 
     for total in range(3, max_degree + 1):
@@ -207,8 +200,7 @@ def find_compat_counterexample(ctx, max_degree):
     where the coproduct of the product differs from the product of the
     coproducts.  Returns None when compatibility holds throughout."""
     rep = _report()
-    for x, y, lhs, rhs in _compat_checks(ctx, max_degree,
-                                         _num_memo(ctx._coproduct_num)):
+    for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
         _run(rep, {"x": x, "y": y}, lhs, rhs, TensorSquare)
         if rep["first_failure"]:
             return rep["first_failure"]

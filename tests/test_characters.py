@@ -8,7 +8,9 @@ route that pairing against iota replaced; the tests at the end hold the new
 code to them.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,8 @@ from hopftower.elements import (TensorElement, _fractions, _over_lcm,
 from hopftower.functors import def_along, pointwise_twist
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.theory import TheoryError, cyclic4, from_table, two_dim
-from hopftower.verify import verify_characters
+from hopftower.verify import (find_compat_counterexample, verify_all,
+                              verify_axioms, verify_characters)
 
 
 def ones_ctx(q=3):
@@ -352,8 +355,52 @@ def test_verify_characters_checks_each_character_once(monkeypatch):
         assert len(seen) == 10
         assert len({id(chi) for chi in seen}) == 10
         assert len(set(seen)) == 10
-        info = characters._coproducts.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def run_suites_and_drop(ctx):
+    """Run every suite and the group operations on ctx; returns a weak
+    reference to it, the caller's last strong one once it drops ctx."""
+    verify_all(ctx, 4)
+    a = constant_character(ctx, ctx.alpha, 3)
+    b = constant_character(ctx, ctx.beta, 3)
+    assert convolve(inverse(a), a) == counit_character(ctx, 3)
+    assert is_odd(convolve(a, b))
+    return weakref.ref(ctx)
+
+
+def test_contexts_are_collected_once_the_caller_drops_them():
+    """The tables of basis-word coproducts and of oracle antipodes live on
+    the context, and nothing else keeps it: no module-level cache is keyed
+    by contexts."""
+    for basis in (two_dim(3), cyclic4()):
+        ref = run_suites_and_drop(induction_context(basis))
+        gc.collect()
+        assert ref() is None
+
+
+def test_each_basis_word_coproduct_is_computed_once_per_context(
+        monkeypatch):
+    """The axioms, the characters and the compatibility search read one
+    table: one kernel call per (degree, word), every word up to the
+    degree bound."""
+    real = HopfContext._coproduct_num
+    seen = []
+
+    def counting(self, n, x):
+        if len(x[1]) == 1:  # induction products have several words
+            seen.append((n, *x[1]))
+        return real(self, n, x)
+
+    monkeypatch.setattr(HopfContext, "_coproduct_num", counting)
+    for basis, top in ((two_dim(3), 5), (cyclic4(), 4)):
+        ctx = induction_context(basis)  # after the patch
+        seen.clear()
+        assert verify_axioms(ctx, top)["first_failure"] is None
+        assert verify_characters(ctx, top - 1)["first_failure"] is None
+        assert find_compat_counterexample(ctx, top) is None
+        assert len(seen) == len(set(seen)) == len(ctx._coproduct_table)
+        assert set(seen) == {(n, w) for n in range(top + 1)
+                             for w in ctx.basis_words(n)}
 
 
 def test_non_morphism_raises_on_every_call(monkeypatch):

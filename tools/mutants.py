@@ -7,9 +7,10 @@ fresh copy of the working tree (without ``.git``) in a temporary
 directory, where the tier-1 suite runs with ``-x`` under a timeout.  A
 run that fails or times out kills the mutant.
 
-Exits 1 when the unmutated tree fails, when an old text does not occur
-exactly once, or when a mutant expected to be killed survives.  Run from
-anywhere, with the test extra installed:
+Once the mutants have run, the last line is the score, ``killed K of M
+mutants``.  Exits 1 when the unmutated tree fails, when an old text does
+not occur exactly once, or when a mutant expected to be killed survives.
+Run from anywhere, with the test extra installed:
 
     python tools/mutants.py
 """
@@ -40,6 +41,17 @@ MUTANTS = [
     # an expanded entry's coefficient
     ("elements.py", "out[key] = out.get(key, 0) + c * ci",
      "out[key] = out.get(key, 0) + c", "killed"),
+    # the table of basis-word coproducts drops zeros, not negative terms
+    ("hopf.py", "{k: v for k, v in terms.items() if v}",
+     "{k: v for k, v in terms.items() if v > 0}", "killed"),
+    # the oracle sums over every left degree strictly between 0 and n
+    ("antipode.py", "0 < ld < n", "1 < ld < n", "killed"),
+    # a difference letter subtracts its pairing with alpha times iota
+    ("hopf.py", "enumerate(self._alpha_num))", "enumerate(self._beta_num))",
+     "killed"),
+    # a later crossing pairs against alpha from the left, beta from the right
+    ("hopf.py", "((0, alpha), (1, beta))", "((0, beta), (1, alpha))",
+     "killed"),
 ]
 
 
@@ -78,7 +90,7 @@ def main():
         print(f"unmutated tree: {outcome} in {seconds:.1f} s")
         if outcome != "passed":
             return 1
-        survivors = 0
+        survivors = killed = 0
         for i, (file, old, new, expected) in enumerate(MUTANTS):
             tree = Path(tmp) / f"mutant{i}"
             _copy_tree(tree)
@@ -87,9 +99,11 @@ def main():
             outcome, seconds = _run_suite(tree)
             got = "survived" if outcome == "passed" else "killed"
             survivors += got == "survived" and expected == "killed"
+            killed += got == "killed"
             print(f"{got} ({outcome} in {seconds:.1f} s, expected {expected})"
                   f": {file}: {old!r} -> {new!r}")
             shutil.rmtree(tree)
+    print(f"killed {killed} of {len(MUTANTS)} mutants")
     return 1 if survivors else 0
 
 
