@@ -23,6 +23,7 @@ of the bounds in ``_BOUNDS``, each checked by ``_admit``:
   compositions    -- ``enumerate compositions``: ``--n``
   toggle_free     -- ``enumerate toggle_free``: ``--n``
   descent_class   -- ``enumerate descent_class``: the sum of ``--mu``
+  theory rank     -- ``--theory-file``: its rows, before any value is parsed
 
 Only ``serialize`` (and the ``theory`` and ``elements`` it imports) is
 loaded for every command; each handler imports the modules it runs, so a
@@ -53,6 +54,7 @@ _BOUNDS = {
     "compositions": 16,         # --n
     "toggle_free": 8,           # --n
     "descent_class": 7,         # sum(mu)
+    "theory rank": 64,          # rows of --theory-file; validation ~rank^3
 }
 
 
@@ -159,6 +161,9 @@ def _build_basis(args):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"cannot read theory file: {exc}") from exc
+        if isinstance(data, dict) and isinstance(data.get("values"), list):
+            _admit("theory rank", len(data["values"]),
+                   f"rows of --theory-file = {len(data['values'])}")
         return theory_from_dict(data), {"base": "custom"}
     if args.base == "cyclic4":
         return cyclic4(), {"base": "cyclic4"}
@@ -457,7 +462,11 @@ def main(argv=None):
     except ValueError as exc:
         _err(f"error: {exc}")
         return getattr(exc, "exit_code", 2)
-    _emit(payload, args)
+    try:
+        _emit(payload, args)
+    except OSError as exc:  # --out names no writable file
+        _err(f"error: cannot write output: {exc}")
+        return 2
     return code
 
 

@@ -65,7 +65,7 @@ class HopfContext:
         # degree 6), 40 (cyclic4, degree 5) or 43 (rank 6, degree 4); any
         # admitted one leaves at most 44 (rank 6, degree 4: 1 + 6 + 36
         # words, and the input word).  verify's antipode suite asks for
-        # every word up to its degree: at most 1,025 (rank 1,024, degree 2).
+        # every word up to its degree: at most 507 (rank 22, degree 3).
         self._antipode_cache = {}
         # Δ of each basis word, for the suites and characters; as long-lived,
         # and at the CLI's largest admitted verify --suite all it holds 64
@@ -270,7 +270,8 @@ class HopfContext:
 
     def _word_coproduct(self, n, word):
         """``_coproduct_num`` of the basis word of degree n, zeros dropped,
-        keys sorted as it emits them, once per context: the table dies with
+        keys sorted as it emits them, over D^(2·max(n−1, 0)), the same for
+        every word of the degree; once per context: the table dies with
         the context, which a ``functools`` cache on this method (keyed by
         ``self``) would keep alive.  A test that patches ``_coproduct_num``
         builds its context after the patch."""

@@ -10,8 +10,9 @@ exhaustive and deterministic, and spot checks without a seed are refused.
 ``verify_axioms`` checks on int forms (see ``elements``): Δ of each
 basis word from the context's table (``_word_coproduct``), S of each by
 ``_closed_num`` once a call, and every exhaustive check sums and
-multiplies on them through the int kernels, as
-``verify_antipode_equivalence`` compares the routes' kernels
+multiplies on them through the int kernels; the counit, coassociativity
+and antipode sums in one pass over each Δ(w), over its own denominator.
+``verify_antipode_equivalence`` likewise compares the routes' kernels
 (``antipode.ROUTES``) with ``_closed_num``.  ``_run`` compares two int
 forms itself, and builds the ``Fraction`` values the public kernels
 would give only for the first failure.
@@ -22,7 +23,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, partial
-from math import lcm
 
 from .antipode import ROUTES, _closed_num
 from .characters import (_morphism_failure, constant_character, convolve,
@@ -100,55 +100,48 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
             _run(rep, ("left_unit", n, w), product(0, unit, n, x), x, element)
             _run(rep, ("right_unit", n, w), product(n, x, 0, unit), x, element)
 
-            cop_den, cop_num = delta_num(n, w)
-            _run(rep, ("left_counit", n, w),
-                 (cop_den, {rw: c for ((ld, _), (_, rw)), c in cop_num.items()
-                            if ld == 0}), x, element)
-            _run(rep, ("right_counit", n, w),
-                 (cop_den, {lw: c for ((_, lw), (rd, _)), c in cop_num.items()
-                            if rd == 0}), x, element)
-
-            # c·c2 on each side, over the lcm of Δ(w) times one pad for
-            # the word (the lcm of the lcms of the factors' Δ)
-            pad = lcm(*(delta_num(*side)[0]
-                        for key in cop_num for side in key))
-            triple_a, triple_b = {}, {}
+            # one pass over Δ(w): the counit strips, c·c2 on each side of
+            # coassociativity, c·S(left)·right and c·left·S(right).  Δ and S
+            # of a degree-k word are over D^(2·max(k-1, 0)), so Δ(w)'s den
+            # pads each factor: sides over den², convolutions over den²·D
+            den, cop_num = delta_num(n, w)
+            left_strip, right_strip, triple_a, triple_b = {}, {}, {}, {}
+            left_conv, right_conv = {}, {}
             for (left, right), c in cop_num.items():
+                (ld, lw), (rd, rw) = left, right
+                if ld == 0:
+                    left_strip[rw] = c
+                if rd == 0:
+                    right_strip[lw] = c
                 sub_den, sub = delta_num(*left)
-                c_pad = c * (pad // sub_den)
+                c_pad = c * (den // sub_den)
                 for (l2, r2), c2 in sub.items():
                     key = (l2, r2, right)
                     triple_a[key] = triple_a.get(key, 0) + c_pad * c2
                 sub_den, sub = delta_num(*right)
-                c_pad = c * (pad // sub_den)
+                c_pad = c * (den // sub_den)
                 for (l2, r2), c2 in sub.items():
                     key = (left, l2, r2)
                     triple_b[key] = triple_b.get(key, 0) + c_pad * c2
-            den = cop_den * pad
-            _run(rep, ("coassociativity", n, w), (den, triple_a),
-                 (den, triple_b), dict)
-
+                s_den, s = antipode_num(ld, lw)
+                c_pad = c * (den // s_den)
+                for u, v in s.items():
+                    for word, cw in _splice(ld, u, rd, rw, iota, iota_den):
+                        _accumulate(left_conv, word, c_pad * v * cw)
+                s_den, s = antipode_num(rd, rw)
+                c_pad = c * (den // s_den)
+                for u, v in s.items():
+                    for word, cw in _splice(ld, lw, rd, u, iota, iota_den):
+                        _accumulate(right_conv, word, c_pad * v * cw)
+            _run(rep, ("left_counit", n, w), (den, left_strip), x, element)
+            _run(rep, ("right_counit", n, w), (den, right_strip), x, element)
+            _run(rep, ("coassociativity", n, w), (den * den, triple_a),
+                 (den * den, triple_b), dict)
             if n >= 1:
-                # c·S(left)·right and c·left·S(right), over the lcm of
-                # Δ(w), one pad for the word and the splice's D
-                pad = lcm(*(antipode_num(*side)[0]
-                            for key in cop_num for side in key))
-                left_conv, right_conv = {}, {}
-                for ((ld, lw), (rd, rw)), c in cop_num.items():
-                    s_den, s = antipode_num(ld, lw)
-                    c_pad = c * (pad // s_den)
-                    for u, v in s.items():
-                        for word, cw in _splice(ld, u, rd, rw, iota, iota_den):
-                            _accumulate(left_conv, word, c_pad * v * cw)
-                    s_den, s = antipode_num(rd, rw)
-                    c_pad = c * (pad // s_den)
-                    for u, v in s.items():
-                        for word, cw in _splice(ld, lw, rd, u, iota, iota_den):
-                            _accumulate(right_conv, word, c_pad * v * cw)
-                den = cop_den * pad * iota_den
                 for name, conv in (("antipode_left", left_conv),
                                    ("antipode_right", right_conv)):
-                    _run(rep, (name, n, w), (den, conv), (1, {}), element)
+                    _run(rep, (name, n, w), (den * den * iota_den, conv),
+                         (1, {}), element)
 
     for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
         _run(rep, ("compatibility", x, y), lhs, rhs, TensorSquare)

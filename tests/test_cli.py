@@ -624,6 +624,34 @@ def test_json_of_the_wrong_shape_exits_2(tmp_path, capsys):
                                 "--x", x])
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    """--out in a missing directory, or naming a directory, is a usage
+    error (exit 2), not a verification failure (exit 1)."""
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, ["enumerate", "compositions", "--n",
+                                      "3", "--out", str(target)])
+        assert code == 2 and out == "", target
+        assert err.startswith("error: cannot write output: ") \
+            and err.count("\n") == 1, err
+
+
+def test_theory_rank_bound_exits_2(tmp_path, capsys):
+    """A --theory-file is refused by its row count before any value is
+    parsed: past 64 rows even unparsable values get the bound's error,
+    and at 64 they get the parse error."""
+    path = tmp_path / "theory.json"
+    for rank, bound_error in ((65, True), (64, False)):
+        path.write_text(json.dumps({
+            "labels": [f"c{i}" for i in range(rank)],
+            "values": [["x"] * rank] * rank, "sizes": [1] * rank,
+            "identity_class": 0}))
+        code, out, err = run(capsys, ["verify", "--suite", "axioms",
+                                      "--max-degree", "1", "--theory-file",
+                                      str(path)])
+        assert code == 2 and out == "" and err.count("\n") == 1, err
+        assert ("exceeds the theory rank bound 64" in err) == bound_error, err
+
+
 def test_reader_closing_early_is_not_an_error():
     """``hopftower enumerate compositions --n 16 | head -1``: the request
     writes about 2.2 MB, far more than a pipe holds, and its reader stops

@@ -2,13 +2,15 @@
 honest reporting on broken ones."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 import hopftower.verify as verify
 from hopftower import antipode
-from hopftower.antipode import (antipode_all_setcomps, antipode_closed,
-                                antipode_oracle, antipode_toggle_free)
+from hopftower.antipode import (_closed_num, antipode_all_setcomps,
+                                antipode_closed, antipode_oracle,
+                                antipode_toggle_free)
 from hopftower.combinatorics import toggle_free
 from hopftower.elements import TensorElement
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
@@ -134,6 +136,25 @@ def test_axioms_compute_each_antipode_once(monkeypatch):
     rep = verify_axioms(induction_context(two_dim(3)), 4)
     assert rep["first_failure"] is None
     assert seen and len(seen) == len(set(seen))
+
+
+def test_basis_word_forms_are_over_one_denominator_per_degree():
+    """Δ and closed S of every basis word of degree n are over
+    D^(2·max(n-1, 0)), the rule by which verify_axioms pads each factor
+    of Δ(w) by Δ(w)'s own denominator; on contexts where D is 3, 7 and
+    21."""
+    c4 = cyclic4()
+    for ctx, top in (
+            (induction_context(c4), 5),
+            (induction_context(kronecker(c4, two_dim(2))), 4),
+            (HopfContext.unchecked(c4, c4.reg, Fraction(5, 7) * c4.one,
+                                   (c4.reg - c4.one) / 3), 5)):
+        assert ctx._den > 1
+        for n in range(top + 1):
+            den = ctx._den ** (2 * max(n - 1, 0))
+            for w in ctx.basis_words(n):
+                assert ctx._word_coproduct(n, w)[0] == den, (n, w)
+                assert _closed_num(ctx, n, (1, {w: 1}))[0] == den, (n, w)
 
 
 def reference_verify_axioms(ctx, max_degree, seed=None, spot_checks=0):

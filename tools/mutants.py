@@ -52,6 +52,30 @@ MUTANTS = [
     # a later crossing pairs against alpha from the left, beta from the right
     ("hopf.py", "((0, alpha), (1, beta))", "((0, beta), (1, alpha))",
      "killed"),
+    # verify_axioms' one pass over Δ(w), made vacuous: coassociativity
+    # compared with one side twice, each convolution with itself, and the
+    # left counit with its own strip
+    ("verify.py", "(den * den, triple_b), dict)",
+     "(den * den, triple_a), dict)", "killed"),
+    ("verify.py", "(1, {}), element)",
+     "(den * den * iota_den, conv), element)", "killed"),
+    ("verify.py", "(den, left_strip), x, element)",
+     "(den, left_strip), (den, left_strip), element)", "killed"),
+    # setcomp_profile's llc bits: a block index at most the next one's
+    ("combinatorics.py", "int(a <= b)", "int(a < b)", "killed"),
+    # the bracket functor pairs its kept letters against alpha or beta
+    ("functors.py",
+     "pair_a, pair_b = basis.pairings(alpha), basis.pairings(beta)",
+     "pair_a, pair_b = basis.pairings(beta), basis.pairings(alpha)",
+     "killed"),
+    # the character inverse joins psi blocks by (alpha + beta) markers
+    ("characters.py", "(ctx.alpha + ctx.beta).coords",
+     "(ctx.alpha + ctx.alpha).coords", "killed"),
+    # the square product splices right sides as (a's, b's)
+    ("hopf.py", "rights = _splice(rda, rwa, rdb, rwb, iota, den)",
+     "rights = _splice(rdb, rwb, rda, rwa, iota, den)", "killed"),
+    # the closed antipode's word: the open block, then the finished ones
+    ("antipode.py", "w = block + done", "w = done + block", "killed"),
 ]
 
 
