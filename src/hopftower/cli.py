@@ -25,9 +25,9 @@ of the bounds in ``_BOUNDS``, each checked by ``_admit``:
   descent_class   -- ``enumerate descent_class``: the sum of ``--mu``
   theory rank     -- ``--theory-file``: its rows, before any value is parsed
 
-Only ``serialize`` (and the ``theory`` and ``elements`` it imports) is
-loaded for every command; each handler imports the modules it runs, so a
-request compiles no module its command does not use.
+No hopftower module is loaded for every command: each helper imports
+what it runs (``enumerate`` loads ``combinatorics`` alone), and ``main``
+builds only the parsers that its argv names (see ``build_parser``).
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ import json
 import os
 import sys
 from math import comb
-
-from .serialize import (ParseError, character_to_dict, element_from_dict,
-                        element_to_dict, jsonable, parse_expression,
-                        square_to_dict, theory_from_dict)
-from .theory import cyclic4, two_dim
 
 # each bound, by name, over the count it caps
 _BOUNDS = {
@@ -59,11 +54,11 @@ _BOUNDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as ParseError, so that main() reports it as
+    """Raises a usage error as ValueError, so that main() reports it as
     it does every other exit-2 error."""
 
     def error(self, message):
-        raise ParseError(message)
+        raise ValueError(message)
 
 
 def _nonnegative(text):
@@ -77,75 +72,89 @@ def _nonnegative(text):
     return value
 
 
-def build_parser():
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("json", "text"), default="json")
-    output.add_argument("--out", help="write output to this file")
+# each command, by the dest of its leaf and its leaves (verify has none)
+_COMMANDS = {
+    "compute": ("action", ("multiply", "coproduct", "antipode")),
+    "verify": (None, ()),
+    "enumerate": ("what", ("compositions", "toggle_free", "descent_class")),
+    "characters": ("action", ("check", "convolve", "invert")),
+}
 
-    context = argparse.ArgumentParser(add_help=False)
-    table = context.add_mutually_exclusive_group()
-    table.add_argument("--base", choices=("twodim", "cyclic4"),
-                       default="twodim", help="built-in character table")
-    table.add_argument("--theory-file", help="JSON character table")
-    context.add_argument("--q", type=int,
-                         help="group order for --base twodim (default 2)")
-    context.add_argument("--iota", default="one",
-                         help="insertion element expression")
-    context.add_argument("--alpha", default="one",
-                         help="left pairing element expression")
-    context.add_argument("--beta", default="one",
-                         help="right pairing element expression")
 
-    degree = argparse.ArgumentParser(add_help=False)
-    degree.add_argument("--max-degree", type=_nonnegative, default=4)
-
+def build_parser(argv=None):
+    """The argument parser: where ``argv``'s first words name a command and
+    its leaf (verify has none), only the parsers on that path, which parse
+    ``argv`` as the whole tree does, since a leaf reads the words after it
+    alone; else the whole tree, whose messages list every choice."""
+    command, leaf = [*(argv or ())[:2], None, None][:2]
+    dest, leaves = _COMMANDS.get(command, (None, None))
+    if leaves is None or dest and leaf not in leaves:
+        command = leaf = None
     parser = _Parser(
         prog="hopftower",
         description="Exact graded Hopf structures on words over a "
                     "character basis.")
     commands = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command else _COMMANDS:
+        dest, leaves = _COMMANDS[name]
+        p = commands.add_parser(name)
+        if dest is None:
+            _add_flags(p, name, None)
+            continue
+        group = p.add_subparsers(dest=dest, required=True)
+        for each in [leaf] if leaf else leaves:
+            _add_flags(group.add_parser(each), name, each)
+    return parser
 
-    def leaves(command, dest, names, parents):
-        group = commands.add_parser(command).add_subparsers(
-            dest=dest, required=True)
-        return {name: group.add_parser(name, parents=parents)
-                for name in names}
 
-    compute = leaves("compute", "action",
-                     ("multiply", "coproduct", "antipode"), [output, context])
-    for p in compute.values():
+def _add_flags(p, command, leaf):
+    """The flags that ``command leaf`` reads: the output group, then the
+    context group and --max-degree where it reads them, then its own."""
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    p.add_argument("--out", help="write output to this file")
+    if command == "enumerate":
+        if leaf == "descent_class":
+            p.add_argument("--mu", required=True,
+                           help="comma-separated composition parts")
+        else:
+            p.add_argument("--n", type=int, required=True,
+                           help="degree to enumerate")
+        return
+    table = p.add_mutually_exclusive_group()
+    table.add_argument("--base", choices=("twodim", "cyclic4"),
+                       default="twodim", help="built-in character table")
+    table.add_argument("--theory-file", help="JSON character table")
+    p.add_argument("--q", type=int,
+                   help="group order for --base twodim (default 2)")
+    p.add_argument("--iota", default="one",
+                   help="insertion element expression")
+    p.add_argument("--alpha", default="one",
+                   help="left pairing element expression")
+    p.add_argument("--beta", default="one",
+                   help="right pairing element expression")
+    if command == "compute":
         p.add_argument("--x", required=True,
                        help="element JSON (inline, or @path)")
-    compute["multiply"].add_argument(
-        "--y", required=True, help="second factor JSON (inline, or @path)")
-    compute["antipode"].add_argument(
-        "--cross-check", action="store_true",
-        help="recompute via all four routes")
-
-    p = commands.add_parser("verify", parents=[output, context, degree])
-    p.add_argument("--suite", required=True,
-                   choices=("axioms", "antipode_equiv", "nsym",
-                            "characters", "all"))
-    p.add_argument("--seed", type=int,
-                   help="--suite axioms or all: add seeded spot checks")
-
-    enum = leaves("enumerate", "what",
-                  ("compositions", "toggle_free", "descent_class"), [output])
-    for what in ("compositions", "toggle_free"):
-        enum[what].add_argument("--n", type=int, required=True,
-                                help="degree to enumerate")
-    enum["descent_class"].add_argument(
-        "--mu", required=True, help="comma-separated composition parts")
-
-    chars = leaves("characters", "action", ("check", "convolve", "invert"),
-                   [output, context, degree])
-    for p in chars.values():
-        p.add_argument("--psi", required=True,
-                       help="expression for the first constant character")
-    chars["convolve"].add_argument(
-        "--gamma", required=True,
-        help="expression for the second constant character")
-    return parser
+        if leaf == "multiply":
+            p.add_argument("--y", required=True,
+                           help="second factor JSON (inline, or @path)")
+        elif leaf == "antipode":
+            p.add_argument("--cross-check", action="store_true",
+                           help="recompute via all four routes")
+        return
+    p.add_argument("--max-degree", type=_nonnegative, default=4)
+    if command == "verify":
+        p.add_argument("--suite", required=True,
+                       choices=("axioms", "antipode_equiv", "nsym",
+                                "characters", "all"))
+        p.add_argument("--seed", type=int,
+                       help="--suite axioms or all: add seeded spot checks")
+        return
+    p.add_argument("--psi", required=True,
+                   help="expression for the first constant character")
+    if leaf == "convolve":
+        p.add_argument("--gamma", required=True,
+                       help="expression for the second constant character")
 
 
 def _err(message):
@@ -154,17 +163,19 @@ def _err(message):
 
 def _build_basis(args):
     if args.q is not None and (args.theory_file or args.base != "twodim"):
-        raise ParseError("--q applies to --base twodim only")
+        raise ValueError("--q applies to --base twodim only")
     if args.theory_file:
         try:
             with open(args.theory_file, encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"cannot read theory file: {exc}") from exc
+            raise ValueError(f"cannot read theory file: {exc}") from exc
         if isinstance(data, dict) and isinstance(data.get("values"), list):
             _admit("theory rank", len(data["values"]),
                    f"rows of --theory-file = {len(data['values'])}")
+        from .serialize import theory_from_dict
         return theory_from_dict(data), {"base": "custom"}
+    from .theory import cyclic4, two_dim
     if args.base == "cyclic4":
         return cyclic4(), {"base": "cyclic4"}
     q = 2 if args.q is None else args.q
@@ -173,7 +184,7 @@ def _build_basis(args):
 
 def _names(args, basis):
     if "reg" in basis.labels:
-        raise ParseError(
+        raise ValueError(
             "basis label 'reg' would shadow the regular-character alias")
     aliases = {"reg": basis.reg}
     if "one" not in basis.labels:
@@ -188,6 +199,7 @@ def _names(args, basis):
 
 def _build_context(args, basis):
     from .hopf import HopfContext
+    from .serialize import parse_expression
     scalars, aliases = _names(args, basis)
     iota = parse_expression(args.iota, basis, scalars, aliases)
     alpha = parse_expression(args.alpha, basis, scalars, aliases)
@@ -201,21 +213,22 @@ def _load_element(arg, basis, tag):
             with open(arg[1:], encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise ParseError(f"cannot read element file: {exc}") from exc
+            raise ValueError(f"cannot read element file: {exc}") from exc
     else:
         text = arg
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"bad element JSON: {exc}") from exc
+        raise ValueError(f"bad element JSON: {exc}") from exc
     if isinstance(data, dict):
         if "base" in data and data["base"] != tag["base"]:
-            raise ParseError(
+            raise ValueError(
                 f"element base {data['base']!r} does not match the "
                 f"configured base {tag['base']!r}")
         if "q" in data and "q" in tag and data["q"] != tag["q"]:
-            raise ParseError(
+            raise ValueError(
                 f"element q {data['q']!r} does not match --q {tag['q']!r}")
+    from .serialize import element_from_dict
     return element_from_dict(data, basis)
 
 
@@ -224,7 +237,7 @@ def _admit(name, size, formula):
     says, exceeds the bound ``_BOUNDS[name]``."""
     bound = _BOUNDS[name]
     if size > bound:
-        raise ParseError(f"{formula} exceeds the {name} bound {bound}")
+        raise ValueError(f"{formula} exceeds the {name} bound {bound}")
 
 
 def _verify_work(dim, degree):
@@ -264,6 +277,7 @@ def _check_output_size(action, dim, x):
 
 
 def _cmd_compute(args, basis, tag):
+    from .serialize import element_to_dict, square_to_dict
     ctx = _build_context(args, basis)
     x = _load_element(args.x, basis, tag)
     _admit("compute work", len(x.terms) << x.degree,
@@ -315,13 +329,14 @@ def _has_failure(report):
 def _cmd_verify(args, basis, tag):
     n = args.max_degree
     if args.seed is not None and args.suite not in ("axioms", "all"):
-        raise ParseError(f"--seed: suite {args.suite!r} samples nothing")
+        raise ValueError(f"--seed: suite {args.suite!r} samples nothing")
     _admit("verify work", _verify_work(basis.dim, n),
            "dim^(max_degree-1) * 2^max_degree")
     if args.suite in ("antipode_equiv", "all"):
         _admit_set_compositions(n, "max_degree")
     ctx = _build_context(args, basis)
     spots = 8 if args.seed is not None else 0
+    from .serialize import jsonable
     from .verify import (verify_all, verify_antipode_equivalence,
                          verify_axioms, verify_characters)
     if args.suite == "axioms":
@@ -342,7 +357,7 @@ def _parse_mu(text):
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise ParseError(f"bad composition {text!r}") from exc
+        raise ValueError(f"bad composition {text!r}") from exc
 
 
 def _cmd_enumerate(args):
@@ -354,7 +369,7 @@ def _cmd_enumerate(args):
         image = descent_embedding(mu, bound=_BOUNDS[what])
         return 0, [{"perm": list(w), "coeff": "1"} for w in image]
     if args.n < 1:
-        raise ParseError("--n must be at least 1")
+        raise ValueError("--n must be at least 1")
     _admit(what, args.n, f"--n = {args.n}")
     from .combinatorics import compositions, toggle_free
     if what == "compositions":
@@ -371,6 +386,7 @@ def _cmd_characters(args, basis, tag):
     scalars, aliases = _names(args, basis)
     from .characters import (check_morphism, constant_character, convolve,
                              inverse)
+    from .serialize import character_to_dict, jsonable, parse_expression
     psi = constant_character(
         ctx, parse_expression(args.psi, basis, scalars, aliases), n)
     if args.action == "check":
@@ -447,8 +463,9 @@ def _write(fh, chunks):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         if args.command == "enumerate":
             code, payload = _cmd_enumerate(args)
         else:

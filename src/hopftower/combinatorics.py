@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from itertools import permutations as _lex_permutations, product as _cartesian
 
-from .theory import TheoryError
-
 
 # ---------------------------------------------------------------------------
 # integer compositions
@@ -45,6 +43,7 @@ def _check_composition(mu):
     """``mu`` as a tuple, after checking that its parts are positive ints."""
     mu = tuple(mu)
     if any(not isinstance(p, int) or p <= 0 for p in mu):
+        from .theory import TheoryError
         raise TheoryError(f"not a composition: {mu!r}")
     return mu
 
@@ -462,6 +461,7 @@ def descent_embedding(mu, bound=7):
     partition the symmetric group."""
     mu = _check_composition(mu)
     if not mu:
+        from .theory import TheoryError
         raise TheoryError("composition must be nonempty")
     n = sum(mu)
     if n > bound:

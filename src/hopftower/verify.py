@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .antipode import ROUTES, _closed_num
-from .characters import (_morphism_failure, constant_character, convolve,
-                         counit_character, inverse)
 from .combinatorics import toggle_free
 from .elements import (TensorElement, TensorSquare, _accumulate, _fractions,
                        _same)
@@ -225,6 +223,8 @@ def verify_characters(ctx, max_degree):
     associativity, two-sided inverses, and a non-multiplicative negative
     control.  Each character's multiplicativity is checked once, and the
     group operations reuse that result."""
+    from .characters import (_morphism_failure, constant_character,
+                             convolve, counit_character, inverse)
     rep = _report()
     eps = counit_character(ctx, max_degree)
     half = (ctx.alpha + ctx.beta) / 2

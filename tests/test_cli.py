@@ -1,5 +1,7 @@
 """End-to-end command-line tests driven through main()."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -10,8 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopftower import antipode
+from hopftower import antipode, cli
 from hopftower.antipode import antipode_closed
 from hopftower.cli import _check_output_size, main
 from hopftower.elements import TensorElement
@@ -679,31 +683,51 @@ print(json.dumps([code, sorted(name.rpartition(".")[2] for name in sys.modules
                                if name.startswith("hopftower."))]))
 """
 
-_TOWER = {"hopf", "antipode", "characters", "functors", "verify", "nsym"}
+# every submodule; each row below names exactly the ones it leaves unloaded
+_ALL = {"theory", "elements", "combinatorics", "functors", "hopf", "antipode",
+        "characters", "nsym", "verify", "serialize", "cli"}
+
+
+def _but(*loaded):
+    return _ALL - set(loaded)
+
+
+_COMPUTE = ("cli", "serialize", "theory", "elements", "hopf")
+_ANTIPODE = (*_COMPUTE, "antipode", "combinatorics")
+_CHARACTERS = (*_COMPUTE, "characters", "functors", "combinatorics")
+_VERIFY = (*_ANTIPODE, "verify")
 
 
 @pytest.mark.parametrize("argv, code, unloaded", [
-    (["enumerate", "compositions", "--n", "3"], 0, _TOWER),
-    (["enumerate", "toggle_free", "--n", "3"], 0, _TOWER),
-    (["compute", "multiply", *IND, "--x", X, "--y", X], 0,
-     _TOWER - {"hopf"}),
-    (["compute", "coproduct", *IND, "--x", X], 0, _TOWER - {"hopf"}),
-    (["compute", "antipode", *IND, "--x", X], 0,
-     {"characters", "verify", "nsym"}),
-    (["characters", "check", "--psi", "one"], 0, {"verify", "nsym"}),
+    (["enumerate", "compositions", "--n", "3"], 0,
+     _but("cli", "combinatorics")),
+    (["enumerate", "toggle_free", "--n", "3"], 0,
+     _but("cli", "combinatorics")),
+    (["compute", "multiply", *IND, "--x", X, "--y", X], 0, _but(*_COMPUTE)),
+    (["compute", "coproduct", *IND, "--x", X], 0, _but(*_COMPUTE)),
+    (["compute", "antipode", *IND, "--x", X], 0, _but(*_ANTIPODE)),
+    (["characters", "check", "--psi", "one"], 0, _but(*_CHARACTERS)),
     (["characters", "convolve", "--psi", "one", "--gamma", "one"], 0,
-     {"verify", "nsym"}),
-    (["characters", "invert", "--psi", "one"], 0, {"verify", "nsym"}),
+     _but(*_CHARACTERS)),
+    (["characters", "invert", "--psi", "one"], 0, _but(*_CHARACTERS)),
     # the exit codes that an exception class carries
     (["compute", "multiply", "--q", "3", "--iota", "reg", "--alpha", "reg",
-      "--x", X, "--y", X], 3, _TOWER - {"hopf"}),
-    (["characters", "invert", "--psi", "2*one"], 1, {"verify", "nsym"}),
+      "--x", X, "--y", X], 3, _but(*_COMPUTE)),
+    (["characters", "invert", "--psi", "2*one"], 1, _but(*_CHARACTERS)),
     # descent classes are combinatorics, not the tower
-    (["enumerate", "descent_class", "--mu", "1,2"], 0, _TOWER),
+    (["enumerate", "descent_class", "--mu", "1,2"], 0,
+     _but("cli", "combinatorics")),
+    # only verify_characters runs the character group
+    (["verify", "--suite", "axioms", *IND, "--max-degree", "3"], 0,
+     _but(*_VERIFY)),
+    (["verify", "--suite", "antipode_equiv", *IND, "--max-degree", "3"], 0,
+     _but(*_VERIFY)),
+    (["compute", "antipode", "--cross-check", *IND, "--x", X], 0,
+     _but(*_ANTIPODE)),
 ])
 def test_each_command_loads_only_what_it_runs(argv, code, unloaded):
     """A fresh process compiles every module it imports, so a request
-    loads only the modules its command runs."""
+    loads exactly the modules its command runs."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
                           capture_output=True, text=True, env=env,
@@ -711,7 +735,7 @@ def test_each_command_loads_only_what_it_runs(argv, code, unloaded):
     assert proc.stderr == ""
     got, loaded = json.loads(proc.stdout)
     assert got == code
-    assert not unloaded & set(loaded), loaded
+    assert set(loaded) == _ALL - unloaded, loaded
 
 
 def test_large_json_is_written_in_batches(capsys):
@@ -850,3 +874,223 @@ def test_set_composition_bound(capsys, tmp_path):
         assert code == 2 and out == "", argv
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "exceeds the set compositions bound 65536" in err
+
+
+# argv shapes: the benchmark's CLI requests, the refused requests that CI
+# runs, and --help at each level
+_C4 = ["--base", "cyclic4", "--iota", "reg", "--beta", "(reg - one)/3"]
+_SHAPES = [
+    ["compute", "multiply", *IND, "--x", X, "--y", X],
+    ["compute", "coproduct", *IND, "--x", X],
+    ["compute", "antipode", *IND, "--x", X],
+    ["compute", "antipode", *IND, "--cross-check", "--x", X],
+    ["compute", "multiply", "--base", "cyclic4", "--iota", "reg", "--x", X,
+     "--y", X],
+    ["characters", "check", *IND, "--psi", "one", "--max-degree", "4"],
+    ["characters", "convolve", *IND, "--psi", "one", "--gamma", "beta_star",
+     "--max-degree", "4"],
+    ["characters", "invert", *IND, "--psi", "beta_star", "--max-degree", "4"],
+    ["enumerate", "compositions", "--n", "6"],
+    ["enumerate", "toggle_free", "--n", "5"],
+    ["enumerate", "descent_class", "--mu", "2,1,2"],
+    ["verify", "--suite", "axioms", *IND, "--max-degree", "4", "--seed", "1"],
+    ["verify", "--suite", "all", *IND, "--max-degree", "3"],
+    ["verify", "--suite", "antipode_equiv", "--base", "cyclic4",
+     "--max-degree", "3"],
+    ["compute", "antipode", "--alpha", "2*one", "--x", X],
+    ["compute", "coproduct", "--x", X, "--cross-check", "--y", X,
+     "--max-degree", "9"],
+    ["compute", "multiply", "--x", X, "--y", X, "--cross-check"],
+    ["enumerate", "compositions", "--n", "2", "--mu", "5", "--iota", "bogus"],
+    ["characters", "invert", "--psi", "one", "--gamma", "nonsense"],
+    ["compute", "antipode", "--base", "cyclic4", "--q", "7", "--x", X],
+    ["compute", "antipode", "--base", "nope"],
+    ["enumerate", "descent_class", "--mu", "4,4"],
+    ["verify", "--suite", "all", "--max-degree", "1000000000000"],
+    ["enumerate", "compositions", "--n", "3", "--out", "out"],
+    ["verify", "--suite", "axioms", "--max-degree", "1", "--theory-file",
+     "rank65.json"],
+    ["compute", "coproduct", *_C4, "--x", X],
+    ["compute", "antipode", "--theory-file", "one.json", "--x", X],
+    ["verify", "--suite", "antipode_equiv", "--theory-file", "one.json",
+     "--max-degree", "8"],
+    ["bogus"],
+    ["compute", "bogus"],
+    ["enumerate", "compositions"],
+    ["verify", "--suite", "nope"],
+    [],
+    ["--help"],
+    ["compute", "--help"],
+    ["verify", "--help"],
+    ["enumerate", "--help"],
+    ["characters", "--help"],
+    *([command, leaf, "--help"] for command, leaves in (
+        ("compute", ("multiply", "coproduct", "antipode")),
+        ("enumerate", ("compositions", "toggle_free", "descent_class")),
+        ("characters", ("check", "convolve", "invert"))) for leaf in leaves),
+]
+_LEAVES = {"compute": {"multiply", "coproduct", "antipode"},
+           "enumerate": {"compositions", "toggle_free", "descent_class"},
+           "characters": {"check", "convolve", "invert"}}
+
+
+def _parsed(parser, argv, capsys):
+    """What parsing argv gives: a Namespace, a usage error's message, or
+    the exit code and text of a help message."""
+    try:
+        return parser.parse_args(argv)
+    except ValueError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", _SHAPES)
+def test_the_leaf_path_parses_as_the_whole_tree(argv, capsys, monkeypatch):
+    """The parsers built for argv's own command and leaf give the Namespace,
+    error message or help text that the whole tree gives, and a request
+    naming a command and leaf builds those parsers only: the top parser,
+    the command's and its leaf's (verify has no leaf)."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    got = _parsed(cli.build_parser(argv), argv, capsys)
+    named = argv[:1] == ["verify"] or (
+        len(argv) > 1 and argv[1] in _LEAVES.get(argv[0], ()))
+    assert len(built) == ((2 if argv[0] == "verify" else 3) if named
+                          else 14)
+    assert got == _parsed(cli.build_parser(), argv, capsys)
+
+
+def test_help_and_choice_errors_list_every_choice(capsys):
+    """An argv naming no command and leaf gets the whole tree, so its
+    messages list every choice."""
+    assert main(["compute", "bogus"]) == 2
+    assert capsys.readouterr().err == (
+        "error: argument action: invalid choice: 'bogus' (choose from "
+        "'multiply', 'coproduct', 'antipode')\n")
+    for argv, choices in (
+            (["--help"], "{compute,verify,enumerate,characters}"),
+            (["compute", "--help"], "{multiply,coproduct,antipode}")):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert choices in capsys.readouterr().out
+
+
+_LABELS = ("one", "regm1", "sgn", "s", "reg", "beta_star", "q", "bogus", "")
+# JSON values of the wrong kind, or nested past sense
+_JUNK = (1.5, True, None, "x", [], {}, [[[]]], {"degree": {}}, -1, 2 ** 70)
+
+
+def _often(valid, junk):
+    """Draws from ``valid`` four times in five, else from ``junk``."""
+    return st.integers(0, 4).flatmap(lambda k: valid if k else junk)
+
+
+@st.composite
+def _element_text(draw):
+    """An element's JSON text, often malformed: a float, a bool or a
+    negative degree, an unknown label, nested junk, or no JSON at all."""
+    if not draw(st.integers(0, 9)):
+        return draw(st.sampled_from(("", "{", "[1,", "null", "@nope.json")))
+    degree = draw(_often(st.integers(0, 4), st.sampled_from(_JUNK)))
+    n = degree - 1 if degree in (1, 2, 3, 4) else 0
+    terms = draw(st.lists(st.fixed_dictionaries({
+        "word": _often(st.lists(st.sampled_from(_LABELS[:2]), min_size=n,
+                                max_size=n),
+                       st.one_of(st.lists(st.sampled_from(_LABELS),
+                                          max_size=4),
+                                 st.sampled_from(_JUNK))),
+        "coeff": _often(st.sampled_from(("1", "-2/3", "0")),
+                        st.sampled_from(("1/0", "x", *_JUNK)))}),
+        max_size=3))
+    data = {"degree": degree, "terms": terms}
+    return json.dumps(draw(_often(st.just(data), st.sampled_from(_JUNK))))
+
+
+_EXPRESSION = _often(
+    st.sampled_from(("one", "reg", "beta_star", "(reg - one)/3", "regm1/2",
+                     "2*one")),
+    st.lists(st.sampled_from(_LABELS + ("2", "1/3", "0", "2.5", "+", "-",
+                                        "*", "/", "(", ")")),
+             min_size=1, max_size=7).map(" ".join))
+
+# each flag's values, valid and not
+_VALUES = {
+    "--x": _element_text(), "--y": _element_text(),
+    "--iota": _EXPRESSION, "--alpha": _EXPRESSION, "--beta": _EXPRESSION,
+    "--psi": _EXPRESSION, "--gamma": _EXPRESSION,
+    "--base": _often(st.sampled_from(("twodim", "cyclic4")), st.just("no")),
+    "--q": _often(st.sampled_from(("2", "3")), st.sampled_from(("1", "x"))),
+    "--max-degree": st.sampled_from(("0", "1", "2", "3", "-1", "x")),
+    "--n": _often(st.sampled_from(("1", "3", "6")),
+                  st.sampled_from(("0", "-2", "x"))),
+    "--mu": _often(st.sampled_from(("1,2", "2,1,2")),
+                   st.sampled_from(("4,4", "0", "a,b", ""))),
+    "--suite": _often(st.sampled_from(("axioms", "antipode_equiv", "nsym",
+                                       "characters", "all")),
+                      st.just("nope")),
+    "--seed": _often(st.just("1"), st.just("x")),
+    "--format": _often(st.sampled_from(("json", "text")), st.just("xml")),
+    "--theory-file": st.just("nope.json"),
+    "--bogus": st.just("1"),
+    "--cross-check": st.nothing(),
+}
+# each leaf's required flags (verify has no leaf)
+_REQUIRED = {"multiply": ["--x", "--y"], "coproduct": ["--x"],
+             "antipode": ["--x"], "compositions": ["--n"],
+             "toggle_free": ["--n"], "descent_class": ["--mu"],
+             "check": ["--psi"], "invert": ["--psi"],
+             "convolve": ["--psi", "--gamma"], None: ["--suite"]}
+_CONTEXT = ("--format", "--base", "--q", "--iota", "--alpha", "--beta")
+
+
+@st.composite
+def _argv(draw):
+    """A request: a command and its leaf, each now and then misspelled or
+    left out, their required flags, each now and then left out, and a few
+    other flags, now and then one no leaf reads, with drawn values."""
+    command = draw(st.sampled_from(("compute", "verify", "enumerate",
+                                    "characters")))
+    leaf = (draw(st.sampled_from(sorted(_LEAVES[command])))
+            if command in _LEAVES else None)
+    argv = [command, leaf] if leaf else [command]
+    if not draw(st.integers(0, 9)):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif not draw(st.integers(0, 9)):
+        argv[-1] += "s"
+    flags = [f for f in _REQUIRED[leaf] if draw(st.integers(0, 9))]
+    optional = {"enumerate": _CONTEXT[:1], "verify": (*_CONTEXT, "--seed"),
+                "compute": (*_CONTEXT, "--cross-check")}.get(command, _CONTEXT)
+    flags += draw(st.lists(st.sampled_from(optional), max_size=3))
+    flags += draw(_often(st.just([]), st.lists(st.sampled_from(
+        sorted(_VALUES)), min_size=1, max_size=1)))
+    for flag in flags:
+        argv.append(flag)
+        if flag != "--cross-check":
+            argv.append(draw(_VALUES[flag]))
+    if command in ("verify", "characters"):  # the default degree is 4
+        argv += ["--max-degree", draw(st.sampled_from("0123"))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_every_request_keeps_the_exit_code_contract(argv):
+    """Nothing escapes main(), which exits 0, 1, 2 or 3 and writes either
+    an answer to stdout or one ``error:`` line to stderr: the latter on
+    exit 2 or 3, or on exit 1 from a group operation on a non-morphism."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    assert bool(out) != bool(err), argv
+    assert bool(err) == (code > 1) or code == 1, argv
+    if err:
+        assert err.startswith("error: ") and err.count("\n") == 1, argv

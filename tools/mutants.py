@@ -76,6 +76,19 @@ MUTANTS = [
      "rights = _splice(rdb, rwb, rda, rwa, iota, den)", "killed"),
     # the closed antipode's word: the open block, then the finished ones
     ("antipode.py", "w = block + done", "w = done + block", "killed"),
+    # the closed antipode's cut takes minus its beta pairing
+    ("antipode.py", "-v * beta[a]", "v * beta[a]", "killed"),
+    # the coproduct's first crossing pairs its letter against alpha
+    ("hopf.py", "v * alpha[a] * scale", "v * beta[a] * scale", "killed"),
+    # the CLI loads no module at import that enumerate does not run
+    ("cli.py", "from math import comb\n",
+     "from math import comb\n\nfrom . import serialize\n", "killed"),
+    # a misspelled leaf gets the whole tree, whose error lists the choices
+    ("cli.py", "if leaves is None or dest and leaf not in leaves:",
+     "if leaves is None:", "killed"),
+    # a request naming its leaf builds that leaf's parser, no other
+    ("cli.py", "for each in [leaf] if leaf else leaves:",
+     "for each in leaves:", "killed"),
 ]
 
 
