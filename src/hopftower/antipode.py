@@ -72,6 +72,8 @@ def _closed_num(ctx, n, x):
     the end.  Sign: -1 per block (none at degree 0).
     """
     common, nums = x
+    if not nums:  # at once: no letter passes and no D^(2(n-1))
+        return common, {}
     beta, diff = ctx._beta_num, ctx._diff_num
     states = {((), (), w): -v if n else v for w, v in nums.items()}
     for _ in range(n - 1):

@@ -7,21 +7,23 @@ against the product, pairing the letter the product splices iota into
 against iota; the group law is convolution, computed two ways
 (closed block formula and the definitional composite) which are checked
 against each other on every call.  The group operations run
-``check_morphism`` once per character.  Both sides sum on int forms, the
-closed side on components put over their lcm, the definitional side on
-the value tables and on Δ of each basis word from the context's table
-(``HopfContext._word_coproduct``).
+``check_morphism`` once per character: its result, like the value and
+int tables, is a cached property of the character.  Both sides sum on
+int forms, the closed side on components put over their lcm, each
+composition's words expanded by ``elements._expand_num``, the
+definitional side on the value tables and on Δ of each basis word from
+the context's table (``HopfContext._word_coproduct``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .combinatorics import compositions
-from .elements import (TensorElement, _fractions, _over_lcm, _same,
-                       _sum_forms, expand_letters)
-from .functors import _pair_away
+from .elements import (TensorElement, _expand_num, _fractions, _over_lcm,
+                       _same, _sum_forms, expand_letters)
 from .theory import BaseElement, TheoryError
 
 
@@ -52,10 +54,10 @@ class LinearCharacter:
     Fraction(0, 1)
 
     A character is immutable by contract: it is hashed by its components,
-    and it keeps its ``check_morphism`` result and its value tables.
+    and its derived data are cached properties, each computed on first
+    use: ``_failure``, its ``check_morphism`` result, a failure included;
+    ``_value_tables``; and ``_num_tables``.
     """
-
-    __slots__ = ("ctx", "components", "_failure", "_values", "_nums")
 
     def __init__(self, ctx, components):
         components = tuple(components)
@@ -69,31 +71,27 @@ class LinearCharacter:
             raise TheoryError("degree-0 component must be the unit")
         self.ctx = ctx
         self.components = components
-        self._failure = _UNCHECKED
-        self._values = self._nums = None
 
     @property
     def max_degree(self):
         return len(self.components) - 1
 
+    _failure = cached_property(lambda self: check_morphism(self))
+
+    @cached_property
     def _value_tables(self):
         """Per degree, the values on the basis words as a word -> value
         dict: the component's coefficient times the Gram factors of the
-        word's letters; absent words are 0.  Built on first use."""
-        if self._values is None:
-            gram = self.ctx.basis.gram
-            self._values = tuple(
-                {word: c * math.prod(gram[letter] for letter in word)
-                 for word, c in comp.terms.items()}
-                for comp in self.components)
-        return self._values
+        word's letters; absent words are 0."""
+        gram = self.ctx.basis.gram
+        return tuple({word: c * math.prod(gram[letter] for letter in word)
+                      for word, c in comp.terms.items()}
+                     for comp in self.components)
 
+    @cached_property
     def _num_tables(self):
-        """``_over_lcm`` of the components' terms, for the closed formulas;
-        built on first use."""
-        if self._nums is None:
-            self._nums = _over_lcm(*(comp.terms for comp in self.components))
-        return self._nums
+        """``_over_lcm`` of the components' terms, for the closed formulas."""
+        return _over_lcm(*(comp.terms for comp in self.components))
 
     def __call__(self, x):
         """Evaluate on an element, word by word."""
@@ -101,7 +99,7 @@ class LinearCharacter:
         if n > self.max_degree:
             raise TheoryError("character only defined up to degree %d"
                               % self.max_degree)
-        values = self._value_tables()[n]
+        values = self._value_tables[n]
         return sum((c * values.get(word, 0) for word, c in x.terms.items()),
                    Fraction(0))
 
@@ -115,9 +113,6 @@ class LinearCharacter:
 
     def __repr__(self):
         return "LinearCharacter(max_degree=%d)" % self.max_degree
-
-
-_UNCHECKED = object()  # a character's check_morphism result, not yet known
 
 
 def counit_character(ctx, max_degree):
@@ -154,30 +149,19 @@ def check_morphism(chi):
     Returns None if all checks pass, else ``(n, j, lhs, rhs)`` for the
     first failing pair of functionals (as coefficient dictionaries).
     """
-    ctx = chi.ctx
-    pair_iota = ctx.basis.pairings(ctx.iota)
+    pair_iota = chi.ctx.basis.pairings(chi.ctx.iota)
+    comps = chi.components
     for n in range(2, chi.max_degree + 1):
-        comp = chi.components[n]
         for j in range(1, n):
-            bits = tuple(0 if i == j - 1 else 1 for i in range(n - 1))
-            lhs = _pair_away(bits, comp, [pair_iota] * (n - 1))
-            rhs_l = chi.components[j]
-            rhs_r = chi.components[n - j]
-            rhs = TensorElement(n - 1)
-            for lw, lc in rhs_l.terms.items():
-                for rw, rc in rhs_r.terms.items():
-                    rhs.add_term(lw + rw, lc * rc)
+            lhs = TensorElement(n - 1, (  # letter j paired away
+                (w[:j - 1] + w[j:], c * pair_iota[w[j - 1]])
+                for w, c in comps[n].terms.items()))
+            rhs = TensorElement(n - 1, {
+                lw + rw: lc * rc for lw, lc in comps[j].terms.items()
+                for rw, rc in comps[n - j].terms.items()})
             if lhs != rhs:
                 return (n, j, dict(lhs.terms), dict(rhs.terms))
     return None
-
-
-def _morphism_failure(chi):
-    """``check_morphism(chi)``, run on the first call only and kept on the
-    character."""
-    if chi._failure is _UNCHECKED:
-        chi._failure = check_morphism(chi)
-    return chi._failure
 
 
 def _require_morphisms(*chis):
@@ -185,7 +169,7 @@ def _require_morphisms(*chis):
     for chi in chis:
         if chi.ctx != ctx:
             raise ContextMismatch("characters over different contexts")
-        bad = _morphism_failure(chi)
+        bad = chi._failure
         if bad is not None:
             raise NotAMorphism(
                 "not multiplicative at degree %d, split %d" % bad[:2])
@@ -196,8 +180,8 @@ def _check_definition(psi, gamma, want):
     over the coproduct of x, equals want(x) on every basis word x of
     positive degree up to want's max degree.  The sum runs on int
     numerators over one denominator per degree."""
-    left_den, *left = _over_lcm(*psi._value_tables())
-    right_den, *right = _over_lcm(*gamma._value_tables())
+    left_den, *left = _over_lcm(*psi._value_tables)
+    right_den, *right = _over_lcm(*gamma._value_tables)
     for n in range(1, want.max_degree + 1):
         sums = {}
         for word in psi.ctx.basis_words(n):
@@ -206,7 +190,7 @@ def _check_definition(psi, gamma, want):
                              in terms.items() if (lv := left[ld].get(lw))
                              and (rv := right[rd].get(rw)))
         defined = (den * left_den * right_den, sums)
-        closed = want._value_tables()[n]
+        closed = want._value_tables[n]
         if not _same(_over_lcm(closed), defined):
             shown = _fractions(*defined)
             word = next(w for w in defined[1]
@@ -229,38 +213,33 @@ def convolve(psi, gamma):
     _require_morphisms(psi, gamma)
     ctx = psi.ctx
     top = min(psi.max_degree, gamma.max_degree)
+    alpha, beta = _marker(ctx.alpha), _marker(ctx.beta)
     out = LinearCharacter(ctx, [ctx.unit()] + [
-        _convolve_component(psi, gamma, n) for n in range(1, top + 1)])
+        _convolve_component(psi, gamma, n, alpha, beta)
+        for n in range(1, top + 1)])
     _check_definition(psi, gamma, out)
     return out
 
 
+def _marker(element):
+    """An element as a table of one-letter words, for ``_interleave``."""
+    return _over_lcm({(i,): c for i, c in enumerate(element.coords) if c})
+
+
 def _interleave(chi_a, chi_b, mark_a, mark_b, mu):
-    """The words of one composition mu as an int form, from int-form marks.
-
-    Blocks are taken alternately from chi_a, chi_b, chi_a, ...; before
-    each block after the first, the previous block's marker is spliced
-    in, one branch per nonzero coordinate.  All words of the fold share
-    one length, so no two branches meet and nothing needs accumulating.
-    """
-    sides = (chi_a._num_tables(), mark_a), (chi_b._num_tables(), mark_b)
-    den, acc, owed = 1, {(): 1}, None
+    """The words of one composition mu as an int form, from ``_marker``
+    tables: blocks taken alternately from chi_a, chi_b, chi_a, ..., each
+    block after the first behind the previous block's marker, expanded by
+    ``_expand_num``."""
+    sides = (chi_a._num_tables, mark_a), (chi_b._num_tables, mark_b)
+    entries = []
     for b, part in enumerate(mu):
-        if owed is not None:  # the previous block's marker
-            mark_den, mark = owed
-            den *= mark_den
-            acc = {w + (i,): c * ci for w, c in acc.items()
-                   for i, ci in enumerate(mark) if ci}
-        (block_den, *blocks), owed = sides[b % 2]
-        den *= block_den
-        acc = {w + bw: c * bc for w, c in acc.items()
-               for bw, bc in blocks[part].items()}
-    return den, acc
+        (den, *blocks), mark = sides[b % 2]
+        entries += [(den, blocks[part]), mark]
+    return _expand_num(entries[:-1])
 
 
-def _convolve_component(psi, gamma, n):
-    ctx = psi.ctx
-    alpha, beta = _over_lcm(ctx.alpha.coords), _over_lcm(ctx.beta.coords)
+def _convolve_component(psi, gamma, n, alpha, beta):
     return TensorElement(n, _fractions(*_sum_forms(
         (1, _interleave(*pair, mu)) for mu in compositions(n)
         for pair in ((psi, gamma, alpha, beta), (gamma, psi, beta, alpha)))))
@@ -271,7 +250,7 @@ def inverse(psi):
     compositions of psi blocks joined by (alpha + beta) markers."""
     _require_morphisms(psi)
     ctx = psi.ctx
-    mark = _over_lcm((ctx.alpha + ctx.beta).coords)
+    mark = _marker(ctx.alpha + ctx.beta)
     comps = [ctx.unit()]
     for n in range(1, psi.max_degree + 1):
         comps.append(TensorElement(n, _fractions(*_sum_forms(
@@ -299,4 +278,4 @@ def looks_module_supported(chi):
     Gram weights of its letters is a nonnegative integer.  Necessary
     (not sufficient) for the functional to count module dimensions."""
     return all(v >= 0 and Fraction(v).denominator == 1
-               for values in chi._value_tables() for v in values.values())
+               for values in chi._value_tables for v in values.values())

@@ -287,14 +287,17 @@ def expand_letters(entries, coeff=1):
 
 
 def _expand_num(entries, coeff=1):
-    """``expand_letters`` on int forms: each entry an int (a fixed letter)
-    or a letter's coordinates as ``(den, numerator tuple)``; the words are
+    """``expand_letters`` on int forms: each entry an int (a fixed letter),
+    a letter's coordinates as ``(den, numerator tuple)``, or a block of
+    words of one length as ``(den, {word: numerator})``; the words are
     over the product of the coefficient's and the entries' denominators.
 
     >>> _expand_num([(2, (1, 0)), 1], Fraction(2, 3))
     (6, {(0, 1): 2})
+    >>> _expand_num([(3, {(0, 1): 1, (1, 1): -2}), 0], 5)
+    (3, {(0, 1, 0): 5, (1, 1, 0): -10})
     """
-    coeff = Fraction(coeff)
+    coeff = coeff if isinstance(coeff, int) else Fraction(coeff)
     den, partial = coeff.denominator, {(): coeff.numerator}
     for entry in entries:
         if isinstance(entry, int):
@@ -302,10 +305,14 @@ def _expand_num(entries, coeff=1):
             continue
         d, nums = entry
         den *= d
-        # the words of partial share one length, so each (i, w) gives its
-        # own key and nothing needs accumulating
-        partial = {w + (i,): c * ci for i, ci in enumerate(nums) if ci
-                   for w, c in partial.items() if c}
+        # the words of partial (of a block) share one length, so each pair
+        # of words gives its own key and nothing needs accumulating
+        if isinstance(nums, dict):
+            partial = {w + bw: c * bc for w, c in partial.items()
+                       for bw, bc in nums.items()}
+        else:
+            partial = {w + (i,): c * ci for i, ci in enumerate(nums) if ci
+                       for w, c in partial.items() if c}
     return den, partial
 
 

@@ -208,10 +208,12 @@ class HopfContext:
         does (a longer word is a larger int, the first letter highest),
         then the ``((n, w), (0, ()))`` ends by w.
         """
+        common, nums = x
+        if not nums:  # at once: no letter passes and no D^(2(n-1))
+            return common, {}
         alpha, beta, iota = self._alpha_num, self._beta_num, self._iota_num
         d1, d2 = self._den, self._den ** 2
         top = d2 ** max(n - 1, 0)  # D^(2(n-1))
-        common, nums = x
         words, b = self._words
         mask = (1 << b) - 1
         ends = [(w, nums[w] * top) for w in sorted(nums)]

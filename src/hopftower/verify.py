@@ -223,8 +223,8 @@ def verify_characters(ctx, max_degree):
     associativity, two-sided inverses, and a non-multiplicative negative
     control.  Each character's multiplicativity is checked once, and the
     group operations reuse that result."""
-    from .characters import (_morphism_failure, constant_character,
-                             convolve, counit_character, inverse)
+    from .characters import (constant_character, convolve, counit_character,
+                             inverse)
     rep = _report()
     eps = counit_character(ctx, max_degree)
     half = (ctx.alpha + ctx.beta) / 2
@@ -233,7 +233,7 @@ def verify_characters(ctx, max_degree):
             constant_character(ctx, half, max_degree)]
 
     for i, psi in enumerate(psis):
-        _run(rep, ("multiplicative", i), _morphism_failure(psi), None)
+        _run(rep, ("multiplicative", i), psi._failure, None)
         _run(rep, ("convolve_identity_left", i), convolve(eps, psi), psi)
         _run(rep, ("convolve_identity_right", i), convolve(psi, eps), psi)
         inv = inverse(psi)
@@ -246,7 +246,7 @@ def verify_characters(ctx, max_degree):
 
     # built to degree 2 at least: below that there is no split to fail
     doubled = constant_character(ctx, 2 * ctx.basis.one, max(max_degree, 2))
-    bad = _morphism_failure(doubled)
+    bad = doubled._failure
     _run(rep, ("negative_control",),
          None if bad is None else bad[:2], (2, 1))
     return rep

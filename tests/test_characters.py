@@ -17,13 +17,12 @@ import pytest
 
 from hopftower import characters
 from hopftower.characters import (ContextMismatch, LinearCharacter,
-                                  NotAMorphism, _interleave, check_morphism,
-                                  constant_character, convolve,
-                                  counit_character, inverse, is_odd,
-                                  looks_module_supported)
+                                  NotAMorphism, _interleave, _marker,
+                                  check_morphism, constant_character,
+                                  convolve, counit_character, inverse,
+                                  is_odd, looks_module_supported)
 from hopftower.combinatorics import compositions, partial_sums
-from hopftower.elements import (TensorElement, _fractions, _over_lcm,
-                                expand_letters)
+from hopftower.elements import TensorElement, _fractions, expand_letters
 from hopftower.functors import def_along, pointwise_twist
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.theory import TheoryError, cyclic4, from_table, two_dim
@@ -223,7 +222,7 @@ def test_interleave_matches_the_template_lists():
     leaves convolve and inverse unchanged on multiplicative characters,
     so only _interleave itself shows it."""
     for ctx in (ind_ctx(), induction_context(cyclic4())):
-        alpha, beta = tuple(ctx.alpha.coords), tuple(ctx.beta.coords)
+        alpha, beta = ctx.alpha, ctx.beta
         assert alpha != beta
         p, g = non_constant_characters(ctx, 4)
         for n in range(1, 5):
@@ -231,10 +230,11 @@ def test_interleave_matches_the_template_lists():
                 for chi_a, chi_b in ((p, g), (g, p), (p, p)):
                     for mark_a, mark_b in ((alpha, beta), (beta, alpha)):
                         got = _fractions(*_interleave(
-                            chi_a, chi_b, _over_lcm(mark_a), _over_lcm(mark_b),
+                            chi_a, chi_b, _marker(mark_a), _marker(mark_b),
                             mu))
                         assert got == reference_interleave(
-                            chi_a, chi_b, mark_a, mark_b, mu, n), mu
+                            chi_a, chi_b, tuple(mark_a.coords),
+                            tuple(mark_b.coords), mu, n), mu
 
 
 # -- the closed formulas against the template lists ----------------------------
@@ -427,8 +427,8 @@ def test_perturbed_closed_side_still_raises(monkeypatch):
     good = convolve(a, b)  # fills the coproduct tables of degrees 1 to 3
     real = characters._convolve_component
 
-    def perturbed(psi, gamma, n):
-        out = real(psi, gamma, n)
+    def perturbed(psi, gamma, n, *markers):
+        out = real(psi, gamma, n, *markers)
         if n == 3:
             out.add_term((1, 0), Fraction(1, 7))
         return out

@@ -1,7 +1,8 @@
 """Mutation gate: the tier-1 suite must fail on each listed mutant of src/.
 
 A mutant is (file under src/hopftower, old text, new text, expected
-outcome), and its old text must occur exactly once in the file.  The
+outcome), and its old text must occur exactly once in the file; a known
+survivor, listed so that the score shows it, expects "survived".  The
 unmutated tree runs first and must pass; then each mutant is applied to a
 fresh copy of the working tree (without ``.git``) in a temporary
 directory, where the tier-1 suite runs with ``-x`` under a timeout.  A
@@ -69,8 +70,26 @@ MUTANTS = [
      "pair_a, pair_b = basis.pairings(beta), basis.pairings(alpha)",
      "killed"),
     # the character inverse joins psi blocks by (alpha + beta) markers
-    ("characters.py", "(ctx.alpha + ctx.beta).coords",
-     "(ctx.alpha + ctx.alpha).coords", "killed"),
+    ("characters.py", "_marker(ctx.alpha + ctx.beta)",
+     "_marker(ctx.alpha + ctx.alpha)", "killed"),
+    # each block of a composition is followed by its own side's marker
+    ("characters.py",
+     "sides = (chi_a._num_tables, mark_a), (chi_b._num_tables, mark_b)",
+     "sides = (chi_a._num_tables, mark_b), (chi_b._num_tables, mark_a)",
+     "killed"),
+    # a block entry of _expand_num scales by each block word's numerator
+    ("elements.py", "partial = {w + bw: c * bc for w, c in partial.items()",
+     "partial = {w + bw: c for w, c in partial.items()", "killed"),
+    # check_morphism pairs the letter at the splice, not its mirror
+    ("characters.py", "c * pair_iota[w[j - 1]]", "c * pair_iota[w[-j]]",
+     "killed"),
+    # reversing every word of a convolution component: every character the
+    # tests build is reversal-invariant, and on those the mutant's
+    # (gamma∘ρ)*(psi∘ρ) equals psi*gamma, so only a pair of characters that
+    # do not commute can show it
+    ("characters.py", "(1, _interleave(*pair, mu))",
+     "(1, (lambda den, t: (den, {w[::-1]: c for w, c in t.items()}))"
+     "(*_interleave(*pair, mu)))", "survived"),
     # the square product splices right sides as (a's, b's)
     ("hopf.py", "rights = _splice(rda, rwa, rdb, rwb, iota, den)",
      "rights = _splice(rdb, rwb, rda, rwa, iota, den)", "killed"),
@@ -78,6 +97,14 @@ MUTANTS = [
     ("antipode.py", "w = block + done", "w = done + block", "killed"),
     # the closed antipode's cut takes minus its beta pairing
     ("antipode.py", "-v * beta[a]", "v * beta[a]", "killed"),
+    # a cut puts the iota marker between the block and the finished ones
+    ("antipode.py", "((), (_MARKER,) + block + done, rest)",
+     "((), block + (_MARKER,) + done, rest)", "killed"),
+    # a zero form of any degree returns at once, without its letter passes
+    ("antipode.py", "    if not nums:  # at once: no letter passes and no "
+     "D^(2(n-1))\n        return common, {}\n", "", "killed"),
+    ("hopf.py", "        if not nums:  # at once: no letter passes and no "
+     "D^(2(n-1))\n            return common, {}\n", "", "killed"),
     # the coproduct's first crossing pairs its letter against alpha
     ("hopf.py", "v * alpha[a] * scale", "v * beta[a] * scale", "killed"),
     # the CLI loads no module at import that enumerate does not run
