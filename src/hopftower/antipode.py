@@ -41,7 +41,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 
-from .combinatorics import set_compositions, setcomp_profile, toggle_free
 from .elements import (TensorElement, _accumulate, _expand_positions,
                        _fractions, _over_lcm)
 
@@ -106,16 +105,18 @@ def _getter(indices):
 
 
 @lru_cache(maxsize=2 * (_KEPT + 1))  # both routes, degrees 0 to _KEPT
-def _setcomp_table(comps_of, n):
-    """The sum over comps_of(n) as plans (sign, crossings, get): under A,
-    letter j (between positions j+1, j+2) fills its slot of straighten(A)
-    if both share a block, else crosses as (j, 1 for alpha or 0 for
-    beta); empty slots hold the iota marker, and ``get`` picks the slots
-    out of a word with the marker appended.  Equal plans add their signs
-    (net ±1)."""
+def _setcomp_table(route, n):
+    """The sum over ``route``'s set compositions A of n, all or the
+    toggle-free ones, as plans (sign, crossings, get): letter j (between
+    positions j+1, j+2) fills its slot of straighten(A) if both share a
+    block, else crosses as (j, 1 for alpha or 0 for beta); empty slots
+    hold the iota marker, and ``get`` picks the slots out of a word with
+    the marker appended.  Equal plans add their signs (net ±1)."""
+    from .combinatorics import (bc_bits, llc_bits, set_compositions,
+                                straighten, toggle_free)
     table = {}
-    for A in comps_of(n):
-        w, llc, bc = setcomp_profile(A)
+    for A in (toggle_free if route == "toggle_free" else set_compositions)(n):
+        w, llc, bc = straighten(A), llc_bits(A), bc_bits(A)
         crossings, slots = [], [_MARKER] * (n - 1)
         for j in range(n - 1):
             if bc[j]:
@@ -128,11 +129,11 @@ def _setcomp_table(comps_of, n):
                  for (crossings, slots), sign in table.items())
 
 
-def _setcomp_num(ctx, n, x, comps_of):
-    """The sum over comps_of(n) of the int form x of degree n, on int
-    numerators over the route's own denominator d, the lcm of the public
-    pairings' and iota's; words in no particular order.  Reads none of
-    the context's integer tables."""
+def _setcomp_num(ctx, n, x, route):
+    """``route``'s sum (see ``_setcomp_table``) of the int form x of
+    degree n, on int numerators over the route's own denominator d, the
+    lcm of the public pairings' and iota's; words in no particular order.
+    Reads none of the context's integer tables."""
     # degree 0 needs no case of its own: the table is the identity
     common, nums = x
     if not nums:  # at once: the Fubini(n) set compositions are not walked
@@ -142,7 +143,7 @@ def _setcomp_num(ctx, n, x, comps_of):
     iota = {_MARKER: [(i, c) for i, c in enumerate(iota) if c]}
     pairings = (beta, alpha)
     table = (_setcomp_table if n <= _KEPT
-             else _setcomp_table.__wrapped__)(comps_of, n)
+             else _setcomp_table.__wrapped__)(route, n)
     # a plan with k crossings leaves k markers, each crossing over d^2 (a
     # pairing and an iota): pad it from d^(2k) to d^(2(n-1))
     top = max(n - 1, 0)
@@ -166,13 +167,13 @@ def antipode_all_setcomps(ctx, x):
     """Antipode as the full sum over ordered set partitions of the
     positions."""
     return _element(x.degree, _setcomp_num(ctx, x.degree, _over_lcm(x.terms),
-                                           set_compositions))
+                                           "all_setcomps"))
 
 
 def antipode_toggle_free(ctx, x):
     """Antipode as the reduced sum over toggle-free set compositions."""
     return _element(x.degree, _setcomp_num(ctx, x.degree, _over_lcm(x.terms),
-                                           toggle_free))
+                                           "toggle_free"))
 
 
 def antipode_oracle(ctx, x):
@@ -241,7 +242,7 @@ def _oracle_solve(ctx, n, x):
 # bound later to the module attribute is the one checked.
 ROUTES = (
     ("all_setcomps", lambda ctx, n, x: _setcomp_num(ctx, n, x,
-                                                    set_compositions)),
-    ("toggle_free", lambda ctx, n, x: _setcomp_num(ctx, n, x, toggle_free)),
+                                                    "all_setcomps")),
+    ("toggle_free", lambda ctx, n, x: _setcomp_num(ctx, n, x, "toggle_free")),
     ("oracle", lambda ctx, n, x: _oracle_num(ctx, n, x)),
 )

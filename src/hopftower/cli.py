@@ -24,6 +24,7 @@ of the bounds in ``_BOUNDS``, each checked by ``_admit``:
   toggle_free     -- ``enumerate toggle_free``: ``--n``
   descent_class   -- ``enumerate descent_class``: the sum of ``--mu``
   theory rank     -- ``--theory-file``: its rows, before any value is parsed
+  input bytes     -- ``--x``/``--y @FILE``, ``--theory-file``: its size
 
 No hopftower module is loaded for every command: each helper imports
 what it runs (``enumerate`` loads ``combinatorics`` alone), and ``main``
@@ -50,6 +51,7 @@ _BOUNDS = {
     "toggle_free": 8,           # --n
     "descent_class": 7,         # sum(mu)
     "theory rank": 64,          # rows of --theory-file; validation ~rank^3
+    "input bytes": 2 ** 24,     # size of an element or theory file
 }
 
 
@@ -165,11 +167,8 @@ def _build_basis(args):
     if args.q is not None and (args.theory_file or args.base != "twodim"):
         raise ValueError("--q applies to --base twodim only")
     if args.theory_file:
-        try:
-            with open(args.theory_file, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"cannot read theory file: {exc}") from exc
+        error = "cannot read theory file"
+        data = _read_json("@" + args.theory_file, error, error)
         if isinstance(data, dict) and isinstance(data.get("values"), list):
             _admit("theory rank", len(data["values"]),
                    f"rows of --theory-file = {len(data['values'])}")
@@ -207,19 +206,27 @@ def _build_context(args, basis):
     return HopfContext(basis, iota, alpha, beta)
 
 
-def _load_element(arg, basis, tag):
+def _read_json(arg, read_error, parse_error):
+    """The JSON value of ``arg``, or of the file it names as ``@path``, read
+    up to the input bound and decoded as a text-mode read() would; errors
+    lead with ``read_error`` or ``parse_error``."""
+    text = arg
     if arg.startswith("@"):
         try:
-            with open(arg[1:], encoding="utf-8") as fh:
-                text = fh.read()
+            with open(arg[1:], "rb") as fh:
+                text = fh.read(_BOUNDS["input bytes"] + 1)
         except OSError as exc:
-            raise ValueError(f"cannot read element file: {exc}") from exc
-    else:
-        text = arg
+            raise ValueError(f"{read_error}: {exc}") from exc
+        _admit("input bytes", len(text), f"the size of {arg[1:]}")
+        text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"bad element JSON: {exc}") from exc
+        raise ValueError(f"{parse_error}: {exc}") from exc
+
+
+def _load_element(arg, basis, tag):
+    data = _read_json(arg, "cannot read element file", "bad element JSON")
     if isinstance(data, dict):
         if "base" in data and data["base"] != tag["base"]:
             raise ValueError(
@@ -318,12 +325,8 @@ def _cmd_compute(args, basis, tag):
 
 
 def _has_failure(report):
-    if isinstance(report, dict):
-        if report.get("first_failure") is not None:
-            return True
-        return any(_has_failure(v) for v in report.values()
-                   if isinstance(v, dict))
-    return False
+    return report.get("first_failure") is not None or any(
+        _has_failure(v) for v in report.values() if isinstance(v, dict))
 
 
 def _cmd_verify(args, basis, tag):

@@ -388,14 +388,6 @@ def straighten(A):
     return tuple(w)
 
 
-def setcomp_profile(A):
-    """``(straighten(A), llc_bits(A), bc_bits(A))``, on one block index."""
-    idx = block_index(A)
-    pairs = [(idx[j], idx[j + 1]) for j in range(1, len(idx))]
-    return (straighten(A), tuple(int(a <= b) for a, b in pairs),
-            tuple(int(a == b) for a, b in pairs))
-
-
 # ---------------------------------------------------------------------------
 # permutations (one-line notation, 1-based)
 

@@ -31,7 +31,7 @@ from .elements import (TensorElement, TensorSquare, _accumulate, _expand_num,
 from .functors import ind_along
 from .theory import DualBasisUndefined, TheoryError, dual_pair
 from .antipode import _closed_num
-from .verify import _compat_sides, _report, _run
+from .verify import _compat_sides, _pairs, _report, _run
 
 KINDS = ("h_basis", "ribbon", "shuffle_dual_primitive")
 
@@ -186,16 +186,11 @@ def product_constants(ctx, kind, max_degree):
         return out
     letters = _letters(ctx, kind)
     coords = _coordinates(ctx, kind, 2, letters)
-    family = {mu: _family_num(*letters, mu)
-              for n in range(1, max_degree) for mu in compositions(n)}
-    for total in range(2, max_degree + 1):
-        for a in range(1, total):
-            for mu in compositions(a):
-                for nu in compositions(total - a):
-                    prod = ctx._product_num(a, family[mu], total - a,
-                                            family[nu])
-                    out[(mu, nu)] = tuple(sorted(
-                        _fractions(*_in_kind(coords, total, prod)).items()))
+    family = cache(partial(_family_num, *letters))
+    for a, mu, b, nu in _pairs(max_degree, compositions):
+        prod = ctx._product_num(a, family(mu), b, family(nu))
+        out[(mu, nu)] = tuple(sorted(
+            _fractions(*_in_kind(coords, a + b, prod)).items()))
     return out
 
 
@@ -230,18 +225,14 @@ def verify_nsym_rules(ctx, max_degree):
             for letters in (h_letters, r_letters))
 
     # products: concatenation for h, concatenation + smash for ribbons
-    for total in range(2, max_degree + 1):
-        element = partial(TensorElement, total)
-        for a in range(1, total):
-            for mu in compositions(a):
-                for nu in compositions(total - a):
-                    _run(report, ("h_concat", mu, nu),
-                         ctx._product_num(a, h[mu], total - a, h[nu]),
-                         h[concat(mu, nu)], element)
-                    _run(report, ("ribbon_product", mu, nu),
-                         ctx._product_num(a, r[mu], total - a, r[nu]),
-                         _sum_forms(((1, r[concat(mu, nu)]),
-                                     (1, r[smash(mu, nu)]))), element)
+    for a, mu, b, nu in _pairs(max_degree, compositions):
+        element = partial(TensorElement, a + b)
+        _run(report, ("h_concat", mu, nu),
+             ctx._product_num(a, h[mu], b, h[nu]), h[concat(mu, nu)], element)
+        _run(report, ("ribbon_product", mu, nu),
+             ctx._product_num(a, r[mu], b, r[nu]),
+             _sum_forms(((1, r[concat(mu, nu)]), (1, r[smash(mu, nu)]))),
+             element)
 
     # coproduct of a single block deconcatenates
     def tensor(j, k):
@@ -255,35 +246,29 @@ def verify_nsym_rules(ctx, max_degree):
              TensorSquare)
 
     # h is the coarsening sum of ribbons
-    for n in range(1, max_degree + 1):
-        for mu in compositions(n):
-            _run(report, ("h_coarsening", mu), h[mu],
-                 _sum_forms((1, r[nu]) for nu in coarsenings(mu)),
-                 partial(TensorElement, n))
+    for mu in comps[1:]:
+        _run(report, ("h_coarsening", mu), h[mu],
+             _sum_forms((1, r[nu]) for nu in coarsenings(mu)),
+             partial(TensorElement, sum(mu)))
 
     # compatibility of the coproduct with h products (bounded), on the
     # int forms of the factors and of their coproducts
-    form = cache(lambda mu: (sum(mu), h[mu]))
-    delta = cache(lambda mu: ctx._coproduct_num(*form(mu)))
-    for total in range(2, min(max_degree, 4) + 1):
-        for a in range(1, total):
-            for mu in compositions(a):
-                for nu in compositions(total - a):
-                    _run(report, ("h_compat", mu, nu),
-                         *_compat_sides(ctx, *form(mu), *form(nu), delta(mu),
-                                        delta(nu)), TensorSquare)
+    delta = cache(lambda mu: ctx._coproduct_num(sum(mu), h[mu]))
+    for a, mu, b, nu in _pairs(min(max_degree, 4), compositions):
+        _run(report, ("h_compat", mu, nu),
+             *_compat_sides(ctx, a, h[mu], b, h[nu], delta(mu), delta(nu)),
+             TensorSquare)
 
     # independent route to h when iota is the regular character and the
     # dual of alpha is the all-ones character
     if ctx.iota == ctx.basis.reg and h_letters[0] == ctx.basis.one:
-        for n in range(1, max_degree + 1):
-            for mu in compositions(n):
-                bits = interior_bits(mu)
-                ones = TensorElement(sum(bits) + 1,
-                                     {(ctx.basis.one_index,) * sum(bits): 1})
-                _run(report, ("h_induced", mu), h[mu],
-                     _over_lcm(ind_along(ctx.basis, bits, ones).terms),
-                     partial(TensorElement, n))
+        for mu in comps[1:]:
+            bits = interior_bits(mu)
+            ones = TensorElement(sum(bits) + 1,
+                                 {(ctx.basis.one_index,) * sum(bits): 1})
+            _run(report, ("h_induced", mu), h[mu],
+                 _over_lcm(ind_along(ctx.basis, bits, ones).terms),
+                 partial(TensorElement, sum(mu)))
     return report
 
 

@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .antipode import ROUTES, _closed_num
-from .combinatorics import toggle_free
 from .elements import (TensorElement, TensorSquare, _accumulate, _fractions,
                        _same)
 from .hopf import _splice
@@ -62,18 +61,25 @@ def _compat_sides(ctx, dx, x, dy, y, cx, cy):
             ctx._square_product_num(cx, cy))
 
 
+def _pairs(top, items):
+    """Every (a, u, b, v) with u in items(a), v in items(b), a, b >= 1 and
+    a + b <= top, by a + b, then a, then u, then v."""
+    for total in range(2, top + 1):
+        for a in range(1, total):
+            for u in items(a):
+                for v in items(total - a):
+                    yield a, u, total - a, v
+
+
 def _compat_checks(ctx, max_degree):
     """Product/coproduct compatibility on every pair of basis words, by
     total degree: yields ((a, wx), (b, wy), lhs, rhs), from
     ``_compat_sides`` with the words' coproducts from ``_word_coproduct``."""
-    for total in range(2, max_degree + 1):
-        for a in range(1, total):
-            for wx, x in _word_forms(ctx, a):
-                cx = ctx._word_coproduct(a, wx)
-                for wy, y in _word_forms(ctx, total - a):
-                    yield ((a, wx), (total - a, wy),
-                           *_compat_sides(ctx, a, x, total - a, y, cx,
-                                          ctx._word_coproduct(total - a, wy)))
+    for a, wx, b, wy in _pairs(max_degree, ctx.basis_words):
+        yield ((a, wx), (b, wy),
+               *_compat_sides(ctx, a, (1, {wx: 1}), b, (1, {wy: 1}),
+                              ctx._word_coproduct(a, wx),
+                              ctx._word_coproduct(b, wy)))
 
 
 def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
@@ -203,6 +209,7 @@ def verify_antipode_equivalence(ctx, max_degree):
     max_degree: the closed composition formula, the full ordered-set-
     partition sum, its toggle-free reduction, and the convolution-
     equation solution, as int kernels."""
+    from .combinatorics import toggle_free
     rep = _report()
     for n in range(max_degree + 1):
         def element(terms, n=n):  # sorted, as the public routes emit it

@@ -459,6 +459,20 @@ def test_zero_element_of_huge_degree_returns_at_once():
         assert json.loads(out)["terms"] == []
 
 
+def test_input_bound_exits_2():
+    """An element or theory file is read up to the input bound: past it,
+    /dev/zero is refused at once, not read until memory runs out."""
+    x = word_json(2, ["one"])
+    for argv in (["compute", "antipode", "--x", "@/dev/zero"],
+                 ["compute", "multiply", "--x", x, "--y", "@/dev/zero"],
+                 ["verify", "--suite", "axioms", "--theory-file",
+                  "/dev/zero"]):
+        code, out, err = run_capped(argv, timeout=10)
+        assert (code, out, err.count("\n")) == (2, "", 1), (argv, err)
+        assert err.startswith("error: ") and \
+            "exceeds the input bytes bound 16777216" in err, err
+
+
 def test_verify_work_bound_exits_2(capsys):
     for argv in (["--max-degree", "12"],
                  ["--max-degree", "7"],
@@ -705,7 +719,7 @@ def _but(*loaded):
 
 
 _COMPUTE = ("cli", "serialize", "theory", "elements", "hopf")
-_ANTIPODE = (*_COMPUTE, "antipode", "combinatorics")
+_ANTIPODE = (*_COMPUTE, "antipode")
 _CHARACTERS = (*_COMPUTE, "characters", "combinatorics")
 _VERIFY = (*_ANTIPODE, "verify")
 
@@ -732,10 +746,11 @@ _VERIFY = (*_ANTIPODE, "verify")
     # only verify_characters runs the character group
     (["verify", "--suite", "axioms", *IND, "--max-degree", "3"], 0,
      _but(*_VERIFY)),
+    # of the antipode routes, the set-composition ones alone run combinatorics
     (["verify", "--suite", "antipode_equiv", *IND, "--max-degree", "3"], 0,
-     _but(*_VERIFY)),
+     _but(*_VERIFY, "combinatorics")),
     (["compute", "antipode", "--cross-check", *IND, "--x", X], 0,
-     _but(*_ANTIPODE)),
+     _but(*_ANTIPODE, "combinatorics")),
 ])
 def test_each_command_loads_only_what_it_runs(argv, code, unloaded):
     """A fresh process compiles every module it imports, so a request

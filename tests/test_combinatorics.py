@@ -13,8 +13,7 @@ from hopftower.combinatorics import (bc_bits, block_index, boundary_bits,
                                      is_toggle_free, lc_bits, llc_bits,
                                      partial_sums, permutations, refinements,
                                      refines, set_compositions,
-                                     setcomp_profile, setcomp_refinements,
-                                     setcomp_refines,
+                                     setcomp_refinements, setcomp_refines,
                                      smash, straighten, toggle_free,
                                      toggle_points)
 
@@ -263,15 +262,6 @@ def test_straighten_lays_blocks_out_consecutively(A):
     assert sorted(w) == list(range(1, ground_size(A) + 1))
     # reading the slots back in position order recovers the block layout
     assert inverse(w) == tuple(x for blk in A for x in blk)
-
-
-def test_setcomp_profile_is_the_three_statistics():
-    """One block index gives what straighten, llc_bits and bc_bits give,
-    on every set composition up to n = 6."""
-    for n in range(7):
-        for A in set_compositions(n):
-            assert setcomp_profile(A) == (straighten(A), llc_bits(A),
-                                          bc_bits(A)), A
 
 
 def test_inverse_and_descents():

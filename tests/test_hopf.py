@@ -279,6 +279,11 @@ def test_strict_factorization_requires_basis_iota():
     ones_ctx().factor_into_generators((0, 1), strict=True)
     with pytest.raises(IotaNotBasisElement):
         ind_ctx().factor_into_generators((0, 1), strict=True)
+    # a zero iota has no letter to stand for it
+    basis = two_dim(3)
+    zero = HopfContext.unchecked(basis, 0 * basis.one, basis.one, basis.one)
+    with pytest.raises(IotaNotBasisElement, match="iota is zero"):
+        zero.factor_into_generators((0, 1))
 
 
 # -- word reversal ------------------------------------------------------------

@@ -147,6 +147,7 @@ def test_parse_expression_rejections():
                  "mystery + one",    # unknown name
                  "one +",            # dangling operator
                  "(one",             # unbalanced parens
+                 "(" * 5000 + "one" + ")" * 5000,  # nested too deeply
                  "one ^ 2"):         # stray character
         with pytest.raises(ParseError):
             parse_expression(text, basis)

@@ -122,6 +122,11 @@ def test_from_table_validation_errors():
     # equal rows are not orthogonal
     with pytest.raises(NonOrthogonalBasis):
         from_table(((1, 1), (1, 1)), (1, 1), 0)
+    # a ragged table, and a zero row, orthogonal to every row
+    with pytest.raises(NonOrthogonalBasis, match="rows must match the labels"):
+        from_table(((1, 1), (2,)), (1, 2), 0)
+    with pytest.raises(NonOrthogonalBasis, match="positive norm"):
+        from_table(((1, 1), (0, 0)), (1, 2), 0)
     # identity class must be a singleton
     with pytest.raises(IdentityClassInvalid):
         from_table(((1, 1), (1, -1)), (2, 2), 0)

@@ -62,8 +62,13 @@ MUTANTS = [
      "(den * den * iota_den, conv), element)", "killed"),
     ("verify.py", "(den, left_strip), x, element)",
      "(den, left_strip), (den, left_strip), element)", "killed"),
-    # setcomp_profile's llc bits: a block index at most the next one's
-    ("combinatorics.py", "int(a <= b)", "int(a < b)", "killed"),
+    # llc bits: j's block index at most j+1's
+    ("combinatorics.py", "idx[j] <= idx[j + 1]", "idx[j] < idx[j + 1]",
+     "killed"),
+    # the pair walk reaches its top total degree
+    ("verify.py", "range(2, top + 1)", "range(2, top)", "killed"),
+    # an element or theory file is read up to the input bound only
+    ("cli.py", 'fh.read(_BOUNDS["input bytes"] + 1)', "fh.read()", "killed"),
     # the bracket functor pairs its kept letters against alpha or beta
     ("functors.py",
      "pair_a, pair_b = basis.pairings(alpha), basis.pairings(beta)",
