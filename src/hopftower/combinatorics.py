@@ -201,12 +201,14 @@ def _ordered_set_compositions(elements):
     if not elements:
         yield ()
         return
-    m = len(elements)
-    for mask in range(1, 1 << m):
-        block = tuple(elements[i] for i in range(m) if (mask >> i) & 1)
-        rest = tuple(elements[i] for i in range(m) if not (mask >> i) & 1)
-        for tail in _ordered_set_compositions(rest):
-            yield (block,) + tail
+    for mask in range(1, 1 << len(elements)):
+        block, rest = [], []
+        for x in elements:  # bit i of mask puts the i-th element in block
+            (block if mask & 1 else rest).append(x)
+            mask >>= 1
+        block = (tuple(block),)
+        for tail in _ordered_set_compositions(tuple(rest)):
+            yield block + tail
 
 
 def set_compositions(n):
@@ -222,15 +224,11 @@ def set_compositions(n):
 
 def block_index(A):
     """Map each element of the ground set to the index of its block."""
-    out = {}
-    for k, blk in enumerate(A):
-        for x in blk:
-            out[x] = k
-    return out
+    return {x: k for k, blk in enumerate(A) for x in blk}
 
 
 def ground_size(A):
-    return sum(len(b) for b in A)
+    return sum(map(len, A))
 
 
 def lc_bits(A):
@@ -239,10 +237,9 @@ def lc_bits(A):
     >>> lc_bits(((1, 3, 4, 5, 7), (6,), (8, 9), (2, 10)))
     (1, 1, 1, 1, 1, 0, 0, 1, 0)
     """
-    n = ground_size(A)
     idx = block_index(A)
     mx = [max(b) for b in A]
-    return tuple(1 if mx[idx[j]] != j else 0 for j in range(1, n))
+    return tuple(1 if mx[idx[j]] != j else 0 for j in range(1, len(idx)))
 
 
 def llc_bits(A):
@@ -251,9 +248,8 @@ def llc_bits(A):
     >>> llc_bits(((1, 3, 4, 5, 7), (6,), (8, 9), (2, 10)))
     (1, 0, 1, 1, 1, 0, 1, 1, 1)
     """
-    n = ground_size(A)
     idx = block_index(A)
-    return tuple(1 if idx[j] <= idx[j + 1] else 0 for j in range(1, n))
+    return tuple(1 if idx[j] <= idx[j + 1] else 0 for j in range(1, len(idx)))
 
 
 def bc_bits(A):
@@ -262,9 +258,8 @@ def bc_bits(A):
     >>> bc_bits(((1, 3, 4, 5, 7), (6,), (8, 9), (2, 10)))
     (0, 0, 1, 1, 0, 0, 0, 1, 0)
     """
-    n = ground_size(A)
     idx = block_index(A)
-    return tuple(1 if idx[j] == idx[j + 1] else 0 for j in range(1, n))
+    return tuple(1 if idx[j] == idx[j + 1] else 0 for j in range(1, len(idx)))
 
 
 def setcomp_refines(A, B):
@@ -323,9 +318,8 @@ def toggle_points(A):
     []
     """
     idx = block_index(A)
-    n = ground_size(A)
     out = []
-    for j in range(1, n + 1):
+    for j in range(1, len(idx) + 1):
         k = idx[j]
         if j == max(A[k]):
             if k + 1 < len(A) and min(A[k + 1]) > j + 1:

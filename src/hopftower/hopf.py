@@ -72,6 +72,10 @@ class HopfContext:
         # words in 0.15 MiB (two_dim(3), degree 6), 122 in 0.31 MiB
         # (cyclic4, degree 5) or 260 in 0.51 MiB (rank 6, degree 4).
         self._coproduct_table = {}
+        # S of each basis word by the closed route, for verify, never the
+        # oracle: as the Δ table, 0.03, 0.62 or 5.8 MiB there, and 11 MiB
+        # (the oracle's memo: 8.8) after verify's antipode suite at rank 18.
+        self._closed_table = {}
 
     # The integer kernels work on numerators over D, the common denominator
     # of the pairing and iota tables: the pairings times D, iota times D as
@@ -282,6 +286,16 @@ class HopfContext:
             den, terms = self._coproduct_num(n, (1, {word: 1}))
             table[n, word] = den, {k: v for k, v in terms.items() if v}
         return table[n, word]
+
+    def _word_antipode(self, n, word):
+        """``_closed_num`` of the basis word of degree n, keys sorted, once
+        per context: a test patches ``_closed_num`` before building it."""
+        table, key = self._closed_table, (n, word)
+        if key not in table:
+            from .antipode import _closed_num
+            den, terms = _closed_num(self, n, (1, {word: 1}))
+            table[key] = den, dict(sorted(terms.items()))
+        return table[key]
 
     def square_product(self, s, t):
         """Componentwise product of two tensor-square elements; terms in

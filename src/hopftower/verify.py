@@ -7,24 +7,25 @@ that agreed, and a description of the first failure (or None).  Nothing
 is sampled unless a seed is passed explicitly; the default runs are
 exhaustive and deterministic, and spot checks without a seed are refused.
 
-``verify_axioms`` checks on int forms (see ``elements``): Δ of each
-basis word from the context's table (``_word_coproduct``), S of each by
-``_closed_num`` once a call, and every exhaustive check sums and
-multiplies on them through the int kernels; the counit, coassociativity
-and antipode sums in one pass over each Δ(w), over its own denominator.
-``verify_antipode_equivalence`` likewise compares the routes' kernels
-(``antipode.ROUTES``) with ``_closed_num``.  ``_run`` compares two int
-forms itself, and builds the ``Fraction`` values the public kernels
-would give only for the first failure.
+``verify_axioms`` checks on int forms (see ``elements``): Δ and S of
+each basis word from the context's tables (``_word_coproduct``, and
+``_word_antipode`` by ``_closed_num``), and every exhaustive check sums
+and multiplies on them through the int kernels: the counit,
+coassociativity and antipode sums in one pass over each Δ(w), and
+compatibility's Δ(x·y) from the Δ(w) of the words w of x·y.
+``verify_antipode_equivalence`` compares the routes' kernels
+(``antipode.ROUTES``) with the S table.  ``_run`` compares two int forms
+itself, and builds the ``Fraction`` values the public kernels would give
+only for the first failure.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 
-from .antipode import ROUTES, _closed_num
+from .antipode import ROUTES
 from .elements import (TensorElement, TensorSquare, _accumulate, _fractions,
                        _same)
 from .hopf import _splice
@@ -35,17 +36,18 @@ def _report(**extra):
     return {"checked": 0, "passed": 0, "first_failure": None, **extra}
 
 
-def _run(report, name, lhs, rhs, wrap=None):
+def _run(report, name, lhs, rhs, wrap=None, sort_lhs=False):
     """One comparison: of two values by ``==``, or, given ``wrap``, of two
     int forms by ``_same``.  On the first failure ``wrap`` turns each int
-    form's ``Fraction`` terms into the value the report holds: a dict, a
-    ``TensorSquare`` or a ``TensorElement``."""
+    form's ``Fraction`` terms, the lhs's sorted given ``sort_lhs``, into
+    the report's value: a dict, a ``TensorSquare`` or a ``TensorElement``."""
     report["checked"] += 1
     if _same(lhs, rhs) if wrap else lhs == rhs:
         report["passed"] += 1
     elif report["first_failure"] is None:
         if wrap:
-            lhs, rhs = wrap(_fractions(*lhs)), wrap(_fractions(*rhs))
+            lhs = wrap(_fractions(*lhs, sort=sort_lhs))
+            rhs = wrap(_fractions(*rhs))
         report["first_failure"] = {"inputs": name, "lhs": lhs, "rhs": rhs}
 
 
@@ -73,13 +75,18 @@ def _pairs(top, items):
 
 def _compat_checks(ctx, max_degree):
     """Product/coproduct compatibility on every pair of basis words, by
-    total degree: yields ((a, wx), (b, wy), lhs, rhs), from
-    ``_compat_sides`` with the words' coproducts from ``_word_coproduct``."""
+    total degree: yields ((a, wx), (b, wy), lhs, rhs): Δ(x·y) as Σ c·Δ(w)
+    over the terms c·w of x·y, each Δ(w) over D^(2(a+b-1)), in no key order
+    (a failure sorts it), and the square product of Δx and Δy."""
+    delta, product = ctx._word_coproduct, ctx._product_num
     for a, wx, b, wy in _pairs(max_degree, ctx.basis_words):
-        yield ((a, wx), (b, wy),
-               *_compat_sides(ctx, a, (1, {wx: 1}), b, (1, {wy: 1}),
-                              ctx._word_coproduct(a, wx),
-                              ctx._word_coproduct(b, wy)))
+        den, xy = product(a, (1, {wx: 1}), b, (1, {wy: 1}))
+        lhs = {}
+        for w, c in xy.items():
+            for k, v in delta(a + b, w)[1].items():
+                lhs[k] = lhs.get(k, 0) + c * v
+        yield ((a, wx), (b, wy), (den * ctx._den ** (2 * (a + b - 1)), lhs),
+               ctx._square_product_num(delta(a, wx), delta(b, wy)))
 
 
 def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
@@ -91,13 +98,7 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
     rep = _report()
     unit, product = (1, {(): 1}), ctx._product_num
     iota, iota_den = ctx._iota_num, ctx._den
-    delta_num = ctx._word_coproduct
-
-    @cache
-    def antipode_num(degree, word):  # sorted, as failure reports show S
-        den, terms = _closed_num(ctx, degree, (1, {word: 1}))
-        return den, dict(sorted(terms.items()))
-
+    delta_num, antipode_num = ctx._word_coproduct, ctx._word_antipode
     for n in range(max_degree + 1):
         element = partial(TensorElement, n)
         for w, x in _word_forms(ctx, n):
@@ -148,7 +149,7 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
                          (1, {}), element)
 
     for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
-        _run(rep, ("compatibility", x, y), lhs, rhs, TensorSquare)
+        _run(rep, ("compatibility", x, y), lhs, rhs, TensorSquare, True)
 
     for total in range(3, max_degree + 1):
         element = partial(TensorElement, total)
@@ -198,7 +199,7 @@ def find_compat_counterexample(ctx, max_degree):
     coproducts.  Returns None when compatibility holds throughout."""
     rep = _report()
     for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
-        _run(rep, {"x": x, "y": y}, lhs, rhs, TensorSquare)
+        _run(rep, {"x": x, "y": y}, lhs, rhs, TensorSquare, True)
         if rep["first_failure"]:
             return rep["first_failure"]
     return None
@@ -215,7 +216,7 @@ def verify_antipode_equivalence(ctx, max_degree):
         def element(terms, n=n):  # sorted, as the public routes emit it
             return TensorElement(n, sorted(terms.items()))
         for w, x in _word_forms(ctx, n):
-            reference = _closed_num(ctx, n, x)
+            reference = ctx._word_antipode(n, w)
             for name, route in ROUTES:
                 _run(rep, ("closed_vs_" + name, n, w), route(ctx, n, x),
                      reference, element)

@@ -20,7 +20,8 @@ from hopftower.antipode import antipode_closed
 from hopftower.cli import _check_output_size, main
 from hopftower.elements import TensorElement
 from hopftower.hopf import induction_context
-from hopftower.serialize import (element_from_dict, element_to_dict,
+from hopftower.nsym import verify_nsym_rules
+from hopftower.serialize import (element_from_dict, element_to_dict, jsonable,
                                  theory_to_dict)
 from hopftower.theory import two_dim
 from test_verify import PUBLIC_ROUTES, route_mutants
@@ -189,6 +190,17 @@ def test_verify_all_suite(capsys):
     assert code == 0
     report = json.loads(out)
     assert {"axioms", "antipode", "characters", "nsym"} <= set(report)
+
+
+def test_verify_nsym_suite(capsys):
+    """``verify --suite nsym`` runs the NSym rules to the degree asked
+    for: its report is the library's at that degree."""
+    code, out, err = run(capsys, [
+        "verify", "--suite", "nsym", *IND, "--max-degree", "4"])
+    assert (code, err) == (0, "")
+    want = jsonable(verify_nsym_rules(induction_context(two_dim(3)), 4))
+    assert want["checked"] == want["passed"] > 0
+    assert json.loads(out) == want
 
 
 def test_verify_all_takes_the_seed(capsys):
@@ -377,6 +389,16 @@ def test_out_file_and_text_format(tmp_path, capsys):
         "characters", "check", "--psi", "one", "--format", "text"])
     assert code == 0
     assert out.strip() == "multiplicative: True"
+
+
+def test_text_format_writes_lists_item_by_item(capsys):
+    """``--format text`` writes each list item on its own line, a nested
+    list under a bare ``-``, indented."""
+    code, out, err = run(capsys, [
+        "enumerate", "compositions", "--n", "3", "--format", "text"])
+    assert (code, err) == (0, "")
+    assert out == ("-\n  - 3\n-\n  - 2\n  - 1\n-\n  - 1\n  - 2\n"
+                   "-\n  - 1\n  - 1\n  - 1\n")
 
 
 def test_cyclic4_base(capsys):

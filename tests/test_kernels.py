@@ -450,7 +450,8 @@ def test_setcomp_routes_read_no_integer_table_of_the_context():
     # co_names holds the attributes read; the helpers are reached
     assert {"pair_alpha", "_setcomp_table"} <= names
     assert not names & {"_den", "_alpha_num", "_beta_num", "_iota_num",
-                        "_diff_num", "_closed_plans", "_closed_num"}
+                        "_diff_num", "_closed_plans", "_closed_num",
+                        "_closed_table", "_word_antipode"}
     # and the routes' module holds nothing of hopf's
     assert not [name for name, obj in _setcomp_num.__globals__.items()
                 if obj is hopf
@@ -496,9 +497,9 @@ def test_oracle_reads_no_other_route():
             "_oracle_word", "_oracle_solve"} <= names
     assert "coproduct" not in names
     assert not names & {"antipode_closed", "_closed_plans", "_setcomp_table",
-                        "_setcomp_num",
-                        "_closed_num", "_diff_num",
-                        "_alpha_num", "_beta_num", "antipode_all_setcomps",
+                        "_setcomp_num", "_closed_num", "_diff_num",
+                        "_closed_table", "_word_antipode", "_alpha_num",
+                        "_beta_num", "antipode_all_setcomps",
                         "antipode_toggle_free"}
 
 

@@ -124,18 +124,23 @@ def test_characters_report_below_degree_two():
 
 
 def test_axioms_compute_each_antipode_once(monkeypatch):
-    """verify_axioms takes S of each basis word once, through the int
-    form ``_closed_num``, however many convolution identities use it."""
+    """S of each basis word is taken once per context, through the int
+    form ``_closed_num`` into the context's closed-S table, however many
+    convolution identities of verify_axioms and references of
+    verify_antipode_equivalence use it."""
     seen = []
-    real = verify._closed_num
+    real = antipode._closed_num
 
     def counted(ctx, n, x):
         seen.append((n, tuple(x[1].items())))
         return real(ctx, n, x)
-    monkeypatch.setattr(verify, "_closed_num", counted)
-    rep = verify_axioms(induction_context(two_dim(3)), 4)
-    assert rep["first_failure"] is None
-    assert seen and len(seen) == len(set(seen))
+    monkeypatch.setattr(antipode, "_closed_num", counted)
+    ctx = induction_context(two_dim(3))  # built after the patch
+    for suite in (verify_axioms, verify_antipode_equivalence):
+        assert suite(ctx, 4)["first_failure"] is None
+    assert len(seen) == len(set(seen))
+    assert set(seen) == {(n, ((w, 1),)) for n in range(5)
+                         for w in ctx.basis_words(n)}
 
 
 def test_basis_word_forms_are_over_one_denominator_per_degree():

@@ -121,6 +121,20 @@ MUTANTS = [
     # a request naming its leaf builds that leaf's parser, no other
     ("cli.py", "for each in [leaf] if leaf else leaves:",
      "for each in leaves:", "killed"),
+    # verify --suite nsym runs the rules to the degree asked for
+    ("cli.py", "verify_nsym_rules(ctx, n)", "verify_nsym_rules(ctx, 1)",
+     "killed"),
+    # compatibility's Δ(x·y) scales each Δ(w) by w's coefficient in x·y
+    ("verify.py", "lhs.get(k, 0) + c * v", "lhs.get(k, 0) + v", "killed"),
+    # the closed-S table keeps (degree, word): degrees 0 and 1 share ()
+    ("hopf.py", "self._closed_table, (n, word)", "self._closed_table, word",
+     "killed"),
+    # a set composition's first block is the masked elements, not the rest
+    ("combinatorics.py", "(block if mask & 1 else rest)",
+     "(rest if mask & 1 else block)", "killed"),
+    # block indices count from 0, as the blocks of A do
+    ("combinatorics.py", "for k, blk in enumerate(A)",
+     "for k, blk in enumerate(A, 1)", "killed"),
 ]
 
 
