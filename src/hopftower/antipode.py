@@ -20,8 +20,8 @@ merged intermediate terms; S of each left word comes from a per-word memo
 filled the same way.
 
 Each route is an int kernel on int forms (see ``elements``), which its
-public function wraps, emitting terms in sorted key order: ``_closed_num``
-over powers of the context's denominator D, ``_setcomp_num`` over powers
+public function wraps, keeping the kernel's key order: ``_closed_num`` over
+powers of the context's denominator D, ``_setcomp_num`` over powers
 of its own d, the lcm of the denominators of the public pairings and
 iota, and ``_oracle_num`` over Δ's denominator, reduced to the lcm of its
 coefficients' denominators.  ``ROUTES`` lists the other three kernels,
@@ -47,9 +47,9 @@ from .elements import (TensorElement, _accumulate, _expand_positions,
 
 def _element(n, form):
     """The public degree-n element of a route's int form: its nonzero
-    ``Fraction`` terms in sorted key order."""
+    ``Fraction`` terms."""
     out = TensorElement(n)
-    out.terms = _fractions(*form, sort=True)
+    out.terms = _fractions(*form)
     return out
 
 
@@ -216,7 +216,7 @@ def _oracle_solve(ctx, n, x):
     L, the lcm of the coefficients' reduced denominators.  Built from the
     coproduct's int form and the iota splice alone."""
     common, nums = x
-    # Δ's terms over its one denominator, in its sorted order
+    # Δ's terms over its one denominator
     delta_den, delta = ctx._coproduct_num(n, x)
     steps = [(c, rw, *_oracle_word(ctx, ld, lw)) for ((ld, lw), (_, rw)), c
              in delta.items() if c and 0 < ld < n]

@@ -16,6 +16,11 @@ cross-multiplication, and ``_fractions`` is the one edge back to nonzero
 ``Fraction`` terms, one ``Fraction`` per distinct numerator.  A public
 kernel converts once each way, and the antipode routes' kernels are
 compared as int forms.
+
+Key order carries no meaning: every kernel emits its keys in the order
+its loops leave them, and only the output edge sorts: ``sorted_terms``
+(for ``repr``), ``serialize``'s term lists and ``nsym``'s structure
+constants.
 """
 
 from __future__ import annotations
@@ -55,16 +60,15 @@ def _over_lcm(*tables):
                    for t in tables))
 
 
-def _fractions(den, nums, sort=False):
+def _fractions(den, nums):
     """The int form ``(den, nums)`` as its nonzero ``Fraction`` terms, in
-    sorted key order or in ``nums``' own: the one edge out of the int form.
+    ``nums``' own key order: the one edge out of the int form.
 
     >>> _fractions(4, {"b": 2, "a": 0, "c": -4})
     {'b': Fraction(1, 2), 'c': Fraction(-1, 1)}
     """
     made = {v: Fraction(v, den) for v in set(nums.values()) if v}
-    return {k: made[v]
-            for k, v in (sorted(nums.items()) if sort else nums.items()) if v}
+    return {k: made[v] for k, v in nums.items() if v}
 
 
 def _sum_forms(scaled):

@@ -178,15 +178,15 @@ class HopfContext:
 
     def coproduct(self, x):
         """Sum over subsets of the tensor positions 1..n; terms in
-        ``_coproduct_num``'s order, which is sorted."""
+        ``_coproduct_num``'s order."""
         out = TensorSquare()
         out.terms = _fractions(*self._coproduct_num(x.degree,
                                                     _over_lcm(x.terms)))
         return out
 
     def _coproduct_num(self, n, x):
-        """The coproduct of the int form x of degree n, keys in sorted
-        order and zeros left in.
+        """The coproduct of the int form x of degree n, keys in the order
+        of the passes and zeros left in.
 
         Positions in the subset feed the left factor, the rest the right
         factor, each side keeping its letters in increasing position
@@ -206,11 +206,6 @@ class HopfContext:
         x, grouped by their unread letters, an int whose low b bits are the
         next letter; their words are unpacked at the end through
         ``_words``.
-
-        Keys come out sorted: the ``((0, ()), (n, w))`` ends by w, the
-        states as packed (left, right) pairs, which sort as (degree, word)
-        does (a longer word is a larger int, the first letter highest),
-        then the ``((n, w), (0, ()))`` ends by w.
         """
         common, nums = x
         if not nums:  # at once: no letter passes and no D^(2(n-1))
@@ -220,7 +215,7 @@ class HopfContext:
         top = d2 ** max(n - 1, 0)  # D^(2(n-1))
         words, b = self._words
         mask = (1 << b) - 1
-        ends = [(w, nums[w] * top) for w in sorted(nums)]
+        ends = [(w, v * top) for w, v in nums.items()]
         acc = {((0, ()), (n, w)): v for w, v in ends}
         heads = []  # (head read, unread letters, numerator)
         for w, v in nums.items():
@@ -263,20 +258,19 @@ class HopfContext:
         states = on[0].pop(0, {})
         for (rw, lw), v in on[1].pop(0, {}).items():
             states[lw, rw] = states.get((lw, rw), 0) + v
-        for key in sorted(states):  # plain pairs of ints sort fastest
-            lw, rw = key
+        for (lw, rw), v in states.items():
             try:
-                acc[words[lw], words[rw]] = states[key]
+                acc[words[lw], words[rw]] = v
             except KeyError:  # a word this context has not unpacked yet
                 _unpack(words, lw, b)
                 _unpack(words, rw, b)
-                acc[words[lw], words[rw]] = states[key]
+                acc[words[lw], words[rw]] = v
         acc.update((((n, w), (0, ())), v) for w, v in ends)
         return common * top, acc
 
     def _word_coproduct(self, n, word):
         """``_coproduct_num`` of the basis word of degree n, zeros dropped,
-        keys sorted as it emits them, over D^(2·max(n−1, 0)), the same for
+        keys as it emits them, over D^(2·max(n−1, 0)), the same for
         every word of the degree; once per context: the table dies with
         the context, which a ``functools`` cache on this method (keyed by
         ``self``) would keep alive.  A test that patches ``_coproduct_num``
@@ -288,13 +282,12 @@ class HopfContext:
         return table[n, word]
 
     def _word_antipode(self, n, word):
-        """``_closed_num`` of the basis word of degree n, keys sorted, once
-        per context: a test patches ``_closed_num`` before building it."""
+        """``_closed_num`` of the basis word of degree n, once per context:
+        a test patches ``_closed_num`` before building it."""
         table, key = self._closed_table, (n, word)
         if key not in table:
             from .antipode import _closed_num
-            den, terms = _closed_num(self, n, (1, {word: 1}))
-            table[key] = den, dict(sorted(terms.items()))
+            table[key] = _closed_num(self, n, (1, {word: 1}))
         return table[key]
 
     def square_product(self, s, t):

@@ -16,7 +16,8 @@ compatibility's Δ(x·y) from the Δ(w) of the words w of x·y.
 ``verify_antipode_equivalence`` compares the routes' kernels
 (``antipode.ROUTES``) with the S table.  ``_run`` compares two int forms
 itself, and builds the ``Fraction`` values the public kernels would give
-only for the first failure.
+only for the first failure, in the kernels' own key order: a report's
+values compare by ``==`` and serialize sorted.
 """
 
 from __future__ import annotations
@@ -36,31 +37,23 @@ def _report(**extra):
     return {"checked": 0, "passed": 0, "first_failure": None, **extra}
 
 
-def _run(report, name, lhs, rhs, wrap=None, sort_lhs=False):
+def _run(report, name, lhs, rhs, wrap=None):
     """One comparison: of two values by ``==``, or, given ``wrap``, of two
     int forms by ``_same``.  On the first failure ``wrap`` turns each int
-    form's ``Fraction`` terms, the lhs's sorted given ``sort_lhs``, into
-    the report's value: a dict, a ``TensorSquare`` or a ``TensorElement``."""
+    form's ``Fraction`` terms into the report's value: a dict, a
+    ``TensorSquare`` or a ``TensorElement``."""
     report["checked"] += 1
     if _same(lhs, rhs) if wrap else lhs == rhs:
         report["passed"] += 1
     elif report["first_failure"] is None:
         if wrap:
-            lhs = wrap(_fractions(*lhs, sort=sort_lhs))
-            rhs = wrap(_fractions(*rhs))
+            lhs, rhs = wrap(_fractions(*lhs)), wrap(_fractions(*rhs))
         report["first_failure"] = {"inputs": name, "lhs": lhs, "rhs": rhs}
 
 
 def _word_forms(ctx, degree):
     for w in ctx.basis_words(degree):
         yield w, (1, {w: 1})
-
-
-def _compat_sides(ctx, dx, x, dy, y, cx, cy):
-    """The int forms compatibility compares for x and y of degrees dx and
-    dy: Δ(x·y), and the square product of their coproducts cx and cy."""
-    return (ctx._coproduct_num(dx + dy, ctx._product_num(dx, x, dy, y)),
-            ctx._square_product_num(cx, cy))
 
 
 def _pairs(top, items):
@@ -76,8 +69,8 @@ def _pairs(top, items):
 def _compat_checks(ctx, max_degree):
     """Product/coproduct compatibility on every pair of basis words, by
     total degree: yields ((a, wx), (b, wy), lhs, rhs): Δ(x·y) as Σ c·Δ(w)
-    over the terms c·w of x·y, each Δ(w) over D^(2(a+b-1)), in no key order
-    (a failure sorts it), and the square product of Δx and Δy."""
+    over the terms c·w of x·y, each Δ(w) over D^(2(a+b-1)), and the square
+    product of Δx and Δy."""
     delta, product = ctx._word_coproduct, ctx._product_num
     for a, wx, b, wy in _pairs(max_degree, ctx.basis_words):
         den, xy = product(a, (1, {wx: 1}), b, (1, {wy: 1}))
@@ -149,7 +142,7 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
                          (1, {}), element)
 
     for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
-        _run(rep, ("compatibility", x, y), lhs, rhs, TensorSquare, True)
+        _run(rep, ("compatibility", x, y), lhs, rhs, TensorSquare)
 
     for total in range(3, max_degree + 1):
         element = partial(TensorElement, total)
@@ -199,7 +192,7 @@ def find_compat_counterexample(ctx, max_degree):
     coproducts.  Returns None when compatibility holds throughout."""
     rep = _report()
     for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
-        _run(rep, {"x": x, "y": y}, lhs, rhs, TensorSquare, True)
+        _run(rep, {"x": x, "y": y}, lhs, rhs, TensorSquare)
         if rep["first_failure"]:
             return rep["first_failure"]
     return None
@@ -213,8 +206,7 @@ def verify_antipode_equivalence(ctx, max_degree):
     from .combinatorics import toggle_free
     rep = _report()
     for n in range(max_degree + 1):
-        def element(terms, n=n):  # sorted, as the public routes emit it
-            return TensorElement(n, sorted(terms.items()))
+        element = partial(TensorElement, n)
         for w, x in _word_forms(ctx, n):
             reference = ctx._word_antipode(n, w)
             for name, route in ROUTES:

@@ -161,10 +161,9 @@ def test_plans_are_shared_across_contexts():
         for w in contexts[0].basis_words(n):
             for ctx in contexts:
                 x = word(n, w, Fraction(-3, 5))
-                assert_same(ctx.coproduct(x), reference_coproduct(ctx, x),
-                            sorted_keys=True)
+                assert_same(ctx.coproduct(x), reference_coproduct(ctx, x))
                 want = reference_antipode_closed(ctx, x)
-                assert_same(antipode_closed(ctx, x), want, sorted_keys=True)
+                assert_same(antipode_closed(ctx, x), want)
                 assert antipode_all_setcomps(ctx, x) == want
     assert _setcomp_table.cache_info().hits > 0
 

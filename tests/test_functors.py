@@ -274,8 +274,8 @@ def reference_dn_bracket(basis, A, B, tau, alpha, beta, x):
 
 def test_brackets_match_the_position_walks():
     """On every refinement pair A <= B through degree 4, both brackets
-    give the walks' term dicts in the same key order, on dense elements
-    whose coefficients cancel in part."""
+    give the walks' term dicts, on dense elements whose coefficients
+    cancel in part."""
     rng = random.Random(7)
 
     def dense(dim, degree):

@@ -5,18 +5,16 @@ the plain ``Fraction`` loops they replaced.
 
 The reference functions below multiply ``Fraction`` factors one at a time
 and expand through ``reference_expand_letters``; the kernels must give
-the same term dicts with every coefficient a ``Fraction``.  The coproduct
-and the antipode routes emit their terms in sorted key order,
-``square_product``, ``product`` and ``expand_letters`` in the reference
-loop's order.  The public product, coproduct, square product and closed
-antipode must each be one ``Fraction`` per nonzero term of their int
-forms.  The two
-set-composition routes, on int numerators over their own denominator,
-emit sorted terms too; they must match the reference closed antipode on
-dense elements and a plain walk over every set composition.  A
-hypothesis property draws elements and contexts for the coproduct and
-the closed antipode, and the CLI's output on two dense elements is
-pinned by digest.
+the same term dicts with every coefficient a ``Fraction``, in any key
+order: only the output edge sorts, which a property holds to byte-equal
+JSON on shuffled terms.  The public product, coproduct, square product
+and closed antipode must each be one ``Fraction`` per nonzero term of
+their int forms.  The two set-composition routes, on int numerators over
+their own denominator, must match the reference closed antipode on dense
+elements and a plain walk over every set composition.  A hypothesis
+property draws elements and contexts for the coproduct and the closed
+antipode, and the CLI's output on two dense elements is pinned by
+digest.
 """
 
 import hashlib
@@ -43,6 +41,7 @@ from hopftower.elements import (TensorElement, TensorSquare,
                                 _expand_positions, _fractions, _over_lcm,
                                 _same, expand_letters)
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
+from hopftower.serialize import element_to_dict, square_to_dict
 from hopftower.theory import cyclic4, from_table, two_dim
 from test_characters import kronecker
 
@@ -224,22 +223,17 @@ def _reference_oracle_word(ctx, memo, degree, word):
     return acc
 
 
-def assert_same(got, want, sorted_keys=False):
-    """Equal, with ``Fraction`` coefficients, and keys in ``want``'s order
-    or, with ``sorted_keys``, in sorted order."""
+def assert_same(got, want):
+    """Equal, with ``Fraction`` coefficients."""
     assert got == want
-    keys = list(got.terms)
-    assert keys == (sorted(keys) if sorted_keys else list(want.terms))
     assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def assert_kernels_match(ctx, x, memo=None):
-    assert_same(ctx.coproduct(x), reference_coproduct(ctx, x),
-                sorted_keys=True)
-    assert_same(antipode_closed(ctx, x), reference_antipode_closed(ctx, x),
-                sorted_keys=True)
+    assert_same(ctx.coproduct(x), reference_coproduct(ctx, x))
+    assert_same(antipode_closed(ctx, x), reference_antipode_closed(ctx, x))
     assert_same(antipode_oracle(ctx, x),
-                reference_antipode_oracle(ctx, x, memo), sorted_keys=True)
+                reference_antipode_oracle(ctx, x, memo))
 
 
 def assert_basis_words_match(ctx, max_degree):
@@ -289,9 +283,9 @@ def test_fractional_iota_coordinates():
 
 def test_oracle_memo_is_over_its_lcm():
     """Each memoized S(word) is its reference value as ``(L, nums)``: int
-    numerators over L, reduced so that gcd(L, *nums) = 1, in the
-    reference's key order.  A dense input is solved through its own
-    coproduct, so only its left words, of degrees 1 to 4, are memoized."""
+    numerators over L, reduced so that gcd(L, *nums) = 1.  A dense input
+    is solved through its own coproduct, so only its left words, of
+    degrees 1 to 4, are memoized."""
     basis = two_dim(3)
     contexts = [induction_context(cyclic4()), all_ones_context(two_dim(5)),
                 HopfContext.unchecked(basis, basis.reg / 3, basis.one,
@@ -305,7 +299,6 @@ def test_oracle_memo_is_over_its_lcm():
         for (n, w), (den, nums) in ctx._antipode_cache.items():
             want = _reference_oracle_word(ctx, memo, n, w).terms
             assert {u: Fraction(v, den) for u, v in nums.items()} == want
-            assert list(nums) == list(want)
             assert gcd(den, *nums.values()) == 1
         assert any(den > 1 for den, _ in ctx._antipode_cache.values()) == (
             ctx._den > 1)
@@ -345,8 +338,7 @@ def test_oracle_takes_one_coproduct_of_a_multiword_input():
         assert len(calls) == 1  # the first dense input memoized them all
         del ctx._coproduct_num, ctx.coproduct
         for x, got in results:
-            assert_same(got, reference_antipode_oracle(ctx, x),
-                        sorted_keys=True)
+            assert_same(got, reference_antipode_oracle(ctx, x))
 
 
 def test_integer_tables_are_built_on_first_use():
@@ -377,14 +369,13 @@ def test_dense_mixed_denominators():
             # where the words of one input may meet
             want = reference_antipode_closed(ctx, x)
             for route in (antipode_toggle_free, antipode_all_setcomps):
-                assert_same(route(ctx, x), want, sorted_keys=True)
+                assert_same(route(ctx, x), want)
     # larger degrees, where many unexpanded words merge before expansion
     for ctx, degree in ((contexts[2], 6), (contexts[0], 8)):
         x = _dense(rng, ctx, degree)
-        assert_same(ctx.coproduct(x), reference_coproduct(ctx, x),
-                    sorted_keys=True)
+        assert_same(ctx.coproduct(x), reference_coproduct(ctx, x))
         assert_same(antipode_closed(ctx, x),
-                    reference_antipode_closed(ctx, x), sorted_keys=True)
+                    reference_antipode_closed(ctx, x))
 
 
 def test_cancellation_and_low_degrees():
@@ -439,7 +430,7 @@ def test_setcomp_routes_match_the_plain_walk():
             for x in xs:
                 want = reference_setcomp_sum(ctx, x)
                 for route in (antipode_all_setcomps, antipode_toggle_free):
-                    assert_same(route(ctx, x), want, sorted_keys=True)
+                    assert_same(route(ctx, x), want)
 
 
 def test_setcomp_routes_read_no_integer_table_of_the_context():
@@ -545,10 +536,8 @@ def kernel_inputs(draw, contexts=_property_contexts()):
 @given(kernel_inputs())
 def test_letter_pass_kernels_match_the_references(case):
     ctx, x = case
-    assert_same(ctx.coproduct(x), reference_coproduct(ctx, x),
-                sorted_keys=True)
-    assert_same(antipode_closed(ctx, x), reference_antipode_closed(ctx, x),
-                sorted_keys=True)
+    assert_same(ctx.coproduct(x), reference_coproduct(ctx, x))
+    assert_same(antipode_closed(ctx, x), reference_antipode_closed(ctx, x))
 
 
 def _width_contexts():
@@ -587,8 +576,7 @@ def test_kernels_match_the_references_at_every_letter_width(case):
                  *ctx._coproduct_num(*int_form(x)))
     assert_wraps(reference_antipode_closed(ctx, x),
                  *_closed_num(ctx, *int_form(x)))
-    assert_same(antipode_oracle(ctx, x), reference_antipode_oracle(ctx, x),
-                sorted_keys=True)
+    assert_same(antipode_oracle(ctx, x), reference_antipode_oracle(ctx, x))
 
 
 def test_rank1_word_of_the_largest_admitted_degree():
@@ -651,20 +639,18 @@ def int_form(x):
 @given(st.data())
 def test_public_kernels_wrap_their_int_forms(data):
     """Each public kernel is one ``Fraction`` per nonzero term of its int
-    form, and equals its plain ``Fraction`` reference in key order:
-    sorted for the coproduct and the closed antipode, the reference's
-    for ``product``, ``square_product`` and ``expand_letters``."""
+    form, and equals its plain ``Fraction`` reference."""
     ctx = data.draw(st.sampled_from(_int_form_contexts()))
     x = data.draw(mixed_elements(ctx))
     y = data.draw(mixed_elements(ctx))
 
     got = ctx.coproduct(x)
     assert_wraps(got, *ctx._coproduct_num(*int_form(x)))
-    assert_same(got, reference_coproduct(ctx, x), sorted_keys=True)
+    assert_same(got, reference_coproduct(ctx, x))
 
     got = antipode_closed(ctx, x)
     assert_wraps(got, *_closed_num(ctx, *int_form(x)))
-    assert_same(got, reference_antipode_closed(ctx, x), sorted_keys=True)
+    assert_same(got, reference_antipode_closed(ctx, x))
 
     s, t = ctx.coproduct(x), ctx.coproduct(y)
     got = ctx.square_product(s, t)
@@ -679,7 +665,7 @@ def test_public_kernels_wrap_their_int_forms(data):
     entries, coeff = data.draw(letter_templates(ctx))
     got = expand_letters(entries, coeff)
     want = reference_expand_letters(entries, coeff)
-    assert got == want and list(got) == list(want)
+    assert got == want
     assert all(type(c) is Fraction for c in got.values())
 
 
@@ -721,11 +707,10 @@ def test_int_forms_on_zero_and_low_degrees():
                   TensorElement(2, {(1,): Fraction(-3, 4)})):
             got = ctx.coproduct(x)
             assert_wraps(got, *ctx._coproduct_num(*int_form(x)))
-            assert_same(got, reference_coproduct(ctx, x), sorted_keys=True)
+            assert_same(got, reference_coproduct(ctx, x))
             got = antipode_closed(ctx, x)
             assert_wraps(got, *_closed_num(ctx, *int_form(x)))
-            assert_same(got, reference_antipode_closed(ctx, x),
-                        sorted_keys=True)
+            assert_same(got, reference_antipode_closed(ctx, x))
             for y in (ctx.unit(), TensorElement(3), x):
                 assert_same(ctx.product(x, y), reference_product(ctx, x, y))
                 assert_same(ctx.product(y, x), reference_product(ctx, y, x))
@@ -892,34 +877,41 @@ def order_inputs(draw, contexts=_order_contexts()):
     return ctx, TensorElement(n, [(w, draw(_COEFFS)) for w in words])
 
 
+def _shuffled(terms, rng):
+    items = list(terms.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
 @settings(max_examples=80, deadline=None)
 @given(order_inputs(), st.randoms(use_true_random=False))
-def test_coproduct_keys_come_out_sorted(case, rng):
-    """``_coproduct_num`` emits its keys sorted, so the public coproduct
-    sorts nothing, and its terms do not depend on the input's order."""
+def test_output_edge_owns_the_term_order(case, rng):
+    """The kernels emit keys in any order, and the JSON edge sorts them:
+    the coproduct and the closed antipode of an element with its terms
+    shuffled, their own terms shuffled too, serialize byte for byte as
+    those of the element itself."""
     ctx, x = case
-    keys = list(ctx._coproduct_num(*int_form(x))[1])
-    assert keys == sorted(keys)
-    items = list(x.terms.items())
-    rng.shuffle(items)
-    got = ctx.coproduct(x)
-    assert list(got.terms.items()) == list(
-        ctx.coproduct(TensorElement(x.degree, items)).terms.items())
-    assert list(got.terms) == sorted(got.terms)
+    y = TensorElement(x.degree, _shuffled(x.terms, rng))
+    for kernel, to_dict in ((HopfContext.coproduct, square_to_dict),
+                            (antipode_closed, element_to_dict)):
+        want, got = kernel(ctx, x), kernel(ctx, y)
+        got.terms = _shuffled(got.terms, rng)
+        assert got == want
+        assert (json.dumps(to_dict(got, ctx.basis))
+                == json.dumps(to_dict(want, ctx.basis)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                        st.integers(-5, 5)),
-       st.integers(1, 12), st.booleans())
-def test_fractions_build_one_fraction_per_distinct_numerator(nums, den, sort):
-    """``_fractions`` is the per-term build in values, types and key
-    order, zeros dropped and negative numerators kept, with one
-    ``Fraction`` per distinct nonzero numerator."""
-    items = sorted(nums.items()) if sort else nums.items()
-    want = {k: Fraction(v, den) for k, v in items if v}
-    got = _fractions(den, nums, sort)
-    assert list(got.items()) == list(want.items())
+       st.integers(1, 12))
+def test_fractions_build_one_fraction_per_distinct_numerator(nums, den):
+    """``_fractions`` is the per-term build in values and types, zeros
+    dropped and negative numerators kept, with one ``Fraction`` per
+    distinct nonzero numerator."""
+    want = {k: Fraction(v, den) for k, v in nums.items() if v}
+    got = _fractions(den, nums)
+    assert got == want
     assert all(type(c) is Fraction for c in got.values())
     assert len({id(c) for c in got.values()}) == len(
         {v for v in nums.values() if v})

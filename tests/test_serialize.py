@@ -84,6 +84,11 @@ def test_square_round_trip():
         square_from_dict({"terms": [{"left": {"degree": 2, "word": []},
                                      "right": {"degree": 0, "word": []},
                                      "coeff": "1"}]}, ctx.basis)
+    with pytest.raises(ParseError, match="JSON object"):
+        square_from_dict(["terms"], ctx.basis)
+    with pytest.raises(ParseError, match="bad terms"):
+        square_from_dict({"terms": [{"right": {"degree": 0, "word": []},
+                                     "coeff": "1"}]}, ctx.basis)
 
 
 def test_character_round_trip():
@@ -150,6 +155,10 @@ def test_parse_expression_rejections():
                  "(" * 5000 + "one" + ")" * 5000,  # nested too deeply
                  "one ^ 2"):         # stray character
         with pytest.raises(ParseError):
+            parse_expression(text, basis)
+    for text, message in (("one one", "unexpected token 'one'"),
+                          ("one + 1", "cannot add a scalar")):
+        with pytest.raises(ParseError, match=message):
             parse_expression(text, basis)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopftower.theory import (CharacterBasis, DualBasisUndefined,
+from hopftower.theory import (BaseElement, CharacterBasis, DualBasisUndefined,
                               IdentityClassInvalid, NonOrthogonalBasis,
                               TheoryError,
                               TrivialCharacterMissing, cyclic4, dual,
@@ -93,6 +93,8 @@ def test_elements_from_different_bases_do_not_mix():
         two_dim(3).one + two_dim(5).one
     with pytest.raises(TheoryError):
         two_dim(3).one.inner(cyclic4().one)
+    with pytest.raises(TheoryError, match="wrong number of coordinates"):
+        BaseElement(two_dim(3), (1, 2, 3))
 
 
 def test_table_entries_must_be_exact():
@@ -176,6 +178,10 @@ def test_dual_singular():
         dual_pair(t.one, 2 * t.one)
     with pytest.raises(DualBasisUndefined):
         dual_pair(cyclic4().one, cyclic4().reg)  # rank-2 only
+    with pytest.raises(DualBasisUndefined, match="cannot be a basis"):
+        dual(t.one, (t.one,))
+    with pytest.raises(TheoryError, match="different bases"):
+        dual(t.one, (two_dim(5).one, two_dim(5).reg))
 
 
 def test_dual_rank_three():

@@ -135,6 +135,12 @@ MUTANTS = [
     # block indices count from 0, as the blocks of A do
     ("combinatorics.py", "for k, blk in enumerate(A)",
      "for k, blk in enumerate(A, 1)", "killed"),
+    # the output edge, and nothing before it, sorts the terms: a tensor
+    # square's JSON term list, and an element's through sorted_terms
+    ("serialize.py", "in sorted(sq.terms.items()):", "in sq.terms.items():",
+     "killed"),
+    ("elements.py", "return sorted(self.terms.items())",
+     "return list(self.terms.items())", "killed"),
 ]
 
 
