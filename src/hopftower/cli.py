@@ -29,6 +29,15 @@ of the bounds in ``_BOUNDS``, each checked by ``_admit``:
 No hopftower module is loaded for every command: each helper imports
 what it runs (``enumerate`` loads ``combinatorics`` alone), and ``main``
 builds only the parsers that its argv names (see ``build_parser``).
+
+``main(argv)`` returns the exit code and never exits, so it can be called
+in process.  A CLI process (``python -m hopftower.cli`` or the
+``hopftower`` script) enters through ``run``, which flushes stdout and
+stderr after ``main`` and ends with ``os._exit``: it skips the
+interpreter's teardown (full garbage collections and the clearing of
+every module), which a one-shot process has no use for.  An exception
+from ``main`` or from a flush ends the process the ordinary way, with its
+traceback and exit code.
 """
 
 from __future__ import annotations
@@ -196,10 +205,12 @@ def _names(args, basis):
     return scalars, aliases
 
 
-def _build_context(args, basis):
+def _build_context(args, basis, names=None):
+    """The request's HopfContext; ``names`` is ``_names(args, basis)``
+    where the caller holds it already."""
     from .hopf import HopfContext
     from .serialize import parse_expression
-    scalars, aliases = _names(args, basis)
+    scalars, aliases = names or _names(args, basis)
     iota = parse_expression(args.iota, basis, scalars, aliases)
     alpha = parse_expression(args.alpha, basis, scalars, aliases)
     beta = parse_expression(args.beta, basis, scalars, aliases)
@@ -385,8 +396,9 @@ def _cmd_characters(args, basis, tag):
     # convolution and inversion cost what verify does at this degree
     _admit("verify work", _verify_work(basis.dim, n),
            "dim^(max_degree-1) * 2^max_degree")
-    ctx = _build_context(args, basis)
-    scalars, aliases = _names(args, basis)
+    names = _names(args, basis)
+    ctx = _build_context(args, basis, names)
+    scalars, aliases = names
     from .characters import (check_morphism, constant_character, convolve,
                              inverse)
     from .serialize import character_to_dict, jsonable, parse_expression
@@ -447,7 +459,7 @@ def _emit(payload, args):
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped early (say, `| head`); point stdout at
-        # devnull so that the interpreter's final flush is silent too
+        # devnull so that the process's final flush is silent too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
@@ -490,5 +502,15 @@ def main(argv=None):
     return code
 
 
+def run():
+    """The process entry: ``main()``, then both streams flushed and
+    ``os._exit`` with its code, skipping the interpreter's teardown."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None where its fd was closed at start-up
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

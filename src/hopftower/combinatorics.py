@@ -304,35 +304,6 @@ def setcomp_refinements(B):
     yield from rec(0)
 
 
-def toggle_points(A):
-    """The positions where the pairing move of the cancellation argument
-    applies: j is listed when it is the largest element of its block and
-    the following block starts above j+1 (a split point), or when it is
-    not the largest and j+1 lies in another block (a fused point).
-
-    >>> toggle_points(((1,), (3,), (2,)))
-    [1]
-    >>> toggle_points(((1, 3), (2,)))
-    [1]
-    >>> toggle_points(((1,), (2,), (3,)))
-    []
-    """
-    idx = block_index(A)
-    out = []
-    for j in range(1, len(idx) + 1):
-        k = idx[j]
-        if j == max(A[k]):
-            if k + 1 < len(A) and min(A[k + 1]) > j + 1:
-                out.append(j)
-        elif j + 1 not in A[k]:
-            out.append(j)
-    return out
-
-
-def is_toggle_free(A):
-    return not toggle_points(A)
-
-
 def toggle_free(n):
     """Yield the toggle-free set compositions of {1, ..., n}.
 

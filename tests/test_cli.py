@@ -707,16 +707,68 @@ def test_theory_rank_bound_exits_2(tmp_path, capsys):
 def test_reader_closing_early_is_not_an_error():
     """``hopftower enumerate compositions --n 16 | head -1``: the request
     writes about 2.2 MB, far more than a pipe holds, and its reader stops
-    after the first line."""
+    after the first line.  ``--format text`` writes its whole answer at
+    once; in either format the process's final flush is silent."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "hopftower.cli", "enumerate", "compositions",
-         "--n", "16"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"[\n"
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert (proc.returncode, err) == (0, b"")
+    for fmt, first in (("json", b"[\n"), ("text", b"-\n")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hopftower.cli", "enumerate",
+             "compositions", "--n", "16", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b""), fmt
+
+
+def cli_process(argv, **kwargs):
+    """``python -m hopftower.cli ARGV`` run to its end in a child process."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "hopftower.cli", *argv],
+                          env=env, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("argv, code", [
+    # several 64 KiB batches
+    (["enumerate", "compositions", "--n", "14"], 0),
+    (["characters", "invert", "--psi", "2*one"], 1),
+    (["compute", "antipode", "--x", "not json"], 2),
+    (["compute", "antipode", "--alpha", "2*one", "--x", X], 3),
+])
+def test_a_process_answers_as_main_does(capsys, argv, code):
+    """``python -m hopftower.cli`` ends through ``run``'s ``os._exit``:
+    its stdout, stderr and exit code are main()'s, byte for byte."""
+    proc = cli_process(argv, capture_output=True)
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.encode(), err.encode())
+
+
+def test_a_process_started_without_stdout_keeps_its_exit_code(tmp_path):
+    """With its stdout closed, where ``sys.stdout`` is None, a refused
+    request still exits 2 with its error line, and an ``--out`` answer
+    exits 0."""
+    for argv, code in ((["bogus"], 2),
+                       (["enumerate", "compositions", "--n", "3", "--out",
+                         str(tmp_path / "out.json")], 0)):
+        proc = cli_process(argv, stderr=subprocess.PIPE,
+                           preexec_fn=lambda: os.close(1))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.count(b"\n") == (code == 2), proc.stderr
+    assert json.loads((tmp_path / "out.json").read_text()) == [
+        [3], [2, 1], [1, 2], [1, 1, 1]]
+
+
+def test_a_process_writes_out_files_as_main_does(tmp_path, capsys):
+    argv = ["compute", "coproduct", *IND, "--x", X]
+    proc = cli_process([*argv, "--out", str(tmp_path / "process.json")],
+                       capture_output=True)
+    got = run(capsys, [*argv, "--out", str(tmp_path / "main.json")])
+    assert got == (0, "", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert ((tmp_path / "process.json").read_bytes()
+            == (tmp_path / "main.json").read_bytes())
 
 
 # A child that runs one CLI request through main() with its output

@@ -121,6 +121,8 @@ MUTANTS = [
     # a request naming its leaf builds that leaf's parser, no other
     ("cli.py", "for each in [leaf] if leaf else leaves:",
      "for each in leaves:", "killed"),
+    # a CLI process ends with main()'s exit code
+    ("cli.py", "os._exit(code)", "os._exit(0)", "killed"),
     # verify --suite nsym runs the rules to the degree asked for
     ("cli.py", "verify_nsym_rules(ctx, n)", "verify_nsym_rules(ctx, 1)",
      "killed"),
