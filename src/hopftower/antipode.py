@@ -16,8 +16,9 @@ set compositions, the sum ``antipode_toggle_free`` evaluates.
 equation m(S ⊗ id)Δ = unit∘counit, from the coproduct's int form
 ``_coproduct_num`` and the iota splice of the product.  Δ is linear, so
 it takes one coproduct of the whole input and sums S(left)·right over its
-merged intermediate terms; S of each left word comes from a per-word memo
-filled the same way.
+merged intermediate terms; S of each left word is filled the same way,
+under the oracle's own kernel in the context's memo of basis-word forms
+(``HopfContext._word_form``), apart from the closed route's entries.
 
 Each route is an int kernel on int forms (see ``elements``), which its
 public function wraps, keeping the kernel's key order: ``_closed_num`` over
@@ -29,10 +30,11 @@ which ``verify`` and ``compute antipode --cross-check`` compare with
 ``_closed_num``.  The closed and set-composition routes leave iota
 markers in their words and expand them at the end through
 ``elements._expand_positions``.  The set-composition routes read nothing
-else of the context, and the oracle nothing of it but the coproduct, D
-and the iota numerators, so neither shares the closed route's integer
-tables.  The set-composition routes sum context-free per-degree tables
-of plans in one loop, keeping the tables up to degree ``_KEPT``.
+else of the context, and the oracle nothing of it but the coproduct, D,
+the iota numerators and its own memo entries, so neither shares the
+closed route's integer tables.  The set-composition routes sum
+context-free per-degree tables of plans in one loop, keeping the tables
+up to degree ``_KEPT``.
 """
 
 from __future__ import annotations
@@ -41,16 +43,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 
-from .elements import (TensorElement, _accumulate, _expand_positions,
-                       _fractions, _over_lcm)
-
-
-def _element(n, form):
-    """The public degree-n element of a route's int form: its nonzero
-    ``Fraction`` terms."""
-    out = TensorElement(n)
-    out.terms = _fractions(*form)
-    return out
+from .elements import _accumulate, _element, _expand_positions, _over_lcm
 
 
 def antipode_closed(ctx, x):
@@ -186,28 +179,18 @@ def _oracle_num(ctx, n, x):
     convolution equation, which holds for x as Δ is linear: S(x) = -x -
     sum of S(left)·right over the strictly intermediate terms of one
     ``ctx._coproduct_num(x)``.  S of each left word, and of a one-word
-    input, is memoized per context and basis word in
-    ``ctx._antipode_cache``, which only the context's lifetime and the
-    degrees asked for bound (see ``HopfContext``)."""
+    input, is ``_oracle_solve``'s entry in the context's memo
+    (``HopfContext._word_form``), which only the context's lifetime and
+    the degrees asked for bound."""
     common, nums = x
     if n == 0 or not nums:
         return x
     if len(nums) == 1:  # a word that a later input may have on the left
         ((word, c),) = nums.items()
-        den, s = _oracle_word(ctx, n, word)
+        den, s = ctx._word_form(_oracle_solve, n, word)
         return ((den, s) if common == c == 1
                 else (den * common, {w: c * v for w, v in s.items()}))
     return _oracle_solve(ctx, n, x)
-
-
-def _oracle_word(ctx, degree, word):
-    """``_oracle_solve`` of one basis word of positive degree, cached in
-    ``ctx._antipode_cache``."""
-    cache = ctx._antipode_cache
-    key = (degree, word)
-    if key not in cache:
-        cache[key] = _oracle_solve(ctx, degree, (1, {word: 1}))
-    return cache[key]
 
 
 def _oracle_solve(ctx, n, x):
@@ -218,8 +201,8 @@ def _oracle_solve(ctx, n, x):
     common, nums = x
     # Δ's terms over its one denominator
     delta_den, delta = ctx._coproduct_num(n, x)
-    steps = [(c, rw, *_oracle_word(ctx, ld, lw)) for ((ld, lw), (_, rw)), c
-             in delta.items() if c and 0 < ld < n]
+    steps = [(c, rw, *ctx._word_form(_oracle_solve, ld, lw))
+             for ((ld, lw), (_, rw)), c in delta.items() if c and 0 < ld < n]
     # c·S(left)·right is over Δ's denominator, S(left)'s and one iota's D
     den = delta_den * ctx._den
     top = lcm(common, *(s_den * den for _, _, s_den, _ in steps))

@@ -12,7 +12,7 @@ int tables, is a cached property of the character.  Both sides sum on
 int forms, the closed side on components put over their lcm, each
 composition's words expanded by ``elements._expand_num``, the
 definitional side on the value tables and on Δ of each basis word from
-the context's table (``HopfContext._word_coproduct``).
+the context's memo (``HopfContext._word_form`` of ``_coproduct_num``).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .combinatorics import compositions
-from .elements import (TensorElement, _expand_num, _fractions, _over_lcm,
-                       _same, _sum_forms, expand_letters)
+from .elements import (TensorElement, _element, _expand_num, _fractions,
+                       _over_lcm, _same, _sum_forms, expand_letters)
 from .theory import BaseElement, TheoryError
 
 
@@ -182,10 +182,11 @@ def _check_definition(psi, gamma, want):
     numerators over one denominator per degree."""
     left_den, *left = _over_lcm(*psi._value_tables)
     right_den, *right = _over_lcm(*gamma._value_tables)
+    delta = type(psi.ctx)._coproduct_num
     for n in range(1, want.max_degree + 1):
         sums = {}
         for word in psi.ctx.basis_words(n):
-            den, terms = psi.ctx._word_coproduct(n, word)  # den D^(2(n-1))
+            den, terms = psi.ctx._word_form(delta, n, word)  # D^(2(n-1))
             sums[word] = sum(c * lv * rv for ((ld, lw), (rd, rw)), c
                              in terms.items() if (lv := left[ld].get(lw))
                              and (rv := right[rd].get(rw)))
@@ -240,9 +241,9 @@ def _interleave(chi_a, chi_b, mark_a, mark_b, mu):
 
 
 def _convolve_component(psi, gamma, n, alpha, beta):
-    return TensorElement(n, _fractions(*_sum_forms(
+    return _element(n, _sum_forms(
         (1, _interleave(*pair, mu)) for mu in compositions(n)
-        for pair in ((psi, gamma, alpha, beta), (gamma, psi, beta, alpha)))))
+        for pair in ((psi, gamma, alpha, beta), (gamma, psi, beta, alpha))))
 
 
 def inverse(psi):
@@ -253,9 +254,9 @@ def inverse(psi):
     mark = _marker(ctx.alpha + ctx.beta)
     comps = [ctx.unit()]
     for n in range(1, psi.max_degree + 1):
-        comps.append(TensorElement(n, _fractions(*_sum_forms(
+        comps.append(_element(n, _sum_forms(
             (-1 if len(mu) % 2 else 1, _interleave(psi, psi, mark, mark, mu))
-            for mu in compositions(n)))))
+            for mu in compositions(n))))
     out = LinearCharacter(ctx, comps)
     _check_definition(psi, out, counit_character(ctx, psi.max_degree))
     return out

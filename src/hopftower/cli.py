@@ -318,11 +318,11 @@ def _cmd_compute(args, basis, tag):
                "--cross-check: dim^(degree-1) * 2^degree")
         _admit_set_compositions(x.degree, "degree")
     _check_output_size("antipode", basis.dim, x)
-    from .antipode import ROUTES, _closed_num, _element, antipode_closed
+    from .antipode import ROUTES, _closed_num, antipode_closed
     if not args.cross_check:
         return 0, element_to_dict(antipode_closed(ctx, x), basis, tag)
     # the routes compared as int forms; Fractions only for the output
-    from .elements import _over_lcm, _same
+    from .elements import _element, _over_lcm, _same
     n, form = x.degree, _over_lcm(x.terms)
     closed = _closed_num(ctx, n, form)
     payload = element_to_dict(_element(n, closed), basis, tag)
@@ -454,6 +454,8 @@ def _emit(payload, args):
         with open(args.out, "w", encoding="utf-8") as fh:
             _write(fh, chunks)
         return
+    if sys.stdout is None:  # its fd was closed at start-up
+        raise OSError("stdout is closed")
     try:
         _write(sys.stdout, chunks)
         sys.stdout.flush()
@@ -496,7 +498,7 @@ def main(argv=None):
         return getattr(exc, "exit_code", 2)
     try:
         _emit(payload, args)
-    except OSError as exc:  # --out names no writable file
+    except OSError as exc:  # no writable --out, or stdout closed
         _err(f"error: cannot write output: {exc}")
         return 2
     return code

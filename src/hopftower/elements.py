@@ -13,7 +13,8 @@ Six helpers here are all that touch it: ``_over_lcm`` and ``_expand_num``
 build it, ``_expand_positions`` expands the entries of its words,
 ``_sum_forms`` adds scaled ones, ``_same`` compares two by
 cross-multiplication, and ``_fractions`` is the one edge back to nonzero
-``Fraction`` terms, one ``Fraction`` per distinct numerator.  A public
+``Fraction`` terms, one ``Fraction`` per distinct numerator, which
+``_element`` and ``_square`` put in the public types.  A public
 kernel converts once each way, and the antipode routes' kernels are
 compared as int forms.
 
@@ -262,6 +263,21 @@ class TensorSquare(_Sparse):
             return "TensorSquare(0)"
         body = ", ".join(f"{k}: {c}" for k, c in self.sorted_terms())
         return f"TensorSquare({{{body}}})"
+
+
+def _element(n, form):
+    """The int form as the public degree-n element, its nonzero
+    ``Fraction`` terms in the form's key order."""
+    out = TensorElement(n)
+    out.terms = _fractions(*form)
+    return out
+
+
+def _square(form):
+    """The int form as the public tensor-square element, as ``_element``."""
+    out = TensorSquare()
+    out.terms = _fractions(*form)
+    return out
 
 
 def basis_words(dim, degree):

@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .elements import (TensorElement, TensorSquare, _accumulate, _fractions,
-                       _over_lcm, basis_words, expand_letters)
+from .elements import (TensorElement, TensorSquare, _accumulate, _element,
+                       _over_lcm, _square, basis_words, expand_letters)
 
 
 class PairingNotOne(ValueError):
@@ -58,24 +58,16 @@ class HopfContext:
                 value = iota.inner(e)
                 if value != 1:
                     raise PairingNotOne(which, value)
-        # S of each basis word, for antipode_oracle.  Unbounded, it lives as
-        # long as the context and holds the left words of the inputs'
-        # coproducts, below their degrees, and each one-word input.  The
-        # CLI's largest admitted --cross-check, dense, leaves 31 (two_dim,
-        # degree 6), 40 (cyclic4, degree 5) or 43 (rank 6, degree 4); any
-        # admitted one leaves at most 44 (rank 6, degree 4: 1 + 6 + 36
-        # words, and the input word).  verify's antipode suite asks for
-        # every word up to its degree: at most 507 (rank 22, degree 3).
-        self._antipode_cache = {}
-        # Δ of each basis word, for the suites and characters; as long-lived,
-        # and at the CLI's largest admitted verify --suite all it holds 64
-        # words in 0.15 MiB (two_dim(3), degree 6), 122 in 0.31 MiB
-        # (cyclic4, degree 5) or 260 in 0.51 MiB (rank 6, degree 4).
-        self._coproduct_table = {}
-        # S of each basis word by the closed route, for verify, never the
-        # oracle: as the Δ table, 0.03, 0.62 or 5.8 MiB there, and 11 MiB
-        # (the oracle's memo: 8.8) after verify's antipode suite at rank 18.
-        self._closed_table = {}
+        # Δ, closed S and the oracle's S of basis words, for _word_form,
+        # as long-lived as the context.  At the CLI's largest admitted
+        # verify --suite all, Δ holds 64 words in 0.15 MiB (two_dim(3),
+        # degree 6), 122 in 0.31 MiB (cyclic4, degree 5) or 260 in 0.51 MiB
+        # (rank 6, degree 4), and closed S 0.03, 0.62 or 5.8 MiB; at rank
+        # 18 verify's antipode suite leaves 11 MiB of closed S and 8.8 of
+        # the oracle's.  The oracle's S holds the left words of its inputs'
+        # coproducts, below their degrees, and each one-word input: after
+        # an admitted --cross-check, at most 44 (rank 6, degree 4).
+        self._word_forms = {}
 
     # The integer kernels work on numerators over D, the common denominator
     # of the pairing and iota tables: the pairings times D, iota times D as
@@ -147,10 +139,8 @@ class HopfContext:
     def product(self, x, y):
         """Insert iota between the words of x and y, bilinearly; terms in
         ``_product_num``'s order."""
-        out = TensorElement(x.degree + y.degree)
-        out.terms = _fractions(*self._product_num(
+        return _element(x.degree + y.degree, self._product_num(
             x.degree, _over_lcm(x.terms), y.degree, _over_lcm(y.terms)))
-        return out
 
     def _product_num(self, dx, x, dy, y):
         """The product of the int forms x and y, of degrees dx and dy, over
@@ -179,10 +169,7 @@ class HopfContext:
     def coproduct(self, x):
         """Sum over subsets of the tensor positions 1..n; terms in
         ``_coproduct_num``'s order."""
-        out = TensorSquare()
-        out.terms = _fractions(*self._coproduct_num(x.degree,
-                                                    _over_lcm(x.terms)))
-        return out
+        return _square(self._coproduct_num(x.degree, _over_lcm(x.terms)))
 
     def _coproduct_num(self, n, x):
         """The coproduct of the int form x of degree n, keys in the order
@@ -268,35 +255,24 @@ class HopfContext:
         acc.update((((n, w), (0, ())), v) for w, v in ends)
         return common * top, acc
 
-    def _word_coproduct(self, n, word):
-        """``_coproduct_num`` of the basis word of degree n, zeros dropped,
-        keys as it emits them, over D^(2·max(n−1, 0)), the same for
-        every word of the degree; once per context: the table dies with
-        the context, which a ``functools`` cache on this method (keyed by
-        ``self``) would keep alive.  A test that patches ``_coproduct_num``
-        builds its context after the patch."""
-        table = self._coproduct_table
-        if (n, word) not in table:
-            den, terms = self._coproduct_num(n, (1, {word: 1}))
-            table[n, word] = den, {k: v for k, v in terms.items() if v}
-        return table[n, word]
-
-    def _word_antipode(self, n, word):
-        """``_closed_num`` of the basis word of degree n, once per context:
-        a test patches ``_closed_num`` before building it."""
-        table, key = self._closed_table, (n, word)
-        if key not in table:
-            from .antipode import _closed_num
-            table[key] = _closed_num(self, n, (1, {word: 1}))
-        return table[key]
+    def _word_form(self, kernel, n, word):
+        """``kernel(self, n, (1, {word: 1}))`` of the basis word of degree
+        n, zeros dropped, keys as it emits them; once per context and
+        kernel, keyed (kernel, degree, word).  The memo dies with the
+        context, which a ``functools`` cache (keyed by ``self``) would keep
+        alive.  Callers look the kernel up when they call: a test patches
+        ``_coproduct_num`` or ``antipode._closed_num`` after import."""
+        forms, key = self._word_forms, (kernel, n, word)
+        if key not in forms:
+            den, terms = kernel(self, n, (1, {word: 1}))
+            forms[key] = den, {k: v for k, v in terms.items() if v}
+        return forms[key]
 
     def square_product(self, s, t):
         """Componentwise product of two tensor-square elements; terms in
         ``_square_product_num``'s order."""
-        out = TensorSquare()
-        out.terms = _fractions(*self._square_product_num(_over_lcm(s.terms),
-                                                         _over_lcm(t.terms)))
-        return out
+        return _square(self._square_product_num(_over_lcm(s.terms),
+                                                _over_lcm(t.terms)))
 
     def _square_product_num(self, s, t):
         """The componentwise product of the int forms s and t, keys in the

@@ -26,8 +26,9 @@ from math import lcm
 from .combinatorics import (boundary_bits, coarsenings,
                             composition_from_boundary_bits, compositions,
                             concat, interior_bits, refinements, smash)
-from .elements import (TensorElement, TensorSquare, _accumulate, _expand_num,
-                       _expand_positions, _fractions, _over_lcm, _sum_forms)
+from .elements import (TensorElement, _accumulate, _element, _expand_num,
+                       _expand_positions, _fractions, _over_lcm, _square,
+                       _sum_forms)
 from .functors import ind_along
 from .theory import DualBasisUndefined, TheoryError, dual_pair
 from .antipode import _closed_num
@@ -49,7 +50,7 @@ def tau_iota_element(basis, tau, iota, mu):
     tau_iota_element(b, t, i, mu) == tau_iota_element(b, i, t, conjugate(mu)).
     """
     mu = tuple(mu)
-    return TensorElement(sum(mu), _fractions(*_family_num(tau, iota, mu)))
+    return _element(sum(mu), _family_num(tau, iota, mu))
 
 
 def _family_num(tau, iota, mu):
@@ -226,7 +227,7 @@ def verify_nsym_rules(ctx, max_degree):
 
     # products: concatenation for h, concatenation + smash for ribbons
     for a, mu, b, nu in _pairs(max_degree, compositions):
-        element = partial(TensorElement, a + b)
+        element = partial(_element, a + b)
         _run(report, ("h_concat", mu, nu),
              ctx._product_num(a, h[mu], b, h[nu]), h[concat(mu, nu)], element)
         _run(report, ("ribbon_product", mu, nu),
@@ -243,13 +244,13 @@ def verify_nsym_rules(ctx, max_degree):
     for n in range(1, max_degree + 1):
         _run(report, ("h_deconcat", n), ctx._coproduct_num(n, h[(n,)]),
              _sum_forms((1, tensor(j, n - j)) for j in range(n + 1)),
-             TensorSquare)
+             _square)
 
     # h is the coarsening sum of ribbons
     for mu in comps[1:]:
         _run(report, ("h_coarsening", mu), h[mu],
              _sum_forms((1, r[nu]) for nu in coarsenings(mu)),
-             partial(TensorElement, sum(mu)))
+             partial(_element, sum(mu)))
 
     # compatibility of the coproduct with h products (bounded), on the
     # int forms of the factors and of their coproducts
@@ -257,7 +258,7 @@ def verify_nsym_rules(ctx, max_degree):
     for a, mu, b, nu in _pairs(min(max_degree, 4), compositions):
         _run(report, ("h_compat", mu, nu),
              ctx._coproduct_num(a + b, ctx._product_num(a, h[mu], b, h[nu])),
-             ctx._square_product_num(delta(mu), delta(nu)), TensorSquare)
+             ctx._square_product_num(delta(mu), delta(nu)), _square)
 
     # independent route to h when iota is the regular character and the
     # dual of alpha is the all-ones character
@@ -268,7 +269,7 @@ def verify_nsym_rules(ctx, max_degree):
                                  {(ctx.basis.one_index,) * sum(bits): 1})
             _run(report, ("h_induced", mu), h[mu],
                  _over_lcm(ind_along(ctx.basis, bits, ones).terms),
-                 partial(TensorElement, sum(mu)))
+                 partial(_element, sum(mu)))
     return report
 
 
@@ -287,7 +288,7 @@ def antipode_corollaries(ctx, max_n):
         # S of the family member at mu, from _closed_num, against want
         n = sum(mu)
         _run(report, name, _closed_num(ctx, n, family(mu)), want,
-             partial(TensorElement, n))
+             partial(_element, n))
 
     if ctx.alpha == ctx.beta:
         tau = shuffle_dual_complement(ctx)

@@ -8,16 +8,16 @@ is sampled unless a seed is passed explicitly; the default runs are
 exhaustive and deterministic, and spot checks without a seed are refused.
 
 ``verify_axioms`` checks on int forms (see ``elements``): Δ and S of
-each basis word from the context's tables (``_word_coproduct``, and
-``_word_antipode`` by ``_closed_num``), and every exhaustive check sums
-and multiplies on them through the int kernels: the counit,
-coassociativity and antipode sums in one pass over each Δ(w), and
-compatibility's Δ(x·y) from the Δ(w) of the words w of x·y.
+each basis word from the context's memo (``HopfContext._word_form`` of
+``_coproduct_num`` and of ``antipode._closed_num``), and every
+exhaustive check sums and multiplies on them through the int kernels:
+the counit, coassociativity and antipode sums in one pass over each
+Δ(w), and compatibility's Δ(x·y) from the Δ(w) of the words w of x·y.
 ``verify_antipode_equivalence`` compares the routes' kernels
-(``antipode.ROUTES``) with the S table.  ``_run`` compares two int forms
-itself, and builds the ``Fraction`` values the public kernels would give
-only for the first failure, in the kernels' own key order: a report's
-values compare by ``==`` and serialize sorted.
+(``antipode.ROUTES``) with the memo's closed S.  ``_run`` compares two
+int forms itself, and builds the ``Fraction`` values the public kernels
+would give only for the first failure, in the kernels' own key order: a
+report's values compare by ``==`` and serialize sorted.
 """
 
 from __future__ import annotations
@@ -27,8 +27,11 @@ from fractions import Fraction
 from functools import partial
 
 from .antipode import ROUTES
-from .elements import (TensorElement, TensorSquare, _accumulate, _fractions,
-                       _same)
+# after the line above: before antipode is loaded, this would go through
+# the package's __getattr__, which imports every module
+from . import antipode
+from .elements import (TensorElement, _accumulate, _element, _fractions,
+                       _same, _square)
 from .hopf import _splice
 
 
@@ -40,18 +43,23 @@ def _report(**extra):
 def _run(report, name, lhs, rhs, wrap=None):
     """One comparison: of two values by ``==``, or, given ``wrap``, of two
     int forms by ``_same``.  On the first failure ``wrap`` turns each int
-    form's ``Fraction`` terms into the report's value: a dict, a
-    ``TensorSquare`` or a ``TensorElement``."""
+    form into the report's value: ``_terms``, ``_square`` or a degree's
+    ``_element``."""
     report["checked"] += 1
     if _same(lhs, rhs) if wrap else lhs == rhs:
         report["passed"] += 1
     elif report["first_failure"] is None:
         if wrap:
-            lhs, rhs = wrap(_fractions(*lhs)), wrap(_fractions(*rhs))
+            lhs, rhs = wrap(lhs), wrap(rhs)
         report["first_failure"] = {"inputs": name, "lhs": lhs, "rhs": rhs}
 
 
-def _word_forms(ctx, degree):
+def _terms(form):
+    """The int form's nonzero ``Fraction`` terms as a plain dict."""
+    return _fractions(*form)
+
+
+def _basis_forms(ctx, degree):
     for w in ctx.basis_words(degree):
         yield w, (1, {w: 1})
 
@@ -71,7 +79,8 @@ def _compat_checks(ctx, max_degree):
     total degree: yields ((a, wx), (b, wy), lhs, rhs): Δ(x·y) as Σ c·Δ(w)
     over the terms c·w of x·y, each Δ(w) over D^(2(a+b-1)), and the square
     product of Δx and Δy."""
-    delta, product = ctx._word_coproduct, ctx._product_num
+    delta = partial(ctx._word_form, type(ctx)._coproduct_num)
+    product = ctx._product_num
     for a, wx, b, wy in _pairs(max_degree, ctx.basis_words):
         den, xy = product(a, (1, {wx: 1}), b, (1, {wy: 1}))
         lhs = {}
@@ -91,10 +100,11 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
     rep = _report()
     unit, product = (1, {(): 1}), ctx._product_num
     iota, iota_den = ctx._iota_num, ctx._den
-    delta_num, antipode_num = ctx._word_coproduct, ctx._word_antipode
+    delta_num = partial(ctx._word_form, type(ctx)._coproduct_num)
+    antipode_num = partial(ctx._word_form, antipode._closed_num)
     for n in range(max_degree + 1):
-        element = partial(TensorElement, n)
-        for w, x in _word_forms(ctx, n):
+        element = partial(_element, n)
+        for w, x in _basis_forms(ctx, n):
             _run(rep, ("left_unit", n, w), product(0, unit, n, x), x, element)
             _run(rep, ("right_unit", n, w), product(n, x, 0, unit), x, element)
 
@@ -134,7 +144,7 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
             _run(rep, ("left_counit", n, w), (den, left_strip), x, element)
             _run(rep, ("right_counit", n, w), (den, right_strip), x, element)
             _run(rep, ("coassociativity", n, w), (den * den, triple_a),
-                 (den * den, triple_b), dict)
+                 (den * den, triple_b), _terms)
             if n >= 1:
                 for name, conv in (("antipode_left", left_conv),
                                    ("antipode_right", right_conv)):
@@ -142,17 +152,17 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
                          (1, {}), element)
 
     for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
-        _run(rep, ("compatibility", x, y), lhs, rhs, TensorSquare)
+        _run(rep, ("compatibility", x, y), lhs, rhs, _square)
 
     for total in range(3, max_degree + 1):
-        element = partial(TensorElement, total)
+        element = partial(_element, total)
         for a in range(1, total - 1):
             for b in range(1, total - a):
                 c = total - a - b
-                for wx, x in _word_forms(ctx, a):
-                    for wy, y in _word_forms(ctx, b):
+                for wx, x in _basis_forms(ctx, a):
+                    for wy, y in _basis_forms(ctx, b):
                         xy = product(a, x, b, y)
-                        for wz, z in _word_forms(ctx, c):
+                        for wz, z in _basis_forms(ctx, c):
                             _run(rep, ("associativity",
                                        (a, wx), (b, wy), (c, wz)),
                                  product(a + b, xy, c, z),
@@ -192,7 +202,7 @@ def find_compat_counterexample(ctx, max_degree):
     coproducts.  Returns None when compatibility holds throughout."""
     rep = _report()
     for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
-        _run(rep, {"x": x, "y": y}, lhs, rhs, TensorSquare)
+        _run(rep, {"x": x, "y": y}, lhs, rhs, _square)
         if rep["first_failure"]:
             return rep["first_failure"]
     return None
@@ -206,9 +216,9 @@ def verify_antipode_equivalence(ctx, max_degree):
     from .combinatorics import toggle_free
     rep = _report()
     for n in range(max_degree + 1):
-        element = partial(TensorElement, n)
-        for w, x in _word_forms(ctx, n):
-            reference = ctx._word_antipode(n, w)
+        element = partial(_element, n)
+        for w, x in _basis_forms(ctx, n):
+            reference = ctx._word_form(antipode._closed_num, n, w)
             for name, route in ROUTES:
                 _run(rep, ("closed_vs_" + name, n, w), route(ctx, n, x),
                      reference, element)

@@ -3,8 +3,8 @@ toggle-free sum, and the convolution-equation solver."""
 
 from fractions import Fraction
 
-from hopftower.antipode import (_KEPT, _MARKER, _setcomp_table,
-                                antipode_all_setcomps,
+from hopftower.antipode import (_KEPT, _MARKER, _oracle_solve,
+                                _setcomp_table, antipode_all_setcomps,
                                 antipode_closed, antipode_oracle,
                                 antipode_toggle_free)
 from hopftower.characters import constant_character
@@ -13,7 +13,7 @@ from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.nsym import tau_iota_element
 from hopftower.theory import two_dim
 from test_kernels import (assert_same, reference_antipode_closed,
-                          reference_coproduct)
+                          reference_coproduct, word_memo)
 
 ROUTES = (antipode_closed, antipode_all_setcomps, antipode_toggle_free,
           antipode_oracle)
@@ -100,10 +100,11 @@ def test_linearity():
 
 def test_oracle_memoizes_subwords():
     ctx = all_ones_context(two_dim(3))
-    assert ctx._antipode_cache == {}
+    assert ctx._word_forms == {}
     antipode_oracle(ctx, word(3, [0, 1]))
-    assert (3, (0, 1)) in ctx._antipode_cache
-    assert (1, ()) in ctx._antipode_cache  # recursion reached degree 1
+    solved = word_memo(ctx, _oracle_solve)
+    assert (3, (0, 1)) in solved
+    assert (1, ()) in solved  # recursion reached degree 1
 
 
 def test_involution_when_coproduct_symmetric():

@@ -380,9 +380,9 @@ def test_contexts_are_collected_once_the_caller_drops_them():
 
 def test_each_basis_word_coproduct_is_computed_once_per_context(
         monkeypatch):
-    """The axioms, the characters and the compatibility search read one
-    table: one kernel call per (degree, word), every word up to the
-    degree bound."""
+    """The axioms, the characters and the compatibility search read Δ
+    from the context's memo: one kernel call per (degree, word), every
+    word up to the degree bound, each an entry under the kernel."""
     real = HopfContext._coproduct_num
     seen = []
 
@@ -398,7 +398,8 @@ def test_each_basis_word_coproduct_is_computed_once_per_context(
         assert verify_axioms(ctx, top)["first_failure"] is None
         assert verify_characters(ctx, top - 1)["first_failure"] is None
         assert find_compat_counterexample(ctx, top) is None
-        assert len(seen) == len(set(seen)) == len(ctx._coproduct_table)
+        assert len(seen) == len(set(seen)) == sum(
+            k is counting for k, _, _ in ctx._word_forms)
         assert set(seen) == {(n, w) for n in range(top + 1)
                              for w in ctx.basis_words(n)}
 

@@ -760,6 +760,16 @@ def test_a_process_started_without_stdout_keeps_its_exit_code(tmp_path):
         [3], [2, 1], [1, 2], [1, 1, 1]]
 
 
+def test_a_process_started_without_stdout_refuses_its_answer():
+    """With its stdout closed, an answer bound for stdout cannot be
+    written: the request exits 2 with one error line, as for an
+    unwritable ``--out``."""
+    proc = cli_process(["enumerate", "compositions", "--n", "2"],
+                       stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == b"error: cannot write output: stdout is closed\n"
+
+
 def test_a_process_writes_out_files_as_main_does(tmp_path, capsys):
     argv = ["compute", "coproduct", *IND, "--x", X]
     proc = cli_process([*argv, "--out", str(tmp_path / "process.json")],

@@ -29,8 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopftower import characters, hopf
-from hopftower.antipode import (_MARKER, _closed_num, _setcomp_num,
-                                _setcomp_table, antipode_all_setcomps,
+from hopftower.antipode import (_MARKER, _closed_num, _oracle_solve,
+                                _setcomp_num, _setcomp_table,
+                                antipode_all_setcomps,
                                 antipode_closed, antipode_oracle,
                                 antipode_toggle_free)
 from hopftower.cli import main
@@ -223,6 +224,13 @@ def _reference_oracle_word(ctx, memo, degree, word):
     return acc
 
 
+def word_memo(ctx, kernel):
+    """The entries under ``kernel`` of the context's basis-word memo,
+    keyed (degree, word)."""
+    return {(n, w): form for (k, n, w), form in ctx._word_forms.items()
+            if k is kernel}
+
+
 def assert_same(got, want):
     """Equal, with ``Fraction`` coefficients."""
     assert got == want
@@ -294,14 +302,29 @@ def test_oracle_memo_is_over_its_lcm():
         memo = {}
         antipode_oracle(ctx, TensorElement(5, {
             w: 1 for w in ctx.basis_words(5)}))
-        assert len(ctx._antipode_cache) == sum(
+        solved = word_memo(ctx, _oracle_solve)
+        assert len(solved) == sum(
             ctx.basis.dim ** (n - 1) for n in range(1, 5))
-        for (n, w), (den, nums) in ctx._antipode_cache.items():
+        for (n, w), (den, nums) in solved.items():
             want = _reference_oracle_word(ctx, memo, n, w).terms
             assert {u: Fraction(v, den) for u, v in nums.items()} == want
             assert gcd(den, *nums.values()) == 1
-        assert any(den > 1 for den, _ in ctx._antipode_cache.values()) == (
-            ctx._den > 1)
+        assert any(den > 1 for den, _ in solved.values()) == (ctx._den > 1)
+
+
+def test_a_lone_oracle_call_fills_only_its_own_memo_entries():
+    """The oracle reads and writes the context's memo under its own
+    kernel alone: after one call, on a dense input or on one word, every
+    key's kernel is ``_oracle_solve``, and no Δ or closed-S entry is
+    there."""
+    for basis, context in ((cyclic4(), induction_context),
+                           (two_dim(3), all_ones_context)):
+        words = list(context(basis).basis_words(4))
+        for terms in (words, words[-1:]):
+            ctx = context(basis)
+            antipode_oracle(ctx, TensorElement(4, dict.fromkeys(terms, 3)))
+            assert ctx._word_forms
+            assert {k for k, _, _ in ctx._word_forms} == {_oracle_solve}
 
 
 def test_oracle_takes_one_coproduct_of_a_multiword_input():
@@ -324,13 +347,13 @@ def test_oracle_takes_one_coproduct_of_a_multiword_input():
         ctx.coproduct = public
         # a word of degree 3 memoizes itself and its left words
         antipode_oracle(ctx, TensorElement(3, {(1, 0): 2}))
-        assert (3, (1, 0)) in ctx._antipode_cache
+        assert (3, (1, 0)) in word_memo(ctx, _oracle_solve)
         results = []
         for x in (_dense(rng, ctx, 5), _dense(rng, ctx, 5)):
             calls.clear()
-            before = set(ctx._antipode_cache)
+            before = set(word_memo(ctx, _oracle_solve))
             results.append((x, antipode_oracle(ctx, x)))
-            new = set(ctx._antipode_cache) - before
+            new = set(word_memo(ctx, _oracle_solve)) - before
             assert calls[0] == int_form(x)
             assert len(calls) == 1 + len(new)
             assert {(n, *terms) for n, (_, terms) in calls[1:]} == new
@@ -442,7 +465,7 @@ def test_setcomp_routes_read_no_integer_table_of_the_context():
     assert {"pair_alpha", "_setcomp_table"} <= names
     assert not names & {"_den", "_alpha_num", "_beta_num", "_iota_num",
                         "_diff_num", "_closed_plans", "_closed_num",
-                        "_closed_table", "_word_antipode"}
+                        "_word_form", "_word_forms"}
     # and the routes' module holds nothing of hopf's
     assert not [name for name, obj in _setcomp_num.__globals__.items()
                 if obj is hopf
@@ -482,16 +505,16 @@ def test_oracle_reads_no_other_route():
     name no other route and none of the closed route's plans, tables or
     integer pairings."""
     names = _names_reached(antipode_oracle)
-    # the names are collected: the coproduct's int form and the memo
-    # helpers; the public coproduct is not called
-    assert {"_coproduct_num", "_iota_num", "_den", "_antipode_cache",
-            "_oracle_word", "_oracle_solve"} <= names
+    # the names are collected: the coproduct's int form, and the memo's
+    # accessor with the oracle's own kernel; the public coproduct is not
+    # called, and the memo is not read around the accessor
+    assert {"_coproduct_num", "_iota_num", "_den", "_word_form",
+            "_oracle_solve"} <= names
     assert "coproduct" not in names
     assert not names & {"antipode_closed", "_closed_plans", "_setcomp_table",
                         "_setcomp_num", "_closed_num", "_diff_num",
-                        "_closed_table", "_word_antipode", "_alpha_num",
-                        "_beta_num", "antipode_all_setcomps",
-                        "antipode_toggle_free"}
+                        "_word_forms", "_alpha_num", "_beta_num",
+                        "antipode_all_setcomps", "antipode_toggle_free"}
 
 
 def unchecked_d21():

@@ -56,8 +56,8 @@ MUTANTS = [
     # verify_axioms' one pass over Δ(w), made vacuous: coassociativity
     # compared with one side twice, each convolution with itself, and the
     # left counit with its own strip
-    ("verify.py", "(den * den, triple_b), dict)",
-     "(den * den, triple_a), dict)", "killed"),
+    ("verify.py", "(den * den, triple_b), _terms)",
+     "(den * den, triple_a), _terms)", "killed"),
     ("verify.py", "(1, {}), element)",
      "(den * den * iota_den, conv), element)", "killed"),
     ("verify.py", "(den, left_strip), x, element)",
@@ -128,9 +128,11 @@ MUTANTS = [
      "killed"),
     # compatibility's Δ(x·y) scales each Δ(w) by w's coefficient in x·y
     ("verify.py", "lhs.get(k, 0) + c * v", "lhs.get(k, 0) + v", "killed"),
-    # the closed-S table keeps (degree, word): degrees 0 and 1 share ()
-    ("hopf.py", "self._closed_table, (n, word)", "self._closed_table, word",
-     "killed"),
+    # the basis-word memo keys (kernel, degree, word): degrees 0 and 1
+    # share (), and Δ and S of one word share (degree, word)
+    ("hopf.py", "self._word_forms, (kernel, n, word)",
+     "self._word_forms, (kernel, word)", "killed"),
+    ("hopf.py", "(kernel, n, word)", "(n, word)", "killed"),
     # a set composition's first block is the masked elements, not the rest
     ("combinatorics.py", "(block if mask & 1 else rest)",
      "(rest if mask & 1 else block)", "killed"),
