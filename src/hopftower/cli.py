@@ -380,8 +380,8 @@ def _cmd_enumerate(args):
         mu = _parse_mu(args.mu)
         _admit(what, sum(mu), f"sum(mu) = {sum(mu)}")
         from .combinatorics import descent_embedding
-        image = descent_embedding(mu, bound=_BOUNDS[what])
-        return 0, [{"perm": list(w), "coeff": "1"} for w in image]
+        return 0, [{"perm": list(w), "coeff": "1"}
+                   for w in descent_embedding(mu)]
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     _admit(what, args.n, f"--n = {args.n}")
@@ -419,27 +419,22 @@ def _cmd_characters(args, basis, tag):
 
 
 def _render_text(data, indent=0):
+    """A dict entry as ``key: value``, a list item as ``- value``; a dict
+    or list value goes on the lines after its bare label, indented."""
     pad = "  " * indent
     if isinstance(data, dict):
-        lines = []
-        for key in data:
-            value = data[key]
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {value}")
-        return "\n".join(lines)
-    if isinstance(data, list):
-        lines = []
-        for value in data:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {value}")
-        return "\n".join(lines) if lines else f"{pad}(empty)"
-    return f"{pad}{data}"
+        items = [(f"{key}:", value) for key, value in data.items()]
+    elif isinstance(data, list) and data:
+        items = [("-", value) for value in data]
+    else:  # a scalar, or an empty list
+        return f"{pad}{'(empty)' if data == [] else data}"
+    lines = []
+    for label, value in items:
+        if isinstance(value, (dict, list)):
+            lines += (f"{pad}{label}", _render_text(value, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {value}")
+    return "\n".join(lines)
 
 
 def _emit(payload, args):

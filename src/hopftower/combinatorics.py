@@ -93,11 +93,6 @@ def composition_from_boundary_bits(bits):
     return tuple(parts)
 
 
-def composition_from_interior_bits(bits):
-    """Inverse of :func:`interior_bits`."""
-    return composition_from_boundary_bits(tuple(1 - b for b in bits))
-
-
 def partial_sums(mu):
     """The internal partial sums of mu (the boundary positions).
 
@@ -386,45 +381,19 @@ def permutations(n):
 # descent classes
 
 
-class FundamentalImage:
-    """The permutations whose inverse has a prescribed descent set."""
-
-    __slots__ = ("mu", "perms")
-
-    def __init__(self, mu, perms):
-        self.mu = tuple(mu)
-        self.perms = tuple(perms)
-
-    def __len__(self):
-        return len(self.perms)
-
-    def __iter__(self):
-        return iter(self.perms)
-
-    def __contains__(self, w):
-        return tuple(w) in self.perms
-
-    def __eq__(self, other):
-        return (isinstance(other, FundamentalImage)
-                and self.mu == other.mu and self.perms == other.perms)
-
-    def __repr__(self):
-        return f"FundamentalImage(mu={self.mu}, size={len(self.perms)})"
-
-
-def descent_embedding(mu, bound=7):
-    """All permutations of sum(mu) letters whose inverse descent set is
-    the partial-sum set of mu.  The classes over all compositions of n
-    partition the symmetric group."""
+def descent_embedding(mu):
+    """The descent class of mu: the permutations of sum(mu) letters whose
+    inverse has descent set the partial sums of mu, as a tuple in
+    lexicographic one-line order.  The classes over all compositions of n
+    partition the symmetric group.  sum(mu) is at most 7, so at most
+    5,040 permutations are scanned."""
     mu = _check_composition(mu)
     if not mu:
         from .theory import TheoryError
         raise TheoryError("composition must be nonempty")
     n = sum(mu)
-    if n > bound:
-        raise ValueError(
-            f"degree {n} exceeds the bound {bound} for descent classes")
+    if n > 7:
+        raise ValueError(f"degree {n} exceeds the bound 7 for descent classes")
     target = set(partial_sums(mu))
-    perms = tuple(w for w in permutations(n)
-                  if descents(inverse(w)) == target)
-    return FundamentalImage(mu, perms)
+    return tuple(w for w in permutations(n)
+                 if descents(inverse(w)) == target)

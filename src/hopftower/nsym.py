@@ -155,12 +155,6 @@ def expand_in_kind(ctx, kind, x):
                                 _over_lcm(x.terms)))
 
 
-def expand_square_in_kind(ctx, kind, sq):
-    """Coefficients of a tensor-square element in family ⊗ family."""
-    top = max((max(ld, rd) for (ld, _), (rd, _) in sq.terms), default=0)
-    return _square_in_kind(_coordinates(ctx, kind, top), _over_lcm(sq.terms))
-
-
 def _square_in_kind(coords, sq):
     """The int form sq of a tensor square in family ⊗ family: each
     (degree, word) expanded once, then one ``Fraction`` per (μ, ν)."""

@@ -8,6 +8,7 @@ equal values serialize byte-identically.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .elements import TensorElement, TensorSquare
@@ -205,30 +206,17 @@ def _key_str(key):
 
 # -- expression language ----------------------------------------------------------
 
+# a decimal run (what int() reads), a name, an operator, or any other
+# non-space character, which is refused
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|([-+*/()])|(\S))")
+
+
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} in expression")
+    for number, name, op, other in _TOKEN.findall(text):
+        if other:
+            raise ParseError(f"unexpected character {other!r} in expression")
+        tokens.append(int(number) if number else name or op)
     return tokens
 
 
@@ -237,10 +225,9 @@ class _Parser:
     and parentheses.  Class functions may be scaled and divided by
     scalars but never multiplied together."""
 
-    def __init__(self, tokens, basis, names):
+    def __init__(self, tokens, names):
         self.tokens = tokens
         self.pos = 0
-        self.basis = basis
         self.names = names
 
     def peek(self):
@@ -336,7 +323,7 @@ def parse_expression(text, basis, scalars=None, aliases=None):
     for i, lab in enumerate(basis.labels):
         names[lab] = basis.basis_element(i)
     try:
-        value = _Parser(_tokenize(text), basis, names).parse()
+        value = _Parser(_tokenize(text), names).parse()
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
     if isinstance(value, Fraction):

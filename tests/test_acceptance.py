@@ -12,8 +12,7 @@ from itertools import product as iproduct
 from hopftower.characters import (check_morphism, constant_character,
                                   inverse, is_odd)
 from hopftower.combinatorics import (boundary_bits, bc_bits, compositions,
-                                     composition_from_boundary_bits,
-                                     composition_from_interior_bits, concat,
+                                     composition_from_boundary_bits, concat,
                                      conjugate, descent_embedding,
                                      interior_bits, lc_bits, llc_bits,
                                      set_compositions, setcomp_refinements,
@@ -26,6 +25,7 @@ from hopftower.theory import cyclic4, from_table, two_dim
 from hopftower.verify import (find_compat_counterexample,
                               verify_antipode_equivalence, verify_axioms,
                               verify_characters)
+from test_combinatorics import composition_from_interior_bits
 
 
 def both_contexts(basis):

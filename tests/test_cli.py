@@ -23,7 +23,8 @@ from hopftower.hopf import induction_context
 from hopftower.nsym import verify_nsym_rules
 from hopftower.serialize import (element_from_dict, element_to_dict, jsonable,
                                  theory_to_dict)
-from hopftower.theory import two_dim
+from hopftower.theory import cyclic4, two_dim
+from test_characters import kronecker
 from test_verify import PUBLIC_ROUTES, route_mutants
 
 IND = ["--q", "3", "--iota", "reg", "--alpha", "one", "--beta", "beta_star"]
@@ -399,6 +400,14 @@ def test_text_format_writes_lists_item_by_item(capsys):
     assert (code, err) == (0, "")
     assert out == ("-\n  - 3\n-\n  - 2\n  - 1\n-\n  - 1\n  - 2\n"
                    "-\n  - 1\n  - 1\n  - 1\n")
+
+
+def test_text_format_renders_empty_and_nested_containers():
+    """An empty list prints ``(empty)`` and an empty dict nothing; a list
+    or dict value goes under its bare label, one level in."""
+    payload = {"a": [], "b": {}, "c": [[1], {"d": None}]}
+    assert cli._render_text(payload) == (
+        "a:\n  (empty)\nb:\n\nc:\n  -\n    - 1\n  -\n    d: None")
 
 
 def test_cyclic4_base(capsys):
@@ -870,6 +879,17 @@ print(code, peak // 1024 if sys.platform == "darwin" else peak)
 """
 
 
+def _child_peak(argv):
+    """Run the CLI request ``argv`` in a child process: (exit code, peak
+    RSS in KiB, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    code, peak_kib = map(int, proc.stdout.split())
+    return code, peak_kib, proc.stderr
+
+
 def _child_request(tmp_path, action, base, labels, degree, count):
     """Run ``compute action`` on the first ``count`` words of ``degree``
     over ``labels`` in a child process: (exit code, peak RSS in KiB,
@@ -878,13 +898,7 @@ def _child_request(tmp_path, action, base, labels, degree, count):
     path.write_text(json.dumps({"degree": degree, "terms": [
         {"word": list(w), "coeff": "1"} for w in itertools.islice(
             itertools.product(labels, repeat=degree - 1), count)]}))
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, "compute", action, *base,
-         "--x", f"@{path}"],
-        capture_output=True, text=True, env=env, timeout=300)
-    code, peak_kib = map(int, proc.stdout.split())
-    return code, peak_kib, proc.stderr
+    return _child_peak(["compute", action, *base, "--x", f"@{path}"])
 
 
 def assert_largest_admitted(tmp_path, action, base, labels, top, count,
@@ -921,6 +935,44 @@ def test_largest_cyclic4_antipode_stays_under_64_mib(tmp_path):
     degree 10 (4,096 words, refused now) took 95 MiB."""
     assert_largest_admitted(tmp_path, "antipode", *_CYCLIC4, 9, 3 ** 8,
                             4096, "antipode size")
+
+
+def _rank18(tmp_path):
+    """The rank-18 table of cyclic4 x cyclic4 x two_dim(2), a group of
+    order 32, so beta = (reg - one)/31; degree 3 is the largest the verify
+    work bound admits there: 18^2 * 2^3 = 2,592 <= 4,096."""
+    path = tmp_path / "rank18.json"
+    path.write_text(json.dumps(theory_to_dict(
+        kronecker(kronecker(cyclic4(), cyclic4()), two_dim(2)))))
+    return ["--theory-file", str(path), "--iota", "reg",
+            "--beta", "(reg - one)/31", "--max-degree", "3"]
+
+
+# the largest verify and characters requests the verify work bound admits
+_LARGEST_SUITES = {
+    "verify_twodim_6": lambda _: ["verify", "--suite", "all", *IND,
+                                  "--max-degree", "6"],
+    "verify_cyclic4_5": lambda _: ["verify", "--suite", "all", *_C4,
+                                   "--max-degree", "5"],
+    "verify_rank18_3": lambda tmp: ["verify", "--suite", "all",
+                                    *_rank18(tmp)],
+    "invert_twodim_6": lambda _: ["characters", "invert", *IND, "--psi",
+                                  "(one+regm1)/3", "--max-degree", "6"],
+    "convolve_cyclic4_5": lambda _: ["characters", "convolve", *_C4,
+                                     "--psi", "(one+sgn+s)/4", "--gamma",
+                                     "one", "--max-degree", "5"],
+}
+
+
+@pytest.mark.parametrize("request_name", _LARGEST_SUITES)
+def test_largest_suites_stay_under_64_mib(tmp_path, request_name):
+    """Each peaks near 16-17 MiB on Python 3.11, except the rank-18 suites
+    (about 39 MiB), whose per-context memo holds Δ, the closed S and the
+    oracle's S of all 344 words of degree at most 3."""
+    argv = _LARGEST_SUITES[request_name](tmp_path)
+    code, peak_kib, err = _child_peak(argv)
+    assert (code, err) == (0, "")
+    assert peak_kib < 64 * 1024, f"peak RSS {peak_kib / 1024:.1f} MiB"
 
 
 def _rank1(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from hopftower.combinatorics import (bc_bits, block_index, boundary_bits,
                                      coarsenings, composition_from_boundary_bits,
-                                     composition_from_interior_bits,
                                      compositions, concat, conjugate, descents,
                                      ground_size, interior_bits, inverse,
                                      lc_bits, llc_bits, partial_sums,
@@ -15,6 +14,12 @@ from hopftower.combinatorics import (bc_bits, block_index, boundary_bits,
                                      set_compositions, setcomp_refinements,
                                      setcomp_refines, smash, straighten,
                                      toggle_free)
+
+
+def composition_from_interior_bits(bits):
+    """Inverse of :func:`interior_bits`."""
+    return composition_from_boundary_bits(tuple(1 - b for b in bits))
+
 
 bits_strategy = st.lists(st.integers(0, 1), max_size=8).map(tuple)
 compo_strategy = bits_strategy.map(composition_from_boundary_bits)

@@ -23,7 +23,7 @@ HOMES = {
                "from_table", "solve_linear_system", "two_dim"],
     "elements": ["TensorElement", "TensorSquare", "basis_words",
                  "expand_letters"],
-    "combinatorics": ["FundamentalImage", "descent_embedding"],
+    "combinatorics": ["descent_embedding"],
     "functors": ["def_along", "dn_bracket", "ind_along", "inf_along",
                  "inf_bracket", "pointwise_twist", "res_along"],
     "hopf": ["HopfContext", "IotaNotBasisElement", "PairingNotOne",

@@ -4,13 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hopftower.characters import constant_character
 from hopftower.elements import TensorElement
 from hopftower.hopf import all_ones_context, induction_context
-from hopftower.serialize import (ParseError, character_from_dict,
+from hopftower.serialize import (ParseError, _tokenize, character_from_dict,
                                  character_to_dict, element_from_dict,
                                  element_to_dict, fraction_from_str,
                                  fraction_to_str, jsonable, parse_expression,
@@ -131,6 +131,8 @@ def test_parse_expression_basics():
     assert parse_expression("2*regm1 - regm1", basis) == basis.basis_element(1)
     assert parse_expression("regm1 * 2", basis) == 2 * basis.basis_element(1)
     assert parse_expression("-one", basis) == -basis.one
+    # a number is a run of decimal digits in any script, as int() reads it
+    assert parse_expression("٣*one", basis) == parse_expression("3*one", basis)
 
 
 def test_parse_expression_scalars_and_aliases():
@@ -138,6 +140,8 @@ def test_parse_expression_scalars_and_aliases():
     got = parse_expression("(reg - one)/(q - 1)", basis,
                            scalars={"q": 3}, aliases={"reg": basis.reg})
     assert got == basis.element((0, Fraction(1, 2)))
+    got = parse_expression("(reg - one)/31", basis, aliases={"reg": basis.reg})
+    assert got == basis.element((0, Fraction(1, 31)))
     # a basis label wins over an alias of the same name
     got = parse_expression("one", basis, aliases={"one": basis.reg})
     assert got == basis.one
@@ -156,10 +160,75 @@ def test_parse_expression_rejections():
                  "one ^ 2"):         # stray character
         with pytest.raises(ParseError):
             parse_expression(text, basis)
+    # a numeric character that is not a decimal digit (a superscript, a
+    # Roman numeral, a vulgar fraction) is read as part of a name
     for text, message in (("one one", "unexpected token 'one'"),
-                          ("one + 1", "cannot add a scalar")):
+                          ("one + 1", "cannot add a scalar"),
+                          ("²*one", "^unknown name '²'$"),
+                          ("one + Ⅷ", "^unknown name 'Ⅷ'$"),
+                          ("½one", "^unknown name '½one'$")):
         with pytest.raises(ParseError, match=message):
             parse_expression(text, basis)
+
+
+def reference_tokenize(text):
+    """The character loop the token pattern replaced; it reads a digit run
+    by str.isdigit, so a non-decimal digit such as '²' reaches int()."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*/()":
+            tokens.append(ch)
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(int(text[i:j]))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r} in expression")
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+# expression text: mostly the language's own characters, some of any kind
+_EXPRESSION_CHARS = " \t0123456789+-*/()_onereg٣"
+_DECIMAL_OR_NOT_NUMERIC = st.characters().filter(
+    lambda c: c.isdecimal() or not c.isnumeric())
+
+
+@given(st.text(st.sampled_from(_EXPRESSION_CHARS) | _DECIMAL_OR_NOT_NUMERIC))
+def test_tokenize_matches_the_character_loop(text):
+    assert (_tokens_or_error(_tokenize, text)
+            == _tokens_or_error(reference_tokenize, text))
+
+
+@given(st.text(st.sampled_from(_EXPRESSION_CHARS + "²Ⅷ½")
+               | st.characters()))
+@example("²*one")
+def test_expressions_raise_only_parse_errors(text):
+    basis = two_dim(3)
+    for parse in (_tokenize, lambda t: parse_expression(t, basis)):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 def test_degrees_must_be_true_integers():

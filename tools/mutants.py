@@ -145,6 +145,13 @@ MUTANTS = [
      "killed"),
     ("elements.py", "return sorted(self.terms.items())",
      "return list(self.terms.items())", "killed"),
+    # a number token is the whole decimal run, not its first digit
+    ("serialize.py", r"(\d+)|", r"(\d)|", "killed"),
+    # descent classes are refused past 7 letters
+    ("combinatorics.py", "n > 7", "n > 8", "killed"),
+    # --format text puts a space between a label and its scalar value
+    ("cli.py", 'f"{pad}{label} {value}"', 'f"{pad}{label}{value}"',
+     "killed"),
 ]
 
 
