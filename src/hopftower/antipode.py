@@ -101,21 +101,24 @@ def _getter(indices):
 def _setcomp_table(route, n):
     """The sum over ``route``'s set compositions A of n, all or the
     toggle-free ones, as plans (sign, crossings, get): letter j (between
-    positions j+1, j+2) fills its slot of straighten(A) if both share a
-    block, else crosses as (j, 1 for alpha or 0 for beta); empty slots
-    hold the iota marker, and ``get`` picks the slots out of a word with
-    the marker appended.  Equal plans add their signs (net ±1)."""
-    from .combinatorics import (bc_bits, llc_bits, set_compositions,
-                                straighten, toggle_free)
+    positions j+1, j+2) fills j+1's slot of straighten(A) if both share a
+    block, else crosses as (j, 1 for alpha if j+1's block is the earlier,
+    else 0 for beta); empty slots hold the iota marker, and ``get`` picks
+    the slots of a word with the marker appended.  Equal plans add signs."""
+    from .combinatorics import set_compositions, toggle_free
     table = {}
     for A in (toggle_free if route == "toggle_free" else set_compositions)(n):
-        w, llc, bc = straighten(A), llc_bits(A), bc_bits(A)
+        place = {}  # element -> (its block's index, its laid-out slot)
+        for k, blk in enumerate(A):
+            for x in blk:
+                place[x] = k, len(place)
         crossings, slots = [], [_MARKER] * (n - 1)
         for j in range(n - 1):
-            if bc[j]:
-                slots[w[j] - 1] = j
+            (k, slot), (k_next, _) = place[j + 1], place[j + 2]
+            if k == k_next:
+                slots[slot] = j
             else:
-                crossings.append((j, llc[j]))
+                crossings.append((j, int(k < k_next)))
         _accumulate(table, (tuple(crossings), tuple(slots)),
                     -1 if len(A) % 2 else 1)
     return tuple((sign, crossings, _getter(slots))

@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .combinatorics import compositions
 from .elements import (TensorElement, _element, _expand_num, _fractions,
-                       _over_lcm, _same, _sum_forms, expand_letters)
+                       _letter, _over_lcm, _same, _sum_forms, expand_letters)
 from .theory import BaseElement, TheoryError
 
 
@@ -214,7 +214,7 @@ def convolve(psi, gamma):
     _require_morphisms(psi, gamma)
     ctx = psi.ctx
     top = min(psi.max_degree, gamma.max_degree)
-    alpha, beta = _marker(ctx.alpha), _marker(ctx.beta)
+    alpha, beta = _letter(ctx.alpha.coords), _letter(ctx.beta.coords)
     out = LinearCharacter(ctx, [ctx.unit()] + [
         _convolve_component(psi, gamma, n, alpha, beta)
         for n in range(1, top + 1)])
@@ -222,15 +222,10 @@ def convolve(psi, gamma):
     return out
 
 
-def _marker(element):
-    """An element as a table of one-letter words, for ``_interleave``."""
-    return _over_lcm({(i,): c for i, c in enumerate(element.coords) if c})
-
-
 def _interleave(chi_a, chi_b, mark_a, mark_b, mu):
-    """The words of one composition mu as an int form, from ``_marker``
-    tables: blocks taken alternately from chi_a, chi_b, chi_a, ..., each
-    block after the first behind the previous block's marker, expanded by
+    """The words of one composition mu as an int form: blocks taken
+    alternately from chi_a, chi_b, chi_a, ..., each block after the first
+    behind the previous block's marker (a ``_letter`` block), expanded by
     ``_expand_num``."""
     sides = (chi_a._num_tables, mark_a), (chi_b._num_tables, mark_b)
     entries = []
@@ -251,7 +246,7 @@ def inverse(psi):
     compositions of psi blocks joined by (alpha + beta) markers."""
     _require_morphisms(psi)
     ctx = psi.ctx
-    mark = _marker(ctx.alpha + ctx.beta)
+    mark = _letter((ctx.alpha + ctx.beta).coords)
     comps = [ctx.unit()]
     for n in range(1, psi.max_degree + 1):
         comps.append(_element(n, _sum_forms(

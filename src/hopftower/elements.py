@@ -9,12 +9,14 @@ Coefficients are ``Fraction``s at the public edge only.  Inside, the
 kernels (the ``_*_num`` functions of ``hopf``, ``antipode`` and ``nsym``,
 and the closed formulas of ``characters``) take and return the *int
 form* ``(den, key -> int numerator over den)``, in which zeros may stay.
-Six helpers here are all that touch it: ``_over_lcm`` and ``_expand_num``
-build it, ``_expand_positions`` expands the entries of its words,
-``_sum_forms`` adds scaled ones, ``_same`` compares two by
-cross-multiplication, and ``_fractions`` is the one edge back to nonzero
-``Fraction`` terms, one ``Fraction`` per distinct numerator, which
-``_element`` and ``_square`` put in the public types.  A public
+Seven helpers here are all that touch it: ``_over_lcm`` builds it,
+``_letter`` makes a letter's coordinates a block (the int form of
+one-letter words), ``_expand_num`` joins blocks of words of one length,
+``_expand_positions`` expands the entries of its words, ``_sum_forms``
+adds scaled ones, ``_same`` compares two by cross-multiplication, and
+``_fractions`` is the one edge back to nonzero ``Fraction`` terms, one
+``Fraction`` per distinct numerator, which ``_element`` and ``_square``
+put in the public types.  A public
 kernel converts once each way, and the antipode routes' kernels are
 compared as int forms.
 
@@ -303,36 +305,33 @@ def expand_letters(entries, coeff=1):
     {}
     """
     return _fractions(*_expand_num(
-        [e if isinstance(e, int) else _over_lcm(e) for e in entries], coeff))
+        [(1, {(e,): 1}) if isinstance(e, int) else _letter(e)
+         for e in entries], coeff))
 
 
-def _expand_num(entries, coeff=1):
-    """``expand_letters`` on int forms: each entry an int (a fixed letter),
-    a letter's coordinates as ``(den, numerator tuple)``, or a block of
-    words of one length as ``(den, {word: numerator})``; the words are
-    over the product of the coefficient's and the entries' denominators.
+def _letter(coords):
+    """A letter's coordinates as a block of one-letter words."""
+    return _over_lcm({(i,): c for i, c in enumerate(coords) if c})
 
-    >>> _expand_num([(2, (1, 0)), 1], Fraction(2, 3))
+
+def _expand_num(blocks, coeff=1):
+    """``expand_letters`` on int forms, each entry a block ``(den, {word:
+    numerator})`` of words of one length (``_letter`` makes a letter's),
+    over the product of the coefficient's and the blocks' denominators.
+
+    >>> _expand_num([(2, {(0,): 1}), (1, {(1,): 1})], Fraction(2, 3))
     (6, {(0, 1): 2})
-    >>> _expand_num([(3, {(0, 1): 1, (1, 1): -2}), 0], 5)
-    (3, {(0, 1, 0): 5, (1, 1, 0): -10})
+    >>> _expand_num([(3, {(0,): 1, (1,): -2}), _letter((0, Fraction(1, 2)))])
+    (6, {(0, 1): 1, (1, 1): -2})
     """
     coeff = coeff if isinstance(coeff, int) else Fraction(coeff)
     den, partial = coeff.denominator, {(): coeff.numerator}
-    for entry in entries:
-        if isinstance(entry, int):
-            partial = {w + (entry,): c for w, c in partial.items()}
-            continue
-        d, nums = entry
+    for d, nums in blocks:
         den *= d
         # the words of partial (of a block) share one length, so each pair
         # of words gives its own key and nothing needs accumulating
-        if isinstance(nums, dict):
-            partial = {w + bw: c * bc for w, c in partial.items()
-                       for bw, bc in nums.items()}
-        else:
-            partial = {w + (i,): c * ci for i, ci in enumerate(nums) if ci
-                       for w, c in partial.items() if c}
+        partial = {w + bw: c * bc for w, c in partial.items()
+                   for bw, bc in nums.items()}
     return den, partial
 
 

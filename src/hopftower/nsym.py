@@ -27,8 +27,8 @@ from .combinatorics import (boundary_bits, coarsenings,
                             composition_from_boundary_bits, compositions,
                             concat, interior_bits, refinements, smash)
 from .elements import (TensorElement, _accumulate, _element, _expand_num,
-                       _expand_positions, _fractions, _over_lcm, _square,
-                       _sum_forms)
+                       _expand_positions, _fractions, _letter, _over_lcm,
+                       _square, _sum_forms)
 from .functors import ind_along
 from .theory import DualBasisUndefined, TheoryError, dual_pair
 from .antipode import _closed_num
@@ -55,7 +55,7 @@ def tau_iota_element(basis, tau, iota, mu):
 
 def _family_num(tau, iota, mu):
     """``tau_iota_element``'s int form."""
-    inside, boundary = _over_lcm(tau.coords), _over_lcm(iota.coords)
+    inside, boundary = _letter(tau.coords), _letter(iota.coords)
     return _expand_num([boundary if b else inside for b in boundary_bits(mu)])
 
 

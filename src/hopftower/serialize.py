@@ -206,9 +206,10 @@ def _key_str(key):
 
 # -- expression language ----------------------------------------------------------
 
-# a decimal run (what int() reads), a name, an operator, or any other
-# non-space character, which is refused
+# a decimal run (what int() reads, refused past _DIGITS digits), a name,
+# an operator, or any other non-space character, which is refused
 _TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|([-+*/()])|(\S))")
+_DIGITS = 640  # the least limit sys.set_int_max_str_digits takes
 
 
 def _tokenize(text):
@@ -216,6 +217,8 @@ def _tokenize(text):
     for number, name, op, other in _TOKEN.findall(text):
         if other:
             raise ParseError(f"unexpected character {other!r} in expression")
+        if len(number) > _DIGITS:
+            raise ParseError(f"a number has more than {_DIGITS} digits")
         tokens.append(int(number) if number else name or op)
     return tokens
 

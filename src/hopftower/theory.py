@@ -295,9 +295,9 @@ def from_table(values, sizes, identity_class, labels=None):
 
     ``values`` has one row per character, one column per class; labels
     default to chi0, chi1, ...  All the table axioms are checked (square,
-    orthogonal rows, all-ones row present, identity class a singleton,
-    regular character in the span), each failure raising the error that
-    names the violated axiom.
+    orthogonal rows of positive norm, all-ones row present, identity class
+    a singleton), each failure raising the error that names the violated
+    axiom; such rows span every value vector, the regular character's too.
 
     >>> from_table(((1, 1), (2, -1)), (1, 2), 0) == two_dim(3)
     False

@@ -8,6 +8,8 @@ from hopftower.antipode import (_KEPT, _MARKER, _oracle_solve,
                                 antipode_closed, antipode_oracle,
                                 antipode_toggle_free)
 from hopftower.characters import constant_character
+from hopftower.combinatorics import (bc_bits, llc_bits, set_compositions,
+                                     straighten, toggle_free)
 from hopftower.elements import TensorElement, basis_words
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.nsym import tau_iota_element
@@ -128,17 +130,39 @@ def test_oracle_results_are_not_shared():
             assert antipode_oracle(ctx, x) == want
 
 
+def reference_setcomp_table(route, n):
+    """``_setcomp_table``'s plans as {(crossings, slots): sign}, built from
+    the public statistics straighten, llc_bits and bc_bits of each set
+    composition."""
+    table = {}
+    for A in (toggle_free if route == "toggle_free" else set_compositions)(n):
+        w, llc, bc = straighten(A), llc_bits(A), bc_bits(A)
+        crossings, slots = [], [_MARKER] * (n - 1)
+        for j in range(n - 1):
+            if bc[j]:
+                slots[w[j] - 1] = j
+            else:
+                crossings.append((j, llc[j]))
+        key = (tuple(crossings), tuple(slots))
+        table[key] = table.get(key, 0) + (-1 if len(A) % 2 else 1)
+    return {key: sign for key, sign in table.items() if sign}
+
+
 def test_full_sum_cancels_to_the_toggle_free_table():
     """Grouped by what they do to the positions, the signs of all set
     compositions cancel down to the toggle-free ones (Benedetti-Sagan):
     3^(n-1) entries, each of sign +1 or -1.  A plan's getter, on the word
-    of letters 0..n-2 and the marker, returns its slot template."""
+    of letters 0..n-2 and the marker, returns its slot template.  Each
+    table, walked once per set composition, holds the plans that the
+    three public statistics give."""
     for n in range(1, 8):
         probe = tuple(range(n - 1)) + (_MARKER,)
 
         def table(route):
-            return {(crossings, get(probe)): sign for sign, crossings, get
-                    in _setcomp_table(route, n)}
+            got = {(crossings, get(probe)): sign for sign, crossings, get
+                   in _setcomp_table(route, n)}
+            assert got == reference_setcomp_table(route, n), (route, n)
+            return got
 
         full = table("all_setcomps")
         assert full == table("toggle_free")

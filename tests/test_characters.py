@@ -17,12 +17,13 @@ import pytest
 
 from hopftower import characters
 from hopftower.characters import (ContextMismatch, LinearCharacter,
-                                  NotAMorphism, _interleave, _marker,
+                                  NotAMorphism, _interleave,
                                   check_morphism, constant_character,
                                   convolve, counit_character, inverse,
                                   is_odd, looks_module_supported)
 from hopftower.combinatorics import compositions, partial_sums
-from hopftower.elements import TensorElement, _fractions, expand_letters
+from hopftower.elements import (TensorElement, _fractions, _letter,
+                                expand_letters)
 from hopftower.functors import def_along, pointwise_twist
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.theory import TheoryError, cyclic4, from_table, two_dim
@@ -230,8 +231,8 @@ def test_interleave_matches_the_template_lists():
                 for chi_a, chi_b in ((p, g), (g, p), (p, p)):
                     for mark_a, mark_b in ((alpha, beta), (beta, alpha)):
                         got = _fractions(*_interleave(
-                            chi_a, chi_b, _marker(mark_a), _marker(mark_b),
-                            mu))
+                            chi_a, chi_b, _letter(mark_a.coords),
+                            _letter(mark_b.coords), mu))
                         assert got == reference_interleave(
                             chi_a, chi_b, tuple(mark_a.coords),
                             tuple(mark_b.coords), mu, n), mu

@@ -160,12 +160,18 @@ def test_compute_multiply_needs_y(capsys):
     assert err == "error: the following arguments are required: --y\n"
 
 
-def test_element_tag_mismatch(capsys):
+def test_element_tag_mismatch(tmp_path, capsys):
     code, _, err = run(capsys, [
         "compute", "coproduct", "--q", "3",
         "--x", word_json(1, [], {"q": 5})])
     assert code == 2
     assert "does not match" in err
+    # an element file of another base names both bases
+    path = tmp_path / "x.json"
+    path.write_text(word_json(2, ["one"], {"base": "cyclic4"}))
+    assert run(capsys, ["compute", "antipode", "--x", f"@{path}"]) == (
+        2, "", "error: element base 'cyclic4' does not match the "
+        "configured base 'twodim'\n")
 
 
 def test_verify_axioms(capsys):
@@ -345,6 +351,8 @@ def test_enumerate_bounds(capsys):
     assert run(capsys, ["enumerate", "compositions"])[0] == 2
     assert run(capsys, ["enumerate", "compositions", "--n", "0"])[0] == 2
     assert run(capsys, ["enumerate", "descent_class", "--mu", "0,1"])[0] == 2
+    assert run(capsys, ["enumerate", "descent_class", "--mu", "4,x"]) == (
+        2, "", "error: bad composition '4,x'\n")
     # the largest admitted request of each bound, and the next size up
     for what, bound, flag, top, past, count in (
             ("compositions", 16, "--n", "16", "17", 2 ** 15),
@@ -427,10 +435,12 @@ def test_verify_below_degree_two_is_green(capsys):
 
 
 def test_negative_max_degree_exits_2(capsys):
-    code, out, err = run(capsys, [
-        "verify", "--suite", "axioms", "--max-degree", "-3"])
-    assert code == 2 and out == ""
-    assert "--max-degree" in err
+    for value in ("-3", "x"):
+        code, out, err = run(capsys, [
+            "verify", "--suite", "axioms", "--max-degree", value])
+        assert code == 2 and out == ""
+        assert err == ("error: argument --max-degree: expected a "
+                       f"nonnegative integer, got {value!r}\n")
 
 
 def test_malformed_element_exits_2(capsys):
@@ -634,6 +644,28 @@ X = word_json(2, ["one"])
 ])
 def test_usage_errors_exit_2_with_one_error_line(capsys, argv):
     assert_refused(capsys, argv)
+
+
+def test_theory_file_without_one_reads_one_as_its_all_ones_row(
+        tmp_path, capsys):
+    """'one', every context flag's default, names the all-ones row of a
+    table that has no 'one' label, wherever that row stands."""
+    data = theory_to_dict(two_dim(3))
+    plain, relabeled = tmp_path / "plain.json", tmp_path / "relabeled.json"
+    plain.write_text(json.dumps(data))
+    relabeled.write_text(json.dumps(
+        {**data, "labels": ["regm1", "triv"], "values": data["values"][::-1]}))
+    outs = []
+    for path, one in ((plain, "one"), (relabeled, "triv")):
+        code, out, err = run(capsys, [
+            "compute", "coproduct", "--theory-file", str(path), "--iota",
+            "reg", "--beta", "(reg - one)/2",
+            "--x", word_json(4, ["regm1", one, "regm1"])])
+        assert (code, err) == (0, "")
+        terms = json.loads(out.replace(f'"{one}"', '"ONE"'))["terms"]
+        outs.append(sorted(map(json.dumps, terms)))
+    assert outs[0] == outs[1]
+    assert any('"ONE"' in term for term in outs[0])
 
 
 def test_q_belongs_to_the_twodim_table(tmp_path, capsys):

@@ -339,6 +339,19 @@ def test_expansion_edge_cases():
             expand_in_kind(ctx, "h_basis", TensorElement(n, {(0,) * (n - 1): c}))
 
 
+def test_structure_constants_below_their_least_degree_are_empty():
+    """A product needs two factors of degree >= 1, a coproduct an element
+    of degree >= 1: below that the constants are {}, and at it they are
+    not."""
+    for ctx, kinds in ((ind_ctx(), ("h_basis", "ribbon")),
+                       (ones_ctx(), ("shuffle_dual_primitive",))):
+        for kind in kinds:
+            assert product_constants(ctx, kind, 1) == {}
+            assert coproduct_constants(ctx, kind, 0) == {}
+            assert product_constants(ctx, kind, 2)
+            assert coproduct_constants(ctx, kind, 1)
+
+
 def test_structure_constants_do_not_depend_on_q():
     for kind in ("h_basis", "ribbon"):
         prod2 = product_constants(ind_ctx(2), kind, 3)

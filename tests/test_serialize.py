@@ -1,6 +1,7 @@
 """JSON round-trips and the class-function expression parser."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -166,14 +167,18 @@ def test_parse_expression_rejections():
                           ("one + 1", "cannot add a scalar"),
                           ("²*one", "^unknown name '²'$"),
                           ("one + Ⅷ", "^unknown name 'Ⅷ'$"),
-                          ("½one", "^unknown name '½one'$")):
+                          ("½one", "^unknown name '½one'$"),
+                          # past 4,300 digits int() itself would refuse it
+                          ("1" * 4301 + "*one",
+                           "^a number has more than 640 digits$")):
         with pytest.raises(ParseError, match=message):
             parse_expression(text, basis)
 
 
 def reference_tokenize(text):
-    """The character loop the token pattern replaced; it reads a digit run
-    by str.isdigit, so a non-decimal digit such as '²' reaches int()."""
+    """The character loop the token pattern replaced, given the same bound
+    on a digit run; it reads the run by str.isdigit, so a non-decimal
+    digit such as '²' reaches int()."""
     tokens = []
     i = 0
     while i < len(text):
@@ -187,6 +192,8 @@ def reference_tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > 640:
+                raise ParseError("a number has more than 640 digits")
             tokens.append(int(text[i:j]))
             i = j
         elif ch.isalpha() or ch == "_":
@@ -214,6 +221,8 @@ _DECIMAL_OR_NOT_NUMERIC = st.characters().filter(
 
 
 @given(st.text(st.sampled_from(_EXPRESSION_CHARS) | _DECIMAL_OR_NOT_NUMERIC))
+@example("1" * 4301 + "*one")
+@example("٣" * 641)
 def test_tokenize_matches_the_character_loop(text):
     assert (_tokens_or_error(_tokenize, text)
             == _tokens_or_error(reference_tokenize, text))
@@ -222,6 +231,7 @@ def test_tokenize_matches_the_character_loop(text):
 @given(st.text(st.sampled_from(_EXPRESSION_CHARS + "²Ⅷ½")
                | st.characters()))
 @example("²*one")
+@example("1" * 4301 + "*one")
 def test_expressions_raise_only_parse_errors(text):
     basis = two_dim(3)
     for parse in (_tokenize, lambda t: parse_expression(t, basis)):
@@ -229,6 +239,22 @@ def test_expressions_raise_only_parse_errors(text):
             parse(text)
         except ParseError:
             pass
+
+
+def test_a_number_of_640_digits_parses_under_any_int_limit():
+    """640 digits is the least limit sys.set_int_max_str_digits takes, so
+    no interpreter setting makes int() refuse a run the tokenizer admits;
+    a run one digit longer is refused as a ParseError."""
+    basis = two_dim(3)
+    run = "1" * 640
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert _tokenize(f"{run}*one") == [int(run), "*", "one"]
+        with pytest.raises(ParseError, match="more than 640 digits"):
+            parse_expression(f"{run}1*one", basis)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_degrees_must_be_true_integers():

@@ -36,6 +36,9 @@ MUTANTS = [
     # a crossing pairs against beta (flag 0) or alpha (flag 1)
     ("antipode.py", "pairings = (beta, alpha)", "pairings = (alpha, beta)",
      "killed"),
+    # a set composition's crossing is alpha (1) when j+1's block comes
+    # before j+2's, beta (0) when after
+    ("antipode.py", "int(k < k_next)", "int(k > k_next)", "killed"),
     # a set composition's sign, (-1)^(number of blocks)
     ("antipode.py", "-1 if len(A) % 2 else 1", "1 if len(A) % 2 else -1",
      "killed"),
@@ -75,8 +78,8 @@ MUTANTS = [
      "pair_a, pair_b = basis.pairings(beta), basis.pairings(alpha)",
      "killed"),
     # the character inverse joins psi blocks by (alpha + beta) markers
-    ("characters.py", "_marker(ctx.alpha + ctx.beta)",
-     "_marker(ctx.alpha + ctx.alpha)", "killed"),
+    ("characters.py", "_letter((ctx.alpha + ctx.beta).coords)",
+     "_letter((ctx.alpha + ctx.alpha).coords)", "killed"),
     # each block of a composition is followed by its own side's marker
     ("characters.py",
      "sides = (chi_a._num_tables, mark_a), (chi_b._num_tables, mark_b)",
@@ -147,6 +150,10 @@ MUTANTS = [
      "return list(self.terms.items())", "killed"),
     # a number token is the whole decimal run, not its first digit
     ("serialize.py", r"(\d+)|", r"(\d)|", "killed"),
+    # a run of 641 digits is refused before it reaches int(), whose limit
+    # may be set as low as 640
+    ("serialize.py", "len(number) > _DIGITS", "len(number) > _DIGITS + 1",
+     "killed"),
     # descent classes are refused past 7 letters
     ("combinatorics.py", "n > 7", "n > 8", "killed"),
     # --format text puts a space between a label and its scalar value
