@@ -80,14 +80,15 @@ def _label_indices(basis):
     return {lab: i for i, lab in enumerate(basis.labels)}
 
 
+def _labels(word, basis):
+    return [basis.labels[i] for i in word]
+
+
 def element_to_dict(x, basis, base=None):
     out = dict(base or {})
     out["degree"] = x.degree
-    out["terms"] = [
-        {"word": [basis.labels[i] for i in word],
-         "coeff": fraction_to_str(c)}
-        for word, c in x.sorted_terms()
-    ]
+    out["terms"] = [{"word": _labels(word, basis), "coeff": fraction_to_str(c)}
+                    for word, c in x.sorted_terms()]
     return out
 
 
@@ -110,31 +111,33 @@ def _word(labels, index, degree):
     return word
 
 
-def element_from_dict(data, basis):
-    if not isinstance(data, dict) or "degree" not in data:
-        raise ParseError("element must be a JSON object with a degree")
-    degree = _degree(data["degree"])
-    index = _label_indices(basis)
-    out = TensorElement(degree)
+def _add_terms(out, data, key):
+    """``out`` plus each term of the JSON object ``data``: ``key(term)``
+    is its key and ``term["coeff"]`` its coefficient."""
     try:
         for term in _array(data.get("terms", []), "terms"):
-            out.add_term(_word(term["word"], index, degree),
-                         fraction_from_str(term["coeff"]))
+            out.add_term(key(term), fraction_from_str(term["coeff"]))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad terms: {exc!r}") from exc
     return out
 
 
+def element_from_dict(data, basis):
+    if not isinstance(data, dict) or "degree" not in data:
+        raise ParseError("element must be a JSON object with a degree")
+    degree = _degree(data["degree"])
+    index = _label_indices(basis)
+    return _add_terms(TensorElement(degree), data,
+                      lambda term: _word(term["word"], index, degree))
+
+
 def square_to_dict(sq, basis, base=None):
     out = dict(base or {})
-    terms = []
-    for ((ld, lw), (rd, rw)), c in sorted(sq.terms.items()):
-        terms.append({
-            "left": {"degree": ld, "word": [basis.labels[i] for i in lw]},
-            "right": {"degree": rd, "word": [basis.labels[i] for i in rw]},
-            "coeff": fraction_to_str(c),
-        })
-    out["terms"] = terms
+    out["terms"] = [
+        {"left": {"degree": ld, "word": _labels(lw, basis)},
+         "right": {"degree": rd, "word": _labels(rw, basis)},
+         "coeff": fraction_to_str(c)}
+        for ((ld, lw), (rd, rw)), c in sorted(sq.terms.items())]
     return out
 
 
@@ -142,19 +145,13 @@ def square_from_dict(data, basis):
     if not isinstance(data, dict):
         raise ParseError("tensor square must be a JSON object")
     index = _label_indices(basis)
-    out = TensorSquare()
 
     def side(obj):
         degree = _degree(obj["degree"])
         return degree, _word(obj["word"], index, degree)
 
-    try:
-        for term in _array(data.get("terms", []), "terms"):
-            out.add_term((side(term["left"]), side(term["right"])),
-                         fraction_from_str(term["coeff"]))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad terms: {exc!r}") from exc
-    return out
+    return _add_terms(TensorSquare(), data,
+                      lambda term: (side(term["left"]), side(term["right"])))
 
 
 # -- characters -----------------------------------------------------------------
@@ -223,91 +220,63 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    """Linear expressions over basis labels: integers, labels, + - * /
-    and parentheses.  Class functions may be scaled and divided by
-    scalars but never multiplied together."""
+def _add(a, b):
+    if isinstance(a, Fraction) != isinstance(b, Fraction):
+        raise ParseError("cannot add a scalar to a class function")
+    return a + b
 
-    def __init__(self, tokens, names):
-        self.tokens = tokens
-        self.pos = 0
-        self.names = names
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+def _mul(a, b):
+    if isinstance(a, BaseElement) and isinstance(b, BaseElement):
+        raise ParseError("cannot multiply two class functions")
+    return b * a if isinstance(b, BaseElement) else a * b
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
 
-    def parse(self):
-        value = self.expr()
-        if self.peek() is not None:
-            raise ParseError(f"unexpected token {self.peek()!r}")
-        return value
+def _div(a, b):
+    if isinstance(b, BaseElement):
+        raise ParseError("cannot divide by a class function")
+    if b == 0:
+        raise ParseError("division by zero")
+    return a / b
 
-    def expr(self):
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = self._add(value, rhs, op == "-")
-        return value
 
-    def term(self):
-        value = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            value = (self._mul(value, rhs) if op == "*"
-                     else self._div(value, rhs))
-        return value
+# binary operator: (precedence, how it joins its operands); all four
+# group left to right, and a - b is a + (-b)
+_BINARY = {"+": (1, _add), "-": (1, lambda a, b: _add(a, -b)),
+           "*": (2, _mul), "/": (2, _div)}
 
-    def factor(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        atom = self.atom()
-        return -atom if sign < 0 else atom
 
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            value = self.expr()
-            if self.take() != ")":
-                raise ParseError("missing closing parenthesis")
-            return value
-        if isinstance(tok, int):
-            return Fraction(tok)
-        if isinstance(tok, str) and tok not in "+-*/()":
-            if tok in self.names:
-                return self.names[tok]
-            raise ParseError(f"unknown name {tok!r}")
+def _parse(tokens, names, least=1):
+    """The value of the operand at the end of ``tokens``, a reversed token
+    list read by pop, joined by each following operator of precedence
+    ``least`` or more.  An operand is leading signs, then a parenthesised
+    expression, an integer or a name."""
+    sign = 1
+    while tokens and tokens[-1] in ("+", "-"):
+        if tokens.pop() == "-":
+            sign = -sign
+    tok = tokens.pop() if tokens else None
+    if tok == "(":
+        value = _parse(tokens, names)
+        if not tokens or tokens.pop() != ")":
+            raise ParseError("missing closing parenthesis")
+    elif isinstance(tok, int):
+        value = Fraction(tok)
+    elif tok is None or tok in "+-*/)":
         raise ParseError(f"unexpected token {tok!r}")
-
-    @staticmethod
-    def _add(a, b, subtract):
-        if isinstance(a, Fraction) != isinstance(b, Fraction):
-            raise ParseError("cannot add a scalar to a class function")
-        return a - b if subtract else a + b
-
-    @staticmethod
-    def _mul(a, b):
-        a_el = isinstance(a, BaseElement)
-        b_el = isinstance(b, BaseElement)
-        if a_el and b_el:
-            raise ParseError("cannot multiply two class functions")
-        return a * b if a_el else (b * a if b_el else a * b)
-
-    @staticmethod
-    def _div(a, b):
-        if isinstance(b, BaseElement):
-            raise ParseError("cannot divide by a class function")
-        if b == 0:
-            raise ParseError("division by zero")
-        return a / b
+    elif tok in names:
+        value = names[tok]
+    else:
+        raise ParseError(f"unknown name {tok!r}")
+    if sign < 0:
+        value = -value
+    while tokens and tokens[-1] in _BINARY:
+        level, join = _BINARY[tokens[-1]]
+        if level < least:
+            break
+        tokens.pop()
+        value = join(value, _parse(tokens, names, level + 1))
+    return value
 
 
 def parse_expression(text, basis, scalars=None, aliases=None):
@@ -318,17 +287,17 @@ def parse_expression(text, basis, scalars=None, aliases=None):
     A purely numeric result is rejected: the expression must name at
     least one class function.
     """
-    names = {}
-    for k, v in (scalars or {}).items():
-        names[k] = Fraction(v)
-    for k, v in (aliases or {}).items():
-        names[k] = v
-    for i, lab in enumerate(basis.labels):
-        names[lab] = basis.basis_element(i)
+    names = {k: Fraction(v) for k, v in (scalars or {}).items()}
+    names.update(aliases or {})
+    names.update((lab, basis.basis_element(i))
+                 for i, lab in enumerate(basis.labels))
     try:
-        value = _Parser(_tokenize(text), names).parse()
+        tokens = _tokenize(text)[::-1]
+        value = _parse(tokens, names)
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
+    if tokens:
+        raise ParseError(f"unexpected token {tokens[-1]!r}")
     if isinstance(value, Fraction):
         raise ParseError(
             f"expression {text!r} is a bare scalar, not a class function")

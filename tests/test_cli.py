@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -681,7 +682,7 @@ def test_q_belongs_to_the_twodim_table(tmp_path, capsys):
 
 
 def test_deeply_nested_expression_exits_2(capsys):
-    nested = "(" * 400 + "reg" + ")" * 400
+    nested = "(" * 5000 + "reg" + ")" * 5000
     assert_refused(capsys, ["compute", "antipode", "--iota", nested,
                             "--x", word_json(1, [])])
 
@@ -1208,6 +1209,30 @@ def _element_text(draw):
     return json.dumps(draw(_often(st.just(data), st.sampled_from(_JUNK))))
 
 
+def _theory_files(table):
+    """The theory file's JSON object, valid and with one flaw each: not
+    square, not orthogonal, no all-ones row, past the 64-row bound,
+    labels that are not strings, bad sizes or a bad identity class."""
+    k, values = len(table["labels"]), table["values"]
+    flaws = ({},
+             {"labels": table["labels"][:-1], "values": values[:-1]},
+             {"values": [*values[:-1], ["7", *values[-1][1:]]]},
+             {"values": [["2"] * k, *values[1:]]},
+             {"labels": [f"c{i}" for i in range(65)],
+              "values": [["x"] * 65] * 65},
+             {"labels": list(range(k))}, {"labels": [None] * k},
+             {"sizes": [0] * k}, {"sizes": [1] * (k - 1)},
+             {"sizes": [True] * k}, {"sizes": "12"}, {"sizes": 5},
+             {"identity_class": k}, {"identity_class": "0"},
+             {"identity_class": True}, {"identity_class": 1})
+    return [{**table, **flaw} for flaw in flaws]
+
+
+# a theory file's JSON object, which the test writes to a file
+_THEORY = st.sampled_from([
+    data for basis in (two_dim(3), cyclic4())
+    for data in _theory_files(theory_to_dict(basis))])
+
 _EXPRESSION = _often(
     st.sampled_from(("one", "reg", "beta_star", "(reg - one)/3", "regm1/2",
                      "2*one")),
@@ -1232,7 +1257,7 @@ _VALUES = {
                       st.just("nope")),
     "--seed": _often(st.just("1"), st.just("x")),
     "--format": _often(st.sampled_from(("json", "text")), st.just("xml")),
-    "--theory-file": st.just("nope.json"),
+    "--theory-file": _often(_THEORY, st.just("nope.json")),
     "--bogus": st.just("1"),
     "--cross-check": st.nothing(),
 }
@@ -1242,7 +1267,8 @@ _REQUIRED = {"multiply": ["--x", "--y"], "coproduct": ["--x"],
              "toggle_free": ["--n"], "descent_class": ["--mu"],
              "check": ["--psi"], "invert": ["--psi"],
              "convolve": ["--psi", "--gamma"], None: ["--suite"]}
-_CONTEXT = ("--format", "--base", "--q", "--iota", "--alpha", "--beta")
+_CONTEXT = ("--format", "--base", "--q", "--theory-file", "--iota", "--alpha",
+            "--beta")
 
 
 @st.composite
@@ -1281,8 +1307,14 @@ def test_every_request_keeps_the_exit_code_contract(argv):
     an answer to stdout or one ``error:`` line to stderr: the latter on
     exit 2 or 3, or on exit 1 from a group operation on a non-morphism."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        args = list(argv)
+        for i, arg in enumerate(args):
+            if isinstance(arg, dict):  # a drawn theory file
+                args[i] = os.path.join(tmp, f"theory{i}.json")
+                Path(args[i]).write_text(json.dumps(arg))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3), argv
     assert bool(out) != bool(err), argv

@@ -17,7 +17,7 @@ from hopftower.serialize import (ParseError, _tokenize, character_from_dict,
                                  fraction_to_str, jsonable, parse_expression,
                                  square_from_dict, square_to_dict,
                                  theory_from_dict, theory_to_dict)
-from hopftower.theory import cyclic4, two_dim
+from hopftower.theory import BaseElement, cyclic4, two_dim
 from hopftower.verify import verify_axioms
 
 
@@ -173,6 +173,142 @@ def test_parse_expression_rejections():
                            "^a number has more than 640 digits$")):
         with pytest.raises(ParseError, match=message):
             parse_expression(text, basis)
+
+
+class ReferenceParser:
+    """The recursive-descent parser the precedence loop replaced: one
+    method per grammar level, a mutable position, and subtraction as a
+    flag of its addition."""
+
+    def __init__(self, tokens, names):
+        self.tokens = tokens
+        self.pos = 0
+        self.names = names
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        value = self.expr()
+        if self.peek() is not None:
+            raise ParseError(f"unexpected token {self.peek()!r}")
+        return value
+
+    def expr(self):
+        value = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            value = self._add(value, rhs, op == "-")
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek() in ("*", "/"):
+            op = self.take()
+            rhs = self.factor()
+            value = (self._mul(value, rhs) if op == "*"
+                     else self._div(value, rhs))
+        return value
+
+    def factor(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        atom = self.atom()
+        return -atom if sign < 0 else atom
+
+    def atom(self):
+        tok = self.take()
+        if tok == "(":
+            value = self.expr()
+            if self.take() != ")":
+                raise ParseError("missing closing parenthesis")
+            return value
+        if isinstance(tok, int):
+            return Fraction(tok)
+        if isinstance(tok, str) and tok not in "+-*/()":
+            if tok in self.names:
+                return self.names[tok]
+            raise ParseError(f"unknown name {tok!r}")
+        raise ParseError(f"unexpected token {tok!r}")
+
+    @staticmethod
+    def _add(a, b, subtract):
+        if isinstance(a, Fraction) != isinstance(b, Fraction):
+            raise ParseError("cannot add a scalar to a class function")
+        return a - b if subtract else a + b
+
+    @staticmethod
+    def _mul(a, b):
+        a_el = isinstance(a, BaseElement)
+        b_el = isinstance(b, BaseElement)
+        if a_el and b_el:
+            raise ParseError("cannot multiply two class functions")
+        return a * b if a_el else (b * a if b_el else a * b)
+
+    @staticmethod
+    def _div(a, b):
+        if isinstance(b, BaseElement):
+            raise ParseError("cannot divide by a class function")
+        if b == 0:
+            raise ParseError("division by zero")
+        return a / b
+
+
+def reference_parse(text, basis, scalars=None, aliases=None):
+    """parse_expression as it was over :class:`ReferenceParser`."""
+    names = {k: Fraction(v) for k, v in (scalars or {}).items()}
+    names.update(aliases or {})
+    for i, lab in enumerate(basis.labels):
+        names[lab] = basis.basis_element(i)
+    try:
+        value = ReferenceParser(_tokenize(text), names).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
+    if isinstance(value, Fraction):
+        raise ParseError(
+            f"expression {text!r} is a bare scalar, not a class function")
+    return value
+
+
+def _outcome(parse, text):
+    """A parse's value and repr, or its exception's type and message."""
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value, repr(value)
+
+
+# expression tokens: labels, an alias, a scalar, decimal and non-decimal
+# digits, operators, parentheses and a stray character
+_EXPRESSION_TOKENS = ("one", "regm1", "reg", "q", "0", "2", "٣", "²", "+",
+                      "-", "*", "/", "(", ")", "^")
+
+
+@given(st.lists(st.sampled_from(_EXPRESSION_TOKENS), max_size=13)
+       .map(" ".join))
+@example("one - regm1 / 2")      # * and / bind tighter than + and -
+@example("one - regm1 - regm1")  # left to right
+@example("one / 2 / 3")
+@example("--one")                # a sign applies to the next operand
+@example("2 * -one")
+@example("one +")                # a dangling operator
+@example("(one")                 # a missing parenthesis
+@example("one )")
+@example("")
+def test_parse_expression_matches_the_recursive_descent_parser(text):
+    basis = two_dim(3)
+    names = {"scalars": {"q": 3}, "aliases": {"reg": basis.reg}}
+    assert (_outcome(lambda t: parse_expression(t, basis, **names), text)
+            == _outcome(lambda t: reference_parse(t, basis, **names), text))
 
 
 def reference_tokenize(text):

@@ -123,6 +123,18 @@ def test_characters_report_below_degree_two():
             assert rep["checked"] == rep["passed"] == 17
 
 
+def test_characters_report_on_non_multiplicative_characters():
+    """A character that fails its multiplicative check gets no group
+    laws, which would raise NotAMorphism, and associativity needs all
+    three: the suite returns its report instead of raising."""
+    t = two_dim(3)
+    ctx = HopfContext.unchecked(t, t.reg / 3, t.one, Fraction(2, 7) * t.reg)
+    rep = verify_characters(ctx, 3)
+    assert (rep["checked"], rep["passed"]) == (4, 1)
+    assert rep["first_failure"]["inputs"] == ("multiplicative", 0)
+    assert verify_all(ctx, 3)["characters"] == rep
+
+
 def test_axioms_compute_each_antipode_once(monkeypatch):
     """S of each basis word is taken once per context, through the int
     form ``_closed_num`` into the context's memo under that kernel,

@@ -144,7 +144,7 @@ MUTANTS = [
      "for k, blk in enumerate(A, 1)", "killed"),
     # the output edge, and nothing before it, sorts the terms: a tensor
     # square's JSON term list, and an element's through sorted_terms
-    ("serialize.py", "in sorted(sq.terms.items()):", "in sq.terms.items():",
+    ("serialize.py", "in sorted(sq.terms.items())]", "in sq.terms.items()]",
      "killed"),
     ("elements.py", "return sorted(self.terms.items())",
      "return list(self.terms.items())", "killed"),
@@ -154,6 +154,13 @@ MUTANTS = [
     # may be set as low as 640
     ("serialize.py", "len(number) > _DIGITS", "len(number) > _DIGITS + 1",
      "killed"),
+    # the expression grammar: * and / bind tighter than + and -, each
+    # right operand is parsed one level up so that all four group left to
+    # right, and each leading - flips the sign
+    ("serialize.py", '"/": (2, _div)', '"/": (1, _div)', "killed"),
+    ("serialize.py", "_parse(tokens, names, level + 1)",
+     "_parse(tokens, names, level)", "killed"),
+    ("serialize.py", "sign = -sign", "sign = -1", "killed"),
     # descent classes are refused past 7 letters
     ("combinatorics.py", "n > 7", "n > 8", "killed"),
     # --format text puts a space between a label and its scalar value
