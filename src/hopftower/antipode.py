@@ -43,12 +43,12 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 
-from .elements import _accumulate, _element, _expand_positions, _over_lcm
+from .elements import _element, _expand_positions, _over_lcm
 
 
 def antipode_closed(ctx, x):
     """Closed-form antipode, linear in x, from ``_closed_num``."""
-    return _element(x.degree, _closed_num(ctx, x.degree, _over_lcm(x.terms)))
+    return _element(x.degree, _closed_num(ctx, x.degree, ctx._int_form(x)))
 
 
 def _closed_num(ctx, n, x):
@@ -119,10 +119,10 @@ def _setcomp_table(route, n):
                 slots[slot] = j
             else:
                 crossings.append((j, int(k < k_next)))
-        _accumulate(table, (tuple(crossings), tuple(slots)),
-                    -1 if len(A) % 2 else 1)
+        key = (tuple(crossings), tuple(slots))
+        table[key] = table.get(key, 0) + (-1 if len(A) % 2 else 1)
     return tuple((sign, crossings, _getter(slots))
-                 for (crossings, slots), sign in table.items())
+                 for (crossings, slots), sign in table.items() if sign)
 
 
 def _setcomp_num(ctx, n, x, route):
@@ -162,19 +162,19 @@ def _setcomp_num(ctx, n, x, route):
 def antipode_all_setcomps(ctx, x):
     """Antipode as the full sum over ordered set partitions of the
     positions."""
-    return _element(x.degree, _setcomp_num(ctx, x.degree, _over_lcm(x.terms),
+    return _element(x.degree, _setcomp_num(ctx, x.degree, ctx._int_form(x),
                                            "all_setcomps"))
 
 
 def antipode_toggle_free(ctx, x):
     """Antipode as the reduced sum over toggle-free set compositions."""
-    return _element(x.degree, _setcomp_num(ctx, x.degree, _over_lcm(x.terms),
+    return _element(x.degree, _setcomp_num(ctx, x.degree, ctx._int_form(x),
                                            "toggle_free"))
 
 
 def antipode_oracle(ctx, x):
     """Antipode from the convolution equation, from ``_oracle_num``."""
-    return _element(x.degree, _oracle_num(ctx, x.degree, _over_lcm(x.terms)))
+    return _element(x.degree, _oracle_num(ctx, x.degree, ctx._int_form(x)))
 
 
 def _oracle_num(ctx, n, x):
@@ -197,10 +197,10 @@ def _oracle_num(ctx, n, x):
 
 
 def _oracle_solve(ctx, n, x):
-    """S of the nonzero int form x of positive degree n as ``(L,
-    numerators)``: the coefficient of each word is its int numerator over
-    L, the lcm of the coefficients' reduced denominators.  Built from the
-    coproduct's int form and the iota splice alone."""
+    """S of the int form x, with terms, of positive degree n as ``(L,
+    numerators)``, zeros left in: each word's coefficient is its int
+    numerator over L, the lcm of the coefficients' reduced denominators.
+    Built from the coproduct's int form and the iota splice alone."""
     common, nums = x
     # Δ's terms over its one denominator
     delta_den, delta = ctx._coproduct_num(n, x)
@@ -216,9 +216,8 @@ def _oracle_solve(ctx, n, x):
         for u, s in s_left.items():
             s *= scalar
             for i, ci in iota:
-                _accumulate(acc, u + (i,) + rw, s * ci)
-    # copied even when g is 1: the copy is compact, while acc keeps the
-    # room that its growth and its cancelled words took
+                key = u + (i,) + rw
+                acc[key] = acc.get(key, 0) + s * ci
     g = gcd(top, *acc.values())
     return top // g, {w: v // g for w, v in acc.items()}
 

@@ -22,8 +22,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .combinatorics import compositions
-from .elements import (TensorElement, _element, _expand_num, _fractions,
-                       _letter, _over_lcm, _same, _sum_forms, expand_letters)
+from .elements import (TensorElement, _check_letters, _element, _expand_num,
+                       _fractions, _letter, _over_lcm, _same, _sum_forms,
+                       expand_letters)
 from .theory import BaseElement, TheoryError
 
 
@@ -67,6 +68,7 @@ class LinearCharacter:
             if comp.degree != n:
                 raise TheoryError(
                     "component %d has degree %d" % (n, comp.degree))
+            _check_letters(comp.terms, ctx.basis.dim)
         if components[0] != ctx.unit():
             raise TheoryError("degree-0 component must be the unit")
         self.ctx = ctx

@@ -8,17 +8,20 @@ square, keyed by pairs of (degree, word).
 Coefficients are ``Fraction``s at the public edge only.  Inside, the
 kernels (the ``_*_num`` functions of ``hopf``, ``antipode`` and ``nsym``,
 and the closed formulas of ``characters``) take and return the *int
-form* ``(den, key -> int numerator over den)``, in which zeros may stay.
-Seven helpers here are all that touch it: ``_over_lcm`` builds it,
-``_letter`` makes a letter's coordinates a block (the int form of
-one-letter words), ``_expand_num`` joins blocks of words of one length,
-``_expand_positions`` expands the entries of its words, ``_sum_forms``
-adds scaled ones, ``_same`` compares two by cross-multiplication, and
-``_fractions`` is the one edge back to nonzero ``Fraction`` terms, one
-``Fraction`` per distinct numerator, which ``_element`` and ``_square``
-put in the public types.  A public
-kernel converts once each way, and the antipode routes' kernels are
-compared as int forms.
+form* ``(den, key -> int numerator over den)``.  Seven helpers here are
+all that touch it: ``_over_lcm`` builds it, ``_letter`` makes a letter's
+coordinates a block (the int form of one-letter words), ``_expand_num``
+joins blocks of words of one length, ``_expand_positions`` expands the
+entries of its words, ``_sum_forms`` adds scaled ones, ``_same`` compares
+two by cross-multiplication, and ``_fractions`` is the one edge back to
+nonzero ``Fraction`` terms, one per distinct numerator, which
+``_element`` and ``_square`` put in the public types.  A public kernel
+checks its letters (``_check_letters``) and converts once each way; the
+antipode routes' kernels are compared as int forms.  A kernel adds with
+``d.get(k, 0)`` and keeps zeros, which leave an int form only at
+``_fractions``, the last merge of ``_expand_positions`` and ``_sum_forms``,
+and where ``HopfContext._word_form`` stores a memo entry; ``_accumulate``,
+dropping a key as it cancels, serves the public types and ``_sum_forms``.
 
 Key order carries no meaning: every kernel emits its keys in the order
 its loops leave them, and only the output edge sorts: ``sorted_terms``
@@ -44,6 +47,14 @@ def _accumulate(terms, key, coeff):
         terms[key] = new
     else:
         del terms[key]
+
+
+def _check_letters(words, dim):
+    """Refuse a word with a letter that is not an int in ``range(dim)``."""
+    for w in words:
+        for a in w:
+            if not (isinstance(a, int) and 0 <= a < dim):
+                raise ValueError(f"word {w} has a letter outside range({dim})")
 
 
 def _over_lcm(*tables):

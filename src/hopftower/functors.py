@@ -13,18 +13,19 @@ marker letters are inserted.
 from __future__ import annotations
 
 from .combinatorics import bc_bits, lc_bits, llc_bits, setcomp_refines
-from .elements import TensorElement, expand_letters
+from .elements import TensorElement, _check_letters, expand_letters
 
 
 def _popcount(bits):
     return sum(1 for b in bits if b)
 
 
-def _extend(bits, x, letter):
+def _extend(basis, bits, x, letter):
     """Write ``letter`` (a basis index or a coordinate tuple) at each
     0-bit, keeping the letters of x at the 1-bits."""
     if x.degree != _popcount(bits) + 1:
         raise ValueError("degree must be one more than the number of 1-bits")
+    _check_letters(x.terms, basis.dim)
     out = TensorElement(len(bits) + 1)
     for word, coeff in x.terms.items():
         it = iter(word)
@@ -33,11 +34,12 @@ def _extend(bits, x, letter):
     return out
 
 
-def _pair_away(bits, x, pairings):
+def _pair_away(basis, bits, x, pairings):
     """Drop the letters at 0-bits, multiplying by their entries in that
     position's table of ``pairings`` (one inner product per basis letter)."""
     if x.degree != len(bits) + 1:
         raise ValueError("degree must be len(bits)+1")
+    _check_letters(x.terms, basis.dim)
     small = TensorElement(_popcount(bits) + 1)
     for word, coeff in x.terms.items():
         kept = []
@@ -56,25 +58,25 @@ def _pair_away(bits, x, pairings):
 def inf_along(basis, bits, x):
     """Extend a degree-(k+1) element (k = number of 1-bits) to degree
     len(bits)+1 by writing the all-ones letter at each 0-bit."""
-    return _extend(bits, x, basis.one_index)
+    return _extend(basis, bits, x, basis.one_index)
 
 
 def def_along(basis, bits, x):
     """Drop the letters at 0-bits, pairing each against the all-ones
     character; inverse to :func:`inf_along` on its image."""
-    return _pair_away(bits, x, [basis.pairings(basis.one)] * len(bits))
+    return _pair_away(basis, bits, x, [basis.pairings(basis.one)] * len(bits))
 
 
 def ind_along(basis, bits, x):
     """Extend by writing the regular character (expanded in the basis) at
     each 0-bit."""
-    return _extend(bits, x, basis.reg.coords)
+    return _extend(basis, bits, x, basis.reg.coords)
 
 
 def res_along(basis, bits, x):
     """Drop the letters at 0-bits, pairing each against the regular
     character."""
-    return _pair_away(bits, x, [basis.pairings(basis.reg)] * len(bits))
+    return _pair_away(basis, bits, x, [basis.pairings(basis.reg)] * len(bits))
 
 
 def pointwise_twist(basis, x, j, f):
@@ -82,6 +84,7 @@ def pointwise_twist(basis, x, j, f):
     f, pointwise, expanding the result in the basis."""
     if not 1 <= j <= max(x.degree - 1, 0):
         raise ValueError("coordinate out of range")
+    _check_letters(x.terms, basis.dim)
     out = TensorElement(x.degree)
     for word, coeff in x.terms.items():
         letter = word[j - 1]
@@ -107,7 +110,7 @@ def inf_bracket(basis, A, B, iota, x):
     if not setcomp_refines(A, B):
         raise ValueError("A must refine B")
     bits = [a for a, b in zip(lc_bits(A), lc_bits(B)) if b]
-    return _extend(bits, x, iota.coords)
+    return _extend(basis, bits, x, iota.coords)
 
 
 def dn_bracket(basis, A, B, tau, alpha, beta, x):
@@ -124,6 +127,7 @@ def dn_bracket(basis, A, B, tau, alpha, beta, x):
     lca, llca, bca = lc_bits(A), llc_bits(A), bc_bits(A)
     kept = [j for j, b in enumerate(lc_bits(B)) if b]
     pair_a, pair_b = basis.pairings(alpha), basis.pairings(beta)
-    small = _pair_away([bca[j] for j in kept], x,
+    small = _pair_away(basis, [bca[j] for j in kept], x,
                        [pair_a if llca[j] else pair_b for j in kept])
-    return _extend([c for a, c in zip(lca, bca) if a], small, tau.coords)
+    bits = [c for a, c in zip(lca, bca) if a]
+    return _extend(basis, bits, small, tau.coords)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .elements import (TensorElement, TensorSquare, _accumulate, _element,
+from .elements import (TensorElement, TensorSquare, _check_letters, _element,
                        _over_lcm, _square, basis_words, expand_letters)
 
 
@@ -134,13 +134,19 @@ class HopfContext:
     def basis_words(self, degree):
         return basis_words(self.basis.dim, degree)
 
+    def _int_form(self, x):
+        """The int form of an element or tensor square, letters checked."""
+        _check_letters(x.terms if isinstance(x, TensorElement) else
+                       (w for key in x.terms for _, w in key), self.basis.dim)
+        return _over_lcm(x.terms)
+
     # -- product -------------------------------------------------------------
 
     def product(self, x, y):
         """Insert iota between the words of x and y, bilinearly; terms in
         ``_product_num``'s order."""
         return _element(x.degree + y.degree, self._product_num(
-            x.degree, _over_lcm(x.terms), y.degree, _over_lcm(y.terms)))
+            x.degree, self._int_form(x), y.degree, self._int_form(y)))
 
     def _product_num(self, dx, x, dy, y):
         """The product of the int forms x and y, of degrees dx and dy, over
@@ -169,7 +175,7 @@ class HopfContext:
     def coproduct(self, x):
         """Sum over subsets of the tensor positions 1..n; terms in
         ``_coproduct_num``'s order."""
-        return _square(self._coproduct_num(x.degree, _over_lcm(x.terms)))
+        return _square(self._coproduct_num(x.degree, self._int_form(x)))
 
     def _coproduct_num(self, n, x):
         """The coproduct of the int form x of degree n, keys in the order
@@ -271,12 +277,12 @@ class HopfContext:
     def square_product(self, s, t):
         """Componentwise product of two tensor-square elements; terms in
         ``_square_product_num``'s order."""
-        return _square(self._square_product_num(_over_lcm(s.terms),
-                                                _over_lcm(t.terms)))
+        return _square(self._square_product_num(self._int_form(s),
+                                                self._int_form(t)))
 
     def _square_product_num(self, s, t):
         """The componentwise product of the int forms s and t, keys in the
-        order the loops first leave them nonzero."""
+        order the loops first reach them and zeros left in."""
         # a splice is over D (a unit factor padded by D): every term is
         # over ds * dt * D^2
         (ds, s), (dt, t) = s, t
@@ -288,8 +294,8 @@ class HopfContext:
                 rights = _splice(rda, rwa, rdb, rwb, iota, den)
                 for lw, lc in _splice(lda, lwa, ldb, lwb, iota, den):
                     for rw, rc in rights:
-                        _accumulate(acc, ((lda + ldb, lw), (rda + rdb, rw)),
-                                    c * lc * rc)
+                        key = ((lda + ldb, lw), (rda + rdb, rw))
+                        acc[key] = acc.get(key, 0) + c * lc * rc
         return ds * dt * den ** 2, acc
 
     def is_primitive(self, x):

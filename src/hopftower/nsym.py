@@ -26,9 +26,8 @@ from math import lcm
 from .combinatorics import (boundary_bits, coarsenings,
                             composition_from_boundary_bits, compositions,
                             concat, interior_bits, refinements, smash)
-from .elements import (TensorElement, _accumulate, _element, _expand_num,
-                       _expand_positions, _fractions, _letter, _over_lcm,
-                       _square, _sum_forms)
+from .elements import (TensorElement, _element, _expand_num, _expand_positions,
+                       _fractions, _letter, _over_lcm, _square, _sum_forms)
 from .functors import ind_along
 from .theory import DualBasisUndefined, TheoryError, dual_pair
 from .antipode import _closed_num
@@ -152,7 +151,7 @@ def expand_in_kind(ctx, kind, x):
     """Coefficients of x in the degree-matching family, as a dict from
     compositions to nonzero rationals."""
     return _fractions(*_in_kind(_coordinates(ctx, kind, x.degree), x.degree,
-                                _over_lcm(x.terms)))
+                                ctx._int_form(x)))
 
 
 def _square_in_kind(coords, sq):
@@ -168,7 +167,7 @@ def _square_in_kind(coords, sq):
         for mu, lc in lefts.items():
             lc *= c
             for nu, rc in rights.items():
-                _accumulate(out, (mu, nu), lc * rc)
+                out[key] = out.get(key := (mu, nu), 0) + lc * rc
     return _fractions(common * den, out)
 
 

@@ -33,7 +33,7 @@ def fraction_from_str(text):
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from exc
+        raise ParseError(f"bad rational {text!r:.40}: {exc!s:.140}") from exc
 
 
 def _array(value, what):

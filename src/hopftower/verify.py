@@ -30,8 +30,7 @@ from .antipode import ROUTES
 # after the line above: before antipode is loaded, this would go through
 # the package's __getattr__, which imports every module
 from . import antipode
-from .elements import (TensorElement, _accumulate, _element, _fractions,
-                       _same, _square)
+from .elements import TensorElement, _element, _fractions, _same, _square
 from .hopf import _splice
 
 
@@ -134,13 +133,13 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
                 s_den, s = antipode_num(ld, lw)
                 c_pad = c * (den // s_den)
                 for u, v in s.items():
-                    for word, cw in _splice(ld, u, rd, rw, iota, iota_den):
-                        _accumulate(left_conv, word, c_pad * v * cw)
+                    for k, cw in _splice(ld, u, rd, rw, iota, iota_den):
+                        left_conv[k] = left_conv.get(k, 0) + c_pad * v * cw
                 s_den, s = antipode_num(rd, rw)
                 c_pad = c * (den // s_den)
                 for u, v in s.items():
-                    for word, cw in _splice(ld, lw, rd, u, iota, iota_den):
-                        _accumulate(right_conv, word, c_pad * v * cw)
+                    for k, cw in _splice(ld, lw, rd, u, iota, iota_den):
+                        right_conv[k] = right_conv.get(k, 0) + c_pad * v * cw
             _run(rep, ("left_counit", n, w), (den, left_strip), x, element)
             _run(rep, ("right_counit", n, w), (den, right_strip), x, element)
             _run(rep, ("coassociativity", n, w), (den * den, triple_a),

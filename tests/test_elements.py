@@ -1,11 +1,20 @@
 """Sparse graded words and tensor squares."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from hopftower.elements import (TensorElement, TensorSquare, basis_words,
-                                expand_letters)
+from hopftower.antipode import (antipode_all_setcomps, antipode_closed,
+                                antipode_oracle, antipode_toggle_free)
+from hopftower.characters import LinearCharacter
+from hopftower.elements import (TensorElement, TensorSquare, _check_letters,
+                                basis_words, expand_letters)
+from hopftower.functors import (def_along, ind_along, inf_along,
+                                pointwise_twist, res_along)
+from hopftower.hopf import induction_context
+from hopftower.nsym import expand_in_kind
+from hopftower.theory import two_dim
 
 
 def test_degree_word_length_validation():
@@ -133,3 +142,62 @@ def test_add_term_and_add_scaled():
     assert isinstance(x.coefficient((0, 1)), Fraction)
     x.add_scaled({(0, 1): Fraction(1, 2), (1, 1): Fraction(1)}, -4)
     assert x.terms == {(1, 1): -4}
+
+
+# Every edge that takes words from outside the package, each called on a
+# word that holds one letter: the letter is refused unless it is a basis
+# index, and -1 or the rank would otherwise read the last letter, overflow
+# a packed word or be copied through.
+_CTX = induction_context(two_dim(3))
+_BASIS, _ONE = _CTX.basis, TensorSquare({((0, ()), (0, ())): 1})
+_WORD_ENTRY_POINTS = {
+    "product_left": lambda w: _CTX.product(TensorElement(3, {w: 1}),
+                                           TensorElement(2, {(0,): 1})),
+    "product_right": lambda w: _CTX.product(TensorElement(2, {(0,): 1}),
+                                            TensorElement(3, {w: 1})),
+    "coproduct": lambda w: _CTX.coproduct(TensorElement(3, {w: 1})),
+    "square_product_left_word": lambda w: _CTX.square_product(
+        TensorSquare({((3, w), (0, ())): 1}), _ONE),
+    "square_product_right_word": lambda w: _CTX.square_product(
+        TensorSquare({((0, ()), (3, w)): 1}), _ONE),
+    "square_product_second_factor": lambda w: _CTX.square_product(
+        _ONE, TensorSquare({((1, ()), (3, w)): 1})),
+    "antipode_closed": lambda w: antipode_closed(
+        _CTX, TensorElement(3, {w: 1})),
+    "antipode_all_setcomps": lambda w: antipode_all_setcomps(
+        _CTX, TensorElement(3, {w: 1})),
+    "antipode_toggle_free": lambda w: antipode_toggle_free(
+        _CTX, TensorElement(3, {w: 1})),
+    "antipode_oracle": lambda w: antipode_oracle(
+        _CTX, TensorElement(3, {w: 1})),
+    "expand_in_kind": lambda w: expand_in_kind(
+        _CTX, "h_basis", TensorElement(3, {w: 1})),
+    "LinearCharacter": lambda w: LinearCharacter(_CTX, [
+        _CTX.unit(), TensorElement(1, {(): 1}), TensorElement(2, {w[1:]: 1})]),
+    "inf_along": lambda w: inf_along(_BASIS, (1, 0, 1),
+                                     TensorElement(3, {w: 1})),
+    "ind_along": lambda w: ind_along(_BASIS, (0, 1, 1),
+                                     TensorElement(3, {w: 1})),
+    "def_along": lambda w: def_along(_BASIS, (1, 0),
+                                     TensorElement(3, {w: 1})),
+    "res_along": lambda w: res_along(_BASIS, (1, 0),
+                                     TensorElement(3, {w: 1})),
+    "pointwise_twist": lambda w: pointwise_twist(
+        _BASIS, TensorElement(3, {w: 1}), 1, _BASIS.one),
+}
+
+
+@pytest.mark.parametrize("letter", [-1, _BASIS.dim])
+@pytest.mark.parametrize("entry", sorted(_WORD_ENTRY_POINTS))
+def test_letters_outside_the_basis_are_refused(entry, letter):
+    with pytest.raises(ValueError, match=rf"{letter},?\) has a letter "
+                       rf"outside range\({_BASIS.dim}\)"):
+        _WORD_ENTRY_POINTS[entry]((0, letter))
+
+
+def test_check_letters():
+    _check_letters([(0, 1), (), (1, 1, 0)], 2)
+    for word in ((2,), (0, -1), (0, 1.0), (0, "a")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"word {word!r} has a letter outside range(2)")):
+            _check_letters([(0,), word], 2)

@@ -127,7 +127,7 @@ def test_restriction_is_deflation_of_reg_twist():
                         if not b:
                             twisted = pointwise_twist(t, twisted, j, f)
                     deflated.append(def_along(t, bits, twisted))
-                    assert deflated[-1] == _pair_away(bits, x, pairings)
+                    assert deflated[-1] == _pair_away(t, bits, x, pairings)
                 assert deflated[0] == res_along(t, bits, x)
 
 

@@ -13,8 +13,8 @@ their int forms.  The two set-composition routes, on int numerators over
 their own denominator, must match the reference closed antipode on dense
 elements and a plain walk over every set composition.  A hypothesis
 property draws elements and contexts for the coproduct and the closed
-antipode, and the CLI's output on two dense elements is pinned by
-digest.
+antipode, another feeds every int kernel forms that also hold words of
+value 0, and the CLI's output on two dense elements is pinned by digest.
 """
 
 import hashlib
@@ -22,14 +22,15 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd
 from types import CodeType, FunctionType
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopftower import characters, hopf
-from hopftower.antipode import (_MARKER, _closed_num, _oracle_solve,
+from hopftower import antipode, characters, hopf, nsym, verify
+from hopftower.antipode import (_MARKER, ROUTES, _closed_num, _oracle_solve,
                                 _setcomp_num, _setcomp_table,
                                 antipode_all_setcomps,
                                 antipode_closed, antipode_oracle,
@@ -690,6 +691,77 @@ def test_public_kernels_wrap_their_int_forms(data):
     want = reference_expand_letters(entries, coeff)
     assert got == want
     assert all(type(c) is Fraction for c in got.values())
+
+
+def with_zeros(draw, ctx, n, form):
+    """``form``, of degree n, with up to four basis words of value 0 put
+    before its own words."""
+    den, nums = form
+    words = draw(st.lists(st.sampled_from(list(ctx.basis_words(n))),
+                          max_size=4))
+    return den, {**dict.fromkeys(words, 0), **nums}
+
+
+def square_with_zeros(draw, ctx, n, form):
+    """The int form of a degree-n tensor square with up to four
+    (left, right) keys of value 0 put before its own keys."""
+    den, nums = form
+    keys = {}
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, n))
+        keys[tuple((d, draw(st.sampled_from(list(ctx.basis_words(d)))))
+                   for d in (k, n - k))] = 0
+    return den, {**keys, **nums}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_int_kernels_ignore_zero_valued_words(data):
+    """Kernels leave zeros in the forms they return, and those forms feed
+    other kernels: each int kernel gives the same terms after
+    ``_fractions`` when its input also holds words of value 0."""
+    ctx = data.draw(st.sampled_from(_int_form_contexts()))
+    n, x = int_form(data.draw(mixed_elements(ctx)))
+    m, y = int_form(data.draw(mixed_elements(ctx)))
+    zx, zy = with_zeros(data.draw, ctx, n, x), with_zeros(data.draw, ctx, m, y)
+
+    def same(kernel, plain, zeros):
+        assert _fractions(*kernel(*plain)) == _fractions(*kernel(*zeros))
+
+    same(ctx._product_num, (n, x, m, y), (n, zx, m, zy))
+    same(ctx._coproduct_num, (n, x), (n, zx))
+    same(partial(_closed_num, ctx), (n, x), (n, zx))
+    for _, route in ROUTES:
+        same(partial(route, ctx), (n, x), (n, zx))
+    if n:
+        same(partial(_oracle_solve, ctx), (n, x), (n, zx))
+    s, t = ctx._coproduct_num(n, x), ctx._coproduct_num(m, y)
+    same(ctx._square_product_num, (s, t),
+         (square_with_zeros(data.draw, ctx, n, ctx._coproduct_num(n, zx)),
+          square_with_zeros(data.draw, ctx, m, t)))
+
+
+def _module_functions(module):
+    """The functions and methods defined in ``module``."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        for f in vars(obj).values() if isinstance(obj, type) else [obj]:
+            f = getattr(f, "func", getattr(f, "fget", f))
+            if isinstance(f, FunctionType):
+                yield f
+
+
+def test_kernels_accumulate_inline():
+    """``_accumulate``, which drops a key as it cancels, serves the public
+    ``Fraction`` types alone: no function of the kernels' modules names
+    it, and they add with ``dict.get`` and keep zeros."""
+    for module in (hopf, antipode, verify, nsym):
+        assert "_accumulate" not in vars(module)
+        functions = list(_module_functions(module))
+        assert functions
+        for function in functions:
+            assert "_accumulate" not in _names_reached(function)
 
 
 def assert_same_as_edges(a, b, want):

@@ -35,6 +35,16 @@ def test_fraction_strings():
         fraction_from_str("1/0")
 
 
+def test_bad_rational_echoes_a_bounded_value():
+    """However long the value, its error line echoes at most 40 characters
+    of it, and of the reason at most 140."""
+    for text in ("9" * 5000, "x" * 100_000, "1/" + "0" * 5000,
+                 "9" * 4000 + "/0"):
+        with pytest.raises(ParseError, match="^bad rational ") as err:
+            fraction_from_str(text)
+        assert len(str(err.value)) < 200
+
+
 def test_theory_round_trip():
     for basis in (two_dim(3), cyclic4()):
         data = theory_to_dict(basis)

@@ -166,6 +166,14 @@ MUTANTS = [
     # --format text puts a space between a label and its scalar value
     ("cli.py", 'f"{pad}{label} {value}"', 'f"{pad}{label}{value}"',
      "killed"),
+    # the left antipode convolution scales by S(left)'s coefficient
+    ("verify.py", "left_conv.get(k, 0) + c_pad * v * cw",
+     "left_conv.get(k, 0) + c_pad * cw", "killed"),
+    # the oracle's splice scales by iota's coefficient
+    ("antipode.py", "acc.get(key, 0) + s * ci", "acc.get(key, 0) + s",
+     "killed"),
+    # a letter equal to the rank is not a basis index
+    ("elements.py", "0 <= a < dim", "0 <= a <= dim", "killed"),
 ]
 
 
