@@ -4,7 +4,8 @@
 blocks, reversed, contribute difference letters (letter minus its
 alpha-pairing times iota) joined by iota separators, weighted by beta
 pairings of the boundary letters and signed by block count, summed
-letter by letter: each letter is kept in its block or cut after.
+letter by letter, right to left, on words packed into ints: each letter
+is kept in its block or cut after.
 
 ``antipode_all_setcomps`` evaluates the defining sum over every ordered
 set partition of the tensor positions through its per-degree table: set
@@ -28,13 +29,14 @@ iota, and ``_oracle_num`` over Δ's denominator, reduced to the lcm of its
 coefficients' denominators.  ``ROUTES`` lists the other three kernels,
 which ``verify`` and ``compute antipode --cross-check`` compare with
 ``_closed_num``.  The closed and set-composition routes leave iota
-markers in their words and expand them at the end through
-``elements._expand_positions``.  The set-composition routes read nothing
-else of the context, and the oracle nothing of it but the coproduct, D,
-the iota numerators and its own memo entries, so neither shares the
-closed route's integer tables.  The set-composition routes sum
-context-free per-degree tables of plans in one loop, keeping the tables
-up to degree ``_KEPT``.
+markers in their words and expand them at the end, each its own way: the
+closed route by integer subtraction on its packed words, the
+set-composition routes through ``elements._expand_positions``.  The
+set-composition routes read nothing else of the context, and the oracle
+nothing of it but the coproduct, D, the iota numerators and its own memo
+entries, so neither shares the closed route's integer tables or code.
+The set-composition routes sum context-free per-degree tables of plans
+in one loop, keeping the tables up to degree ``_KEPT``.
 """
 
 from __future__ import annotations
@@ -55,36 +57,66 @@ def _closed_num(ctx, n, x):
     """The closed-form antipode of the int form x of degree n, nonzero
     terms in no particular word order.
 
-    One pass over the letters on int numerators over D^(2(n-1)): a kept
-    letter appends its difference letter's pairs (over D^2) to the block;
-    a cut after it takes minus its beta pairing (D) and moves the block,
-    behind an iota marker, to the front of the finished blocks.  States,
-    keyed by (block, finished blocks, unread letters), merge across the
-    words of x.  The markers are expanded over iota's pairs (D) once, at
-    the end.  Sign: -1 per block (none at degree 0).
+    One pass over the letters, right to left, on int numerators over
+    D^(2(n-1)): a kept letter puts its difference letter's pairs (over
+    D^2) in front of the open block; a cut at it takes minus its beta
+    pairing (D) and appends the block, then an iota marker, to the
+    finished blocks.  Words are packed ints, little-endian at b = bit
+    length of dim bits a letter under a top 1 bit, the code dim standing
+    for the marker.  States, keyed (open block, finished blocks), merge
+    across the words of x, grouped by their unread letters, an int whose
+    low b bits are the next letter.  Sign: -1 per block (none at degree
+    0).  The markers are expanded over iota's pairs (D) at the end, one
+    position a pass, equal words merging between passes: a marker goes
+    to letter i by subtracting dim - i from its digit.  The words left
+    are unpacked to tuples.
     """
     common, nums = x
     if not nums:  # at once: no letter passes and no D^(2(n-1))
         return common, {}
-    beta, diff = ctx._beta_num, ctx._diff_num
-    states = {((), (), w): -v if n else v for w, v in nums.items()}
+    beta, diff, dim = ctx._beta_num, ctx._diff_num, ctx.basis.dim
+    b = dim.bit_length()
+    mask, marker = (1 << b) - 1, (1 << b | dim) - 1
+    groups = {}
+    for w, v in nums.items():
+        rest = 0
+        for a in w:
+            rest = rest << b | a
+        groups[rest] = {(1, 1): -v if n else v}
     for _ in range(n - 1):
-        old, states = states, {}
+        old, groups = groups, {}
         while old:
-            (block, done, rest), v = old.popitem()
-            a, rest = rest[0], rest[1:]
-            for i, c in diff[a]:
-                key = (block + (i,), done, rest)
-                states[key] = states.get(key, 0) + v * c
-            if s := -v * beta[a]:
-                key = ((), (_MARKER,) + block + done, rest)
-                states[key] = states.get(key, 0) + s
-    acc = {}
-    for (block, done, _), v in states.items():
-        w = block + done
-        acc[w] = acc.get(w, 0) + v
-    return (common * ctx._den ** (2 * max(n - 1, 0)),
-            _expand_positions(acc, {_MARKER: ctx._iota_num}))
+            rest, states = old.popitem()
+            a, rest = rest & mask, rest >> b
+            group, pairs, cut = groups.setdefault(rest, {}), diff[a], beta[a]
+            for (block, done), v in states.items():
+                for i, c in pairs:
+                    key = (block << b | i, done)
+                    group[key] = group.get(key, 0) + v * c
+                if cut:
+                    block += marker << block.bit_length() - 1
+                    key = (1, done + (block - 1 << done.bit_length() - 1))
+                    group[key] = group.get(key, 0) - v * cut
+    # finished blocks end in a marker and the open block has none, so no
+    # two states give one word
+    terms = {}
+    for (block, done), v in groups.popitem()[1].items():
+        terms[done + (block - 1 << done.bit_length() - 1)] = v
+    iota, shifts = ctx._iota_num, range(0, (n - 1) * b, b)
+    for shift in shifts:  # a marker's expansions hold no marker there
+        for w in list(terms):
+            if w >> shift & mask == dim and (v := terms.pop(w)):
+                for i, c in iota:
+                    key = w - (dim - i << shift)
+                    terms[key] = terms.get(key, 0) + v * c
+    out = {}
+    for w, v in terms.items():
+        if v:
+            word = []
+            for shift in shifts:
+                word.append(w >> shift & mask)
+            out[tuple(word)] = v
+    return common * ctx._den ** (2 * max(n - 1, 0)), out
 
 
 _MARKER = -1  # an iota marker in an unexpanded word; letters are >= 0

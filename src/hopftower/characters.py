@@ -101,6 +101,7 @@ class LinearCharacter:
         if n > self.max_degree:
             raise TheoryError("character only defined up to degree %d"
                               % self.max_degree)
+        _check_letters(x.terms, self.ctx.basis.dim)
         values = self._value_tables[n]
         return sum((c * values.get(word, 0) for word, c in x.terms.items()),
                    Fraction(0))

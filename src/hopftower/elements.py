@@ -12,15 +12,17 @@ form* ``(den, key -> int numerator over den)``.  Seven helpers here are
 all that touch it: ``_over_lcm`` builds it, ``_letter`` makes a letter's
 coordinates a block (the int form of one-letter words), ``_expand_num``
 joins blocks of words of one length, ``_expand_positions`` expands the
-entries of its words, ``_sum_forms`` adds scaled ones, ``_same`` compares
-two by cross-multiplication, and ``_fractions`` is the one edge back to
-nonzero ``Fraction`` terms, one per distinct numerator, which
-``_element`` and ``_square`` put in the public types.  A public kernel
-checks its letters (``_check_letters``) and converts once each way; the
-antipode routes' kernels are compared as int forms.  A kernel adds with
-``d.get(k, 0)`` and keeps zeros, which leave an int form only at
-``_fractions``, the last merge of ``_expand_positions`` and ``_sum_forms``,
-and where ``HopfContext._word_form`` stores a memo entry; ``_accumulate``,
+entries of its words (the set-composition antipode routes' iota
+markers and ``nsym``'s letters), ``_sum_forms`` adds scaled ones,
+``_same`` compares two by cross-multiplication, and ``_fractions`` is
+the one edge back to nonzero ``Fraction`` terms, one per distinct
+numerator, which ``_element`` and ``_square`` put in the public types.
+A public kernel checks its letters (``_check_letters``) and converts once
+each way; the antipode routes' kernels are compared as int forms.  A
+kernel adds with ``d.get(k, 0)`` and keeps zeros, which leave an int
+form only at ``_fractions``, the last merge of ``_expand_positions`` and
+``_sum_forms``, where ``HopfContext._word_form`` stores a memo entry and
+where ``antipode._closed_num`` unpacks its words; ``_accumulate``,
 dropping a key as it cancels, serves the public types and ``_sum_forms``.
 
 Key order carries no meaning: every kernel emits its keys in the order

@@ -323,6 +323,7 @@ class HopfContext:
     def working_word_element(self, word):
         """The element a working-basis word stands for: the pivot letter
         means iota, every other letter means itself."""
+        _check_letters((word,), self.basis.dim)
         p = self.pivot
         entries = [self.iota_coords if letter == p else letter for letter in word]
         return TensorElement(len(word) + 1, expand_letters(entries, 1))
@@ -336,6 +337,7 @@ class HopfContext:
         ``strict=True`` the change of basis is refused: iota must be one
         of the basis characters itself.
         """
+        _check_letters((word,), self.basis.dim)
         p = self.pivot
         if strict and not self.iota_is_basis_letter:
             raise IotaNotBasisElement(

@@ -7,7 +7,7 @@ import pytest
 
 from hopftower.antipode import (antipode_all_setcomps, antipode_closed,
                                 antipode_oracle, antipode_toggle_free)
-from hopftower.characters import LinearCharacter
+from hopftower.characters import LinearCharacter, constant_character
 from hopftower.elements import (TensorElement, TensorSquare, _check_letters,
                                 basis_words, expand_letters)
 from hopftower.functors import (def_along, ind_along, inf_along,
@@ -174,6 +174,10 @@ _WORD_ENTRY_POINTS = {
         _CTX, "h_basis", TensorElement(3, {w: 1})),
     "LinearCharacter": lambda w: LinearCharacter(_CTX, [
         _CTX.unit(), TensorElement(1, {(): 1}), TensorElement(2, {w[1:]: 1})]),
+    "LinearCharacter_call": lambda w: constant_character(
+        _CTX, _BASIS.one, 3)(TensorElement(3, {w: 1})),
+    "working_word_element": lambda w: _CTX.working_word_element(w),
+    "factor_into_generators": lambda w: _CTX.factor_into_generators(w),
     "inf_along": lambda w: inf_along(_BASIS, (1, 0, 1),
                                      TensorElement(3, {w: 1})),
     "ind_along": lambda w: ind_along(_BASIS, (0, 1, 1),

@@ -473,6 +473,20 @@ def test_setcomp_routes_read_no_integer_table_of_the_context():
                 or getattr(obj, "__module__", None) == hopf.__name__]
 
 
+def test_cross_checked_routes_share_no_expansion():
+    """The closed route expands its own iota markers on its packed words:
+    it reaches no ``_expand_positions``, which the set-composition routes
+    use, and neither the set-composition kernel nor the oracle's reaches
+    the closed kernel, its packing (``bit_length``) or its tables."""
+    closed = _names_reached(_closed_num)
+    assert {"_diff_num", "_beta_num", "_iota_num", "bit_length"} <= closed
+    assert "_expand_positions" not in closed
+    assert "_expand_positions" in _names_reached(_setcomp_num)
+    for function in (_setcomp_num, _oracle_solve):
+        assert not _names_reached(function) & {
+            "_closed_num", "_diff_num", "_beta_num", "bit_length"}
+
+
 def _names_reached(function):
     """The names that ``function`` and the helpers of its own module that
     it reaches use, with those of nested code (comprehensions)."""
@@ -569,7 +583,9 @@ def _width_contexts():
     with the largest degree drawn: rank 1 (b = 1, every word all zeros),
     two_dim(3) (b = 1, both letters), cyclic4 (b = 2), the rank-4
     two_dim(2) x two_dim(3) (b = 2, all four letters) and the rank-6
-    cyclic4 x two_dim(2) (b = 3)."""
+    cyclic4 x two_dim(2) (b = 3).  The closed antipode packs its words
+    at b = 1, 2, 2, 3 and 3 on these, a letter code left over for the
+    iota marker, which at rank 3 fills a whole digit."""
     rank1 = from_table(((1,),), (1,), 0)
     return [(all_ones_context(rank1), 9), (induction_context(two_dim(3)), 7),
             (induction_context(cyclic4()), 6),

@@ -101,13 +101,22 @@ MUTANTS = [
     # the square product splices right sides as (a's, b's)
     ("hopf.py", "rights = _splice(rda, rwa, rdb, rwb, iota, den)",
      "rights = _splice(rdb, rwb, rda, rwa, iota, den)", "killed"),
-    # the closed antipode's word: the open block, then the finished ones
-    ("antipode.py", "w = block + done", "w = done + block", "killed"),
+    # the closed antipode's word, read right to left: the finished
+    # blocks, then the open one
+    ("antipode.py", "terms[done + (block - 1 << done.bit_length() - 1)]",
+     "terms[block + (done - 1 << block.bit_length() - 1)]", "killed"),
     # the closed antipode's cut takes minus its beta pairing
-    ("antipode.py", "-v * beta[a]", "v * beta[a]", "killed"),
-    # a cut puts the iota marker between the block and the finished ones
-    ("antipode.py", "((), (_MARKER,) + block + done, rest)",
-     "((), block + (_MARKER,) + done, rest)", "killed"),
+    ("antipode.py", "group.get(key, 0) - v * cut",
+     "group.get(key, 0) + v * cut", "killed"),
+    # a cut puts the iota marker after the block, before the next one
+    ("antipode.py", "block += marker << block.bit_length() - 1",
+     "block = block << b | dim", "killed"),
+    # a marker goes to letter i by subtracting dim - i from its digit
+    ("antipode.py", "w - (dim - i << shift)", "w - (i - dim << shift)",
+     "killed"),
+    # the expansion reads position p at p * b, not (p + 1) * b
+    ("antipode.py", "for shift in shifts:  # a marker's",
+     "for shift in [s + b for s in shifts]:  # a marker's", "killed"),
     # a zero form of any degree returns at once, without its letter passes
     ("antipode.py", "    if not nums:  # at once: no letter passes and no "
      "D^(2(n-1))\n        return common, {}\n", "", "killed"),
