@@ -7,12 +7,14 @@ that agreed, and a description of the first failure (or None).  Nothing
 is sampled unless a seed is passed explicitly; the default runs are
 exhaustive and deterministic, and spot checks without a seed are refused.
 
-``verify_axioms`` checks on int forms (see ``elements``): Δ and S of
-each basis word from the context's memo (``HopfContext._word_form`` of
-``_coproduct_num`` and of ``antipode._closed_num``), and every
-exhaustive check sums and multiplies on them through the int kernels:
-the counit, coassociativity and antipode sums in one pass over each
-Δ(w), and compatibility's Δ(x·y) from the Δ(w) of the words w of x·y.
+``verify_axioms`` checks on int forms (see ``elements``).  Once per call
+it indexes the basis words up to its degree and reads Δ and S of each
+from the context's memo (``HopfContext._word_form`` of ``_coproduct_num``
+and of ``antipode._closed_num``) as (index, numerator) lists.  The
+counit, coassociativity and antipode sums are one pass over each Δ(w),
+on int keys (a triple of indices, a spliced word's base-dim place in its
+degree) that turn back into words only for a failure.  Compatibility's
+Δ(x·y) sums the memo's Δ(w) over the words w of x·y.
 ``verify_antipode_equivalence`` compares the routes' kernels
 (``antipode.ROUTES``) with the memo's closed S.  ``_run`` compares two
 int forms itself, and builds the ``Fraction`` values the public kernels
@@ -31,7 +33,6 @@ from .antipode import ROUTES
 # the package's __getattr__, which imports every module
 from . import antipode
 from .elements import TensorElement, _element, _fractions, _same, _square
-from .hopf import _splice
 
 
 def _report(**extra):
@@ -42,8 +43,8 @@ def _report(**extra):
 def _run(report, name, lhs, rhs, wrap=None):
     """One comparison: of two values by ``==``, or, given ``wrap``, of two
     int forms by ``_same``.  On the first failure ``wrap`` turns each int
-    form into the report's value: ``_terms``, ``_square`` or a degree's
-    ``_element``."""
+    form into the report's value: ``_square``, a degree's ``_element``,
+    or ``verify_axioms``' own, which turn its int keys back into words."""
     report["checked"] += 1
     if _same(lhs, rhs) if wrap else lhs == rhs:
         report["passed"] += 1
@@ -51,11 +52,6 @@ def _run(report, name, lhs, rhs, wrap=None):
         if wrap:
             lhs, rhs = wrap(lhs), wrap(rhs)
         report["first_failure"] = {"inputs": name, "lhs": lhs, "rhs": rhs}
-
-
-def _terms(form):
-    """The int form's nonzero ``Fraction`` terms as a plain dict."""
-    return _fractions(*form)
 
 
 def _basis_forms(ctx, degree):
@@ -98,57 +94,92 @@ def verify_axioms(ctx, max_degree, seed=None, spot_checks=0):
         raise ValueError("spot checks sample: pass a seed")
     rep = _report()
     unit, product = (1, {(): 1}), ctx._product_num
-    iota, iota_den = ctx._iota_num, ctx._den
-    delta_num = partial(ctx._word_form, type(ctx)._coproduct_num)
-    antipode_num = partial(ctx._word_form, antipode._closed_num)
-    for n in range(max_degree + 1):
-        element = partial(_element, n)
-        for w, x in _basis_forms(ctx, n):
-            _run(rep, ("left_unit", n, w), product(0, unit, n, x), x, element)
-            _run(rep, ("right_unit", n, w), product(n, x, 0, unit), x, element)
+    iota, iota_den, dim = ctx._iota_num, ctx._den, ctx.basis.dim
+    # (degree, word) by degree in basis_words order: a word's place in its
+    # degree is its base-dim value.  Δ as (left·N + right, c), S as (place, c)
+    words, first = [], []
+    for k in range(max_degree + 1):
+        first.append(len(words))
+        words += ((k, w) for w in ctx.basis_words(k))
+    N, NN = len(words), len(words) ** 2
+    index = {kw: i for i, kw in enumerate(words)}
+    delta, anti = [], []
+    for k, w in words:
+        den, terms = ctx._word_form(type(ctx)._coproduct_num, k, w)
+        delta.append((den, [(index[l] * N + index[r], c)
+                            for (l, r), c in terms.items()]))
+        den, terms = ctx._word_form(antipode._closed_num, k, w)
+        anti.append((den, [(index[k, u] - first[k], c)
+                           for u, c in terms.items()]))
+    # a splice u·ι·v of degrees (a, b) is at place(u)·dim^b plus each
+    # (i·dim^(b-1), c) of ι plus place(v) in degree a + b; a unit factor
+    # leaves the other word alone, coeff D, as hopf._splice does
+    alone = ((0, iota_den),)
+    letters = [alone] + [[(i * dim ** (b - 1), c) for i, c in iota]
+                         for b in range(1, max_degree + 1)]
 
-            # one pass over Δ(w): the counit strips, c·c2 on each side of
-            # coassociativity, c·S(left)·right and c·left·S(right).  Δ and S
-            # of a degree-k word are over D^(2·max(k-1, 0)), so Δ(w)'s den
-            # pads each factor: sides over den², convolutions over den²·D
-            den, cop_num = delta_num(n, w)
-            left_strip, right_strip, triple_a, triple_b = {}, {}, {}, {}
-            left_conv, right_conv = {}, {}
-            for (left, right), c in cop_num.items():
-                (ld, lw), (rd, rw) = left, right
-                if ld == 0:
-                    left_strip[rw] = c
-                if rd == 0:
-                    right_strip[lw] = c
-                sub_den, sub = delta_num(*left)
-                c_pad = c * (den // sub_den)
-                for (l2, r2), c2 in sub.items():
-                    key = (l2, r2, right)
-                    triple_a[key] = triple_a.get(key, 0) + c_pad * c2
-                sub_den, sub = delta_num(*right)
-                c_pad = c * (den // sub_den)
-                for (l2, r2), c2 in sub.items():
-                    key = (left, l2, r2)
-                    triple_b[key] = triple_b.get(key, 0) + c_pad * c2
-                s_den, s = antipode_num(ld, lw)
-                c_pad = c * (den // s_den)
-                for u, v in s.items():
-                    for k, cw in _splice(ld, u, rd, rw, iota, iota_den):
-                        left_conv[k] = left_conv.get(k, 0) + c_pad * v * cw
-                s_den, s = antipode_num(rd, rw)
-                c_pad = c * (den // s_den)
-                for u, v in s.items():
-                    for k, cw in _splice(ld, lw, rd, u, iota, iota_den):
-                        right_conv[k] = right_conv.get(k, 0) + c_pad * v * cw
-            _run(rep, ("left_counit", n, w), (den, left_strip), x, element)
-            _run(rep, ("right_counit", n, w), (den, right_strip), x, element)
-            _run(rep, ("coassociativity", n, w), (den * den, triple_a),
-                 (den * den, triple_b), _terms)
-            if n >= 1:
-                for name, conv in (("antipode_left", left_conv),
-                                   ("antipode_right", right_conv)):
-                    _run(rep, (name, n, w), (den * den * iota_den, conv),
-                         (1, {}), element)
+    def triples(form):  # coassociativity's keys, (i1·N + i2)·N + i3
+        den, nums = form
+        return _fractions(den, {(words[k // NN], words[k // N % N],
+                                 words[k % N]): v for k, v in nums.items()})
+
+    def spliced(n, form):  # a convolution's keys, places in degree n
+        den, nums = form
+        return _element(n, (den, {words[first[n] + k][1]: v
+                                  for k, v in nums.items()}))
+
+    for i, (n, w) in enumerate(words):
+        x = (1, {w: 1})
+        element = partial(_element, n)
+        _run(rep, ("left_unit", n, w), product(0, unit, n, x), x, element)
+        _run(rep, ("right_unit", n, w), product(n, x, 0, unit), x, element)
+
+        # one pass over Δ(w): the counit strips, c·c2 on each side of
+        # coassociativity, c·S(left)·right and c·left·S(right).  Δ and S
+        # of a degree-k word are over D^(2·max(k-1, 0)), so Δ(w)'s den
+        # pads each factor: sides over den², convolutions over den²·D
+        den, cop = delta[i]
+        left_strip, right_strip, triple_a, triple_b = {}, {}, {}, {}
+        left_conv, right_conv = {}, {}
+        for p, c in cop:
+            l, r = divmod(p, N)
+            (ld, lw), (rd, rw) = words[l], words[r]
+            if ld == 0:
+                left_strip[rw] = c
+            if rd == 0:
+                right_strip[lw] = c
+            sub_den, sub = delta[l]
+            c_pad = c * (den // sub_den)
+            for p2, c2 in sub:
+                key = p2 * N + r
+                triple_a[key] = triple_a.get(key, 0) + c_pad * c2
+            sub_den, sub = delta[r]
+            c_pad, head = c * (den // sub_den), l * NN
+            for p2, c2 in sub:
+                key = head + p2
+                triple_b[key] = triple_b.get(key, 0) + c_pad * c2
+            shift, ends = dim ** rd, letters[rd] if ld else alone
+            s_den, s = anti[l]
+            c_pad, tail = c * (den // s_den), r - first[rd]
+            for u, v in s:
+                for at, ci in ends:
+                    k = u * shift + at + tail
+                    left_conv[k] = left_conv.get(k, 0) + c_pad * v * ci
+            s_den, s = anti[r]
+            c_pad, head = c * (den // s_den), (l - first[ld]) * shift
+            for u, v in s:
+                for at, ci in ends:
+                    k = head + at + u
+                    right_conv[k] = right_conv.get(k, 0) + c_pad * v * ci
+        _run(rep, ("left_counit", n, w), (den, left_strip), x, element)
+        _run(rep, ("right_counit", n, w), (den, right_strip), x, element)
+        _run(rep, ("coassociativity", n, w), (den * den, triple_a),
+             (den * den, triple_b), triples)
+        if n >= 1:
+            for name, conv in (("antipode_left", left_conv),
+                               ("antipode_right", right_conv)):
+                _run(rep, (name, n, w), (den * den * iota_den, conv),
+                     (1, {}), partial(spliced, n))
 
     for x, y, lhs, rhs in _compat_checks(ctx, max_degree):
         _run(rep, ("compatibility", x, y), lhs, rhs, _square)

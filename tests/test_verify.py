@@ -324,10 +324,17 @@ def assert_axioms_match_reference(monkeypatch, ctx, max_degree, **kwargs):
 
 
 def test_axioms_match_fraction_reference(monkeypatch):
+    """Reports equal the Fraction sums': two_dim(q) to degree 4, cyclic4 to
+    degree 3 with spot checks, and the induction context of the rank-6
+    Kronecker table, where D = 7, to degree 3."""
+    rank6 = induction_context(kronecker(cyclic4(), two_dim(2)))
+    assert (rank6.basis.dim, rank6._den) == (6, 7)
     for q in (2, 3, 5):
         for ctx in contexts(q):
             rep = assert_axioms_match_reference(monkeypatch, ctx, 4)
             assert rep["first_failure"] is None
+    rep = assert_axioms_match_reference(monkeypatch, rank6, 3)
+    assert rep["first_failure"] is None
     for ctx in (all_ones_context(cyclic4()), induction_context(cyclic4())):
         assert_axioms_match_reference(monkeypatch, ctx, 3, seed=3,
                                       spot_checks=2)
@@ -335,10 +342,13 @@ def test_axioms_match_fraction_reference(monkeypatch):
 
 def test_axioms_failures_match_fraction_reference(monkeypatch):
     """On unchecked triples every failing check, coassociativity and both
-    convolutions included, reports what the Fraction sums report."""
-    t = two_dim(3)
+    convolutions included, reports what the Fraction sums report: over
+    two_dim(3) and over cyclic4, whose three letters a failing
+    convolution's words must be read back in."""
+    t, c4 = two_dim(3), cyclic4()
     for ctx in (*unchecked_d21(),
-                HopfContext.unchecked(t, t.reg, t.reg, t.one)):
+                HopfContext.unchecked(t, t.reg, t.reg, t.one),
+                HopfContext.unchecked(c4, c4.reg, c4.reg, c4.one)):
         failures, rep = failures_and_report(monkeypatch, verify_axioms, ctx, 4)
         kinds = {failure["inputs"][0] for failure in failures}
         assert {"coassociativity", "antipode_left",

@@ -59,10 +59,10 @@ MUTANTS = [
     # verify_axioms' one pass over Δ(w), made vacuous: coassociativity
     # compared with one side twice, each convolution with itself, and the
     # left counit with its own strip
-    ("verify.py", "(den * den, triple_b), _terms)",
-     "(den * den, triple_a), _terms)", "killed"),
-    ("verify.py", "(1, {}), element)",
-     "(den * den * iota_den, conv), element)", "killed"),
+    ("verify.py", "(den * den, triple_b), triples)",
+     "(den * den, triple_a), triples)", "killed"),
+    ("verify.py", "(1, {}), partial(spliced, n))",
+     "(den * den * iota_den, conv), partial(spliced, n))", "killed"),
     ("verify.py", "(den, left_strip), x, element)",
      "(den, left_strip), (den, left_strip), element)", "killed"),
     # llc bits: j's block index at most j+1's
@@ -176,8 +176,13 @@ MUTANTS = [
     ("cli.py", 'f"{pad}{label} {value}"', 'f"{pad}{label}{value}"',
      "killed"),
     # the left antipode convolution scales by S(left)'s coefficient
-    ("verify.py", "left_conv.get(k, 0) + c_pad * v * cw",
-     "left_conv.get(k, 0) + c_pad * cw", "killed"),
+    ("verify.py", "left_conv.get(k, 0) + c_pad * v * ci",
+     "left_conv.get(k, 0) + c_pad * ci", "killed"),
+    # verify_axioms' int keys: a spliced iota letter is one base-dim digit
+    # above the right word, and one side of coassociativity keys Δ(left)'s
+    # pair before the right factor's index, not after it
+    ("verify.py", "(i * dim ** (b - 1), c)", "(i * dim ** b, c)", "killed"),
+    ("verify.py", "key = p2 * N + r", "key = r * NN + p2", "killed"),
     # the oracle's splice scales by iota's coefficient
     ("antipode.py", "acc.get(key, 0) + s * ci", "acc.get(key, 0) + s",
      "killed"),
