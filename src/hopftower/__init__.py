@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 # each public name, by the submodule that defines it
 _HOMES = {
     "theory": ("BaseElement", "CharacterBasis", "DualBasisUndefined",
-               "IdentityClassInvalid", "NonOrthogonalBasis",
-               "RegularCharacterNotInSpan", "TheoryError",
+               "IdentityClassInvalid", "NonOrthogonalBasis", "TheoryError",
                "TrivialCharacterMissing", "cyclic4", "dual", "dual_pair",
                "from_table", "solve_linear_system", "two_dim"),
     "elements": ("TensorElement", "TensorSquare", "basis_words",

@@ -132,11 +132,12 @@ def _getter(indices):
 @lru_cache(maxsize=2 * (_KEPT + 1))  # both routes, degrees 0 to _KEPT
 def _setcomp_table(route, n):
     """The sum over ``route``'s set compositions A of n, all or the
-    toggle-free ones, as plans (sign, crossings, get): letter j (between
-    positions j+1, j+2) fills j+1's slot of straighten(A) if both share a
-    block, else crosses as (j, 1 for alpha if j+1's block is the earlier,
-    else 0 for beta); empty slots hold the iota marker, and ``get`` picks
-    the slots of a word with the marker appended.  Equal plans add signs."""
+    toggle-free ones, as plans (sign, crossings, get): with A's blocks laid
+    out consecutively in block order, letter j (between positions j+1, j+2)
+    fills the slot where j+1 lands if both share a block, else crosses as
+    (j, 1 for alpha if j+1's block is the earlier, else 0 for beta); empty
+    slots hold the iota marker, and ``get`` picks the slots of a word with
+    the marker appended.  Equal plans add signs."""
     from .combinatorics import set_compositions, toggle_free
     table = {}
     for A in (toggle_free if route == "toggle_free" else set_compositions)(n):

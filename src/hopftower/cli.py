@@ -229,10 +229,12 @@ def _read_json(arg, read_error, parse_error):
         except OSError as exc:
             raise ValueError(f"{read_error}: {exc}") from exc
         _admit("input bytes", len(text), f"the size of {arg[1:]}")
-        text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
+        if isinstance(text, bytes):  # read from a file
+            text = (text.decode("utf-8").replace("\r\n", "\n")
+                    .replace("\r", "\n"))
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{parse_error}: {exc}") from exc
 
 
@@ -277,23 +279,6 @@ def _admit_set_compositions(degree, what):
     _admit("set compositions", a[degree], f"Fubini({what}) = {a[degree]}")
 
 
-def _check_output_size(action, dim, x):
-    """Refuse (exit 2) a nonzero coproduct or antipode whose pairs of words
-    or words exceed their bounds: peak memory follows these, not the
-    work, which the "compute work" bound caps."""
-    if not x.terms:
-        return
-    n = x.degree
-    if action == "coproduct":
-        words = sum(dim ** max(k - 1, 0) * dim ** max(n - k - 1, 0)
-                    for k in range(n + 1))
-        _admit("coproduct size", words, "sum_k dim^max(k-1,0) * "
-               f"dim^max(degree-k-1,0) of --x = {words}")
-    else:
-        words = dim ** max(n - 1, 0)
-        _admit("antipode size", words, f"dim^(degree-1) of --x = {words}")
-
-
 def _cmd_compute(args, basis, tag):
     from .serialize import element_to_dict, square_to_dict
     ctx = _build_context(args, basis)
@@ -309,21 +294,32 @@ def _cmd_compute(args, basis, tag):
         _admit("multiply size", size, "len(terms of --x) * len(terms of --y)"
                f" * nnz(iota) = {size}")
         return 0, element_to_dict(ctx.product(x, y), basis, tag)
+    # a nonzero coproduct or antipode is refused past its output's bound:
+    # peak memory follows the words it may span, not the work, which the
+    # "compute work" bound caps.  Zero is exempt: its degree is unbounded,
+    # and the coproduct's count sums degree + 1 terms
+    n, dim = x.degree, basis.dim
     if args.action == "coproduct":
-        _check_output_size("coproduct", basis.dim, x)
+        if x.terms:
+            words = sum(dim ** max(k - 1, 0) * dim ** max(n - k - 1, 0)
+                        for k in range(n + 1))
+            _admit("coproduct size", words, "sum_k dim^max(k-1,0) * "
+                   f"dim^max(degree-k-1,0) of --x = {words}")
         return 0, square_to_dict(ctx.coproduct(x), basis, tag)
     if args.cross_check:
         # the set-composition routes cost what verify does at this degree
         _admit("verify work", _verify_work(basis.dim, x.degree),
                "--cross-check: dim^(degree-1) * 2^degree")
         _admit_set_compositions(x.degree, "degree")
-    _check_output_size("antipode", basis.dim, x)
+    if x.terms:
+        words = dim ** max(n - 1, 0)
+        _admit("antipode size", words, f"dim^(degree-1) of --x = {words}")
     from .antipode import ROUTES, _closed_num, antipode_closed
     if not args.cross_check:
         return 0, element_to_dict(antipode_closed(ctx, x), basis, tag)
     # the routes compared as int forms; Fractions only for the output
     from .elements import _element, _over_lcm, _same
-    n, form = x.degree, _over_lcm(x.terms)
+    form = _over_lcm(x.terms)
     closed = _closed_num(ctx, n, form)
     payload = element_to_dict(_element(n, closed), basis, tag)
     for name, route in ROUTES:

@@ -140,21 +140,6 @@ def smash(mu, nu):
     return tuple(mu[:-1]) + (mu[-1] + nu[0],) + tuple(nu[1:])
 
 
-def refines(nu, mu):
-    """True when every boundary of mu is also a boundary of nu.
-
-    >>> refines((1, 1, 2), (2, 2))
-    True
-    >>> refines((2, 2), (1, 3))
-    False
-    >>> refines((2, 2), (2, 2))
-    True
-    """
-    if sum(nu) != sum(mu):
-        return False
-    return all(x >= y for x, y in zip(boundary_bits(nu), boundary_bits(mu)))
-
-
 def refinements(mu):
     """Yield every composition refining mu (mu itself included), in the
     order of ``compositions``: each part split as ``compositions`` splits
@@ -214,16 +199,14 @@ def set_compositions(n):
     >>> [len(list(set_compositions(n))) for n in range(5)]
     [1, 1, 3, 13, 75]
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     yield from _ordered_set_compositions(tuple(range(1, n + 1)))
 
 
 def block_index(A):
     """Map each element of the ground set to the index of its block."""
     return {x: k for k, blk in enumerate(A) for x in blk}
-
-
-def ground_size(A):
-    return sum(map(len, A))
 
 
 def lc_bits(A):
@@ -326,26 +309,6 @@ def toggle_free(n):
                 k = k + 1 if move == 1 else 0
                 blocks.insert(k, [nxt])
         yield tuple(map(tuple, blocks))
-
-
-def straighten(A):
-    """The permutation w sending each element to its position when the
-    blocks of A are laid out consecutively in block order.
-
-    Returned as a tuple with ``w[j-1] == w(j)``.
-
-    >>> straighten(((2,), (1,)))
-    (2, 1)
-    >>> inverse(straighten(((7, 8), (9, 10), (3, 4, 5, 6), (1,), (2,))))
-    (7, 8, 9, 10, 3, 4, 5, 6, 1, 2)
-    """
-    w = [0] * ground_size(A)
-    pos = 0
-    for blk in A:
-        for x in blk:
-            pos += 1
-            w[x - 1] = pos
-    return tuple(w)
 
 
 # ---------------------------------------------------------------------------

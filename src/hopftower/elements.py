@@ -304,6 +304,8 @@ def basis_words(dim, degree):
     >>> list(basis_words(3, 1))
     [()]
     """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     return _cartesian(range(dim), repeat=max(degree - 1, 0))
 
 

@@ -29,10 +29,6 @@ class IdentityClassInvalid(TheoryError):
     pass
 
 
-class RegularCharacterNotInSpan(TheoryError):
-    """Kept as a public name: a valid table's rows span, so none raises it."""
-
-
 class DualBasisUndefined(TheoryError):
     pass
 
@@ -374,10 +370,7 @@ def dual_pair(alpha, beta):
     >>> a.coords, b.coords
     ((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1)))
     """
-    basis = alpha.basis
-    if basis != beta.basis:
-        raise TheoryError("elements belong to different bases")
-    if basis.dim != 2:
+    if alpha.basis.dim != 2:
         raise DualBasisUndefined("dual pairs are defined for rank-2 bases only")
     pair = (alpha, beta)
     return dual(alpha, pair), dual(beta, pair)

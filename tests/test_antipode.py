@@ -9,11 +9,12 @@ from hopftower.antipode import (_KEPT, _MARKER, _oracle_solve,
                                 antipode_toggle_free)
 from hopftower.characters import constant_character
 from hopftower.combinatorics import (bc_bits, llc_bits, set_compositions,
-                                     straighten, toggle_free)
+                                     toggle_free)
 from hopftower.elements import TensorElement, basis_words
 from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.nsym import tau_iota_element
 from hopftower.theory import two_dim
+from test_combinatorics import straighten
 from test_kernels import (assert_same, reference_antipode_closed,
                           reference_coproduct, word_memo)
 
@@ -132,8 +133,8 @@ def test_oracle_results_are_not_shared():
 
 def reference_setcomp_table(route, n):
     """``_setcomp_table``'s plans as {(crossings, slots): sign}, built from
-    the public statistics straighten, llc_bits and bc_bits of each set
-    composition."""
+    each set composition's ``straighten`` and its public statistics
+    llc_bits and bc_bits."""
     table = {}
     for A in (toggle_free if route == "toggle_free" else set_compositions)(n):
         w, llc, bc = straighten(A), llc_bits(A), bc_bits(A)

@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 
 from hopftower import antipode, cli
 from hopftower.antipode import antipode_closed
-from hopftower.cli import _check_output_size, main
-from hopftower.elements import TensorElement
-from hopftower.hopf import induction_context
+from hopftower.cli import main
+from hopftower.hopf import HopfContext, induction_context
 from hopftower.nsym import verify_nsym_rules
 from hopftower.serialize import (element_from_dict, element_to_dict, jsonable,
                                  theory_to_dict)
@@ -453,6 +452,27 @@ def test_malformed_element_exits_2(capsys):
         code, out, err = run(capsys, ["compute", "antipode", "--x", x])
         assert code == 2 and out == "", x
         assert err.startswith("error:")
+
+
+def test_unreadable_input_files_exit_2(tmp_path, capsys):
+    """A missing file and one that is not UTF-8 each get one error line
+    that names the flag's file kind."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    missing = tmp_path / "missing.json"
+    for argv, lead in (
+            (["compute", "antipode", "--x", f"@{missing}"],
+             "cannot read element file: "),
+            (["compute", "antipode", "--x", f"@{bad}"],
+             "bad element JSON: 'utf-8' codec can't decode byte 0xff"),
+            (["verify", "--suite", "axioms", "--theory-file", str(missing)],
+             "cannot read theory file: "),
+            (["verify", "--suite", "axioms", "--theory-file", str(bad)],
+             "cannot read theory file: 'utf-8' codec can't decode byte "
+             "0xff")):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err.count("\n")) == (2, "", 1), argv
+        assert err.startswith(f"error: {lead}"), err
 
 
 def test_ambiguous_theory_labels_exit_2(tmp_path, capsys):
@@ -1025,7 +1045,11 @@ def test_largest_rank1_requests_stay_under_64_mib(tmp_path):
                                 1, "compute work")
 
 
-def test_compute_size_bound(capsys, tmp_path):
+class _Admitted(Exception):
+    """Raised by a stub kernel: the request passed every bound."""
+
+
+def test_compute_size_bound(capsys, tmp_path, monkeypatch):
     """2^15 pairs of words for a coproduct and 2^14 words for an
     antipode: two_dim admits coproducts to degree 13 and antipodes to
     degree 15, cyclic4 both to degree 9.  A rank-1 table, one word per
@@ -1035,19 +1059,32 @@ def test_compute_size_bound(capsys, tmp_path):
     for action, dim, top in (("coproduct", 1, 22), ("coproduct", 2, 13),
                              ("coproduct", 3, 9), ("antipode", 1, 22),
                              ("antipode", 2, 15), ("antipode", 3, 9)):
-        _check_output_size(action, dim,
-                           TensorElement(top, {(0,) * (top - 1): 1}))
+        code, out, err = run(capsys, [
+            "compute", action, *bases[dim],
+            "--x", word_json(top, ["one"] * (top - 1))])
+        assert code == 0 and err == "", (action, dim)
         code, out, err = run(capsys, [
             "compute", action, *bases[dim],
             "--x", word_json(top + 1, ["one"] * top)])
         assert code == 2 and out == "", (action, dim)
         bound = "compute work" if dim == 1 else f"{action} size"
         assert f"exceeds the {bound} bound" in err
-    # the zero element is still admitted at any degree, and so is a
-    # rank-1 word by the size bounds
-    _check_output_size("coproduct", 2, TensorElement(60))
+    # the zero element is still admitted at any degree, and so, with the
+    # compute work bound lifted, is a rank-1 word by the size bounds
+    zero = json.dumps({"degree": 60, "terms": []})
+    code, out, err = run(capsys, ["compute", "coproduct", "--x", zero])
+    assert (code, err, json.loads(out)["terms"]) == (0, "", [])
+
+    def reached(*args):
+        raise _Admitted
+
+    monkeypatch.setitem(cli._BOUNDS, "compute work", 1 << 64)
+    monkeypatch.setattr(HopfContext, "coproduct", reached)
+    monkeypatch.setattr(antipode, "antipode_closed", reached)
     for action in ("coproduct", "antipode"):
-        _check_output_size(action, 1, TensorElement(60, {(0,) * 59: 1}))
+        with pytest.raises(_Admitted):
+            main(["compute", action, *bases[1],
+                  "--x", word_json(60, ["one"] * 59)])
 
 
 def test_set_composition_bound(capsys, tmp_path):

@@ -8,12 +8,10 @@ import pytest
 from hopftower.combinatorics import (bc_bits, block_index, boundary_bits,
                                      coarsenings, composition_from_boundary_bits,
                                      compositions, concat, conjugate, descents,
-                                     ground_size, interior_bits, inverse,
-                                     lc_bits, llc_bits, partial_sums,
-                                     permutations, refinements, refines,
+                                     interior_bits, inverse, lc_bits, llc_bits,
+                                     partial_sums, permutations, refinements,
                                      set_compositions, setcomp_refinements,
-                                     setcomp_refines, smash, straighten,
-                                     toggle_free)
+                                     setcomp_refines, smash, toggle_free)
 
 
 def composition_from_interior_bits(bits):
@@ -49,8 +47,9 @@ def test_compositions_order_and_count():
 
 
 def test_compositions_negative():
-    with pytest.raises(ValueError):
-        list(compositions(-1))
+    for enumerate_size in (compositions, set_compositions):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            list(enumerate_size(-1))
 
 
 def test_boundary_interior_examples():
@@ -85,6 +84,22 @@ def test_concat_smash_edges():
     assert smash((), (2, 1)) == (2, 1)
     assert smash((2, 1), ()) == (2, 1)
     assert smash((2, 1), (3,)) == (2, 4)
+
+
+def refines(nu, mu):
+    """True when every boundary of mu is also a boundary of nu: the
+    definition that ``refinements`` and ``coarsenings`` are tested against.
+
+    >>> refines((1, 1, 2), (2, 2))
+    True
+    >>> refines((2, 2), (1, 3))
+    False
+    >>> refines((2, 2), (2, 2))
+    True
+    """
+    if sum(nu) != sum(mu):
+        return False
+    return all(x >= y for x, y in zip(boundary_bits(nu), boundary_bits(mu)))
 
 
 def test_refines():
@@ -269,6 +284,32 @@ def test_toggle_free_excluded_at_three():
 
 
 # -- straightening and permutations ---------------------------------------------
+
+
+def ground_size(A):
+    return sum(map(len, A))
+
+
+def straighten(A):
+    """The permutation w sending each element to its position when the
+    blocks of A are laid out consecutively in block order: the slots that
+    ``antipode._setcomp_table`` fills, which the set-composition references
+    in ``test_kernels`` and ``test_antipode`` are built from.
+
+    Returned as a tuple with ``w[j-1] == w(j)``.
+
+    >>> straighten(((2,), (1,)))
+    (2, 1)
+    >>> inverse(straighten(((7, 8), (9, 10), (3, 4, 5, 6), (1,), (2,))))
+    (7, 8, 9, 10, 3, 4, 5, 6, 1, 2)
+    """
+    w = [0] * ground_size(A)
+    pos = 0
+    for blk in A:
+        for x in blk:
+            pos += 1
+            w[x - 1] = pos
+    return tuple(w)
 
 
 def test_straighten():

@@ -74,6 +74,8 @@ def test_basis_words_counts():
             assert len(words) == d ** (n - 1)
             assert len(set(words)) == len(words)
     assert list(basis_words(2, 3)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        basis_words(2, -3)
 
 
 def test_expand_letters():

@@ -37,8 +37,7 @@ from hopftower.antipode import (_MARKER, ROUTES, _closed_num, _oracle_solve,
                                 antipode_toggle_free)
 from hopftower.cli import main
 from hopftower.combinatorics import (bc_bits, compositions, llc_bits,
-                                     partial_sums, set_compositions,
-                                     straighten)
+                                     partial_sums, set_compositions)
 from hopftower.elements import (TensorElement, TensorSquare,
                                 _expand_positions, _fractions, _over_lcm,
                                 _same, expand_letters)
@@ -46,6 +45,7 @@ from hopftower.hopf import HopfContext, all_ones_context, induction_context
 from hopftower.serialize import element_to_dict, square_to_dict
 from hopftower.theory import cyclic4, from_table, two_dim
 from test_characters import kronecker
+from test_combinatorics import straighten
 
 
 def reference_expand_letters(entries, coeff=1):

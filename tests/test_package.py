@@ -1,7 +1,9 @@
 """The package namespace: ``import hopftower`` loads no submodule, and the
 first lookup of a public name or submodule binds everything that a full
-import binds."""
+import binds.  The package ships no module-level function or class that
+it neither exports nor uses, beyond a short list kept on purpose."""
 
+import ast
 import json
 import os
 import subprocess
@@ -17,8 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # each public name, by the module that defines it
 HOMES = {
     "theory": ["BaseElement", "CharacterBasis", "DualBasisUndefined",
-               "IdentityClassInvalid", "NonOrthogonalBasis",
-               "RegularCharacterNotInSpan", "TheoryError",
+               "IdentityClassInvalid", "NonOrthogonalBasis", "TheoryError",
                "TrivialCharacterMissing", "cyclic4", "dual", "dual_pair",
                "from_table", "solve_linear_system", "two_dim"],
     "elements": ["TensorElement", "TensorSquare", "basis_words",
@@ -43,6 +44,19 @@ HOMES = {
                "verify_characters"],
 }
 SUBMODULES = sorted(HOMES)
+
+# module-level functions and classes that src/ neither exports nor uses,
+# each kept for a reason; a helper only tests call belongs in tests/
+KEPT_UNUSED = {
+    "conjugate": "acceptance criterion 8 checks it",
+    "setcomp_refinements": "acceptance criterion 8 checks it",
+    "theory_to_dict": "a JSON round trip the README documents; CI writes "
+                      "a theory file with it",
+    "square_from_dict": "a JSON round trip the README documents; "
+                        "perfbench/worker.py reads coproducts with it",
+    "character_from_dict": "a JSON round trip the README documents; "
+                           "perfbench/worker.py reads characters with it",
+}
 
 
 def test_all_lists_every_public_name():
@@ -80,6 +94,40 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'bogus'"):
         hopftower.bogus
     assert not hasattr(hopftower, "HOMES")
+    with pytest.raises(AttributeError):
+        hopftower.RegularCharacterNotInSpan
+
+
+def unused_definitions():
+    """The module-level functions and classes of ``src/hopftower``'s
+    modules whose names no code there uses -- as a name, an attribute or
+    an import, outside the definition itself; docstrings do not count --
+    and that ``_HOMES`` does not export.  Dunders are left out: the
+    interpreter looks them up (a module's ``__getattr__`` and
+    ``__dir__``)."""
+    defined, used = set(), set()
+    for path in sorted((ROOT / "src" / "hopftower").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.add(node.name)
+                names.discard(node.name)  # a recursive call is no use
+            used |= names
+    exported = {name for names in hopftower._HOMES.values() for name in names}
+    return {name for name in defined - used - exported
+            if not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_src_defines_only_what_it_exports_or_uses():
+    assert unused_definitions() == set(KEPT_UNUSED)
 
 
 # A fresh interpreter: the submodules loaded after a bare import, after

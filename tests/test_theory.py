@@ -184,6 +184,15 @@ def test_dual_singular():
         dual(t.one, (two_dim(5).one, two_dim(5).reg))
 
 
+def test_dual_pair_of_mixed_bases():
+    """``dual`` refuses a rank-2 pair from two bases; an alpha of another
+    rank is refused by the rank check first."""
+    with pytest.raises(TheoryError, match="different bases"):
+        dual_pair(two_dim(3).one, two_dim(5).reg)
+    with pytest.raises(DualBasisUndefined, match="rank-2 bases only"):
+        dual_pair(cyclic4().one, two_dim(3).reg)
+
+
 def test_dual_rank_three():
     t = cyclic4()
     family = tuple(t.basis_element(i) for i in range(3))
